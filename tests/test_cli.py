@@ -209,6 +209,40 @@ def test_kt_reports_bound_and_value(hesse_file, capsys):
     assert code == 2
 
 
+def test_kt_rejects_non_finite_t(capsys):
+    for t in ("nan", "inf"):
+        code, stdout, err = run(capsys, ["kt", "--dim", "3", "--t", t])
+        assert code == 2
+        assert "--t" in err and stdout == ""
+
+
+def test_mubs_rejects_non_finite_state(tmp_path, capsys):
+    path = tmp_path / "nan_state.json"
+    # json.dumps writes the NaN token that Python's own json.load accepts
+    path.write_text(json.dumps({"format_version": 1, "dim": 3, "components": [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0]]}))
+    code, stdout, err = run(capsys, ["mubs", "--dim", "3", "--state", str(path)])
+    assert code == 2
+    assert "state vector has a non-finite component" in err and stdout == ""
+
+
+def test_convert_rejects_non_finite_probabilities(tmp_path, hesse_file, capsys):
+    p_path = tmp_path / "nan_p.json"
+    p_path.write_text(json.dumps({"format_version": 1, "dim": 3, "p": [float("nan")] + [0.125] * 8}))
+    out = tmp_path / "conv"
+    code, _, err = run(capsys, ["convert", "--fiducial", hesse_file, "--probs", str(p_path), "--out", str(out)])
+    assert code == 2
+    assert "probability vector p has a non-finite entry" in err
+    assert not (out / "density.json").exists()
+
+
+def test_write_json_atomic_refuses_non_finite(tmp_path):
+    target = tmp_path / "artifact.json"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            files.write_json_atomic(target, {"format_version": 1, "value": bad})
+    assert os.listdir(tmp_path) == []
+
+
 def test_json_round_trip_is_byte_identical(tmp_path, fiducial_d3):
     rng = np.random.default_rng(23)
     payloads = [

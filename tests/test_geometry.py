@@ -216,3 +216,9 @@ def test_probability_vector_validation():
         check_probability_vector(np.array([0.7, 0.5, -0.1, -0.1]))  # negative entry
     with pytest.raises(ValueError):
         check_probability_vector(np.full(4, 0.3))  # sums to 1.2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_probability_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match=r"probability vector p has a non-finite entry"):
+        check_probability_vector(np.array([bad, 0.25, 0.25, 0.5]))

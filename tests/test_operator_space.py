@@ -73,6 +73,14 @@ def test_kt_lower_bound_rejects_small_t():
         kt_lower_bound(3, 0.5)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_kt_rejects_non_finite_t(t, fiducial_d2):
+    with pytest.raises(ValueError, match="t must be finite"):
+        kt_lower_bound(3, t)
+    with pytest.raises(ValueError, match="t must be finite"):
+        kt_measure(projectors_from_vectors(build_sic_set(fiducial_d2).vectors), t)
+
+
 def test_kt_on_sic_set_frozen_values(fiducial_d2):
     # 12 ordered pairs, each overlap 1/3: K_1 = 4, K_2 = 4/3
     opset = projectors_from_vectors(build_sic_set(fiducial_d2).vectors)

@@ -144,3 +144,10 @@ def test_as_state_vector_validation():
         as_state_vector(np.ones((2, 2)))
     v = as_state_vector([1.0, 0.0])
     assert v.dtype == complex
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_as_state_vector_rejects_non_finite(bad):
+    # NaN compares false with every tolerance, so it must be caught explicitly
+    with pytest.raises(ValueError, match="state vector has a non-finite component"):
+        as_state_vector(np.array([bad, 0.0]))
