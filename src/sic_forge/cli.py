@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -90,8 +91,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"value must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"value must be positive and finite, got {value}")
     return value
 
 
@@ -210,7 +211,7 @@ def cmd_search(args) -> int:
         artifact_paths=[fiducial_path, report_path],
     )
     if args.json:
-        print(json.dumps({**report.to_json(), "certified": candidate.certified}, indent=2))
+        print(json.dumps({**report.to_json(), "certified": candidate.certified}, indent=2, allow_nan=False))
     else:
         print(f"dim: {args.dim}")
         print(f"seed: {args.seed}  restarts: {args.restarts}")
@@ -256,6 +257,7 @@ def cmd_verify(args) -> int:
                     "tol": args.tol,
                 },
                 indent=2,
+                allow_nan=False,
             )
         )
     else:
@@ -340,7 +342,7 @@ def cmd_convert(args) -> int:
         }
 
     if args.json:
-        print(json.dumps(summary, indent=2))
+        print(json.dumps(summary, indent=2, allow_nan=False))
     else:
         print(f"dim: {summary['dim']}")
         print(f"direction: {summary['direction']}")
@@ -372,7 +374,7 @@ def cmd_mubs(args) -> int:
         payload["tol"] = args.tol
 
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         print(f"dim: {args.dim} ({args.dim + 1} bases)")
         print(f"unbiasedness_residual: {residual:.6e}")
@@ -385,8 +387,8 @@ def cmd_mubs(args) -> int:
 
 
 def cmd_kt(args) -> int:
-    if args.t < 1.0:
-        print(f"error: t must be >= 1, got {args.t}", file=sys.stderr)
+    if not 1.0 <= args.t < math.inf:
+        print(f"error: --t must be finite and >= 1, got {args.t}", file=sys.stderr)
         return EXIT_USAGE
     bound = operator_space.kt_lower_bound(args.dim, args.t)
     payload = {"command": "kt", "dim": args.dim, "t": args.t, "lower_bound": bound}
@@ -401,7 +403,7 @@ def cmd_kt(args) -> int:
         payload["gap"] = report.gap
 
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         print(f"dim: {args.dim}  t: {args.t:g}")
         print(f"lower_bound: {bound:.12g}")

@@ -50,7 +50,7 @@ def write_json_atomic(path, payload) -> None:
     """Serialize to a temp file in the target directory, then rename into place."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:

@@ -81,6 +81,8 @@ def check_probability_vector(
             raise ValueError(f"probability vector length {arr.shape[0]} is not d^2 for any d >= 2")
     elif arr.shape[0] != d * d:
         raise ValueError(f"probability vector has length {arr.shape[0]}, expected d^2 = {d * d}")
+    if not np.isfinite(arr).all():
+        raise ValueError("probability vector p has a non-finite entry")
     low = float(arr.min())
     if low < floor:
         raise ValueError(f"probability vector has entry {low:.3e} below the floor {floor:.1e}")

@@ -9,6 +9,7 @@ by SIC sets (rank-1 projectors with constant pairwise overlap 1/(d+1)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,8 +112,8 @@ def kt_lower_bound(d: int, t: float) -> float:
     """Least possible order-t defect of d^2 PSD unit-norm operators: d^2(d-1)/(d+1)^(t-1)."""
     d = check_dim(d)
     t = float(t)
-    if t < 1.0:
-        raise ValueError(f"t must be >= 1, got {t}")
+    if not 1.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 1, got {t}")
     return d * d * (d - 1) / (d + 1) ** (t - 1)
 
 
@@ -124,8 +125,8 @@ def kt_measure(opset: OperatorSet, t: float) -> KtReport:
     nonnegative).
     """
     t = float(t)
-    if t < 1.0:
-        raise ValueError(f"t must be >= 1, got {t}")
+    if not 1.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 1, got {t}")
     overlaps = np.einsum("iab,jba->ij", opset.ops, opset.ops).real
     np.fill_diagonal(overlaps, 0.0)
     value = float(np.sum(np.clip(overlaps, 0.0, None) ** t))

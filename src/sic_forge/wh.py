@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,6 +48,10 @@ def as_state_vector(psi, norm_tol: float = 1e-12) -> np.ndarray:
     if v.shape[0] < 2:
         raise ValueError("state vector must have dimension >= 2")
     norm_sq = float(np.vdot(v, v).real)
+    # NaN passes every tolerance test; a NaN or infinite component leaves the
+    # squared norm non-finite, so the components are scanned only then.
+    if not math.isfinite(norm_sq) and not np.isfinite(v).all():
+        raise ValueError("state vector has a non-finite component")
     if abs(norm_sq - 1.0) > norm_tol:
         raise ValueError(f"state vector is not unit-norm: sum |psi_j|^2 = {norm_sq!r}")
     return v

@@ -42,6 +42,13 @@ def test_search_rejects_bad_dimension(capsys):
     assert code == 2
 
 
+def test_search_rejects_non_finite_tol(tmp_path, capsys):
+    for tol in ("inf", "nan"):
+        code, _, err = run(capsys, ["search", "--dim", "2", "--restarts", "1", "--seed", "1", "--tol", tol, "--out", str(tmp_path)])
+        assert code == 2 and "--tol" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_search_runs_are_byte_identical(tmp_path, capsys):
     out = str(tmp_path / "same")
     argv = ["search", "--dim", "3", "--restarts", "4", "--seed", "11", "--out", out]
