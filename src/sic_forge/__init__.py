@@ -4,7 +4,7 @@ Subpackages, bottom up: :mod:`~sic_forge.wh` builds clock/shift/displacement
 operators; :mod:`~sic_forge.operator_space` measures how orthonormal a family
 of PSD operators can be; :mod:`~sic_forge.verify` certifies fiducial vectors
 and constructs SIC sets; :mod:`~sic_forge.search` hunts for fiducials by
-minimizing the quartic defect over the unit sphere; :mod:`~sic_forge.geometry`
+minimizing the overlap residual over the unit sphere; :mod:`~sic_forge.geometry`
 moves states between density matrices and SIC-probability coordinates;
 :mod:`~sic_forge.mubs` builds complete mutually unbiased bases and uncertainty
 profiles; :mod:`~sic_forge.cli` and :mod:`~sic_forge.files` expose everything

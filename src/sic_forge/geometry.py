@@ -106,7 +106,7 @@ def sic_probabilities(rho, sic: SicSet) -> np.ndarray:
     rho = check_density_matrix(rho)
     if rho.shape[0] != sic.d:
         raise ValueError(f"dimension mismatch: state has d={rho.shape[0]}, SIC set has d={sic.d}")
-    return np.einsum("ab,iba->i", rho, sic.projectors).real / sic.d
+    return (sic.projectors.reshape(sic.d**2, -1) @ rho.T.reshape(-1)).real / sic.d
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def reconstruct_density(p, sic: SicSet, psd_floor: float = -1e-10) -> Reconstruc
     d = sic.d
     p = check_probability_vector(p, d)
     coeff = (d + 1) * p - 1.0 / d
-    matrix = np.einsum("i,iab->ab", coeff, sic.projectors)
+    matrix = np.tensordot(coeff, sic.projectors, axes=1)
     matrix = 0.5 * (matrix + matrix.conj().T)  # scrub roundoff asymmetry
     matrix.setflags(write=False)
     min_eig = float(np.linalg.eigvalsh(matrix)[0])
@@ -170,7 +170,7 @@ def structure_coefficients(sic: SicSet, allow_large: bool = False) -> StructureT
             f"structure tensor has d^6 = {d**6} entries at d={d}; pass allow_large=True to override"
         )
     s = sic.vectors.conj() @ sic.vectors.T
-    c = np.einsum("ij,jk,ki->ijk", s, s, s).real
+    c = (s[:, :, None] * s[None, :, :] * s.T[:, None, :]).real  # s_ij s_jk s_ki
     c.setflags(write=False)
     return StructureTensor(d=d, c=c)
 

@@ -114,7 +114,7 @@ def uncertainty_profile(psi, mubs: MubSet) -> UncertaintyProfile:
     psi = as_state_vector(psi)
     if psi.shape[0] != mubs.d:
         raise ValueError(f"dimension mismatch: state has d={psi.shape[0]}, bases have d={mubs.d}")
-    amps = np.einsum("bkj,j->bk", mubs.bases.conj(), psi)
+    amps = mubs.bases.conj() @ psi
     probs = amps.real**2 + amps.imag**2
     per_basis = np.sum(probs**2, axis=1)
     probs.setflags(write=False)

@@ -40,6 +40,12 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(a, b))
 
 
+def _pair_traces(ops: np.ndarray) -> np.ndarray:
+    """Real parts of tr(A_i A_j) for every pair, as one matrix product of the flattened operators."""
+    n = ops.shape[0]
+    return (ops.reshape(n, -1) @ ops.transpose(0, 2, 1).reshape(n, -1).T).real
+
+
 @dataclass(frozen=True)
 class OperatorSet:
     """A validated family of PSD operators with unit Hilbert-Schmidt norm."""
@@ -77,7 +83,7 @@ def operator_set(
         low = float(np.linalg.eigvalsh(a)[0])
         if low < psd_floor:
             raise ValueError(f"operator {i} has eigenvalue {low:.3e} below the PSD floor {psd_floor:.1e}")
-    sq_norms = np.einsum("iab,iba->i", arr, arr).real
+    sq_norms = np.sum(arr * arr.transpose(0, 2, 1), axis=(1, 2)).real
     norm_dev = float(np.max(np.abs(sq_norms - 1.0)))
     if norm_dev > norm_tol:
         raise ValueError(f"operators are not unit HS-norm: max |tr(A^2) - 1| = {norm_dev:.3e}")
@@ -91,7 +97,7 @@ def projectors_from_vectors(vectors) -> OperatorSet:
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2:
         raise ValueError(f"expected a 2-D array of row vectors, got shape {v.shape}")
-    return operator_set(np.einsum("na,nb->nab", v, v.conj()))
+    return operator_set(v[:, :, None] * v.conj()[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,7 @@ def kt_measure(opset: OperatorSet, t: float) -> KtReport:
     t = float(t)
     if not 1.0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 1, got {t}")
-    overlaps = np.einsum("iab,jba->ij", opset.ops, opset.ops).real
+    overlaps = _pair_traces(opset.ops)
     np.fill_diagonal(overlaps, 0.0)
     value = float(np.sum(np.clip(overlaps, 0.0, None) ** t))
     if opset.size == opset.d**2:
@@ -174,12 +180,12 @@ def quasi_onb_certify(opset: OperatorSet, tol: float) -> QuasiOnbReport:
         raise ValueError(f"certification needs exactly d^2 = {d * d} operators, got {opset.size}")
     ops = opset.ops
 
-    squares = np.einsum("iab,ibc->iac", ops, ops)
+    squares = ops @ ops
     projector_dev = float(np.max(np.abs(squares - ops)))
-    traces = np.einsum("iaa->i", ops)
+    traces = np.trace(ops, axis1=1, axis2=2)
     trace_dev = float(np.max(np.abs(traces - 1.0)))
 
-    overlaps = np.einsum("iab,jba->ij", ops, ops).real
+    overlaps = _pair_traces(ops)
     off = overlaps - 1.0 / (d + 1)
     np.fill_diagonal(off, 0.0)
     overlap_dev = float(np.max(np.abs(off)))

@@ -1,22 +1,24 @@
 """Fiducial search: seeded random restarts of Riemannian descent on the unit sphere.
 
-The objective is the summed squared violation of the quartic fiducial
-equations.  Its global minimum value is exactly zero at fiducials, it is
-invariant under global phase and under every displacement, and being free of
-phase factors it is cheap to differentiate in conjugate coordinates.
+The residual is rho_r = |<psi|D_r|psi>|^2 - t_r over the d^2 displacement
+indices, with t = 1 at r = 0 and 1/(d+1) elsewhere.  The objective sum
+rho_r^2 / d equals, by Parseval, the summed squared violation of the quartic
+fiducial equations.  Its global minimum value is exactly zero at fiducials,
+and it is invariant under global phase and under every displacement.  One
+derivative of rho in conjugate coordinates serves both the gradient descent
+and the Gauss-Newton refinement.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .verify import gram_residual, quartic_defects, quartic_residual
-from .wh import as_state_vector, check_dim
+from .verify import _cyclic_add, _overlaps, gram_residual, quartic_residual
+from .wh import as_state_vector, check_dim, phase_constants
 
 __all__ = [
     "RestartOutcome",
@@ -36,8 +38,6 @@ _MAX_STEP = 1e6
 _REFINE_SWITCH = 1e-10  # objective level where the least-squares refinement takes over
 _REFINE_MAX_ITERS = 60
 
-THREADS_ENV = "SIC_FORGE_THREADS"
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -46,7 +46,7 @@ class SearchConfig:
     ``accept_tol`` is an objective value: a candidate counts as certified when
     its recomputed quartic residual is within sqrt(accept_tol).  Each restart
     draws its start from a counter-based stream keyed by (seed, restart), so
-    serial and thread-pooled runs explore identical points.
+    a restart's start point does not depend on the restart count.
     """
 
     dim: int
@@ -79,44 +79,58 @@ class RestartOutcome:
     iterations: int
 
 
-def objective(psi) -> float:
-    """Sum of squared moduli of the quartic defects; zero exactly at fiducials."""
-    e = quartic_defects(psi)
-    return float(np.sum(e.real**2 + e.imag**2))
+def _residual(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overlap residual rho = |B|^2 - t, flattened over r = r1*d + r2, and the overlaps B."""
+    d = psi.shape[0]
+    b = _overlaps(psi).reshape(-1)
+    rho = b.real**2 + b.imag**2 - 1.0 / (d + 1)
+    rho[0] -= d / (d + 1)  # t = 1 at the origin
+    return rho, b
 
 
-def _ambient_gradient(psi: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Gradient of the objective in conjugate coordinates, times 2.
+@lru_cache(maxsize=None)
+def _derivative_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sub[a, m] = (m - a) % d and dft[a, m] = omega**(a*m)."""
+    idx = np.arange(d)
+    sub = (idx[None, :] - idx[:, None]) % d
+    dft = phase_constants(d).omega_powers[np.outer(idx, idx) % d]
+    for table in (sub, dft):
+        table.setflags(write=False)
+    return sub, dft
 
-    Differentiating each quartic term with respect to conj(psi_m) leaves three
-    distinct contraction patterns of the defect matrix against shifted copies
-    of psi (the k <-> l symmetric pair collapses into the factor 2 on t1).
+
+def _residual_derivative(psi: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W[r, m] = d rho_r / d conj(psi_m), rows r = r1*d + r2.
+
+    W = conj(B_r) omega**((m-r1)*r2) psi_{m-r1} + B_r omega**(-m*r2) psi_{m+r1};
+    the tau phase of the overlaps cancels in |B|^2, so even d needs no sign care.
     """
     d = psi.shape[0]
-    idx = np.arange(d)
-    add = (idx[:, None] + idx[None, :]) % d
-    sub = (idx[None, :] - idx[:, None]) % d  # sub[a, m] = (m - a) % d
+    sub, dft = _derivative_tables(d)
+    b = b.reshape(d, d)
+    lead = (b.conj() * dft.conj())[:, :, None] * dft[None, :, :] * psi[sub][:, None, :]
+    trail = b[:, :, None] * dft.conj()[None, :, :] * psi[_cyclic_add(d)][:, None, :]
+    return (lead + trail).reshape(d * d, d)
 
-    p_plus = psi[add]
-    pc_plus = psi.conj()[add]
-    p_minus = psi[sub]
-    pc_minus = psi.conj()[sub]
 
-    t1 = np.einsum("kl,km,klm,lm->m", e.conj(), p_minus, pc_plus[sub], p_plus)
-    t2 = np.einsum("kl,km,lm,klm->m", e, p_plus, p_plus, pc_plus[add])
-    t3 = np.einsum("kl,klm,lm,km->m", e, pc_minus[add], p_minus, p_minus)
-    return 2.0 * (2.0 * t1 + t2 + t3)
+def objective(psi) -> float:
+    """Sum of squared overlap residuals over d; equals the summed squared quartic defects."""
+    psi = as_state_vector(psi)
+    rho, _ = _residual(psi)
+    return float(rho @ rho) / psi.shape[0]
 
 
 def objective_gradient(psi) -> np.ndarray:
     """Riemannian gradient of the objective on the unit sphere.
 
-    The ambient gradient is projected orthogonal to psi; phase invariance of
-    the objective makes the projection coefficient real, so the result is
-    orthogonal to psi in the full complex inner product.
+    The ambient gradient 2 d(objective)/d conj(psi) = (4/d) rho W is projected
+    orthogonal to psi; phase invariance of the objective makes the projection
+    coefficient real, so the result is orthogonal to psi in the full complex
+    inner product.
     """
     psi = as_state_vector(psi)
-    g = _ambient_gradient(psi, quartic_defects(psi))
+    rho, b = _residual(psi)
+    g = (4.0 / psi.shape[0]) * (rho @ _residual_derivative(psi, b))
     return g - np.vdot(psi, g) * psi
 
 
@@ -166,58 +180,30 @@ def _gradient_descent(
     return psi, f, iterations
 
 
-def _quartic_jacobian(psi: np.ndarray) -> np.ndarray:
-    """Real Jacobian of the quartic defects with respect to (Re psi, Im psi).
-
-    Rows stack Re then Im of the d^2 defects; columns stack the 2d real
-    coordinates.  Built from the two Wirtinger derivative patterns of each
-    quartic term.
-    """
-    d = psi.shape[0]
-    idx = np.arange(d)
-    add = (idx[:, None] + idx[None, :]) % d
-    sub = (idx[None, :] - idx[:, None]) % d  # sub[a, m] = (m - a) % d
-
-    p_plus = psi[add]
-    pc_plus = psi.conj()[add]
-    p_minus = psi[sub]
-    pc_minus = psi.conj()[sub]
-
-    # a[k*d+l, m] = dT_kl / dpsi_m, b[k*d+l, m] = dT_kl / dconj(psi_m)
-    a = (
-        np.einsum("km,lm,klm->klm", pc_plus, pc_plus, p_plus[add])
-        + np.einsum("klm,lm,km->klm", p_minus[add], pc_minus, pc_minus)
-    ).reshape(d * d, d)
-    b = (
-        np.einsum("km,klm,lm->klm", p_minus, pc_plus[sub], p_plus)
-        + np.einsum("lm,klm,km->klm", p_minus, pc_plus[sub.T], p_plus)
-    ).reshape(d * d, d)
-
-    d_re = a + b
-    d_im = 1j * (a - b)
-    return np.block([[d_re.real, d_im.real], [d_re.imag, d_im.imag]])
-
-
 def _least_squares_refine(
     psi: np.ndarray,
     f: float,
     objective_floor: float,
     max_iters: int = _REFINE_MAX_ITERS,
 ) -> tuple[np.ndarray, float, int]:
-    """Gauss-Newton refinement of the quartic residual system.
+    """Gauss-Newton refinement of the overlap residual system.
 
-    Solves the linearized defects in the least-squares sense (the minimal-norm
+    Solves the linearized residual in the least-squares sense (the minimal-norm
     solution ignores the flat directions along fiducial orbits), retracts onto
     the sphere, and keeps a step only if the objective decreases, damping the
     step by halves otherwise.  Quadratic tail convergence where the plain
     descent turns algebraic, e.g. on the continuous fiducial family at d=3.
+
+    The real Jacobian of rho in (Re psi, Im psi) is 2 [Re W | Im W].  The
+    quartic defects are a row-wise DFT of rho, an isometry up to 1/sqrt(d), so
+    this step is the least-squares step of the quartic system with half the rows.
     """
     d = psi.shape[0]
     iterations = 0
     while iterations < max_iters and f > objective_floor:
-        e = quartic_defects(psi)
-        rhs = -np.concatenate([e.reshape(-1).real, e.reshape(-1).imag])
-        delta, *_ = np.linalg.lstsq(_quartic_jacobian(psi), rhs, rcond=None)
+        rho, b = _residual(psi)
+        w = _residual_derivative(psi, b)
+        delta, *_ = np.linalg.lstsq(np.hstack([w.real, w.imag]), -0.5 * rho, rcond=None)
         direction = delta[:d] + 1j * delta[d:]
         accepted = None
         scale = 1.0
@@ -258,19 +244,6 @@ def _random_start(d: int, seed: int, restart: int) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {value}")
-    return value
-
-
 def _candidate(psi: np.ndarray, restarts_used: int, iterations: int, residual_tol: float) -> SicCandidate:
     # Residuals come from the certification module, never from optimizer state.
     psi = psi.copy()
@@ -290,9 +263,9 @@ def _candidate(psi: np.ndarray, restarts_used: int, iterations: int, residual_to
 def search_detailed(config: SearchConfig) -> tuple[SicCandidate, tuple[RestartOutcome, ...]]:
     """Run all restarts and return the best candidate plus per-restart outcomes.
 
-    Every restart is explored regardless of earlier successes and the winner
-    is the lowest objective value, ties broken by lowest restart index, so the
-    result does not depend on the worker count.
+    Restarts run one after another.  Every restart is explored regardless of
+    earlier successes and the winner is the lowest objective value, ties
+    broken by lowest restart index.
     """
     d = check_dim(config.dim)
     if config.restarts < 1:
@@ -305,18 +278,11 @@ def search_detailed(config: SearchConfig) -> tuple[SicCandidate, tuple[RestartOu
         raise ValueError(f"seed must fit in 64 unsigned bits, got {config.seed}")
 
     floor = config.accept_tol * 1e-4  # converge comfortably past acceptance
-
-    def run(restart: int) -> tuple[float, int, np.ndarray, int]:
+    results = []
+    for restart in range(config.restarts):
         start = _random_start(d, int(config.seed), restart)
         psi, f, iters = _descend(start, config.max_iters, floor, config.step_tol)
-        return f, restart, psi, iters
-
-    workers = min(_thread_count(), config.restarts)
-    if workers == 1:
-        results = [run(i) for i in range(config.restarts)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(config.restarts)))
+        results.append((f, restart, psi, iters))
 
     _, _, best_psi, best_iters = min(results, key=lambda r: (r[0], r[1]))
     candidate = _candidate(
@@ -327,7 +293,7 @@ def search_detailed(config: SearchConfig) -> tuple[SicCandidate, tuple[RestartOu
     )
     outcomes = tuple(
         RestartOutcome(restart=i, objective_value=f, iterations=n)
-        for f, i, _, n in sorted(results, key=lambda r: r[1])
+        for f, i, _, n in results
     )
     return candidate, outcomes
 

@@ -8,13 +8,15 @@ equations with no phase factors left in them:
     sum_j psi_j conj(psi_{j+k}) conj(psi_{j+l}) psi_{j+k+l}
         = (delta_{k0} + delta_{l0}) / (d+1)      for all k, l in Z_d.
 
-Both forms are evaluated here by componentwise formulas; dense-matrix
+Both forms, and the search residual, come from one overlap kernel: a single
+FFT over the d cyclic products conj(psi_{j+r1}) psi_j.  Dense-matrix
 evaluation is kept to the test-suite as an independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,19 +36,31 @@ __all__ = [
 ]
 
 
-def _overlap_grid(psi: np.ndarray) -> np.ndarray:
-    """All d^2 overlaps <psi|D_(r1,r2)|psi>, indexed [r1, r2].
-
-    Uses tau**(r1*r2) * sum_j omega**(j*r2) conj(psi_{j+r1}) psi_j.
-    """
-    d = psi.shape[0]
-    pc = phase_constants(d)
+@lru_cache(maxsize=None)
+def _cyclic_add(d: int) -> np.ndarray:
+    """Read-only index table add[a, m] = (a + m) % d."""
     idx = np.arange(d)
     add = (idx[:, None] + idx[None, :]) % d
-    b = psi.conj()[add] * psi[None, :]
-    dft = pc.omega_powers[np.outer(idx, idx) % d]
+    add.setflags(write=False)
+    return add
+
+
+def _overlaps(psi: np.ndarray) -> np.ndarray:
+    """B[r1, r2] = sum_j omega**(j*r2) conj(psi_{j+r1}) psi_j: one inverse FFT over j.
+
+    B is the overlap <psi|D_(r1,r2)|psi> without its tau**(r1*r2) phase, which
+    drops out of every modulus.
+    """
+    d = psi.shape[0]
+    return d * np.fft.ifft(psi.conj()[_cyclic_add(d)] * psi, axis=1)
+
+
+def _overlap_grid(psi: np.ndarray) -> np.ndarray:
+    """All d^2 overlaps <psi|D_(r1,r2)|psi>, indexed [r1, r2]: tau**(r1*r2) * B."""
+    d = psi.shape[0]
+    idx = np.arange(d)
     tau_phase = np.exp(1j * (np.pi * ((d + 1) * np.outer(idx, idx)) / d))
-    return tau_phase * (b @ dft)
+    return tau_phase * _overlaps(psi)
 
 
 @dataclass(frozen=True)
@@ -77,7 +91,7 @@ def gram_residual(psi) -> float:
     """Largest deviation of |<psi|D_r|psi>|^2 from 1/(d+1) over r != 0."""
     psi = as_state_vector(psi)
     d = psi.shape[0]
-    dev = np.abs(np.abs(_overlap_grid(psi)) ** 2 - 1.0 / (d + 1))
+    dev = np.abs(np.abs(_overlaps(psi)) ** 2 - 1.0 / (d + 1))
     dev[0, 0] = 0.0
     return float(dev.max())
 
@@ -91,12 +105,11 @@ def quartic_target(d: int) -> np.ndarray:
 
 
 def _quartic_terms(psi: np.ndarray) -> np.ndarray:
-    """T[k, l] = sum_j psi_j conj(psi_{j+k}) conj(psi_{j+l}) psi_{j+k+l}, indices mod d."""
-    d = psi.shape[0]
-    idx = np.arange(d)
-    add = (idx[:, None] + idx[None, :]) % d
-    m = psi[None, :] * psi.conj()[add]
-    return np.einsum("kj,klj->kl", m, m.conj()[:, add])
+    """T[k, l] = sum_j psi_j conj(psi_{j+k}) conj(psi_{j+l}) psi_{j+k+l}, indices mod d.
+
+    By the Fourier identity T[k, r1] is the inverse DFT over r2 of |B[r1, r2]|^2.
+    """
+    return np.fft.ifft(np.abs(_overlaps(psi)) ** 2, axis=1).T
 
 
 def quartic_defects(psi) -> np.ndarray:
@@ -173,7 +186,7 @@ def build_sic_set(psi, tol: float = 1e-10) -> SicSet:
     for r1 in range(d):
         for r2 in range(d):
             vectors[r1 * d + r2] = displace_state(psi, (r1, r2))
-    projectors = np.einsum("ia,ib->iab", vectors, vectors.conj())
+    projectors = vectors[:, :, None] * vectors.conj()[:, None, :]
     g = gram_residual(psi)
     q = quartic_residual(psi)
     fiducial = psi.copy()

@@ -47,7 +47,7 @@ def test_objective_basis_state_frozen_value():
     assert objective(e0) == pytest.approx(brute_force_objective(e0), abs=1e-14)
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 12, 16])
 def test_objective_matches_brute_force(d):
     rng = np.random.default_rng(700 + d)
     for _ in range(10):
@@ -87,7 +87,7 @@ def test_gradient_is_tangent():
         assert abs(np.vdot(psi, grad)) <= 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 12, 16])
 def test_gradient_matches_finite_differences(d):
     rng = np.random.default_rng(800 + d)
     h = 1e-6
@@ -103,6 +103,24 @@ def test_gradient_matches_finite_differences(d):
         fd = (along(h) - along(-h)) / (2.0 * h)
         analytic = np.vdot(grad, eta).real
         assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 12, 16])
+def test_residual_derivative_matches_finite_differences(d):
+    # 2 [Re W | Im W] is the real Jacobian of the overlap residual in (Re psi, Im psi)
+    from sic_forge.search import _residual, _residual_derivative
+
+    rng = np.random.default_rng(900 + d)
+    h = 1e-6
+    for _ in range(5):
+        psi = random_state(rng, d)
+        w = _residual_derivative(psi, _residual(psi)[1])
+        jac = 2.0 * np.hstack([w.real, w.imag])
+        for _ in range(3):
+            x = rng.standard_normal(2 * d)
+            eta = x[:d] + 1j * x[d:]
+            fd = (_residual(psi + h * eta)[0] - _residual(psi - h * eta)[0]) / (2.0 * h)
+            np.testing.assert_allclose(jac @ x, fd, atol=1e-7)
 
 
 def test_descent_is_monotone():
@@ -159,20 +177,6 @@ def test_search_is_deterministic():
     assert np.array_equal(first.fiducial, second.fiducial)
     assert first.quartic_residual == second.quartic_residual
     assert first.gram_residual == second.gram_residual
-
-
-def test_search_threaded_matches_serial(monkeypatch):
-    config = SearchConfig(dim=3, restarts=6, seed=4)
-    serial = search(config)
-    monkeypatch.setenv("SIC_FORGE_THREADS", "3")
-    threaded = search(config)
-    assert np.array_equal(serial.fiducial, threaded.fiducial)
-
-
-def test_threads_env_validation(monkeypatch):
-    monkeypatch.setenv("SIC_FORGE_THREADS", "zero")
-    with pytest.raises(ValueError):
-        search(SearchConfig(dim=2, restarts=2, seed=0))
 
 
 def test_polish_recovers_perturbed_fiducial(fiducial_d3):

@@ -75,7 +75,7 @@ def test_d3_fiducial_overlap_moduli(fiducial_d3):
 
 def test_quartic_terms_match_brute_force():
     rng = np.random.default_rng(11)
-    for d in (2, 3, 5, 7):
+    for d in (2, 3, 5, 7, 12, 16):
         psi = random_state(rng, d)
         np.testing.assert_allclose(
             _quartic_terms(psi), brute_force_quartic_terms(psi), atol=1e-13
