@@ -272,8 +272,8 @@ def search_detailed(config: SearchConfig) -> tuple[SicCandidate, tuple[RestartOu
         raise ValueError(f"restarts must be >= 1, got {config.restarts}")
     if config.max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {config.max_iters}")
-    if not config.accept_tol > 0.0:
-        raise ValueError(f"accept_tol must be positive, got {config.accept_tol}")
+    if not 0.0 < config.accept_tol < math.inf:
+        raise ValueError(f"accept_tol must be positive and finite, got {config.accept_tol}")
     if not 0 <= int(config.seed) < 2**64:
         raise ValueError(f"seed must fit in 64 unsigned bits, got {config.seed}")
 

@@ -168,6 +168,9 @@ def test_search_rejects_bad_config():
         search(SearchConfig(dim=3, restarts=0, seed=0))
     with pytest.raises(ValueError):
         search(SearchConfig(dim=3, restarts=5, seed=0, accept_tol=0.0))
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="accept_tol"):
+            search(SearchConfig(dim=3, restarts=1, seed=0, accept_tol=bad))
 
 
 def test_search_is_deterministic():
