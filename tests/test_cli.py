@@ -43,7 +43,8 @@ def test_search_rejects_bad_dimension(capsys):
 
 
 def test_search_rejects_non_finite_tol(tmp_path, capsys):
-    for tol in ("inf", "nan"):
+    # 1e200 is finite, but the objective tolerance tol**2 overflows
+    for tol in ("inf", "nan", "1e200"):
         code, _, err = run(capsys, ["search", "--dim", "2", "--restarts", "1", "--seed", "1", "--tol", tol, "--out", str(tmp_path)])
         assert code == 2 and "--tol" in err
     assert os.listdir(tmp_path) == []
@@ -225,11 +226,11 @@ def test_kt_rejects_non_finite_t(capsys):
 
 def test_mubs_rejects_non_finite_state(tmp_path, capsys):
     path = tmp_path / "nan_state.json"
-    # json.dumps writes the NaN token that Python's own json.load accepts
+    # json.dumps writes the NaN token that Python's json.load accepts by default
     path.write_text(json.dumps({"format_version": 1, "dim": 3, "components": [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0]]}))
     code, stdout, err = run(capsys, ["mubs", "--dim", "3", "--state", str(path)])
     assert code == 2
-    assert "state vector has a non-finite component" in err and stdout == ""
+    assert f"{path}: non-finite number 'NaN'" in err and stdout == ""
 
 
 def test_convert_rejects_non_finite_probabilities(tmp_path, hesse_file, capsys):
@@ -240,6 +241,41 @@ def test_convert_rejects_non_finite_probabilities(tmp_path, hesse_file, capsys):
     assert code == 2
     assert "probability vector p has a non-finite entry" in err
     assert not (out / "density.json").exists()
+
+
+def test_convert_rejects_non_finite_density(tmp_path, hesse_file, capsys):
+    rho = np.eye(3) / 3.0
+    rho[0, 1] = float("nan")
+    rho_path = tmp_path / "nan_rho.json"
+    rho_path.write_text(json.dumps(files.density_payload(rho)))
+    out = tmp_path / "conv"
+    code, _, err = run(capsys, ["convert", "--fiducial", hesse_file, "--rho", str(rho_path), "--out", str(out)])
+    assert code == 2
+    assert f"{rho_path}: non-finite number 'NaN'" in err
+    assert not (out / "probabilities.json").exists()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_loaders_reject_non_finite_numbers(tmp_path, token):
+    path = tmp_path / "bad.json"
+    path.write_text('{"format_version": 1, "dim": 2, "components": [[%s, 0.0], [1.0, 0.0]]}' % token)
+    with pytest.raises(files.FileFormatError, match=f"non-finite number '{token}'"):
+        files.load_json(path)
+    with pytest.raises(files.FileFormatError, match=f"non-finite number '{token}'"):
+        files.load_fiducial(path)
+
+
+def test_loaders_reject_integers_too_large_for_a_float(tmp_path):
+    huge = "1" + "0" * 400
+    path = tmp_path / "huge.json"
+    path.write_text('{"format_version": 1, "dim": 2, "components": [[%s, 0], [1, 0]], "p": [%s, 0, 0, 0]}' % (huge, huge))
+    with pytest.raises(files.FileFormatError, match="components"):
+        files.load_fiducial(path)
+    with pytest.raises(files.FileFormatError, match="'p'"):
+        files.load_probabilities(path)
+    path.write_text('{"format_version": 1, "dim": 2, "matrix": [[[%s, 0], [0, 0]], [[0, 0], [0, 0]]]}' % huge)
+    with pytest.raises(files.FileFormatError, match="matrix"):
+        files.load_density(path)
 
 
 def test_write_json_atomic_refuses_non_finite(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from sic_forge import (
     build_sic_set,
+    check_density_matrix,
     check_probability_vector,
     is_pure_probability_vector,
     purity_cubic_residual,
@@ -222,3 +223,12 @@ def test_probability_vector_validation():
 def test_probability_vector_rejects_non_finite(bad):
     with pytest.raises(ValueError, match=r"probability vector p has a non-finite entry"):
         check_probability_vector(np.array([bad, 0.25, 0.25, 0.5]))
+
+
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite(bad, where):
+    rho = np.eye(3, dtype=complex) / 3.0
+    rho[where] = bad
+    with pytest.raises(ValueError, match=r"density matrix rho has a non-finite entry"):
+        check_density_matrix(rho)

@@ -214,3 +214,11 @@ def test_operator_set_validation_rejections():
         operator_set(np.stack([np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2.0)]))  # not PSD
     with pytest.raises(ValueError):
         operator_set(np.stack([np.eye(2, dtype=complex)]))  # tr(A^2) = 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_operator_set_rejects_non_finite(bad, fiducial_d2):
+    ops = np.array(build_sic_set(fiducial_d2).projectors)
+    ops[1, 0, 1] = bad
+    with pytest.raises(ValueError, match=r"operator 1 has a non-finite entry"):
+        operator_set(ops)
