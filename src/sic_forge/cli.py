@@ -156,12 +156,18 @@ def main(argv=None) -> int:
 
 
 def cmd_search(args) -> int:
+    try:
+        accept_tol = args.tol**2
+    except OverflowError:
+        accept_tol = math.inf
+    if not 0.0 < accept_tol < math.inf:
+        raise ValueError(f"--tol {args.tol:g}: its square, the objective tolerance, leaves the float range")
     config = SearchConfig(
         dim=args.dim,
         restarts=args.restarts,
         seed=args.seed,
         max_iters=args.max_iters,
-        accept_tol=args.tol**2,
+        accept_tol=accept_tol,
     )
     started = time.perf_counter()
     candidate, outcomes = search_detailed(config)
@@ -357,9 +363,6 @@ def cmd_convert(args) -> int:
 
 
 def cmd_mubs(args) -> int:
-    if not mubs.is_prime(args.dim):
-        print("error: prime dimension required", file=sys.stderr)
-        return EXIT_USAGE
     mubset = mubs.build_mubs(args.dim)
     residual = mubs.unbiasedness_residual(mubset)
     payload = {"command": "mubs", "dim": args.dim, "bases": args.dim + 1, "unbiasedness_residual": residual}

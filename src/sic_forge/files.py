@@ -9,6 +9,7 @@ with the offending field named in the message.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -61,12 +62,20 @@ def write_json_atomic(path, payload) -> None:
             os.unlink(tmp)
 
 
+def _finite_number(text: str) -> float:
+    """Parse hook for float literals and the NaN/Infinity tokens: JSON numbers must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
 def load_json(path) -> dict:
-    """Parse a JSON file, mapping syntax errors to FileFormatError."""
+    """Parse a JSON file, mapping syntax errors and non-finite numbers to FileFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except json.JSONDecodeError as exc:
+            payload = json.load(handle, parse_float=_finite_number, parse_constant=_finite_number)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
@@ -89,7 +98,7 @@ def _dim_field(payload: dict, label: str) -> int:
 def _pairs_to_vector(data, field: str, label: str) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{label} file: field '{field}' must be an array of [re, im] pairs") from exc
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise FileFormatError(f"{label} file: field '{field}' must be an array of [re, im] pairs")
@@ -144,7 +153,7 @@ def load_density(path) -> np.ndarray:
     raw = _require(payload, "matrix", "density")
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError("density file: field 'matrix' must be rows of [re, im] pairs") from exc
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise FileFormatError("density file: field 'matrix' must be a square array of [re, im] pairs")
@@ -173,7 +182,7 @@ def load_probabilities(path) -> np.ndarray:
     raw = _require(payload, "p", "probabilities")
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError("probabilities file: field 'p' must be a flat list of numbers") from exc
     if arr.ndim != 1 or arr.shape[0] != d * d:
         raise FileFormatError(f"probabilities file: field 'p' must have length dim^2 = {d * d}")

@@ -53,6 +53,8 @@ def check_density_matrix(
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {arr.shape}")
     check_dim(arr.shape[0])
+    if not np.isfinite(arr).all():
+        raise ValueError("density matrix rho has a non-finite entry")
     herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
     if herm_dev > hermitian_tol:
         raise ValueError(f"density matrix is not Hermitian: deviation {herm_dev:.3e}")

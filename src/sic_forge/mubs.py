@@ -1,11 +1,13 @@
 """Complete mutually unbiased bases for prime dimensions, plus uncertainty profiles.
 
 In prime dimension d the standard basis together with the eigenbases of
-X Z^a, a = 0..d-1, forms d+1 pairwise unbiased orthonormal bases.  A state's
-uncertainty profile collects, per basis, the sum of squared outcome
-probabilities; for every pure state those d+1 numbers add up to 2, so the
-evenest possible profile is the constant 2/(d+1), which defines minimum
-uncertainty here.
+X Z^a, a = 0..d-1, forms d+1 pairwise unbiased orthonormal bases (Ivanovic
+1981; Wootters & Fields 1989).  The eigenbases have a closed form: row m of
+basis a+1 is omega**(-m*j + a*j*(j-1)/2) / sqrt(d) for odd d, and
+omega**(-m*j) * tau**(a*j*j) / sqrt(2) for d = 2.  A state's uncertainty
+profile collects, per basis, the sum of squared outcome probabilities; for
+every pure state those d+1 numbers add up to 2, so the evenest possible
+profile is the constant 2/(d+1), which defines minimum uncertainty here.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .wh import as_state_vector, build_clock, build_shift, check_dim
+from .wh import as_state_vector, check_dim, phase_constants
 
 __all__ = [
     "MubSet",
@@ -54,37 +55,19 @@ class MubSet:
     bases: np.ndarray
 
 
-def _eigenbasis(u: np.ndarray) -> np.ndarray:
-    """Rows: eigenvectors of a unitary with distinct eigenvalues, canonically fixed.
-
-    Schur vectors of a normal matrix give an orthonormal eigenbasis to machine
-    precision.  Rows are sorted by eigenvalue phase in [0, 2*pi) (a small
-    negative band guards angles that should be exactly zero) and each row is
-    rotated so its first nonvanishing component is real positive.
-    """
-    t, q = scipy.linalg.schur(u, output="complex")
-    phases = np.angle(np.diag(t))
-    phases = np.where(phases < -1e-9, phases + 2.0 * np.pi, phases)
-    vecs = q[:, np.argsort(phases)].T.copy()
-    for row in vecs:
-        pivot = row[np.flatnonzero(np.abs(row) > 1e-8)[0]]
-        row *= pivot.conj() / abs(pivot)
-    return vecs
-
-
 def build_mubs(d: int) -> MubSet:
     """Standard basis plus the eigenbases of X Z^a for a = 0..d-1 (prime d only)."""
     d = check_dim(d)
     if not is_prime(d):
         raise ValueError(f"prime dimension required, got {d}")
-    shift = build_shift(d)
-    clock = build_clock(d)
+    pc = phase_constants(d)
+    j = np.arange(d)
+    a = j[:, None]
+    # chirp[a, j] = omega**(a*j*(j-1)/2), or tau**(a*j*j) when d = 2
+    chirp = pc.tau ** (a * j * j) if d == 2 else pc.omega_powers[(a * (j * (j - 1) // 2)) % d]
     bases = np.empty((d + 1, d, d), dtype=complex)
     bases[0] = np.eye(d)
-    power = np.eye(d, dtype=complex)
-    for a in range(d):
-        bases[a + 1] = _eigenbasis(shift @ power)
-        power = power @ clock
+    bases[1:] = pc.omega_powers[(-a * j) % d] * chirp[:, None, :] / np.sqrt(d)
     bases.setflags(write=False)
     return MubSet(d=d, bases=bases)
 

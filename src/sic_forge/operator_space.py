@@ -75,6 +75,9 @@ def operator_set(
     if arr.shape[0] == 0:
         raise ValueError("operator set is empty")
     d = check_dim(arr.shape[1])
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"operator {bad[0]} has a non-finite entry")
 
     herm_dev = float(np.max(np.abs(arr - arr.conj().transpose(0, 2, 1))))
     if herm_dev > hermitian_tol:

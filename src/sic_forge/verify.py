@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .wh import as_state_vector, displace_state, phase_constants
+from .wh import _displaced, as_state_vector, phase_constants
 
 __all__ = [
     "FourierIdentityCheck",
@@ -57,10 +57,8 @@ def _overlaps(psi: np.ndarray) -> np.ndarray:
 
 def _overlap_grid(psi: np.ndarray) -> np.ndarray:
     """All d^2 overlaps <psi|D_(r1,r2)|psi>, indexed [r1, r2]: tau**(r1*r2) * B."""
-    d = psi.shape[0]
-    idx = np.arange(d)
-    tau_phase = np.exp(1j * (np.pi * ((d + 1) * np.outer(idx, idx)) / d))
-    return tau_phase * _overlaps(psi)
+    idx = np.arange(psi.shape[0])
+    return phase_constants(psi.shape[0]).tau_power(np.outer(idx, idx)) * _overlaps(psi)
 
 
 @dataclass(frozen=True)
@@ -182,10 +180,8 @@ def build_sic_set(psi, tol: float = 1e-10) -> SicSet:
     """Displace a candidate through the whole index grid and certify the orbit."""
     psi = as_state_vector(psi)
     d = psi.shape[0]
-    vectors = np.empty((d * d, d), dtype=complex)
-    for r1 in range(d):
-        for r2 in range(d):
-            vectors[r1 * d + r2] = displace_state(psi, (r1, r2))
+    r1, r2 = np.divmod(np.arange(d * d), d)
+    vectors = _displaced(psi, r1[:, None], r2[:, None])
     projectors = vectors[:, :, None] * vectors.conj()[:, None, :]
     g = gram_residual(psi)
     q = quartic_residual(psi)

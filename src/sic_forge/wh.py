@@ -76,9 +76,9 @@ class PhaseConstants:
         """omega**n for any integer n (reduction mod d is exact here)."""
         return complex(self.omega_powers[n % self.d])
 
-    def tau_power(self, n: int) -> complex:
-        """tau**n = exp(i*pi*(d+1)*n/d) evaluated from the plain integer n."""
-        return complex(np.exp(1j * (np.pi * ((self.d + 1) * n) / self.d)))
+    def tau_power(self, n):
+        """tau**n = exp(i*pi*(d+1)*n/d) from the plain integer (or integer array) n."""
+        return np.exp(1j * (np.pi * ((self.d + 1) * n) / self.d))
 
 
 @lru_cache(maxsize=None)
@@ -149,15 +149,18 @@ def displacement_table(d: int) -> DisplacementTable:
     return DisplacementTable(d=d, entries=entries)
 
 
-def displace_state(psi, r) -> np.ndarray:
-    """Apply a displacement operator to a state in O(d) component operations.
+def _displaced(psi: np.ndarray, r1, r2) -> np.ndarray:
+    """Components tau**(r1*r2) * omega**((j - r1)*r2) * psi[(j - r1) % d].
 
-    Component j of the result is
-    ``tau**(r1*r2) * omega**((j - r1)*r2) * psi[(j - r1) % d]``.
+    Canonical indices r1, r2 may be integer arrays that broadcast against j.
     """
-    psi = as_state_vector(psi)
     d = psi.shape[0]
     pc = phase_constants(d)
-    r1, r2 = canonical_index(d, r)
     src = (np.arange(d) - r1) % d
     return pc.tau_power(r1 * r2) * pc.omega_powers[(src * r2) % d] * psi[src]
+
+
+def displace_state(psi, r) -> np.ndarray:
+    """Apply a displacement operator to a state in O(d) component operations."""
+    psi = as_state_vector(psi)
+    return _displaced(psi, *canonical_index(psi.shape[0], r))

@@ -43,8 +43,8 @@ def test_search_rejects_bad_dimension(capsys):
 
 
 def test_search_rejects_non_finite_tol(tmp_path, capsys):
-    # 1e200 is finite, but the objective tolerance tol**2 overflows
-    for tol in ("inf", "nan", "1e200"):
+    # 1e200 and 1e-200 are finite, but the objective tolerance tol**2 overflows or underflows
+    for tol in ("inf", "nan", "1e200", "1e-200"):
         code, _, err = run(capsys, ["search", "--dim", "2", "--restarts", "1", "--seed", "1", "--tol", tol, "--out", str(tmp_path)])
         assert code == 2 and "--tol" in err
     assert os.listdir(tmp_path) == []
@@ -230,7 +230,7 @@ def test_mubs_rejects_non_finite_state(tmp_path, capsys):
     path.write_text(json.dumps({"format_version": 1, "dim": 3, "components": [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0]]}))
     code, stdout, err = run(capsys, ["mubs", "--dim", "3", "--state", str(path)])
     assert code == 2
-    assert f"{path}: non-finite number 'NaN'" in err and stdout == ""
+    assert f"{path}: not valid JSON (non-finite number 'NaN')" in err and stdout == ""
 
 
 def test_convert_rejects_non_finite_probabilities(tmp_path, hesse_file, capsys):
@@ -239,7 +239,7 @@ def test_convert_rejects_non_finite_probabilities(tmp_path, hesse_file, capsys):
     out = tmp_path / "conv"
     code, _, err = run(capsys, ["convert", "--fiducial", hesse_file, "--probs", str(p_path), "--out", str(out)])
     assert code == 2
-    assert "probability vector p has a non-finite entry" in err
+    assert f"{p_path}: not valid JSON (non-finite number 'NaN')" in err
     assert not (out / "density.json").exists()
 
 
@@ -251,7 +251,7 @@ def test_convert_rejects_non_finite_density(tmp_path, hesse_file, capsys):
     out = tmp_path / "conv"
     code, _, err = run(capsys, ["convert", "--fiducial", hesse_file, "--rho", str(rho_path), "--out", str(out)])
     assert code == 2
-    assert f"{rho_path}: non-finite number 'NaN'" in err
+    assert f"{rho_path}: not valid JSON (non-finite number 'NaN')" in err
     assert not (out / "probabilities.json").exists()
 
 

@@ -1,9 +1,15 @@
 """MUB construction, unbiasedness, and uncertainty profiles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
+import sic_forge
 from sic_forge import (
     MubSet,
     build_mubs,
@@ -16,7 +22,38 @@ from sic_forge import (
     unbiasedness_residual,
     uncertainty_profile,
 )
-from conftest import random_state
+from conftest import oracle_clock, oracle_shift, random_state
+
+
+def schur_eigenbasis(u: np.ndarray) -> np.ndarray:
+    """Rows: eigenvectors of a unitary with distinct eigenvalues, canonically fixed.
+
+    Schur vectors of a normal matrix give an orthonormal eigenbasis to machine
+    precision.  Rows are sorted by eigenvalue phase in [0, 2*pi) (a small
+    negative band guards angles that should be exactly zero) and each row is
+    rotated so its first nonvanishing component is real positive.
+    """
+    t, q = scipy.linalg.schur(u, output="complex")
+    phases = np.angle(np.diag(t))
+    phases = np.where(phases < -1e-9, phases + 2.0 * np.pi, phases)
+    vecs = q[:, np.argsort(phases)].T.copy()
+    for row in vecs:
+        pivot = row[np.flatnonzero(np.abs(row) > 1e-8)[0]]
+        row *= pivot.conj() / abs(pivot)
+    return vecs
+
+
+def schur_mubs(d: int) -> np.ndarray:
+    """Oracle: the standard basis plus the numerical eigenbases of X Z^a for a = 0..d-1."""
+    shift = oracle_shift(d)
+    clock = oracle_clock(d)
+    bases = np.empty((d + 1, d, d), dtype=complex)
+    bases[0] = np.eye(d)
+    power = np.eye(d, dtype=complex)
+    for a in range(d):
+        bases[a + 1] = schur_eigenbasis(shift @ power)
+        power = power @ clock
+    return bases
 
 
 def test_is_prime_small_values():
@@ -29,6 +66,19 @@ def test_is_prime_small_values():
 def test_build_mubs_rejects_composite(d):
     with pytest.raises(ValueError, match="prime dimension required"):
         build_mubs(d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_closed_form_matches_schur_oracle(d):
+    # same vectors, phases and row order as the numerical eigenbases
+    assert np.abs(build_mubs(d).bases - schur_mubs(d)).max() <= 1e-13
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(sic_forge.__file__))
+    code = f"import sys; sys.path.insert(0, {src!r}); import sic_forge; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_d2_bases_frozen_literals():
@@ -63,7 +113,7 @@ def test_bases_diagonalize_their_unitaries():
     # basis a+1 must consist of eigenvectors of X Z^a
     from sic_forge import build_clock, build_shift
 
-    for d in (2, 3, 5):
+    for d in (2, 3, 5, 7, 11, 13):
         m = build_mubs(d)
         x, z = build_shift(d), build_clock(d)
         for a in range(d):

@@ -207,18 +207,15 @@ def test_equality_aligns_with_certification(fiducial_d2, fiducial_d3):
         assert quasi_onb_certify(opset, tol=1e-4).passed
 
 
-def test_operator_set_validation_rejections():
+def test_operator_set_validation_rejections(fiducial_d2):
     with pytest.raises(ValueError):
         operator_set(np.stack([np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)]))  # not Hermitian
     with pytest.raises(ValueError):
         operator_set(np.stack([np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2.0)]))  # not PSD
     with pytest.raises(ValueError):
         operator_set(np.stack([np.eye(2, dtype=complex)]))  # tr(A^2) = 2
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_operator_set_rejects_non_finite(bad, fiducial_d2):
-    ops = np.array(build_sic_set(fiducial_d2).projectors)
-    ops[1, 0, 1] = bad
-    with pytest.raises(ValueError, match=r"operator 1 has a non-finite entry"):
-        operator_set(ops)
+    for bad in (np.nan, np.inf):
+        ops = np.array(build_sic_set(fiducial_d2).projectors)
+        ops[1, 0, 1] = bad
+        with pytest.raises(ValueError, match=r"operator 1 has a non-finite entry"):
+            operator_set(ops)

@@ -138,11 +138,15 @@ def test_build_sic_set_reports_uncertified_candidate():
 
 
 def test_sic_set_orbit_matches_displacements(fiducial_d3):
-    sic = build_sic_set(fiducial_d3)
-    for r1 in range(3):
-        for r2 in range(3):
-            expected = displace_state(fiducial_d3, (r1, r2))
-            np.testing.assert_allclose(sic.vectors[r1 * 3 + r2], expected, atol=1e-14)
+    # the fiducial orbit, then a generic state in an even dimension, where tau has order 2d
+    for psi in (fiducial_d3, random_state(np.random.default_rng(140), 12)):
+        d = psi.shape[0]
+        sic = build_sic_set(psi)
+        for r1 in range(d):
+            for r2 in range(d):
+                expected = displace_state(psi, (r1, r2))
+                np.testing.assert_allclose(sic.vectors[r1 * d + r2], expected, atol=1e-14)
+                np.testing.assert_allclose(expected, oracle_displacement(d, r1, r2) @ psi, atol=1e-13)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
