@@ -15,45 +15,20 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import files, geometry, mubs, operator_space, verify
-from .search import SearchConfig, objective, search_detailed
+from .search import SearchConfig, search_detailed
 from .wh import as_state_vector
 
-__all__ = ["RunReport", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 PURITY_TOL = 1e-9
-
-
-@dataclass
-class RunReport:
-    """Console-facing summary of one command; residuals are recomputed at report time."""
-
-    command: str
-    dim: int
-    residuals: dict = field(default_factory=dict)
-    wall_time_ms: int = 0
-    seed: int | None = None
-    artifact_paths: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        payload = {
-            "command": self.command,
-            "dim": self.dim,
-            "residuals": self.residuals,
-            "wall_time_ms": self.wall_time_ms,
-            "artifact_paths": self.artifact_paths,
-        }
-        if self.seed is not None:
-            payload["seed"] = self.seed
-        return payload
 
 
 def _dim_arg(text: str) -> int:
@@ -173,6 +148,11 @@ def cmd_search(args) -> int:
     candidate, outcomes = search_detailed(config)
     wall_ms = int(round((time.perf_counter() - started) * 1000.0))
 
+    residuals = {
+        "gram": candidate.gram_residual,
+        "quartic": candidate.quartic_residual,
+        "objective": candidate.objective_value,
+    }
     os.makedirs(args.out, exist_ok=True)
     fiducial_path = os.path.join(args.out, f"fiducial_d{args.dim}_s{args.seed}.json")
     report_path = os.path.join(args.out, f"report_d{args.dim}_s{args.seed}.json")
@@ -190,11 +170,7 @@ def cmd_search(args) -> int:
             "dim": args.dim,
             "seed": args.seed,
             "tol": args.tol,
-            "residuals": {
-                "gram": candidate.gram_residual,
-                "quartic": candidate.quartic_residual,
-                "objective": candidate.objective_value,
-            },
+            "residuals": residuals,
             "certified": candidate.certified,
             "artifact_paths": [fiducial_path],
             "restarts": [
@@ -204,26 +180,23 @@ def cmd_search(args) -> int:
         },
     )
 
-    report = RunReport(
-        command="search",
-        dim=args.dim,
-        residuals={
-            "gram": verify.gram_residual(candidate.fiducial),
-            "quartic": verify.quartic_residual(candidate.fiducial),
-            "objective": objective(candidate.fiducial),
-        },
-        wall_time_ms=wall_ms,
-        seed=args.seed,
-        artifact_paths=[fiducial_path, report_path],
-    )
     if args.json:
-        print(json.dumps({**report.to_json(), "certified": candidate.certified}, indent=2, allow_nan=False))
+        summary = {
+            "command": "search",
+            "dim": args.dim,
+            "residuals": residuals,
+            "wall_time_ms": wall_ms,
+            "artifact_paths": [fiducial_path, report_path],
+            "seed": args.seed,
+            "certified": candidate.certified,
+        }
+        print(json.dumps(summary, indent=2, allow_nan=False))
     else:
         print(f"dim: {args.dim}")
         print(f"seed: {args.seed}  restarts: {args.restarts}")
-        print(f"gram_residual: {report.residuals['gram']:.6e}")
-        print(f"quartic_residual: {report.residuals['quartic']:.6e}")
-        print(f"objective: {report.residuals['objective']:.6e}")
+        print(f"gram_residual: {candidate.gram_residual:.6e}")
+        print(f"quartic_residual: {candidate.quartic_residual:.6e}")
+        print(f"objective: {candidate.objective_value:.6e}")
         print(f"certified: {'yes' if candidate.certified else 'no'} (tol {args.tol:.1e})")
         print(f"wall_time_ms: {wall_ms}")
         print(f"wrote: {fiducial_path}")

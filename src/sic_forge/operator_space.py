@@ -48,10 +48,15 @@ def _pair_traces(ops: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """A validated family of PSD operators with unit Hilbert-Schmidt norm."""
+    """A validated family of PSD operators with unit Hilbert-Schmidt norm.
+
+    ``pair_traces[i, j]`` is the real part of tr(A_i A_j), computed once at
+    validation; its diagonal holds the squared norms.
+    """
 
     d: int
     ops: np.ndarray
+    pair_traces: np.ndarray
 
     @property
     def size(self) -> int:
@@ -82,17 +87,19 @@ def operator_set(
     herm_dev = float(np.max(np.abs(arr - arr.conj().transpose(0, 2, 1))))
     if herm_dev > hermitian_tol:
         raise ValueError(f"operator set is not Hermitian: max deviation {herm_dev:.3e}")
-    for i, a in enumerate(arr):
-        low = float(np.linalg.eigvalsh(a)[0])
-        if low < psd_floor:
-            raise ValueError(f"operator {i} has eigenvalue {low:.3e} below the PSD floor {psd_floor:.1e}")
-    sq_norms = np.sum(arr * arr.transpose(0, 2, 1), axis=(1, 2)).real
-    norm_dev = float(np.max(np.abs(sq_norms - 1.0)))
+    lows = np.linalg.eigvalsh(arr)[:, 0]
+    bad = np.flatnonzero(lows < psd_floor)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"operator {i} has eigenvalue {lows[i]:.3e} below the PSD floor {psd_floor:.1e}")
+    pair_traces = _pair_traces(arr)
+    norm_dev = float(np.max(np.abs(np.diagonal(pair_traces) - 1.0)))
     if norm_dev > norm_tol:
         raise ValueError(f"operators are not unit HS-norm: max |tr(A^2) - 1| = {norm_dev:.3e}")
 
-    arr.setflags(write=False)
-    return OperatorSet(d=d, ops=arr)
+    for table in (arr, pair_traces):
+        table.setflags(write=False)
+    return OperatorSet(d=d, ops=arr, pair_traces=pair_traces)
 
 
 def projectors_from_vectors(vectors) -> OperatorSet:
@@ -136,9 +143,9 @@ def kt_measure(opset: OperatorSet, t: float) -> KtReport:
     t = float(t)
     if not 1.0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 1, got {t}")
-    overlaps = _pair_traces(opset.ops)
+    overlaps = np.clip(opset.pair_traces, 0.0, None)
     np.fill_diagonal(overlaps, 0.0)
-    value = float(np.sum(np.clip(overlaps, 0.0, None) ** t))
+    value = float(np.sum(overlaps**t))
     if opset.size == opset.d**2:
         bound = kt_lower_bound(opset.d, t)
         return KtReport(t=t, value=value, lower_bound=bound, gap=value - bound)
@@ -188,8 +195,7 @@ def quasi_onb_certify(opset: OperatorSet, tol: float) -> QuasiOnbReport:
     traces = np.trace(ops, axis1=1, axis2=2)
     trace_dev = float(np.max(np.abs(traces - 1.0)))
 
-    overlaps = _pair_traces(ops)
-    off = overlaps - 1.0 / (d + 1)
+    off = opset.pair_traces - 1.0 / (d + 1)
     np.fill_diagonal(off, 0.0)
     overlap_dev = float(np.max(np.abs(off)))
 

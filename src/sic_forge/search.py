@@ -6,7 +6,9 @@ rho_r^2 / d equals, by Parseval, the summed squared violation of the quartic
 fiducial equations.  Its global minimum value is exactly zero at fiducials,
 and it is invariant under global phase and under every displacement.  One
 derivative of rho in conjugate coordinates serves both the gradient descent
-and the Gauss-Newton refinement.
+and the Gauss-Newton refinement.  Each trial point runs the overlap kernel
+once; its residual and overlaps then feed the next gradient or Gauss-Newton
+step.  Input is validated at the public entry points only.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +40,8 @@ _MIN_STEP = 1e-14
 _MAX_STEP = 1e6
 _REFINE_SWITCH = 1e-10  # objective level where the least-squares refinement takes over
 _REFINE_MAX_ITERS = 60
+_REFINE_MIN_SCALE = _SHRINK**19  # the Gauss-Newton step is halved at most 19 times
+_STEP_TOL = 1e-13  # a restart stops once its accepted step is shorter than this
 
 
 @dataclass(frozen=True)
@@ -54,7 +59,6 @@ class SearchConfig:
     seed: int = 0
     max_iters: int = 4000
     accept_tol: float = 1e-18
-    step_tol: float = 1e-13
 
 
 @dataclass(frozen=True)
@@ -77,15 +81,6 @@ class RestartOutcome:
     restart: int
     objective_value: float
     iterations: int
-
-
-def _residual(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Overlap residual rho = |B|^2 - t, flattened over r = r1*d + r2, and the overlaps B."""
-    d = psi.shape[0]
-    b = _overlaps(psi).reshape(-1)
-    rho = b.real**2 + b.imag**2 - 1.0 / (d + 1)
-    rho[0] -= d / (d + 1)  # t = 1 at the origin
-    return rho, b
 
 
 @lru_cache(maxsize=None)
@@ -113,11 +108,34 @@ def _residual_derivative(psi: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (lead + trail).reshape(d * d, d)
 
 
+class _Point(NamedTuple):
+    """A search point with its objective f, overlap residual rho and overlaps B, flattened over r = r1*d + r2."""
+
+    psi: np.ndarray
+    f: float
+    rho: np.ndarray
+    b: np.ndarray
+
+
+def _evaluate(psi: np.ndarray) -> _Point:
+    """Run the overlap kernel once at psi: rho = |B|^2 - t and f = sum rho^2 / d."""
+    d = psi.shape[0]
+    b = _overlaps(psi).reshape(-1)
+    rho = b.real**2 + b.imag**2 - 1.0 / (d + 1)
+    rho[0] -= d / (d + 1)  # t = 1 at the origin
+    return _Point(psi, float(rho @ rho) / d, rho, b)
+
+
+def _gradient(point: _Point) -> np.ndarray:
+    """Riemannian gradient at an evaluated point (see ``objective_gradient``)."""
+    psi = point.psi
+    g = (4.0 / psi.shape[0]) * (point.rho @ _residual_derivative(psi, point.b))
+    return g - np.vdot(psi, g) * psi
+
+
 def objective(psi) -> float:
     """Sum of squared overlap residuals over d; equals the summed squared quartic defects."""
-    psi = as_state_vector(psi)
-    rho, _ = _residual(psi)
-    return float(rho @ rho) / psi.shape[0]
+    return _evaluate(as_state_vector(psi)).f
 
 
 def objective_gradient(psi) -> np.ndarray:
@@ -128,64 +146,54 @@ def objective_gradient(psi) -> np.ndarray:
     coefficient real, so the result is orthogonal to psi in the full complex
     inner product.
     """
-    psi = as_state_vector(psi)
-    rho, b = _residual(psi)
-    g = (4.0 / psi.shape[0]) * (rho @ _residual_derivative(psi, b))
-    return g - np.vdot(psi, g) * psi
+    return _gradient(_evaluate(as_state_vector(psi)))
 
 
-def _gradient_descent(
-    psi: np.ndarray,
-    max_iters: int,
-    objective_floor: float,
-    step_tol: float,
-) -> tuple[np.ndarray, float, int]:
+def _backtrack(psi: np.ndarray, direction: np.ndarray, scale: float, min_scale: float, accept) -> tuple:
+    """First trial psi + s*direction, renormalized, for s = scale, scale/2, ... >= min_scale
+    whose objective f passes accept(s, f); returns (point, s), or (None, s) if none does."""
+    while scale >= min_scale:
+        cand = psi + scale * direction
+        trial = _evaluate(cand / np.linalg.norm(cand))
+        if accept(scale, trial.f):
+            return trial, scale
+        scale *= _SHRINK
+    return None, scale
+
+
+def _gradient_descent(point: _Point, max_iters: int, objective_floor: float, step_tol: float) -> tuple[_Point, int]:
     """Backtracking descent with Barzilai-Borwein step seeding.
 
     Each accepted step renormalizes back onto the sphere and satisfies an
     Armijo decrease, so the objective is nonincreasing along the trajectory.
     """
-    f = objective(psi)
-    g = objective_gradient(psi)
+    g = _gradient(point)
     step = 1.0 / max(1.0, float(np.linalg.norm(g)))
     iterations = 0
-    while iterations < max_iters:
-        if f <= objective_floor:
-            break
+    while iterations < max_iters and point.f > objective_floor:
         gnorm_sq = float(np.vdot(g, g).real)
         if gnorm_sq <= 0.0:
             break
         alpha = min(max(step, _MIN_STEP), _MAX_STEP)
-        trial, f_trial = None, f
-        while alpha >= _MIN_STEP:
-            cand = psi - alpha * g
-            cand = cand / np.linalg.norm(cand)
-            f_cand = objective(cand)
-            if f_cand <= f - _ARMIJO * alpha * gnorm_sq:
-                trial, f_trial = cand, f_cand
-                break
-            alpha *= _SHRINK
+        trial, alpha = _backtrack(
+            point.psi, -g, alpha, _MIN_STEP, lambda a, f_new: f_new <= point.f - _ARMIJO * a * gnorm_sq
+        )
         if trial is None:
             break  # line search stalled: at the numerical floor of the basin
         iterations += 1
-        g_new = objective_gradient(trial)
-        s = trial - psi
+        g_new = _gradient(trial)
+        s = trial.psi - point.psi
         y = g_new - g
         sy = float(np.vdot(s, y).real)
         ss = float(np.vdot(s, s).real)
         step = ss / sy if sy > 1e-300 else alpha * 2.0
-        psi, f, g = trial, f_trial, g_new
+        point, g = trial, g_new
         if math.sqrt(ss) <= step_tol:
             break
-    return psi, f, iterations
+    return point, iterations
 
 
-def _least_squares_refine(
-    psi: np.ndarray,
-    f: float,
-    objective_floor: float,
-    max_iters: int = _REFINE_MAX_ITERS,
-) -> tuple[np.ndarray, float, int]:
+def _least_squares_refine(point: _Point, objective_floor: float, max_iters: int) -> tuple[_Point, int]:
     """Gauss-Newton refinement of the overlap residual system.
 
     Solves the linearized residual in the least-squares sense (the minimal-norm
@@ -198,43 +206,29 @@ def _least_squares_refine(
     quartic defects are a row-wise DFT of rho, an isometry up to 1/sqrt(d), so
     this step is the least-squares step of the quartic system with half the rows.
     """
-    d = psi.shape[0]
+    d = point.psi.shape[0]
     iterations = 0
-    while iterations < max_iters and f > objective_floor:
-        rho, b = _residual(psi)
-        w = _residual_derivative(psi, b)
-        delta, *_ = np.linalg.lstsq(np.hstack([w.real, w.imag]), -0.5 * rho, rcond=None)
+    while iterations < max_iters and point.f > objective_floor:
+        w = _residual_derivative(point.psi, point.b)
+        delta, *_ = np.linalg.lstsq(np.hstack([w.real, w.imag]), -0.5 * point.rho, rcond=None)
         direction = delta[:d] + 1j * delta[d:]
-        accepted = None
-        scale = 1.0
-        for _ in range(20):
-            cand = psi + scale * direction
-            cand = cand / np.linalg.norm(cand)
-            f_cand = objective(cand)
-            if f_cand < f:
-                accepted, f = cand, f_cand
-                break
-            scale *= 0.5
-        if accepted is None:
+        trial, _ = _backtrack(point.psi, direction, 1.0, _REFINE_MIN_SCALE, lambda s, f_new: f_new < point.f)
+        if trial is None:
             break
-        psi = accepted
+        point = trial
         iterations += 1
-    return psi, f, iterations
+    return point, iterations
 
 
-def _descend(
-    psi: np.ndarray,
-    max_iters: int,
-    objective_floor: float,
-    step_tol: float,
-) -> tuple[np.ndarray, float, int]:
+def _descend(psi: np.ndarray, max_iters: int, objective_floor: float, step_tol: float) -> tuple[_Point, int]:
     """Two-phase minimization, sharing the max_iters budget across both phases:
-    global descent first, then least-squares refinement of the tail."""
+    global descent first, then least-squares refinement of the tail, which
+    starts from the descent's last evaluated point."""
     switch = max(objective_floor, _REFINE_SWITCH)
-    psi, f, iters = _gradient_descent(psi, max_iters, switch, step_tol)
+    point, iters = _gradient_descent(_evaluate(psi), max_iters, switch, step_tol)
     budget = min(_REFINE_MAX_ITERS, max_iters - iters)
-    psi, f, extra = _least_squares_refine(psi, f, objective_floor, max_iters=budget)
-    return psi, f, iters + extra
+    point, extra = _least_squares_refine(point, objective_floor, budget)
+    return point, iters + extra
 
 
 def _random_start(d: int, seed: int, restart: int) -> np.ndarray:
@@ -251,7 +245,7 @@ def _candidate(psi: np.ndarray, restarts_used: int, iterations: int, residual_to
     quartic = quartic_residual(psi)
     return SicCandidate(
         fiducial=psi,
-        objective_value=objective(psi),
+        objective_value=_evaluate(psi).f,
         gram_residual=gram_residual(psi),
         quartic_residual=quartic,
         restarts_used=restarts_used,
@@ -281,8 +275,8 @@ def search_detailed(config: SearchConfig) -> tuple[SicCandidate, tuple[RestartOu
     results = []
     for restart in range(config.restarts):
         start = _random_start(d, int(config.seed), restart)
-        psi, f, iters = _descend(start, config.max_iters, floor, config.step_tol)
-        results.append((f, restart, psi, iters))
+        point, iters = _descend(start, config.max_iters, floor, _STEP_TOL)
+        results.append((point.f, restart, point.psi, iters))
 
     _, _, best_psi, best_iters = min(results, key=lambda r: (r[0], r[1]))
     candidate = _candidate(
@@ -315,5 +309,5 @@ def polish(psi, max_iters: int = 4000, residual_tol: float = 1e-9) -> SicCandida
     point found and honest residuals.
     """
     psi = as_state_vector(psi)
-    refined, _, iterations = _descend(psi, max_iters, 1e-28, 0.0)
-    return _candidate(refined, restarts_used=0, iterations=iterations, residual_tol=residual_tol)
+    refined, iterations = _descend(psi, max_iters, 1e-28, 0.0)
+    return _candidate(refined.psi, restarts_used=0, iterations=iterations, residual_tol=residual_tol)

@@ -52,10 +52,13 @@ def test_search_rejects_non_finite_tol(tmp_path, capsys):
 
 def test_search_runs_are_byte_identical(tmp_path, capsys):
     out = str(tmp_path / "same")
-    argv = ["search", "--dim", "3", "--restarts", "4", "--seed", "11", "--out", out]
-    assert run(capsys, argv)[0] == 0
+    argv = ["search", "--dim", "3", "--restarts", "4", "--seed", "11", "--out", out, "--json"]
+    code, stdout, _ = run(capsys, argv)
+    assert code == 0
     first_fid = open(os.path.join(out, "fiducial_d3_s11.json"), "rb").read()
     first_rep = open(os.path.join(out, "report_d3_s11.json"), "rb").read()
+    # stdout prints the candidate's own residuals, the ones the report holds
+    assert json.loads(stdout)["residuals"] == json.loads(first_rep)["residuals"]
     assert run(capsys, argv)[0] == 0
     assert open(os.path.join(out, "fiducial_d3_s11.json"), "rb").read() == first_fid
     assert open(os.path.join(out, "report_d3_s11.json"), "rb").read() == first_rep

@@ -212,6 +212,9 @@ def test_operator_set_validation_rejections(fiducial_d2):
         operator_set(np.stack([np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)]))  # not Hermitian
     with pytest.raises(ValueError):
         operator_set(np.stack([np.diag([1.0, -1.0]).astype(complex) / np.sqrt(2.0)]))  # not PSD
+    sic_ops = build_sic_set(fiducial_d2).projectors
+    with pytest.raises(ValueError, match=r"operator 1 has eigenvalue"):  # the batched check names the operator
+        operator_set(np.stack([sic_ops[0], np.diag([1.0, -1.0]) / np.sqrt(2.0), sic_ops[2]]))
     with pytest.raises(ValueError):
         operator_set(np.stack([np.eye(2, dtype=complex)]))  # tr(A^2) = 2
     for bad in (np.nan, np.inf):
@@ -219,3 +222,14 @@ def test_operator_set_validation_rejections(fiducial_d2):
         ops[1, 0, 1] = bad
         with pytest.raises(ValueError, match=r"operator 1 has a non-finite entry"):
             operator_set(ops)
+
+
+def test_pair_traces_are_stored_read_only(fiducial_d3):
+    ops = build_sic_set(fiducial_d3).projectors
+    opset = operator_set(ops)
+    expected = np.array([[hs_inner(a, b).real for b in ops] for a in ops])
+    np.testing.assert_allclose(opset.pair_traces, expected, atol=1e-14)
+    assert not opset.pair_traces.flags.writeable
+    kt_measure(opset, 2.0)
+    quasi_onb_certify(opset, tol=1e-10)
+    np.testing.assert_allclose(np.diagonal(opset.pair_traces), 1.0, atol=1e-14)  # readers leave it intact

@@ -1,5 +1,7 @@
 """Search objective, gradient, descent, and reproducibility."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -108,30 +110,74 @@ def test_gradient_matches_finite_differences(d):
 @pytest.mark.parametrize("d", [2, 3, 5, 12, 16])
 def test_residual_derivative_matches_finite_differences(d):
     # 2 [Re W | Im W] is the real Jacobian of the overlap residual in (Re psi, Im psi)
-    from sic_forge.search import _residual, _residual_derivative
+    from sic_forge.search import _evaluate, _residual_derivative
 
     rng = np.random.default_rng(900 + d)
     h = 1e-6
     for _ in range(5):
         psi = random_state(rng, d)
-        w = _residual_derivative(psi, _residual(psi)[1])
+        w = _residual_derivative(psi, _evaluate(psi).b)
         jac = 2.0 * np.hstack([w.real, w.imag])
         for _ in range(3):
             x = rng.standard_normal(2 * d)
             eta = x[:d] + 1j * x[d:]
-            fd = (_residual(psi + h * eta)[0] - _residual(psi - h * eta)[0]) / (2.0 * h)
+            fd = (_evaluate(psi + h * eta).rho - _evaluate(psi - h * eta).rho) / (2.0 * h)
             np.testing.assert_allclose(jac @ x, fd, atol=1e-7)
 
 
 def test_descent_is_monotone():
     # same start, growing budget: the best objective can only go down
-    from sic_forge.search import _gradient_descent, _random_start
+    from sic_forge.search import _evaluate, _gradient_descent, _random_start
 
     psi0 = _random_start(4, 42, 0)
     values = [
-        _gradient_descent(psi0.copy(), budget, 0.0, 0.0)[1] for budget in range(1, 12)
+        _gradient_descent(_evaluate(psi0.copy()), budget, 0.0, 0.0)[0].f for budget in range(1, 12)
     ]
     assert all(b <= a + 1e-18 for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize(
+    "config, iterations, objectives",
+    [
+        # Gauss-Newton heavy: every restart ends in the least-squares tail
+        (
+            SearchConfig(dim=3, restarts=4, seed=3),
+            (117, 208, 276, 179),
+            (8.80855070149168e-23, 8.334028398023989e-23, 4.69892419694035e-23, 6.993975825972718e-23),
+        ),
+        (
+            SearchConfig(dim=8, restarts=4, seed=5),
+            (69, 21, 69, 48),
+            (0.007023414309721488, 1.5792625543975334e-31, 0.007023414309721495, 5.440752092893941e-33),
+        ),
+    ],
+)
+def test_search_trajectory_is_pinned(config, iterations, objectives):
+    # exact per-restart trajectory: reorganizing how points are evaluated must not move it
+    _, outcomes = search_detailed(config)
+    assert [(o.restart, o.iterations) for o in outcomes] == list(enumerate(iterations))
+    for outcome, expected in zip(outcomes, objectives):
+        assert abs(outcome.objective_value - expected) <= 1e-20
+
+
+def test_search_validates_input_once(monkeypatch, fiducial_d3):
+    # the inner loop reuses evaluated points and never calls the validating public functions
+    module = importlib.import_module("sic_forge.search")
+    calls = []
+    original = module.as_state_vector
+
+    def counting(psi, *args, **kwargs):
+        calls.append(1)
+        return original(psi, *args, **kwargs)
+
+    monkeypatch.setattr(module, "as_state_vector", counting)
+    for config in (SearchConfig(dim=3, restarts=4, seed=3), SearchConfig(dim=8, restarts=2, seed=5)):
+        calls.clear()
+        search_detailed(config)
+        assert len(calls) <= 1
+    calls.clear()
+    polish(fiducial_d3, max_iters=50)
+    assert len(calls) == 1
 
 
 def test_search_d2_certifies():
