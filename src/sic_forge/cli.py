@@ -174,7 +174,15 @@ def cmd_search(args) -> int:
             "certified": candidate.certified,
             "artifact_paths": [fiducial_path],
             "restarts": [
-                {"restart": o.restart, "objective": o.objective_value, "iterations": o.iterations}
+                {
+                    "restart": o.restart,
+                    "objective": o.objective_value,
+                    "iterations": o.iterations,
+                    "descent_iterations": o.descent_iterations,
+                    "refine_iterations": o.refine_iterations,
+                    "evaluations": o.evaluations,
+                    "stop_reason": o.stop_reason,
+                }
                 for o in outcomes
             ],
         },

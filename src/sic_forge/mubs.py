@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wh import as_state_vector, check_dim, phase_constants
+from .wh import as_state_vector, check_dim, check_tolerance, phase_constants
 
 __all__ = [
     "MubSet",
@@ -112,5 +112,6 @@ def minimum_uncertainty_target(d: int) -> float:
 
 def is_minimum_uncertainty(psi, mubs: MubSet, tol: float = 1e-8) -> bool:
     """True when every per-basis squared-probability sum equals 2/(d+1) within tol."""
+    tol = check_tolerance(tol, "tol")
     profile = uncertainty_profile(psi, mubs)
     return bool(np.max(np.abs(profile.per_basis - minimum_uncertainty_target(mubs.d))) <= tol)

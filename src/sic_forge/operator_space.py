@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .wh import check_dim
+from .wh import check_dim, check_tolerance
 
 __all__ = [
     "KtReport",
@@ -185,6 +185,7 @@ def quasi_onb_certify(opset: OperatorSet, tol: float) -> QuasiOnbReport:
     resolves the identity, sum_i A_i = d*I, which is checked directly rather
     than inferred.
     """
+    tol = check_tolerance(tol, "tol")
     d = opset.d
     if opset.size != d * d:
         raise ValueError(f"certification needs exactly d^2 = {d * d} operators, got {opset.size}")
@@ -201,7 +202,6 @@ def quasi_onb_certify(opset: OperatorSet, tol: float) -> QuasiOnbReport:
 
     completeness_dev = float(np.max(np.abs(ops.sum(axis=0) - d * np.eye(d))))
 
-    tol = float(tol)
     passed = max(projector_dev, trace_dev, overlap_dev, completeness_dev) <= tol
     return QuasiOnbReport(
         d=d,

@@ -5,10 +5,12 @@ indices, with t = 1 at r = 0 and 1/(d+1) elsewhere.  The objective sum
 rho_r^2 / d equals, by Parseval, the summed squared violation of the quartic
 fiducial equations.  Its global minimum value is exactly zero at fiducials,
 and it is invariant under global phase and under every displacement.  One
-derivative of rho in conjugate coordinates serves both the gradient descent
-and the Gauss-Newton refinement.  Each trial point runs the overlap kernel
-once; its residual and overlaps then feed the next gradient or Gauss-Newton
-step.  Input is validated at the public entry points only.
+derivative W of rho in conjugate coordinates serves both phases: the descent
+gradient is W's adjoint applied to rho, computed through one FFT of rho*B in
+O(d^2 log d) without forming W, and W itself is built only for the
+Gauss-Newton refinement.  Each trial point runs the overlap kernel once; its
+residual and overlaps then feed the next gradient or Gauss-Newton step.
+Input is validated at the public entry points only.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .verify import _cyclic_add, _overlaps, gram_residual, quartic_residual
-from .wh import as_state_vector, check_dim, phase_constants
+from .wh import as_state_vector, check_dim, check_tolerance, phase_constants
 
 __all__ = [
     "RestartOutcome",
@@ -76,11 +78,26 @@ class SicCandidate:
 
 @dataclass(frozen=True)
 class RestartOutcome:
-    """Final objective and iteration count of one restart."""
+    """Final objective and trace of one restart.
+
+    ``iterations`` is ``descent_iterations + refine_iterations``;
+    ``evaluations`` counts overlap-kernel runs, the start point included.
+    ``stop_reason`` is one of ``STOP_REASONS``: the run reached the
+    objective floor, its last line search found no decrease (a local
+    minimum, or a zero gradient), or it spent its iteration budget.  Every
+    field is deterministic for a given config.
+    """
 
     restart: int
     objective_value: float
     iterations: int
+    descent_iterations: int
+    refine_iterations: int
+    evaluations: int
+    stop_reason: str
+
+
+STOP_REASONS = ("objective_floor", "line_search_stalled", "iteration_budget")
 
 
 @lru_cache(maxsize=None)
@@ -108,6 +125,15 @@ def _residual_derivative(psi: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (lead + trail).reshape(d * d, d)
 
 
+@lru_cache(maxsize=None)
+def _gradient_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only gathers of the gradient: lead[a, m] = a*d + (m - a) % d, sub and add."""
+    sub = _derivative_tables(d)[0]
+    lead = np.arange(d)[:, None] * d + sub
+    lead.setflags(write=False)
+    return lead, sub, _cyclic_add(d)
+
+
 class _Point(NamedTuple):
     """A search point with its objective f, overlap residual rho and overlaps B, flattened over r = r1*d + r2."""
 
@@ -127,9 +153,18 @@ def _evaluate(psi: np.ndarray) -> _Point:
 
 
 def _gradient(point: _Point) -> np.ndarray:
-    """Riemannian gradient at an evaluated point (see ``objective_gradient``)."""
+    """Riemannian gradient at an evaluated point (see ``objective_gradient``).
+
+    The ambient part (4/d) rho W is summed in closed form: with
+    F[r1, n] = sum_r2 rho_r B_r omega**(-n*r2), one FFT over r2,
+    (rho W)[m] = sum_r1 conj(F[r1, m-r1]) psi_{m-r1} + F[r1, m] psi_{m+r1};
+    rho is real, so the conj(B) half of W needs only the conjugate of F.
+    """
     psi = point.psi
-    g = (4.0 / psi.shape[0]) * (point.rho @ _residual_derivative(psi, point.b))
+    d = psi.shape[0]
+    lead, sub, add = _gradient_tables(d)
+    f = np.fft.fft((point.rho * point.b).reshape(d, d), axis=1)
+    g = (4.0 / d) * (f.conj().reshape(-1)[lead] * psi[sub] + f * psi[add]).sum(axis=0)
     return g - np.vdot(psi, g) * psi
 
 
@@ -151,33 +186,38 @@ def objective_gradient(psi) -> np.ndarray:
 
 def _backtrack(psi: np.ndarray, direction: np.ndarray, scale: float, min_scale: float, accept) -> tuple:
     """First trial psi + s*direction, renormalized, for s = scale, scale/2, ... >= min_scale
-    whose objective f passes accept(s, f); returns (point, s), or (None, s) if none does."""
+    whose objective f passes accept(s, f); returns (point, s, trials), point None if none does."""
+    trials = 0
     while scale >= min_scale:
+        trials += 1
         cand = psi + scale * direction
         trial = _evaluate(cand / np.linalg.norm(cand))
         if accept(scale, trial.f):
-            return trial, scale
+            return trial, scale, trials
         scale *= _SHRINK
-    return None, scale
+    return None, scale, trials
 
 
-def _gradient_descent(point: _Point, max_iters: int, objective_floor: float, step_tol: float) -> tuple[_Point, int]:
-    """Backtracking descent with Barzilai-Borwein step seeding.
+def _gradient_descent(
+    point: _Point, max_iters: int, objective_floor: float, step_tol: float
+) -> tuple[_Point, int, int]:
+    """Backtracking descent with Barzilai-Borwein step seeding; returns (point, iterations, evaluations).
 
     Each accepted step renormalizes back onto the sphere and satisfies an
     Armijo decrease, so the objective is nonincreasing along the trajectory.
     """
     g = _gradient(point)
     step = 1.0 / max(1.0, float(np.linalg.norm(g)))
-    iterations = 0
+    iterations = evaluations = 0
     while iterations < max_iters and point.f > objective_floor:
         gnorm_sq = float(np.vdot(g, g).real)
         if gnorm_sq <= 0.0:
             break
         alpha = min(max(step, _MIN_STEP), _MAX_STEP)
-        trial, alpha = _backtrack(
+        trial, alpha, trials = _backtrack(
             point.psi, -g, alpha, _MIN_STEP, lambda a, f_new: f_new <= point.f - _ARMIJO * a * gnorm_sq
         )
+        evaluations += trials
         if trial is None:
             break  # line search stalled: at the numerical floor of the basin
         iterations += 1
@@ -190,11 +230,14 @@ def _gradient_descent(point: _Point, max_iters: int, objective_floor: float, ste
         point, g = trial, g_new
         if math.sqrt(ss) <= step_tol:
             break
-    return point, iterations
+    return point, iterations, evaluations
 
 
-def _least_squares_refine(point: _Point, objective_floor: float, max_iters: int) -> tuple[_Point, int]:
-    """Gauss-Newton refinement of the overlap residual system.
+def _least_squares_refine(
+    point: _Point, objective_floor: float, max_iters: int
+) -> tuple[_Point, int, int, str]:
+    """Gauss-Newton refinement of the overlap residual system; returns
+    (point, iterations, evaluations, stop reason).
 
     Solves the linearized residual in the least-squares sense (the minimal-norm
     solution ignores the flat directions along fiducial orbits), retracts onto
@@ -207,28 +250,52 @@ def _least_squares_refine(point: _Point, objective_floor: float, max_iters: int)
     this step is the least-squares step of the quartic system with half the rows.
     """
     d = point.psi.shape[0]
-    iterations = 0
-    while iterations < max_iters and point.f > objective_floor:
+    iterations = evaluations = 0
+    stop = "objective_floor"
+    while point.f > objective_floor:
+        if iterations >= max_iters:
+            stop = "iteration_budget"
+            break
         w = _residual_derivative(point.psi, point.b)
         delta, *_ = np.linalg.lstsq(np.hstack([w.real, w.imag]), -0.5 * point.rho, rcond=None)
         direction = delta[:d] + 1j * delta[d:]
-        trial, _ = _backtrack(point.psi, direction, 1.0, _REFINE_MIN_SCALE, lambda s, f_new: f_new < point.f)
+        trial, _, trials = _backtrack(
+            point.psi, direction, 1.0, _REFINE_MIN_SCALE, lambda s, f_new: f_new < point.f
+        )
+        evaluations += trials
         if trial is None:
+            stop = "line_search_stalled"
             break
         point = trial
         iterations += 1
-    return point, iterations
+    return point, iterations, evaluations, stop
 
 
-def _descend(psi: np.ndarray, max_iters: int, objective_floor: float, step_tol: float) -> tuple[_Point, int]:
+def _descend(
+    psi: np.ndarray, max_iters: int, objective_floor: float, step_tol: float, restart: int = 0
+) -> tuple[_Point, RestartOutcome]:
     """Two-phase minimization, sharing the max_iters budget across both phases:
     global descent first, then least-squares refinement of the tail, which
-    starts from the descent's last evaluated point."""
+    starts from the descent's last evaluated point.
+
+    The restart's stop reason is the refinement's.  A descent that stalls, or
+    whose step falls below step_tol, above the floor leaves budget, so the
+    refinement always tries a step after it; a refinement that tries none was
+    stopped by the floor or the spent budget, which also ended the descent.
+    """
     switch = max(objective_floor, _REFINE_SWITCH)
-    point, iters = _gradient_descent(_evaluate(psi), max_iters, switch, step_tol)
-    budget = min(_REFINE_MAX_ITERS, max_iters - iters)
-    point, extra = _least_squares_refine(point, objective_floor, budget)
-    return point, iters + extra
+    point, descent_iters, descent_evals = _gradient_descent(_evaluate(psi), max_iters, switch, step_tol)
+    budget = min(_REFINE_MAX_ITERS, max_iters - descent_iters)
+    point, refine_iters, refine_evals, stop = _least_squares_refine(point, objective_floor, budget)
+    return point, RestartOutcome(
+        restart=restart,
+        objective_value=point.f,
+        iterations=descent_iters + refine_iters,
+        descent_iterations=descent_iters,
+        refine_iterations=refine_iters,
+        evaluations=1 + descent_evals + refine_evals,
+        stop_reason=stop,
+    )
 
 
 def _random_start(d: int, seed: int, restart: int) -> np.ndarray:
@@ -266,30 +333,23 @@ def search_detailed(config: SearchConfig) -> tuple[SicCandidate, tuple[RestartOu
         raise ValueError(f"restarts must be >= 1, got {config.restarts}")
     if config.max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {config.max_iters}")
-    if not 0.0 < config.accept_tol < math.inf:
-        raise ValueError(f"accept_tol must be positive and finite, got {config.accept_tol}")
+    check_tolerance(config.accept_tol, "accept_tol")
     if not 0 <= int(config.seed) < 2**64:
         raise ValueError(f"seed must fit in 64 unsigned bits, got {config.seed}")
 
     floor = config.accept_tol * 1e-4  # converge comfortably past acceptance
-    results = []
-    for restart in range(config.restarts):
-        start = _random_start(d, int(config.seed), restart)
-        point, iters = _descend(start, config.max_iters, floor, _STEP_TOL)
-        results.append((point.f, restart, point.psi, iters))
-
-    _, _, best_psi, best_iters = min(results, key=lambda r: (r[0], r[1]))
+    results = [
+        _descend(_random_start(d, int(config.seed), restart), config.max_iters, floor, _STEP_TOL, restart)
+        for restart in range(config.restarts)
+    ]
+    best, best_outcome = min(results, key=lambda r: (r[1].objective_value, r[1].restart))
     candidate = _candidate(
-        best_psi,
+        best.psi,
         restarts_used=config.restarts,
-        iterations=best_iters,
+        iterations=best_outcome.iterations,
         residual_tol=math.sqrt(config.accept_tol),
     )
-    outcomes = tuple(
-        RestartOutcome(restart=i, objective_value=f, iterations=n)
-        for f, i, _, n in results
-    )
-    return candidate, outcomes
+    return candidate, tuple(outcome for _, outcome in results)
 
 
 def search(config: SearchConfig) -> SicCandidate:
@@ -309,5 +369,6 @@ def polish(psi, max_iters: int = 4000, residual_tol: float = 1e-9) -> SicCandida
     point found and honest residuals.
     """
     psi = as_state_vector(psi)
-    refined, iterations = _descend(psi, max_iters, 1e-28, 0.0)
-    return _candidate(refined.psi, restarts_used=0, iterations=iterations, residual_tol=residual_tol)
+    residual_tol = check_tolerance(residual_tol, "residual_tol")
+    refined, outcome = _descend(psi, max_iters, 1e-28, 0.0)
+    return _candidate(refined.psi, restarts_used=0, iterations=outcome.iterations, residual_tol=residual_tol)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .wh import _displaced, as_state_vector, phase_constants
+from .wh import _displaced, as_state_vector, check_tolerance, phase_constants
 
 __all__ = [
     "FourierIdentityCheck",
@@ -179,6 +179,7 @@ class SicSet:
 def build_sic_set(psi, tol: float = 1e-10) -> SicSet:
     """Displace a candidate through the whole index grid and certify the orbit."""
     psi = as_state_vector(psi)
+    tol = check_tolerance(tol, "tol")
     d = psi.shape[0]
     r1, r2 = np.divmod(np.arange(d * d), d)
     vectors = _displaced(psi, r1[:, None], r2[:, None])
@@ -194,6 +195,6 @@ def build_sic_set(psi, tol: float = 1e-10) -> SicSet:
         projectors=projectors,
         gram_residual=g,
         quartic_residual=q,
-        tol=float(tol),
+        tol=tol,
         certified=bool(g <= tol and q <= tol),
     )

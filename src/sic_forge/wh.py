@@ -16,6 +16,7 @@ __all__ = [
     "build_shift",
     "canonical_index",
     "check_dim",
+    "check_tolerance",
     "displace_state",
     "displacement",
     "displacement_table",
@@ -24,11 +25,18 @@ __all__ = [
 
 
 def check_dim(d: int) -> int:
-    """Validate a Hilbert-space dimension (an integer >= 2) and return it."""
-    d = int(d)
-    if d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d}")
-    return d
+    """Validate a Hilbert-space dimension (a Python or numpy integer >= 2) and return it as int."""
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
+    return int(d)
+
+
+def check_tolerance(tol: float, name: str) -> float:
+    """Validate a certification tolerance (positive and finite) and return it as float."""
+    value = float(tol)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+    return value
 
 
 def canonical_index(d: int, r) -> tuple[int, int]:

@@ -5,9 +5,9 @@ lines as they complete.
 """
 
 import json
-import os
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,10 +211,10 @@ def test_criterion_8_determinism(tmp_path):
     out = str(tmp_path / "det")
     argv = ["search", "--dim", "3", "--restarts", "4", "--seed", "5", "--out", out]
     assert main(argv) == 0
-    fid_path = os.path.join(out, "fiducial_d3_s5.json")
-    rep_path = os.path.join(out, "report_d3_s5.json")
-    first_bytes = (open(fid_path, "rb").read(), open(rep_path, "rb").read())
+    fid_path = Path(out, "fiducial_d3_s5.json")
+    rep_path = Path(out, "report_d3_s5.json")
+    first_bytes = (fid_path.read_bytes(), rep_path.read_bytes())
     assert main(argv) == 0
-    second_bytes = (open(fid_path, "rb").read(), open(rep_path, "rb").read())
+    second_bytes = (fid_path.read_bytes(), rep_path.read_bytes())
     ok = residuals_agree and first_bytes == second_bytes
     _report(8, "determinism", ok)

@@ -2,11 +2,12 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sic_forge import build_sic_set, files
+from sic_forge import SearchConfig, build_sic_set, files, search_detailed
 from sic_forge.cli import main
 from conftest import random_density
 
@@ -33,6 +34,17 @@ def test_search_writes_certified_fiducial(tmp_path, capsys):
     report = files.load_json(os.path.join(out, "report_d2_s7.json"))
     assert report["certified"] is True
     assert len(report["restarts"]) == 8
+    _, outcomes = search_detailed(SearchConfig(dim=2, restarts=8, seed=7, accept_tol=1e-9**2))
+    for entry, outcome in zip(report["restarts"], outcomes):
+        assert entry == {
+            "restart": outcome.restart,
+            "objective": outcome.objective_value,
+            "iterations": outcome.iterations,
+            "descent_iterations": outcome.descent_iterations,
+            "refine_iterations": outcome.refine_iterations,
+            "evaluations": outcome.evaluations,
+            "stop_reason": outcome.stop_reason,
+        }
     assert "wall_time_ms" not in report  # written artifacts carry no timing
     assert "wall_time_ms" in stdout
 
@@ -55,13 +67,14 @@ def test_search_runs_are_byte_identical(tmp_path, capsys):
     argv = ["search", "--dim", "3", "--restarts", "4", "--seed", "11", "--out", out, "--json"]
     code, stdout, _ = run(capsys, argv)
     assert code == 0
-    first_fid = open(os.path.join(out, "fiducial_d3_s11.json"), "rb").read()
-    first_rep = open(os.path.join(out, "report_d3_s11.json"), "rb").read()
+    fid_path = Path(out, "fiducial_d3_s11.json")
+    rep_path = Path(out, "report_d3_s11.json")
+    first_fid, first_rep = fid_path.read_bytes(), rep_path.read_bytes()
     # stdout prints the candidate's own residuals, the ones the report holds
     assert json.loads(stdout)["residuals"] == json.loads(first_rep)["residuals"]
     assert run(capsys, argv)[0] == 0
-    assert open(os.path.join(out, "fiducial_d3_s11.json"), "rb").read() == first_fid
-    assert open(os.path.join(out, "report_d3_s11.json"), "rb").read() == first_rep
+    assert fid_path.read_bytes() == first_fid
+    assert rep_path.read_bytes() == first_rep
 
 
 def test_verify_certifies_exact_fiducial(hesse_file, capsys):
@@ -333,7 +346,7 @@ def test_golden_artifacts_parse_and_certify():
     report = files.load_json(os.path.join(root, "report_d2_search.json"))
     assert report["kind"] == "run_report" and report["certified"] is True
     for name in os.listdir(root):
-        text = open(os.path.join(root, name), "r", encoding="utf-8").read()
+        text = Path(root, name).read_text(encoding="utf-8")
         assert json.dumps(json.loads(text), indent=2) + "\n" == text
 
 

@@ -175,6 +175,13 @@ def test_basis_state_is_not_minimum_uncertainty():
     assert minimum_uncertainty_target(3) == pytest.approx(0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9])
+def test_minimum_uncertainty_rejects_bad_tol(bad):
+    e0 = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        is_minimum_uncertainty(e0, build_mubs(3), tol=bad)
+
+
 def test_minimum_uncertainty_does_not_imply_fiducial():
     # Documented observation, not a theorem: flatten a d=5 profile by direct
     # optimization from a generic start and look at the overlap residual of

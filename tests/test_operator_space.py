@@ -188,6 +188,15 @@ def test_quasi_onb_fails_random_projectors():
     assert report.overlap_deviation > 0.0
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9])
+def test_quasi_onb_rejects_bad_tol(bad):
+    # random projectors fail every condition, yet an infinite tolerance would pass them
+    rng = np.random.default_rng(9)
+    opset = projectors_from_vectors(np.stack([random_state(rng, 2) for _ in range(4)]))
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        quasi_onb_certify(opset, tol=bad)
+
+
 def test_quasi_onb_requires_square_count():
     rng = np.random.default_rng(10)
     opset = operator_set(np.stack([random_psd_unit_norm(rng, 2) for _ in range(3)]))

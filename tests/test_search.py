@@ -16,6 +16,7 @@ from sic_forge import (
     search,
     search_detailed,
 )
+from sic_forge.search import STOP_REASONS
 from conftest import random_state
 
 
@@ -125,6 +126,53 @@ def test_residual_derivative_matches_finite_differences(d):
             np.testing.assert_allclose(jac @ x, fd, atol=1e-7)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 12, 16, 24, 32])
+def test_gradient_is_adjoint_of_residual_derivative(d):
+    # oracle: the FFT gradient equals the projected (4/d) rho W of the full d^2 x d derivative
+    from sic_forge.search import _evaluate, _gradient, _residual_derivative
+
+    rng = np.random.default_rng(1000 + d)
+    for _ in range(3):
+        point = _evaluate(random_state(rng, d))
+        psi = point.psi
+        ambient = (4.0 / d) * (point.rho @ _residual_derivative(psi, point.b))
+        expected = ambient - np.vdot(psi, ambient) * psi
+        np.testing.assert_allclose(_gradient(point), expected, rtol=0.0, atol=1e-13)
+
+
+def test_gradient_tables_are_cached_read_only():
+    from sic_forge.search import _gradient_tables
+
+    for d in (3, 8):
+        tables = _gradient_tables(d)
+        assert _gradient_tables(d) is tables
+        lead, sub, add = tables
+        r1, m = np.divmod(np.arange(d * d), d)
+        assert np.array_equal(lead.reshape(-1), r1 * d + (m - r1) % d)
+        assert np.array_equal(sub.reshape(-1), (m - r1) % d)
+        assert np.array_equal(add.reshape(-1), (m + r1) % d)
+        assert not any(t.flags.writeable for t in tables)
+
+
+def test_only_gauss_newton_builds_the_residual_derivative(monkeypatch):
+    # the d^3 derivative is built once per Gauss-Newton step attempt and never by the descent
+    module = importlib.import_module("sic_forge.search")
+    calls = []
+    original = module._residual_derivative
+
+    def counting(psi, b):
+        calls.append(1)
+        return original(psi, b)
+
+    monkeypatch.setattr(module, "_residual_derivative", counting)
+    for d in (3, 8, 24):
+        module._gradient_descent(module._evaluate(module._random_start(d, 7, 0)), 400, 1e-10, 0.0)
+    assert calls == []
+    _, outcomes = search_detailed(SearchConfig(dim=8, restarts=4, seed=5))
+    attempts = sum(o.refine_iterations + (o.stop_reason == "line_search_stalled") for o in outcomes)
+    assert len(calls) == attempts > 0
+
+
 def test_descent_is_monotone():
     # same start, growing budget: the best objective can only go down
     from sic_forge.search import _evaluate, _gradient_descent, _random_start
@@ -142,22 +190,64 @@ def test_descent_is_monotone():
         # Gauss-Newton heavy: every restart ends in the least-squares tail
         (
             SearchConfig(dim=3, restarts=4, seed=3),
-            (117, 208, 276, 179),
-            (8.80855070149168e-23, 8.334028398023989e-23, 4.69892419694035e-23, 6.993975825972718e-23),
+            (127, 156, 212, 211),
+            (2.7240492000665774e-23, 3.911475159119527e-23, 1.949952069456666e-23, 8.15370745533219e-23),
         ),
         (
             SearchConfig(dim=8, restarts=4, seed=5),
-            (69, 21, 69, 48),
-            (0.007023414309721488, 1.5792625543975334e-31, 0.007023414309721495, 5.440752092893941e-33),
+            (58, 21, 72, 48),
+            (0.007023414309721492, 9.051870738620009e-32, 0.0070234143097214876, 1.659429388332652e-31),
         ),
     ],
 )
 def test_search_trajectory_is_pinned(config, iterations, objectives):
-    # exact per-restart trajectory: reorganizing how points are evaluated must not move it
+    # exact per-restart trajectory: reorganizing how points are evaluated must not move it;
+    # a change to the order of floating-point sums does, and is re-recorded on purpose
     _, outcomes = search_detailed(config)
     assert [(o.restart, o.iterations) for o in outcomes] == list(enumerate(iterations))
     for outcome, expected in zip(outcomes, objectives):
         assert abs(outcome.objective_value - expected) <= 1e-20
+
+
+def test_restart_trace_is_deterministic_and_consistent(monkeypatch):
+    module = importlib.import_module("sic_forge.search")
+    kernel_runs = []
+    original = module._overlaps
+
+    def counting(psi):
+        kernel_runs.append(1)
+        return original(psi)
+
+    monkeypatch.setattr(module, "_overlaps", counting)
+    config = SearchConfig(dim=8, restarts=4, seed=5)
+    _, outcomes = search_detailed(config)
+    # every overlap-kernel run of the restarts is counted, plus one for the candidate's objective
+    assert len(kernel_runs) == sum(o.evaluations for o in outcomes) + 1
+    assert search_detailed(config)[1] == outcomes
+    for o in outcomes:
+        assert o.descent_iterations + o.refine_iterations == o.iterations
+        assert o.evaluations >= 1 + o.iterations  # the start point, then one trial per accepted step at least
+        assert o.stop_reason in STOP_REASONS
+    # restarts 1 and 3 certify; 0 and 2 end at the same local minimum
+    assert [o.stop_reason for o in outcomes] == [
+        "line_search_stalled",
+        "objective_floor",
+        "line_search_stalled",
+        "objective_floor",
+    ]
+
+
+def test_certified_restarts_report_the_objective_floor():
+    config = SearchConfig(dim=3, restarts=6, seed=3)
+    _, outcomes = search_detailed(config)
+    assert all(o.objective_value <= config.accept_tol for o in outcomes)
+    assert {o.stop_reason for o in outcomes} == {"objective_floor"}
+
+
+def test_spent_budget_is_reported():
+    _, outcomes = search_detailed(SearchConfig(dim=5, restarts=2, seed=999, max_iters=3))
+    for o in outcomes:
+        assert (o.iterations, o.refine_iterations, o.stop_reason) == (3, 0, "iteration_budget")
 
 
 def test_search_validates_input_once(monkeypatch, fiducial_d3):
@@ -217,6 +307,9 @@ def test_search_rejects_bad_config():
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="accept_tol"):
             search(SearchConfig(dim=3, restarts=1, seed=0, accept_tol=bad))
+    for bad in (3.9, 3.0, "3"):
+        with pytest.raises(ValueError, match=repr(bad)):
+            search(SearchConfig(dim=bad, restarts=1, seed=0))
 
 
 def test_search_is_deterministic():
@@ -239,6 +332,12 @@ def test_polish_recovers_perturbed_fiducial(fiducial_d3):
 def test_polish_fixed_point(fiducial_d3):
     cand = polish(fiducial_d3)
     assert np.abs(cand.fiducial - fiducial_d3).max() <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9])
+def test_polish_rejects_bad_residual_tol(bad, fiducial_d3):
+    with pytest.raises(ValueError, match="residual_tol"):
+        polish(fiducial_d3, residual_tol=bad)
 
 
 def test_polish_far_input_returns_best_found():

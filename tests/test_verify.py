@@ -137,6 +137,13 @@ def test_build_sic_set_reports_uncertified_candidate():
     assert sic.quartic_residual == pytest.approx(0.5, abs=1e-13)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9])
+def test_build_sic_set_rejects_bad_tol(bad):
+    # an infinite tolerance would certify any unit vector
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        build_sic_set(np.array([1.0, 0.0, 0.0]), tol=bad)
+
+
 def test_sic_set_orbit_matches_displacements(fiducial_d3):
     # the fiducial orbit, then a generic state in an even dimension, where tau has order 2d
     for psi in (fiducial_d3, random_state(np.random.default_rng(140), 12)):

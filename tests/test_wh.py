@@ -8,6 +8,7 @@ from sic_forge import (
     build_clock,
     build_shift,
     canonical_index,
+    check_dim,
     displace_state,
     displacement,
     displacement_table,
@@ -49,6 +50,18 @@ def test_rejects_small_dimension():
         build_clock(1)
     with pytest.raises(ValueError):
         build_shift(0)
+
+
+def test_check_dim_accepts_python_and_numpy_integers():
+    for d in (2, 7, np.int64(5), np.uint8(3)):
+        assert check_dim(d) == d and type(check_dim(d)) is int
+
+
+@pytest.mark.parametrize("bad", [3.9, 3.0, np.float64(4.0), "3", True, None, 1, -2])
+def test_check_dim_rejects_non_integral_or_small(bad):
+    with pytest.raises(ValueError, match="dimension must be an integer >= 2") as info:
+        check_dim(bad)
+    assert repr(bad) in str(info.value)
 
 
 def test_clock_shift_commutation():
