@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sic_forge import as_state_vector, check_density_matrix, check_probability_vector, files, operator_set
+from sic_forge import (
+    as_state_vector,
+    check_density_matrix,
+    check_probability_vector,
+    files,
+    frame_potential,
+    operator_set,
+)
 
 # Few examples keep the suite fast; no example database is written to the working tree.
 PROPERTY = settings(max_examples=25, deadline=None, database=None)
@@ -63,6 +70,21 @@ def test_operator_set_names_non_finite_operator(data, n, d):
     i, _, _ = _poison(data.draw, ops)
     with pytest.raises(ValueError, match=rf"operator {i} has a non-finite entry"):
         operator_set(ops)
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 6), st.integers(1, 4))
+def test_frame_potential_names_non_finite_vector(data, n, d):
+    vectors = _complex_array(data.draw, (n, d))
+    i, _ = _poison(data.draw, vectors)
+    with pytest.raises(ValueError, match=rf"vectors has a non-finite entry in row {i}"):
+        frame_potential(vectors)
+
+
+def test_frame_potential_rejects_nan_unit_vector():
+    # the unit-norm comparison is false for NaN, so this returned nan
+    with pytest.raises(ValueError, match=r"vectors has a non-finite entry in row 0"):
+        frame_potential(np.array([[np.nan, 0.0]]))
 
 
 @pytest.fixture(scope="module")
