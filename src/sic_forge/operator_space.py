@@ -41,17 +41,17 @@ def hs_inner(a, b) -> complex:
 
 
 def _pair_traces(ops: np.ndarray) -> np.ndarray:
-    """Real parts of tr(A_i A_j) for every pair, as one matrix product of the flattened operators."""
-    n = ops.shape[0]
-    return (ops.reshape(n, -1) @ ops.transpose(0, 2, 1).reshape(n, -1).T).real
+    """tr(A_i A_j) = Re<A_i, A_j> of Hermitian operators: one real Gram matrix (a syrk) of their float views."""
+    x = ops.reshape(ops.shape[0], -1).view(float)
+    return x @ x.T
 
 
 @dataclass(frozen=True)
 class OperatorSet:
     """A validated family of PSD operators with unit Hilbert-Schmidt norm.
 
-    ``pair_traces[i, j]`` is the real part of tr(A_i A_j), computed once at
-    validation; its diagonal holds the squared norms.
+    ``pair_traces[i, j]`` is Re<A_i, A_j> = tr(A_i A_j) within d * hermitian_tol,
+    computed once at validation; its diagonal holds the squared norms.
     """
 
     d: int
@@ -72,9 +72,10 @@ def operator_set(
     """Validate and package operators: Hermitian, PSD within a floor, tr(A^2) = 1.
 
     The eigenvalue floor accepts numerically rounded projectors coming out of
-    floating-point searches.
+    floating-point searches.  One batched Cholesky factorization clears them all;
+    only when it fails do eigenvalues decide and name the first operator below it.
     """
-    arr = np.array(ops, dtype=complex)
+    arr = np.array(ops, dtype=complex, order="C")
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError(f"expected an array of square matrices, got shape {arr.shape}")
     if arr.shape[0] == 0:
@@ -84,15 +85,23 @@ def operator_set(
     if bad.size:
         raise ValueError(f"operator {bad[0]} has a non-finite entry")
 
-    herm_dev = float(np.max(np.abs(arr - arr.conj().transpose(0, 2, 1))))
+    adj = np.conjugate(arr.transpose(0, 2, 1), order="C")
+    adj -= arr
+    herm_dev = float(np.max(np.abs(adj)))
     if herm_dev > hermitian_tol:
         raise ValueError(f"operator set is not Hermitian: max deviation {herm_dev:.3e}")
-    lows = np.linalg.eigvalsh(arr)[:, 0]
-    bad = np.flatnonzero(lows < psd_floor)
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"operator {i} has eigenvalue {lows[i]:.3e} below the PSD floor {psd_floor:.1e}")
     pair_traces = _pair_traces(arr)
+    # The margin covers the roundoff of Cholesky and eigvalsh (2 d^2 eps times the largest norm), so a
+    # factorization that succeeds never accepts an operator that eigvalsh would put below the floor.
+    margin = 2 * d * d * np.finfo(float).eps * (math.sqrt(np.max(np.diagonal(pair_traces))) + abs(psd_floor))
+    try:
+        np.linalg.cholesky(arr - (psd_floor + margin) * np.eye(d))
+    except np.linalg.LinAlgError:
+        lows = np.linalg.eigvalsh(arr)[:, 0]
+        bad = np.flatnonzero(lows < psd_floor)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"operator {i} has eigenvalue {lows[i]:.3e} below the PSD floor {psd_floor:.1e}")
     norm_dev = float(np.max(np.abs(np.diagonal(pair_traces) - 1.0)))
     if norm_dev > norm_tol:
         raise ValueError(f"operators are not unit HS-norm: max |tr(A^2) - 1| = {norm_dev:.3e}")
@@ -157,12 +166,15 @@ def frame_potential(vectors, norm_tol: float = 1e-10) -> float:
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2 or v.shape[0] == 0:
         raise ValueError(f"expected a nonempty 2-D array of row vectors, got shape {v.shape}")
+    bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+    if bad.size:
+        raise ValueError(f"vectors has a non-finite entry in row {bad[0]}")
     norms = np.sum(np.abs(v) ** 2, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
     if worst > norm_tol:
         raise ValueError(f"vectors are not unit-norm: max |norm^2 - 1| = {worst:.3e}")
     gram = v @ v.conj().T
-    return float(np.sum(np.abs(gram) ** 4))
+    return float(np.sum((gram.real**2 + gram.imag**2) ** 2))
 
 
 @dataclass(frozen=True)
@@ -192,7 +204,7 @@ def quasi_onb_certify(opset: OperatorSet, tol: float) -> QuasiOnbReport:
     ops = opset.ops
 
     squares = ops @ ops
-    projector_dev = float(np.max(np.abs(squares - ops)))
+    projector_dev = float(np.max(np.abs(np.subtract(squares, ops, out=squares))))
     traces = np.trace(ops, axis1=1, axis2=2)
     trace_dev = float(np.max(np.abs(traces - 1.0)))
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sic_forge import (
+    SearchConfig,
     build_clock,
     build_shift,
     build_sic_set,
@@ -14,7 +17,9 @@ from sic_forge import (
     operator_set,
     projectors_from_vectors,
     quasi_onb_certify,
+    search,
 )
+from sic_forge.operator_space import _pair_traces
 from conftest import random_state
 
 
@@ -35,6 +40,30 @@ def brute_force_frame_potential(vectors: np.ndarray) -> float:
         for w in vectors:
             total += abs(np.vdot(v, w)) ** 4
     return total
+
+
+def eigvalsh_rule(ops: np.ndarray, psd_floor: float):
+    """One eigendecomposition per operator: the first operator below the floor and its eigenvalue, or None."""
+    for i, a in enumerate(ops):
+        low = np.linalg.eigvalsh(a)[0]
+        if low < psd_floor:
+            return i, low
+    return None
+
+
+def complex_pair_traces(ops: np.ndarray) -> np.ndarray:
+    """Re tr(A_i A_j) as the complex product of the flattened operators with their flattened transposes."""
+    n = ops.shape[0]
+    return (ops.reshape(n, -1) @ ops.transpose(0, 2, 1).reshape(n, -1).T).real
+
+
+def planted_hermitian(rng: np.random.Generator, d: int, low: float) -> np.ndarray:
+    """Exactly Hermitian unit-HS-norm operator whose smallest eigenvalue is ``low``."""
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    rest = rng.uniform(0.1, 1.0, d - 1)
+    rest *= np.sqrt((1.0 - low**2) / np.sum(rest**2))
+    a = (u * np.concatenate([[low], rest])) @ u.conj().T
+    return (a + a.conj().T) / 2
 
 
 def random_psd_unit_norm(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -242,3 +271,65 @@ def test_pair_traces_are_stored_read_only(fiducial_d3):
     kt_measure(opset, 2.0)
     quasi_onb_certify(opset, tol=1e-10)
     np.testing.assert_allclose(np.diagonal(opset.pair_traces), 1.0, atol=1e-14)  # readers leave it intact
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.integers(2, 8),
+    st.lists(st.sampled_from([-2e-10, -0.5e-10, 0.0, 1e-3]), min_size=1, max_size=6),
+    st.sampled_from([-1e-10, 0.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_psd_check_and_pair_traces_match_oracles(d, lows, psd_floor, seed):
+    # lambda_min planted on, just inside and just outside the floor, where Cholesky alone would
+    # accept operators that the eigenvalue rule rejects
+    rng = np.random.default_rng(seed)
+    ops = np.stack([planted_hermitian(rng, d, low) for low in lows])
+    np.testing.assert_allclose(_pair_traces(ops), complex_pair_traces(ops), rtol=0, atol=1e-13)
+    for family in [ops] + [ops[i : i + 1] for i in range(len(ops))]:
+        verdict = eigvalsh_rule(family, psd_floor)
+        if verdict is None:
+            opset = operator_set(family, psd_floor=psd_floor)
+            np.testing.assert_allclose(opset.pair_traces, complex_pair_traces(family), rtol=0, atol=1e-13)
+        else:
+            i, low = verdict
+            with pytest.raises(ValueError) as err:
+                operator_set(family, psd_floor=psd_floor)
+            assert str(err.value) == f"operator {i} has eigenvalue {low:.3e} below the PSD floor {psd_floor:.1e}"
+
+
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_pair_traces_of_near_hermitian_operators(d):
+    # within hermitian_tol of Hermitian, the real Gram differs from Re tr(A_i A_j) by at most d * hermitian_tol
+    rng = np.random.default_rng(d)
+    ops = np.stack([planted_hermitian(rng, d, 0.0) for _ in range(d * d)])
+    ops += 3e-13 * (rng.uniform(-1, 1, ops.shape) + 1j * rng.uniform(-1, 1, ops.shape))
+    opset = operator_set(ops, hermitian_tol=1e-12)
+    assert np.max(np.abs(opset.pair_traces - complex_pair_traces(ops))) <= d * 1e-12
+
+
+@pytest.fixture(scope="module")
+def fiducial_d8():
+    cand = search(SearchConfig(dim=8, restarts=2, seed=5))
+    assert cand.certified
+    return cand.fiducial
+
+
+def test_psd_check_runs_eigvalsh_only_on_failure(monkeypatch, fiducial_d3, fiducial_d8):
+    valid = [build_sic_set(psi).projectors for psi in (fiducial_d3, fiducial_d8)]
+    invalid = np.array(valid[1])
+    invalid[5] = np.diag([1.0, -1.0, 0, 0, 0, 0, 0, 0]) / np.sqrt(2.0)
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for ops in valid:
+        operator_set(ops)
+    assert calls == []
+    with pytest.raises(ValueError, match=r"operator 5 has eigenvalue -7.071e-01 below the PSD floor"):
+        operator_set(invalid)
+    assert calls == [(64, 8, 8)]
