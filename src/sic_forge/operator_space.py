@@ -91,11 +91,11 @@ def operator_set(
     if herm_dev > hermitian_tol:
         raise ValueError(f"operator set is not Hermitian: max deviation {herm_dev:.3e}")
     pair_traces = _pair_traces(arr)
-    # The margin covers the roundoff of Cholesky and eigvalsh (2 d^2 eps times the largest norm), so a
-    # factorization that succeeds never accepts an operator that eigvalsh would put below the floor.
+    # The margin, 2 d^2 eps times (largest norm + |floor|), covers the roundoff of Cholesky and eigvalsh,
+    # so a factorization that succeeds never accepts an operator that eigvalsh would put below the floor.
     margin = 2 * d * d * np.finfo(float).eps * (math.sqrt(np.max(np.diagonal(pair_traces))) + abs(psd_floor))
     try:
-        np.linalg.cholesky(arr - (psd_floor + margin) * np.eye(d))
+        np.linalg.cholesky(np.subtract(arr, (psd_floor + margin) * np.eye(d), out=adj))
     except np.linalg.LinAlgError:
         lows = np.linalg.eigvalsh(arr)[:, 0]
         bad = np.flatnonzero(lows < psd_floor)
