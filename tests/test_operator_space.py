@@ -333,3 +333,10 @@ def test_psd_check_runs_eigvalsh_only_on_failure(monkeypatch, fiducial_d3, fiduc
     with pytest.raises(ValueError, match=r"operator 5 has eigenvalue -7.071e-01 below the PSD floor"):
         operator_set(invalid)
     assert calls == [(64, 8, 8)]
+
+
+def test_operator_set_accepts_operator_axis_innermost(fiducial_d3):
+    # np.array keeps this layout, whose flattened operators are not contiguous float rows
+    ops = build_sic_set(fiducial_d3).projectors
+    transposed = np.moveaxis(np.ascontiguousarray(np.moveaxis(ops, 0, -1)), -1, 0)
+    np.testing.assert_array_equal(operator_set(transposed).pair_traces, operator_set(ops).pair_traces)

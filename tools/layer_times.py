@@ -38,14 +38,14 @@ def layer_seconds(sf, d: int) -> dict:
 
 
 def main(checkouts: list) -> dict:
-    rounds = collections.defaultdict(list)
-    for r in range(ROUNDS):
-        for label, src in checkouts if r % 2 == 0 else checkouts[::-1]:
-            rounds[label].append(json.loads(subprocess.check_output([sys.executable, __file__, src], text=True)))
     sys.path.insert(0, str(ROOT / "bench"))
     from run import machine_facts  # the benchmark's own facts: CPUs, numpy, BLAS, thread variables, load
     cpu = next(l.split(":")[1].strip() for l in Path("/proc/cpuinfo").read_text().splitlines() if "model name" in l)
     machine = {**machine_facts(os.getloadavg()[0]), "cpu": cpu}
+    rounds = collections.defaultdict(list)
+    for r in range(ROUNDS):
+        for label, src in checkouts if r % 2 == 0 else checkouts[::-1]:
+            rounds[label].append(json.loads(subprocess.check_output([sys.executable, __file__, src], text=True)))
     layers = {label: {d: {k: round(1e6 * statistics.median(run[d][k] for run in runs), 1) for k in runs[0][d]}
                       for d in runs[0]} for label, runs in rounds.items()}
     return {"unit": "us", "statistic": f"median of {ROUNDS} rounds of the median of {REPS} repeats", "machine": machine,
