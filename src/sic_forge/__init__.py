@@ -12,7 +12,6 @@ as reproducible command-line runs over JSON artifacts.
 """
 
 from .wh import (
-    DisplacementTable,
     PhaseConstants,
     as_state_vector,
     build_clock,
@@ -21,7 +20,6 @@ from .wh import (
     check_dim,
     displace_state,
     displacement,
-    displacement_table,
     phase_constants,
 )
 from .operator_space import (

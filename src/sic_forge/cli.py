@@ -20,7 +20,7 @@ import numpy as np
 
 from . import files, geometry, mubs, operator_space, verify
 from .search import SearchConfig, search_detailed
-from .wh import as_state_vector
+from .wh import PURITY_TOL, as_state_vector
 
 __all__ = ["main"]
 
@@ -28,47 +28,33 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
-PURITY_TOL = 1e-9
+
+def _arg_type(convert, noun: str, ok, rule: str):
+    """An argparse type: ``convert`` the text (else "invalid NOUN"), then require ``ok(value)`` (else ``rule``)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {noun} {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(rule.format(value))
+        return value
+
+    return parse
 
 
-def _dim_arg(text: str) -> int:
+_dim_arg = _arg_type(int, "dimension", lambda v: v >= 2, "dimension must be >= 2, got {}")
+_positive_int = _arg_type(int, "integer", lambda v: v >= 1, "value must be >= 1, got {}")
+_seed_arg = _arg_type(int, "seed", lambda v: 0 <= v < 2**64, "seed must fit in 64 unsigned bits")
+_positive_float = _arg_type(float, "number", lambda v: 0.0 < v < math.inf, "value must be positive and finite, got {}")
+
+
+def _order_arg(text: str) -> float:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid dimension {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"dimension must be >= 2, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"value must be >= 1, got {value}")
-    return value
-
-
-def _seed_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"value must be positive and finite, got {value}")
-    return value
+        return operator_space._check_order(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kt = sub.add_parser("kt", help="orthonormality-defect lower bound, and the value on a fiducial's orbit")
     p_kt.add_argument("--dim", type=_dim_arg, required=True)
-    p_kt.add_argument("--t", type=float, required=True)
+    p_kt.add_argument("--t", type=_order_arg, required=True)
     p_kt.add_argument("--fiducial")
     p_kt.add_argument("--json", action="store_true")
     p_kt.set_defaults(func=cmd_kt)
@@ -265,22 +251,19 @@ def cmd_verify(args) -> int:
 
 
 def _purity_block(p: np.ndarray, sic: verify.SicSet) -> dict:
+    """Both purity residuals and the verdict; above the structure-tensor cap the cubic test is skipped (None)."""
     quad = geometry.purity_quadratic_residual(p)
-    block = {
+    cubic = pure = None
+    if sic.d <= geometry.STRUCTURE_TENSOR_MAX_DIM:
+        cubic = geometry.purity_cubic_residual(p, geometry.structure_coefficients(sic))
+        pure = bool(quad <= PURITY_TOL and cubic <= PURITY_TOL)
+    return {
         "quadratic_residual": quad,
         "quadratic_target": geometry.purity_quadratic_target(sic.d),
+        "cubic_residual": cubic,
+        "cubic_target": geometry.purity_cubic_target(sic.d),
+        "pure": pure,
     }
-    if sic.d <= geometry.STRUCTURE_TENSOR_MAX_DIM:
-        tensor = geometry.structure_coefficients(sic)
-        cubic = geometry.purity_cubic_residual(p, tensor)
-        block["cubic_residual"] = cubic
-        block["cubic_target"] = geometry.purity_cubic_target(sic.d)
-        block["pure"] = bool(quad <= PURITY_TOL and cubic <= PURITY_TOL)
-    else:
-        block["cubic_residual"] = None
-        block["cubic_target"] = geometry.purity_cubic_target(sic.d)
-        block["pure"] = None
-    return block
 
 
 def cmd_convert(args) -> int:
@@ -371,9 +354,6 @@ def cmd_mubs(args) -> int:
 
 
 def cmd_kt(args) -> int:
-    if not 1.0 <= args.t < math.inf:
-        print(f"error: --t must be finite and >= 1, got {args.t}", file=sys.stderr)
-        return EXIT_USAGE
     bound = operator_space.kt_lower_bound(args.dim, args.t)
     payload = {"command": "kt", "dim": args.dim, "t": args.t, "lower_bound": bound}
 

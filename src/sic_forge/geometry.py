@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .verify import SicSet
-from .wh import check_dim
+from .wh import HERMITIAN_TOL, PROBABILITY_FLOOR, PROBABILITY_SUM_TOL, PSD_FLOOR, PURITY_TOL, TRACE_TOL, check_dim
 
 __all__ = [
     "STRUCTURE_TENSOR_MAX_DIM",
@@ -42,13 +42,8 @@ __all__ = [
 STRUCTURE_TENSOR_MAX_DIM = 12
 
 
-def check_density_matrix(
-    rho,
-    hermitian_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    psd_floor: float = -1e-10,
-) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, PSD within a floor."""
+def check_density_matrix(rho) -> np.ndarray:
+    """Validate a density matrix: Hermitian, unit trace, PSD, within ``HERMITIAN_TOL``, ``TRACE_TOL``, ``PSD_FLOOR``."""
     arr = np.asarray(rho, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {arr.shape}")
@@ -56,24 +51,19 @@ def check_density_matrix(
     if not np.isfinite(arr).all():
         raise ValueError("density matrix rho has a non-finite entry")
     herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if herm_dev > hermitian_tol:
+    if herm_dev > HERMITIAN_TOL:
         raise ValueError(f"density matrix is not Hermitian: deviation {herm_dev:.3e}")
     trace_dev = abs(complex(np.trace(arr)) - 1.0)
-    if trace_dev > trace_tol:
+    if trace_dev > TRACE_TOL:
         raise ValueError(f"density matrix trace differs from 1 by {trace_dev:.3e}")
     low = float(np.linalg.eigvalsh(arr)[0])
-    if low < psd_floor:
-        raise ValueError(f"density matrix has eigenvalue {low:.3e} below the PSD floor {psd_floor:.1e}")
+    if low < PSD_FLOOR:
+        raise ValueError(f"density matrix has eigenvalue {low:.3e} below the PSD floor {PSD_FLOOR:.1e}")
     return arr
 
 
-def check_probability_vector(
-    p,
-    d: Optional[int] = None,
-    floor: float = -1e-12,
-    sum_tol: float = 1e-10,
-) -> np.ndarray:
-    """Validate SIC-outcome probabilities: length d^2, entries >= floor, summing to 1."""
+def check_probability_vector(p, d: Optional[int] = None) -> np.ndarray:
+    """Validate SIC-outcome probabilities: length d^2, entries >= ``PROBABILITY_FLOOR``, summing to 1."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"probability vector must be 1-D, got shape {arr.shape}")
@@ -86,10 +76,10 @@ def check_probability_vector(
     if not np.isfinite(arr).all():
         raise ValueError("probability vector p has a non-finite entry")
     low = float(arr.min())
-    if low < floor:
-        raise ValueError(f"probability vector has entry {low:.3e} below the floor {floor:.1e}")
+    if low < PROBABILITY_FLOOR:
+        raise ValueError(f"probability vector has entry {low:.3e} below the floor {PROBABILITY_FLOOR:.1e}")
     total_dev = abs(float(arr.sum()) - 1.0)
-    if total_dev > sum_tol:
+    if total_dev > PROBABILITY_SUM_TOL:
         raise ValueError(f"probabilities sum differs from 1 by {total_dev:.3e}")
     return arr
 
@@ -120,11 +110,11 @@ class ReconstructedDensity:
     physical: bool
 
 
-def reconstruct_density(p, sic: SicSet, psd_floor: float = -1e-10) -> ReconstructedDensity:
+def reconstruct_density(p, sic: SicSet) -> ReconstructedDensity:
     """Invert the SIC measurement map: rho = sum_i ((d+1) p(i) - 1/d) Pi_i.
 
     Every probability vector yields a Hermitian unit-trace operator; whether
-    it is an actual state is reported through the smallest eigenvalue.
+    it is an actual state is reported through the smallest eigenvalue (physical when >= ``PSD_FLOOR``).
     """
     _require_certified(sic)
     d = sic.d
@@ -134,7 +124,7 @@ def reconstruct_density(p, sic: SicSet, psd_floor: float = -1e-10) -> Reconstruc
     matrix = 0.5 * (matrix + matrix.conj().T)  # scrub roundoff asymmetry
     matrix.setflags(write=False)
     min_eig = float(np.linalg.eigvalsh(matrix)[0])
-    return ReconstructedDensity(matrix=matrix, min_eigenvalue=min_eig, physical=bool(min_eig >= psd_floor))
+    return ReconstructedDensity(matrix=matrix, min_eigenvalue=min_eig, physical=bool(min_eig >= PSD_FLOOR))
 
 
 def purity_quadratic_target(d: int) -> float:
@@ -157,19 +147,19 @@ class StructureTensor:
     c: np.ndarray
 
 
-def structure_coefficients(sic: SicSet, allow_large: bool = False) -> StructureTensor:
+def structure_coefficients(sic: SicSet) -> StructureTensor:
     """Dense tensor of triple projector overlaps.
 
     The tensor has d^6 entries, so dimensions above
-    ``STRUCTURE_TENSOR_MAX_DIM`` are refused unless ``allow_large`` is set.
+    ``STRUCTURE_TENSOR_MAX_DIM`` are refused.
     Each entry reduces to a product of pairwise vector overlaps,
     c_ijk = Re(<i|j><j|k><k|i>), which avoids d^6 explicit matrix products.
     """
     _require_certified(sic)
     d = sic.d
-    if d > STRUCTURE_TENSOR_MAX_DIM and not allow_large:
+    if d > STRUCTURE_TENSOR_MAX_DIM:
         raise ValueError(
-            f"structure tensor has d^6 = {d**6} entries at d={d}; pass allow_large=True to override"
+            f"structure tensor has d^6 = {d**6} entries at d={d}; dimensions above {STRUCTURE_TENSOR_MAX_DIM} are refused"
         )
     s = sic.vectors.conj() @ sic.vectors.T
     c = (s[:, :, None] * s[None, :, :] * s.T[:, None, :]).real  # s_ij s_jk s_ki
@@ -190,7 +180,7 @@ def purity_cubic_residual(p, tensor: StructureTensor) -> float:
     return abs(value - purity_cubic_target(tensor.d))
 
 
-def is_pure_probability_vector(p, tensor: StructureTensor, tol: float = 1e-9) -> bool:
-    """True when both purity residuals are within tol."""
+def is_pure_probability_vector(p, tensor: StructureTensor) -> bool:
+    """True when both purity residuals are within ``PURITY_TOL``."""
     p = check_probability_vector(p, tensor.d)
-    return purity_quadratic_residual(p) <= tol and purity_cubic_residual(p, tensor) <= tol
+    return purity_quadratic_residual(p) <= PURITY_TOL and purity_cubic_residual(p, tensor) <= PURITY_TOL

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .wh import check_dim, check_tolerance
+from .wh import HERMITIAN_TOL, PSD_FLOOR, UNIT_NORM_TOL, check_dim, check_tolerance
 
 __all__ = [
     "KtReport",
@@ -50,7 +50,7 @@ def _pair_traces(ops: np.ndarray) -> np.ndarray:
 class OperatorSet:
     """A validated family of PSD operators with unit Hilbert-Schmidt norm.
 
-    ``pair_traces[i, j]`` is Re<A_i, A_j> = tr(A_i A_j) within d * hermitian_tol,
+    ``pair_traces[i, j]`` is Re<A_i, A_j> = tr(A_i A_j) within d * HERMITIAN_TOL,
     computed once at validation; its diagonal holds the squared norms.
     """
 
@@ -63,15 +63,11 @@ class OperatorSet:
         return self.ops.shape[0]
 
 
-def operator_set(
-    ops,
-    hermitian_tol: float = 1e-12,
-    psd_floor: float = -1e-10,
-    norm_tol: float = 1e-10,
-) -> OperatorSet:
+def operator_set(ops) -> OperatorSet:
     """Validate and package operators: Hermitian, PSD within a floor, tr(A^2) = 1.
 
-    The eigenvalue floor accepts numerically rounded projectors coming out of
+    The thresholds are ``HERMITIAN_TOL``, ``PSD_FLOOR`` and ``UNIT_NORM_TOL``; the
+    eigenvalue floor accepts numerically rounded projectors coming out of
     floating-point searches.  One batched Cholesky factorization clears them all;
     only when it fails do eigenvalues decide and name the first operator below it.
     """
@@ -88,22 +84,22 @@ def operator_set(
     adj = np.conjugate(arr.transpose(0, 2, 1), order="C")
     adj -= arr
     herm_dev = float(np.max(np.abs(adj)))
-    if herm_dev > hermitian_tol:
+    if herm_dev > HERMITIAN_TOL:
         raise ValueError(f"operator set is not Hermitian: max deviation {herm_dev:.3e}")
     pair_traces = _pair_traces(arr)
     # The margin, 2 d^2 eps times (largest norm + |floor|), covers the roundoff of Cholesky and eigvalsh,
     # so a factorization that succeeds never accepts an operator that eigvalsh would put below the floor.
-    margin = 2 * d * d * np.finfo(float).eps * (math.sqrt(np.max(np.diagonal(pair_traces))) + abs(psd_floor))
+    margin = 2 * d * d * np.finfo(float).eps * (math.sqrt(np.max(np.diagonal(pair_traces))) + abs(PSD_FLOOR))
     try:
-        np.linalg.cholesky(np.subtract(arr, (psd_floor + margin) * np.eye(d), out=adj))
+        np.linalg.cholesky(np.subtract(arr, (PSD_FLOOR + margin) * np.eye(d), out=adj))
     except np.linalg.LinAlgError:
         lows = np.linalg.eigvalsh(arr)[:, 0]
-        bad = np.flatnonzero(lows < psd_floor)
+        bad = np.flatnonzero(lows < PSD_FLOOR)
         if bad.size:
             i = bad[0]
-            raise ValueError(f"operator {i} has eigenvalue {lows[i]:.3e} below the PSD floor {psd_floor:.1e}")
+            raise ValueError(f"operator {i} has eigenvalue {lows[i]:.3e} below the PSD floor {PSD_FLOOR:.1e}")
     norm_dev = float(np.max(np.abs(np.diagonal(pair_traces) - 1.0)))
-    if norm_dev > norm_tol:
+    if norm_dev > UNIT_NORM_TOL:
         raise ValueError(f"operators are not unit HS-norm: max |tr(A^2) - 1| = {norm_dev:.3e}")
 
     for table in (arr, pair_traces):
@@ -133,12 +129,18 @@ class KtReport:
     gap: Optional[float]
 
 
-def kt_lower_bound(d: int, t: float) -> float:
-    """Least possible order-t defect of d^2 PSD unit-norm operators: d^2(d-1)/(d+1)^(t-1)."""
-    d = check_dim(d)
+def _check_order(t) -> float:
+    """Validate a defect order t (finite and >= 1) and return it as float."""
     t = float(t)
     if not 1.0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 1, got {t}")
+    return t
+
+
+def kt_lower_bound(d: int, t: float) -> float:
+    """Least possible order-t defect of d^2 PSD unit-norm operators: d^2(d-1)/(d+1)^(t-1)."""
+    d = check_dim(d)
+    t = _check_order(t)
     return d * d * (d - 1) / (d + 1) ** (t - 1)
 
 
@@ -149,9 +151,7 @@ def kt_measure(opset: OperatorSet, t: float) -> KtReport:
     stays well defined under roundoff (exact overlaps of PSD operators are
     nonnegative).
     """
-    t = float(t)
-    if not 1.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 1, got {t}")
+    t = _check_order(t)
     overlaps = np.clip(opset.pair_traces, 0.0, None)
     np.fill_diagonal(overlaps, 0.0)
     value = float(np.sum(overlaps**t))
@@ -161,8 +161,8 @@ def kt_measure(opset: OperatorSet, t: float) -> KtReport:
     return KtReport(t=t, value=value, lower_bound=None, gap=None)
 
 
-def frame_potential(vectors, norm_tol: float = 1e-10) -> float:
-    """Fourth-power overlap sum over all ordered vector pairs, diagonal included."""
+def frame_potential(vectors) -> float:
+    """Fourth-power overlap sum over all ordered unit vector pairs (within ``UNIT_NORM_TOL``), diagonal included."""
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2 or v.shape[0] == 0:
         raise ValueError(f"expected a nonempty 2-D array of row vectors, got shape {v.shape}")
@@ -171,7 +171,7 @@ def frame_potential(vectors, norm_tol: float = 1e-10) -> float:
         raise ValueError(f"vectors has a non-finite entry in row {bad[0]}")
     norms = np.sum(np.abs(v) ** 2, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
-    if worst > norm_tol:
+    if worst > UNIT_NORM_TOL:
         raise ValueError(f"vectors are not unit-norm: max |norm^2 - 1| = {worst:.3e}")
     gram = v @ v.conj().T
     return float(np.sum((gram.real**2 + gram.imag**2) ** 2))

@@ -9,7 +9,14 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "DisplacementTable",
+    "HERMITIAN_TOL",
+    "PROBABILITY_FLOOR",
+    "PROBABILITY_SUM_TOL",
+    "PSD_FLOOR",
+    "PURITY_TOL",
+    "STATE_NORM_TOL",
+    "TRACE_TOL",
+    "UNIT_NORM_TOL",
     "PhaseConstants",
     "as_state_vector",
     "build_clock",
@@ -19,9 +26,18 @@ __all__ = [
     "check_tolerance",
     "displace_state",
     "displacement",
-    "displacement_table",
     "phase_constants",
 ]
+
+# Acceptance thresholds of the input validators here and in operator_space and geometry: fixed, not parameters.
+STATE_NORM_TOL = 1e-12  # |sum |psi_j|^2 - 1| of a state vector
+HERMITIAN_TOL = 1e-12  # max |A^dagger - A| of an operator or density matrix
+PSD_FLOOR = -1e-10  # least eigenvalue of a PSD operator, density matrix or physical reconstruction
+UNIT_NORM_TOL = 1e-10  # |tr(A^2) - 1| of an operator, |norm^2 - 1| of a frame vector
+TRACE_TOL = 1e-12  # |tr(rho) - 1| of a density matrix
+PROBABILITY_FLOOR = -1e-12  # least entry of a probability vector
+PROBABILITY_SUM_TOL = 1e-10  # |sum_i p(i) - 1| of a probability vector
+PURITY_TOL = 1e-9  # both purity residuals of a pure probability vector
 
 
 def check_dim(d: int) -> int:
@@ -45,10 +61,10 @@ def canonical_index(d: int, r) -> tuple[int, int]:
     return int(r1) % d, int(r2) % d
 
 
-def as_state_vector(psi, norm_tol: float = 1e-12) -> np.ndarray:
+def as_state_vector(psi) -> np.ndarray:
     """Coerce ``psi`` to a complex 1-D array and check unit norm.
 
-    The squared norm sum |psi_j|^2 must equal 1 within ``norm_tol``.
+    The squared norm sum |psi_j|^2 must equal 1 within ``STATE_NORM_TOL``.
     """
     v = np.ascontiguousarray(psi, dtype=complex)
     if v.ndim != 1:
@@ -60,7 +76,7 @@ def as_state_vector(psi, norm_tol: float = 1e-12) -> np.ndarray:
     # squared norm non-finite, so the components are scanned only then.
     if not math.isfinite(norm_sq) and not np.isfinite(v).all():
         raise ValueError("state vector has a non-finite component")
-    if abs(norm_sq - 1.0) > norm_tol:
+    if abs(norm_sq - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state vector is not unit-norm: sum |psi_j|^2 = {norm_sq!r}")
     return v
 
@@ -132,29 +148,6 @@ def displacement(d: int, r) -> np.ndarray:
     out = np.zeros((d, d), dtype=complex)
     out[(j + r1) % d, j] = pc.tau_power(r1 * r2) * pc.omega_powers[(j * r2) % d]
     return out
-
-
-@dataclass(frozen=True)
-class DisplacementTable:
-    """All d^2 displacement operators of one dimension, keyed by (r1, r2)."""
-
-    d: int
-    entries: dict
-
-    def __getitem__(self, r) -> np.ndarray:
-        return self.entries[canonical_index(self.d, r)]
-
-
-def displacement_table(d: int) -> DisplacementTable:
-    """Build the full table of d^2 displacement operators."""
-    d = check_dim(d)
-    entries = {}
-    for r1 in range(d):
-        for r2 in range(d):
-            m = displacement(d, (r1, r2))
-            m.setflags(write=False)
-            entries[(r1, r2)] = m
-    return DisplacementTable(d=d, entries=entries)
 
 
 def _displaced(psi: np.ndarray, r1, r2) -> np.ndarray:

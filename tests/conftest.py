@@ -9,6 +9,8 @@ products, so that each check exercises two genuinely different computations.
 import numpy as np
 import pytest
 
+from sic_forge import build_sic_set, displacement
+
 
 def oracle_clock(d: int) -> np.ndarray:
     omega = np.exp(2j * np.pi / d)
@@ -30,6 +32,11 @@ def oracle_displacement(d: int, r1: int, r2: int) -> np.ndarray:
         * np.linalg.matrix_power(oracle_shift(d), r1)
         @ np.linalg.matrix_power(oracle_clock(d), r2)
     )
+
+
+def displacement_table(d: int) -> dict:
+    """The package's d^2 displacement operators keyed by canonical (r1, r2): the d^4 stack the group checks read."""
+    return {(r1, r2): displacement(d, (r1, r2)) for r1 in range(d) for r2 in range(d)}
 
 
 def random_state(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -55,3 +62,13 @@ def fiducial_d2() -> np.ndarray:
 def fiducial_d3() -> np.ndarray:
     """Exact d=3 fiducial (0, 1, -1)/sqrt(2)."""
     return np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
+
+
+@pytest.fixture(scope="module")
+def sic_d2(fiducial_d2):
+    return build_sic_set(fiducial_d2)
+
+
+@pytest.fixture(scope="module")
+def sic_d3(fiducial_d3):
+    return build_sic_set(fiducial_d3)

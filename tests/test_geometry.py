@@ -19,16 +19,6 @@ from sic_forge import (
 from conftest import random_density, random_state
 
 
-@pytest.fixture(scope="module")
-def sic_d2(fiducial_d2):
-    return build_sic_set(fiducial_d2)
-
-
-@pytest.fixture(scope="module")
-def sic_d3(fiducial_d3):
-    return build_sic_set(fiducial_d3)
-
-
 def test_probabilities_of_maximally_mixed(sic_d3):
     p = sic_probabilities(np.eye(3) / 3.0, sic_d3)
     np.testing.assert_allclose(p, 1.0 / 9.0, atol=1e-12)
@@ -170,7 +160,7 @@ def test_pure_states_meet_both_conditions(d, sic_d2, sic_d3):
         p = sic_probabilities(np.outer(z, z.conj()), sic)
         assert purity_quadratic_residual(p) <= 1e-10
         assert purity_cubic_residual(p, tensor) <= 1e-10
-        assert is_pure_probability_vector(p, tensor, tol=1e-9)
+        assert is_pure_probability_vector(p, tensor)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -181,7 +171,7 @@ def test_mixed_states_fail_purity(d, sic_d2, sic_d3):
     for _ in range(50):
         p = sic_probabilities(random_density(rng, d), sic)
         assert purity_quadratic_residual(p) >= 1e-4 or purity_cubic_residual(p, tensor) >= 1e-4
-        assert not is_pure_probability_vector(p, tensor, tol=1e-9)
+        assert not is_pure_probability_vector(p, tensor)
 
 
 def test_purity_agrees_with_operator_level_test(sic_d3):
@@ -194,7 +184,7 @@ def test_purity_agrees_with_operator_level_test(sic_d3):
         mix = 10.0 ** rng.uniform(-6, -3)
         rho = (1 - mix) * pure + mix * np.eye(3) / 3.0
         p = sic_probabilities(rho, sic_d3)
-        claimed = is_pure_probability_vector(p, tensor, tol=1e-9)
+        claimed = is_pure_probability_vector(p, tensor)
         rec = reconstruct_density(p, sic_d3).matrix
         operator_pure = np.abs(rec @ rec - rec).max() <= 1e-8
         assert claimed == operator_pure

@@ -20,6 +20,7 @@ from sic_forge import (
     search,
 )
 from sic_forge.operator_space import _pair_traces
+from sic_forge.wh import HERMITIAN_TOL, PSD_FLOOR
 from conftest import random_state
 
 
@@ -42,11 +43,11 @@ def brute_force_frame_potential(vectors: np.ndarray) -> float:
     return total
 
 
-def eigvalsh_rule(ops: np.ndarray, psd_floor: float):
+def eigvalsh_rule(ops: np.ndarray):
     """One eigendecomposition per operator: the first operator below the floor and its eigenvalue, or None."""
     for i, a in enumerate(ops):
         low = np.linalg.eigvalsh(a)[0]
-        if low < psd_floor:
+        if low < PSD_FLOOR:
             return i, low
     return None
 
@@ -277,35 +278,34 @@ def test_pair_traces_are_stored_read_only(fiducial_d3):
 @given(
     st.integers(2, 8),
     st.lists(st.sampled_from([-2e-10, -0.5e-10, 0.0, 1e-3]), min_size=1, max_size=6),
-    st.sampled_from([-1e-10, 0.0]),
     st.integers(0, 2**32 - 1),
 )
-def test_psd_check_and_pair_traces_match_oracles(d, lows, psd_floor, seed):
+def test_psd_check_and_pair_traces_match_oracles(d, lows, seed):
     # lambda_min planted on, just inside and just outside the floor, where Cholesky alone would
     # accept operators that the eigenvalue rule rejects
     rng = np.random.default_rng(seed)
     ops = np.stack([planted_hermitian(rng, d, low) for low in lows])
     np.testing.assert_allclose(_pair_traces(ops), complex_pair_traces(ops), rtol=0, atol=1e-13)
     for family in [ops] + [ops[i : i + 1] for i in range(len(ops))]:
-        verdict = eigvalsh_rule(family, psd_floor)
+        verdict = eigvalsh_rule(family)
         if verdict is None:
-            opset = operator_set(family, psd_floor=psd_floor)
+            opset = operator_set(family)
             np.testing.assert_allclose(opset.pair_traces, complex_pair_traces(family), rtol=0, atol=1e-13)
         else:
             i, low = verdict
             with pytest.raises(ValueError) as err:
-                operator_set(family, psd_floor=psd_floor)
-            assert str(err.value) == f"operator {i} has eigenvalue {low:.3e} below the PSD floor {psd_floor:.1e}"
+                operator_set(family)
+            assert str(err.value) == f"operator {i} has eigenvalue {low:.3e} below the PSD floor {PSD_FLOOR:.1e}"
 
 
 @pytest.mark.parametrize("d", [2, 5, 8])
 def test_pair_traces_of_near_hermitian_operators(d):
-    # within hermitian_tol of Hermitian, the real Gram differs from Re tr(A_i A_j) by at most d * hermitian_tol
+    # within HERMITIAN_TOL of Hermitian, the real Gram differs from Re tr(A_i A_j) by at most d * HERMITIAN_TOL
     rng = np.random.default_rng(d)
     ops = np.stack([planted_hermitian(rng, d, 0.0) for _ in range(d * d)])
     ops += 3e-13 * (rng.uniform(-1, 1, ops.shape) + 1j * rng.uniform(-1, 1, ops.shape))
-    opset = operator_set(ops, hermitian_tol=1e-12)
-    assert np.max(np.abs(opset.pair_traces - complex_pair_traces(ops))) <= d * 1e-12
+    opset = operator_set(ops)
+    assert np.max(np.abs(opset.pair_traces - complex_pair_traces(ops))) <= d * HERMITIAN_TOL
 
 
 @pytest.fixture(scope="module")

@@ -11,10 +11,9 @@ from sic_forge import (
     check_dim,
     displace_state,
     displacement,
-    displacement_table,
     phase_constants,
 )
-from conftest import oracle_displacement, random_state
+from conftest import displacement_table, oracle_displacement, random_state
 
 
 def test_clock_d2_literal():
@@ -105,7 +104,7 @@ def test_displacement_matches_matrix_power_oracle(d):
 @pytest.mark.parametrize("d", range(2, 13))
 def test_displacement_table_unitary(d):
     table = displacement_table(d)
-    assert len(table.entries) == d * d
+    assert len(table) == d * d
     for r1 in range(d):
         for r2 in range(d):
             m = table[(r1, r2)]
