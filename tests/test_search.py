@@ -1,6 +1,7 @@
 """Search objective, gradient, descent, and reproducibility."""
 
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -310,6 +311,40 @@ def test_search_rejects_bad_config():
     for bad in (3.9, 3.0, "3"):
         with pytest.raises(ValueError, match=repr(bad)):
             search(SearchConfig(dim=bad, restarts=1, seed=0))
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("restarts", 2.5),
+        ("restarts", float("nan")),
+        ("restarts", "4"),
+        ("max_iters", float("nan")),
+        ("max_iters", 2.5),
+        ("max_iters", float("inf")),
+        ("max_iters", 0),
+        ("seed", 1.5),
+        ("seed", float("nan")),
+        ("seed", -1),
+        ("seed", 2**64),
+    ],
+)
+def test_search_config_counts_must_be_integers(field, bad):
+    # integer fields are never truncated or compared as floats; the message names the field and the value
+    with pytest.raises(ValueError, match=rf"^{field} .*{re.escape(repr(bad))}$"):
+        search(SearchConfig(**{"dim": 3, "restarts": 1, "seed": 0, "max_iters": 5, field: bad}))
+
+
+@pytest.mark.parametrize("good", [np.int64(3), np.uint64(7)])
+def test_search_config_accepts_numpy_integers(good):
+    # numpy integers pass, as for the dimension
+    assert search(SearchConfig(dim=3, restarts=good, seed=good, max_iters=good)).restarts_used == int(good)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -3, 2.5, 0, "10"])
+def test_polish_rejects_bad_max_iters(bad, fiducial_d3):
+    with pytest.raises(ValueError, match=rf"^max_iters .*{re.escape(repr(bad))}$"):
+        polish(fiducial_d3, max_iters=bad)
 
 
 def test_search_is_deterministic():
