@@ -10,7 +10,11 @@ gradient is W's adjoint applied to rho, computed through one FFT of rho*B in
 O(d^2 log d) without forming W, and W itself is built only for the
 Gauss-Newton refinement.  Each trial point runs the overlap kernel once; its
 residual and overlaps then feed the next gradient or Gauss-Newton step.
-Input is validated at the public entry points only.
+The restarts of one run descend together in lockstep batches along a leading
+row axis, one trial point per restart per step of the batch; each restart keeps
+its own line search and exits, so its trajectory equals the restart run alone.
+The Gauss-Newton tail then runs restart by restart.  Input is validated at the
+public entry points only.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ _REFINE_SWITCH = 1e-10  # objective level where the least-squares refinement tak
 _REFINE_MAX_ITERS = 60
 _REFINE_MIN_SCALE = _SHRINK**19  # the Gauss-Newton step is halved at most 19 times
 _STEP_TOL = 1e-13  # a restart stops once its accepted step is shorter than this
+_BATCH_ENTRIES = 2**16  # overlap entries (restarts x d^2) descending together: bounds a batch's memory
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,10 @@ class RestartOutcome:
     """Final objective and trace of one restart.
 
     ``iterations`` is ``descent_iterations + refine_iterations``;
-    ``evaluations`` counts overlap-kernel runs, the start point included.
+    ``evaluations`` counts the points the overlap kernel evaluated for this
+    restart, the start point included.  Restarts descend together in lockstep
+    batches, and each restart's trajectory and counts equal those of the
+    restart run alone.
     ``stop_reason`` is one of ``STOP_REASONS``: the run reached the
     objective floor, its last line search found no decrease (a local
     minimum, or a zero gradient), or it spent its iteration budget.  Every
@@ -144,12 +152,17 @@ class _Point(NamedTuple):
 
 
 def _evaluate(psi: np.ndarray) -> _Point:
-    """Run the overlap kernel once at psi: rho = |B|^2 - t and f = sum rho^2 / d."""
-    d = psi.shape[0]
-    b = _overlaps(psi).reshape(-1)
+    """Run the overlap kernel once at psi[..., d]: rho = |B|^2 - t and f = sum rho^2 / d, per row."""
+    d = psi.shape[-1]
+    b = _overlaps(psi).reshape(*psi.shape[:-1], d * d)
     rho = b.real**2 + b.imag**2 - 1.0 / (d + 1)
-    rho[0] -= d / (d + 1)  # t = 1 at the origin
-    return _Point(psi, float(rho @ rho) / d, rho, b)
+    rho[..., 0] -= d / (d + 1)  # t = 1 at the origin
+    return _Point(psi, np.vecdot(rho, rho) / d, rho, b)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Norms of the rows of x[..., d], each equal bit for bit to np.linalg.norm of the row."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
 def _gradient(point: _Point) -> np.ndarray:
@@ -161,16 +174,16 @@ def _gradient(point: _Point) -> np.ndarray:
     rho is real, so the conj(B) half of W needs only the conjugate of F.
     """
     psi = point.psi
-    d = psi.shape[0]
+    *rows, d = psi.shape
     lead, sub, add = _gradient_tables(d)
-    f = np.fft.fft((point.rho * point.b).reshape(d, d), axis=1)
-    g = (4.0 / d) * (f.conj().reshape(-1)[lead] * psi[sub] + f * psi[add]).sum(axis=0)
-    return g - np.vdot(psi, g) * psi
+    f = np.fft.fft((point.rho * point.b).reshape(*rows, d, d), axis=-1)
+    g = (4.0 / d) * (f.conj().reshape(*rows, d * d)[..., lead] * psi[..., sub] + f * psi[..., add]).sum(axis=-2)
+    return g - np.vecdot(psi, g)[..., None] * psi
 
 
 def objective(psi) -> float:
     """Sum of squared overlap residuals over d; equals the summed squared quartic defects."""
-    return _evaluate(as_state_vector(psi)).f
+    return float(_evaluate(as_state_vector(psi)).f)
 
 
 def objective_gradient(psi) -> np.ndarray:
@@ -200,37 +213,58 @@ def _backtrack(psi: np.ndarray, direction: np.ndarray, scale: float, min_scale: 
 
 def _gradient_descent(
     point: _Point, max_iters: int, objective_floor: float, step_tol: float
-) -> tuple[_Point, int, int]:
-    """Backtracking descent with Barzilai-Borwein step seeding; returns (point, iterations, evaluations).
+) -> tuple[_Point, np.ndarray, np.ndarray]:
+    """Backtracking descent with Barzilai-Borwein step seeding of the rows psi[R, d];
+    returns (points, iterations, evaluations), all per row.
 
-    Each accepted step renormalizes back onto the sphere and satisfies an
-    Armijo decrease, so the objective is nonincreasing along the trajectory.
+    The rows advance in lockstep, one trial point per active row per tick.  Each
+    row keeps its own Armijo test, step halving, BB step and exits, so it makes
+    exactly the evaluations it makes alone.  Each accepted step renormalizes back
+    onto the sphere and satisfies an Armijo decrease, so every row's objective is
+    nonincreasing along its trajectory.  Finished rows leave the working arrays,
+    which hold the active rows only.
     """
+    final = _Point(*(np.empty_like(a) for a in point))
+    iterations, evaluations = np.zeros((2, len(point.f)), dtype=int)
+    rows = np.arange(len(point.f))  # the original index of each working row
+    point = _Point(*(a.copy() for a in point))
     g = _gradient(point)
-    step = 1.0 / max(1.0, float(np.linalg.norm(g)))
-    iterations = evaluations = 0
-    while iterations < max_iters and point.f > objective_floor:
-        gnorm_sq = float(np.vdot(g, g).real)
-        if gnorm_sq <= 0.0:
-            break
-        alpha = min(max(step, _MIN_STEP), _MAX_STEP)
-        trial, alpha, trials = _backtrack(
-            point.psi, -g, alpha, _MIN_STEP, lambda a, f_new: f_new <= point.f - _ARMIJO * a * gnorm_sq
-        )
-        evaluations += trials
-        if trial is None:
-            break  # line search stalled: at the numerical floor of the basin
-        iterations += 1
-        g_new = _gradient(trial)
-        s = trial.psi - point.psi
-        y = g_new - g
-        sy = float(np.vdot(s, y).real)
-        ss = float(np.vdot(s, s).real)
-        step = ss / sy if sy > 1e-300 else alpha * 2.0
-        point, g = trial, g_new
-        if math.sqrt(ss) <= step_tol:
-            break
-    return point, iterations, evaluations
+    gnorm_sq = np.vecdot(g, g).real
+    scale = np.clip(1.0 / np.maximum(1.0, _norms(g)), _MIN_STEP, _MAX_STEP)
+    iters, ticks = np.zeros(len(rows), dtype=int), 0  # every working row evaluates one trial per tick
+    go = (max_iters > 0) & (point.f > objective_floor) & (gnorm_sq > 0.0)
+    while True:
+        if np.count_nonzero(go) < len(go):  # retire the finished rows with their last accepted points
+            done = ~go
+            evaluations[rows[done]] = ticks
+            for out, a in zip((*final, iterations), (*point, iters)):
+                out[rows[done]] = a[done]
+            point = _Point(*(a[go] for a in point))
+            rows, g, gnorm_sq, scale, iters = (a[go] for a in (rows, g, gnorm_sq, scale, iters))
+            if not len(rows):
+                return final, iterations, evaluations
+        cand = point.psi + scale[:, None] * -g
+        trial = _evaluate(cand / _norms(cand)[:, None])
+        ticks += 1
+        ok = trial.f <= point.f - _ARMIJO * scale * gnorm_sq
+        scale[~ok] *= _SHRINK
+        go = ok | (scale >= _MIN_STEP)  # a row whose halving runs out stalled: the basin's floor
+        accepted = np.count_nonzero(ok)
+        if not accepted:
+            continue
+        acc = slice(None) if accepted == len(ok) else ok
+        new = _Point(*(a[acc] for a in trial))
+        g_new = _gradient(new)
+        s, y = new.psi - point.psi[acc], g_new - g[acc]
+        sy, ss = np.vecdot(s, y).real, np.vecdot(s, s).real
+        step = np.where(sy > 1e-300, ss / np.maximum(sy, 1e-300), scale[acc] * 2.0)
+        for a, v in zip((*point, g), (*new, g_new)):
+            a[acc] = v
+        gnorm_sq[acc] = np.vecdot(g_new, g_new).real
+        scale[acc] = np.clip(step, _MIN_STEP, _MAX_STEP)
+        iters[acc] += 1
+        go[acc] = (np.sqrt(ss) > step_tol) & (iters[acc] < max_iters) & (new.f > objective_floor)
+        go[acc] &= gnorm_sq[acc] > 0.0
 
 
 def _least_squares_refine(
@@ -272,11 +306,12 @@ def _least_squares_refine(
 
 
 def _descend(
-    psi: np.ndarray, max_iters: int, objective_floor: float, step_tol: float, restart: int = 0
-) -> tuple[_Point, RestartOutcome]:
-    """Two-phase minimization, sharing the max_iters budget across both phases:
-    global descent first, then least-squares refinement of the tail, which
-    starts from the descent's last evaluated point.
+    psi: np.ndarray, max_iters: int, objective_floor: float, step_tol: float, first: int = 0
+) -> list[tuple[_Point, RestartOutcome]]:
+    """Two-phase minimization of the rows of psi[R, d], restarts first, first + 1, ...,
+    sharing the max_iters budget across both phases: global descent of all rows
+    in lockstep first, then least-squares refinement of each row's tail, which
+    starts from the row's last evaluated descent point.
 
     The restart's stop reason is the refinement's.  A descent that stalls, or
     whose step falls below step_tol, above the floor leaves budget, so the
@@ -284,18 +319,24 @@ def _descend(
     stopped by the floor or the spent budget, which also ended the descent.
     """
     switch = max(objective_floor, _REFINE_SWITCH)
-    point, descent_iters, descent_evals = _gradient_descent(_evaluate(psi), max_iters, switch, step_tol)
-    budget = min(_REFINE_MAX_ITERS, max_iters - descent_iters)
-    point, refine_iters, refine_evals, stop = _least_squares_refine(point, objective_floor, budget)
-    return point, RestartOutcome(
-        restart=restart,
-        objective_value=point.f,
-        iterations=descent_iters + refine_iters,
-        descent_iterations=descent_iters,
-        refine_iterations=refine_iters,
-        evaluations=1 + descent_evals + refine_evals,
-        stop_reason=stop,
-    )
+    ends, descent_iters, descent_evals = _gradient_descent(_evaluate(psi), max_iters, switch, step_tol)
+    results = []
+    for row, (descent, evals) in enumerate(zip(descent_iters.tolist(), descent_evals.tolist())):
+        budget = min(_REFINE_MAX_ITERS, max_iters - descent)
+        point, refine, refine_evals, stop = _least_squares_refine(
+            _Point(*(a[row] for a in ends)), objective_floor, budget
+        )
+        outcome = RestartOutcome(
+            restart=first + row,
+            objective_value=float(point.f),
+            iterations=descent + refine,
+            descent_iterations=descent,
+            refine_iterations=refine,
+            evaluations=1 + evals + refine_evals,
+            stop_reason=stop,
+        )
+        results.append((point, outcome))
+    return results
 
 
 def _random_start(d: int, seed: int, restart: int) -> np.ndarray:
@@ -312,7 +353,7 @@ def _candidate(psi: np.ndarray, restarts_used: int, iterations: int, residual_to
     quartic = quartic_residual(psi)
     return SicCandidate(
         fiducial=psi,
-        objective_value=_evaluate(psi).f,
+        objective_value=float(_evaluate(psi).f),
         gram_residual=gram_residual(psi),
         quartic_residual=quartic,
         restarts_used=restarts_used,
@@ -321,35 +362,45 @@ def _candidate(psi: np.ndarray, restarts_used: int, iterations: int, residual_to
     )
 
 
+def _check_integer(value, name: str, low: int, high: int | None = None) -> int:
+    """Validate an integer field in [low, high) (a Python or numpy integer, as for the dimension) and return it as int."""
+    if isinstance(value, (int, np.integer)) and low <= value and (high is None or value < high):
+        return int(value)
+    rule = f">= {low}" if high is None else f"in [{low}, {high})"
+    raise ValueError(f"{name} must be an integer {rule}, got {value!r}")
+
+
 def search_detailed(config: SearchConfig) -> tuple[SicCandidate, tuple[RestartOutcome, ...]]:
     """Run all restarts and return the best candidate plus per-restart outcomes.
 
-    Restarts run one after another.  Every restart is explored regardless of
-    earlier successes and the winner is the lowest objective value, ties
-    broken by lowest restart index.
+    Restarts descend together, in lockstep batches of at most 2**16 overlap
+    entries (restarts x d^2); each restart's outcome equals that of the restart
+    run alone, so it depends neither on the batch size nor on the restart count.
+    Every restart is explored regardless of earlier successes and the winner is
+    the lowest objective value, ties broken by lowest restart index.
     """
     d = check_dim(config.dim)
-    if config.restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {config.restarts}")
-    if config.max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {config.max_iters}")
+    restarts = _check_integer(config.restarts, "restarts", 1)
+    max_iters = _check_integer(config.max_iters, "max_iters", 1)
     check_tolerance(config.accept_tol, "accept_tol")
-    if not 0 <= int(config.seed) < 2**64:
-        raise ValueError(f"seed must fit in 64 unsigned bits, got {config.seed}")
+    seed = _check_integer(config.seed, "seed", 0, 2**64)
 
     floor = config.accept_tol * 1e-4  # converge comfortably past acceptance
-    results = [
-        _descend(_random_start(d, int(config.seed), restart), config.max_iters, floor, _STEP_TOL, restart)
-        for restart in range(config.restarts)
-    ]
-    best, best_outcome = min(results, key=lambda r: (r[1].objective_value, r[1].restart))
+    batch = max(1, _BATCH_ENTRIES // (d * d))
+    outcomes, best = [], None
+    for first in range(0, restarts, batch):
+        starts = np.array([_random_start(d, seed, r) for r in range(first, min(first + batch, restarts))])
+        for point, outcome in _descend(starts, max_iters, floor, _STEP_TOL, first):
+            outcomes.append(outcome)
+            if best is None or outcome.objective_value < best[1].objective_value:
+                best = point, outcome
     candidate = _candidate(
-        best.psi,
-        restarts_used=config.restarts,
-        iterations=best_outcome.iterations,
+        best[0].psi,
+        restarts_used=restarts,
+        iterations=best[1].iterations,
         residual_tol=math.sqrt(config.accept_tol),
     )
-    return candidate, tuple(outcome for _, outcome in results)
+    return candidate, tuple(outcomes)
 
 
 def search(config: SearchConfig) -> SicCandidate:
@@ -369,6 +420,7 @@ def polish(psi, max_iters: int = 4000, residual_tol: float = 1e-9) -> SicCandida
     point found and honest residuals.
     """
     psi = as_state_vector(psi)
+    max_iters = _check_integer(max_iters, "max_iters", 1)
     residual_tol = check_tolerance(residual_tol, "residual_tol")
-    refined, outcome = _descend(psi, max_iters, 1e-28, 0.0)
+    [(refined, outcome)] = _descend(psi[None], max_iters, 1e-28, 0.0)
     return _candidate(refined.psi, restarts_used=0, iterations=outcome.iterations, residual_tol=residual_tol)

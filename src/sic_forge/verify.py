@@ -49,10 +49,11 @@ def _overlaps(psi: np.ndarray) -> np.ndarray:
     """B[r1, r2] = sum_j omega**(j*r2) conj(psi_{j+r1}) psi_j: one inverse FFT over j.
 
     B is the overlap <psi|D_(r1,r2)|psi> without its tau**(r1*r2) phase, which
-    drops out of every modulus.
+    drops out of every modulus.  A stack of states psi[..., d] gives B[..., r1, r2],
+    each row equal bit for bit to the row's own call.
     """
-    d = psi.shape[0]
-    return d * np.fft.ifft(psi.conj()[_cyclic_add(d)] * psi, axis=1)
+    d = psi.shape[-1]
+    return d * np.fft.ifft(psi.conj()[..., _cyclic_add(d)] * psi[..., None, :], axis=-1)
 
 
 def _overlap_grid(psi: np.ndarray) -> np.ndarray:

@@ -1,0 +1,142 @@
+"""Lockstep restart batches: every restart's trajectory equals the restart run alone.
+
+The serial descent below is the one-restart-at-a-time loop the search ran
+before restarts were batched.  It is kept here as the oracle of the batched
+descent: outcomes and final points must agree bit for bit.
+"""
+
+import dataclasses
+import importlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sic_forge import SearchConfig, search_detailed
+from sic_forge.search import (
+    _ARMIJO,
+    _MAX_STEP,
+    _MIN_STEP,
+    _REFINE_MAX_ITERS,
+    _REFINE_SWITCH,
+    _STEP_TOL,
+    _backtrack,
+    _evaluate,
+    _gradient,
+    _least_squares_refine,
+    _norms,
+    _random_start,
+)
+from conftest import random_state
+
+search_module = importlib.import_module("sic_forge.search")
+
+
+def serial_descent(point, max_iters: int, objective_floor: float, step_tol: float):
+    """Backtracking descent with Barzilai-Borwein step seeding of one restart; returns (point, iterations, evaluations)."""
+    g = _gradient(point)
+    step = 1.0 / max(1.0, float(np.linalg.norm(g)))
+    iterations = evaluations = 0
+    while iterations < max_iters and point.f > objective_floor:
+        gnorm_sq = float(np.vdot(g, g).real)
+        if gnorm_sq <= 0.0:
+            break
+        alpha = min(max(step, _MIN_STEP), _MAX_STEP)
+        trial, alpha, trials = _backtrack(
+            point.psi, -g, alpha, _MIN_STEP, lambda a, f_new: f_new <= point.f - _ARMIJO * a * gnorm_sq
+        )
+        evaluations += trials
+        if trial is None:
+            break  # line search stalled: at the numerical floor of the basin
+        iterations += 1
+        g_new = _gradient(trial)
+        s = trial.psi - point.psi
+        y = g_new - g
+        sy = float(np.vdot(s, y).real)
+        ss = float(np.vdot(s, s).real)
+        step = ss / sy if sy > 1e-300 else alpha * 2.0
+        point, g = trial, g_new
+        if math.sqrt(ss) <= step_tol:
+            break
+    return point, iterations, evaluations
+
+
+def serial_restart(config: SearchConfig, restart: int):
+    """One restart of search_detailed run alone: (final psi, outcome fields as a tuple)."""
+    floor = config.accept_tol * 1e-4
+    start = _evaluate(_random_start(config.dim, config.seed, restart))
+    point, descent, evals = serial_descent(start, config.max_iters, max(floor, _REFINE_SWITCH), _STEP_TOL)
+    budget = min(_REFINE_MAX_ITERS, config.max_iters - descent)
+    point, refine, refine_evals, stop = _least_squares_refine(point, floor, budget)
+    return point.psi, (restart, float(point.f), descent + refine, descent, refine, 1 + evals + refine_evals, stop)
+
+
+def fingerprint(result):
+    """Everything search_detailed returns, the fiducial as bytes."""
+    candidate, outcomes = result
+    fields = dataclasses.asdict(candidate)
+    fields["fiducial"] = candidate.fiducial.tobytes()
+    return fields, outcomes
+
+
+@pytest.mark.parametrize("d", [3, 8, 12])
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_batched_search_equals_the_serial_oracle(d, seed):
+    config = SearchConfig(dim=d, restarts=6, seed=seed)
+    candidate, outcomes = search_detailed(config)
+    alone = [serial_restart(config, r) for r in range(config.restarts)]
+    assert [dataclasses.astuple(o) for o in outcomes] == [fields for _, fields in alone]
+    best = min(range(config.restarts), key=lambda r: (alone[r][1][1], r))
+    assert candidate.fiducial.tobytes() == alone[best][0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig(dim=3, restarts=7, seed=3),
+        SearchConfig(dim=8, restarts=7, seed=5),
+        SearchConfig(dim=5, restarts=7, seed=11, max_iters=40),
+    ],
+)
+def test_outcomes_do_not_depend_on_the_batch_size(monkeypatch, config):
+    batches = []
+    descend = search_module._descend
+
+    def recording(psi, *args):
+        batches.append(psi.shape[0])
+        return descend(psi, *args)
+
+    monkeypatch.setattr(search_module, "_descend", recording)
+    default = fingerprint(search_detailed(config))
+    assert batches == [7]  # the default cap holds every restart of these runs in one batch
+    for entries, rows in ((1, [1] * 7), (3 * config.dim**2, [3, 3, 1])):
+        monkeypatch.setattr(search_module, "_BATCH_ENTRIES", entries)
+        batches.clear()
+        assert fingerprint(search_detailed(config)) == default
+        assert batches == rows
+
+
+@pytest.mark.parametrize("k", [1, 5, 11])
+def test_restart_outcomes_do_not_depend_on_the_restart_count(k):
+    _, all16 = search_detailed(SearchConfig(dim=6, restarts=16, seed=77))
+    _, first = search_detailed(SearchConfig(dim=6, restarts=k, seed=77))
+    assert first == all16[:k]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.integers(2, 16), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_batched_kernels_equal_row_calls_bit_for_bit(d, rows, seed):
+    rng = np.random.default_rng(seed)
+    psi = np.array([random_state(rng, d) for _ in range(rows)])
+    batch = _evaluate(psi)
+    gradients = _gradient(batch)
+    norms = _norms(gradients)
+    for r in range(rows):
+        alone = _evaluate(psi[r])
+        assert batch.f[r].tobytes() == alone.f.tobytes()
+        assert batch.rho[r].tobytes() == alone.rho.tobytes()
+        assert batch.b[r].tobytes() == alone.b.tobytes()
+        assert gradients[r].tobytes() == _gradient(alone).tobytes()
+        assert norms[r] == np.linalg.norm(gradients[r])

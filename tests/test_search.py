@@ -1,6 +1,7 @@
 """Search objective, gradient, descent, and reproducibility."""
 
 import importlib
+import math
 import re
 
 import numpy as np
@@ -167,7 +168,7 @@ def test_only_gauss_newton_builds_the_residual_derivative(monkeypatch):
 
     monkeypatch.setattr(module, "_residual_derivative", counting)
     for d in (3, 8, 24):
-        module._gradient_descent(module._evaluate(module._random_start(d, 7, 0)), 400, 1e-10, 0.0)
+        module._gradient_descent(module._evaluate(module._random_start(d, 7, 0)[None]), 400, 1e-10, 0.0)
     assert calls == []
     _, outcomes = search_detailed(SearchConfig(dim=8, restarts=4, seed=5))
     attempts = sum(o.refine_iterations + (o.stop_reason == "line_search_stalled") for o in outcomes)
@@ -178,9 +179,9 @@ def test_descent_is_monotone():
     # same start, growing budget: the best objective can only go down
     from sic_forge.search import _evaluate, _gradient_descent, _random_start
 
-    psi0 = _random_start(4, 42, 0)
+    psi0 = _random_start(4, 42, 0)[None]
     values = [
-        _gradient_descent(_evaluate(psi0.copy()), budget, 0.0, 0.0)[0].f for budget in range(1, 12)
+        _gradient_descent(_evaluate(psi0.copy()), budget, 0.0, 0.0)[0].f[0] for budget in range(1, 12)
     ]
     assert all(b <= a + 1e-18 for a, b in zip(values, values[1:]))
 
@@ -216,14 +217,14 @@ def test_restart_trace_is_deterministic_and_consistent(monkeypatch):
     original = module._overlaps
 
     def counting(psi):
-        kernel_runs.append(1)
+        kernel_runs.append(math.prod(psi.shape[:-1]))  # the points in one call: its leading-axis size
         return original(psi)
 
     monkeypatch.setattr(module, "_overlaps", counting)
     config = SearchConfig(dim=8, restarts=4, seed=5)
     _, outcomes = search_detailed(config)
-    # every overlap-kernel run of the restarts is counted, plus one for the candidate's objective
-    assert len(kernel_runs) == sum(o.evaluations for o in outcomes) + 1
+    # every point the overlap kernel evaluated for the restarts is counted, plus one for the candidate's objective
+    assert sum(kernel_runs) == sum(o.evaluations for o in outcomes) + 1
     assert search_detailed(config)[1] == outcomes
     for o in outcomes:
         assert o.descent_iterations + o.refine_iterations == o.iterations
