@@ -268,10 +268,10 @@ def _purity_block(p: np.ndarray, sic: verify.SicSet) -> dict:
 
 def cmd_convert(args) -> int:
     psi = as_state_vector(files.load_fiducial(args.fiducial))
-    sic = verify.build_sic_set(psi, tol=1e-10)
+    sic = verify.build_sic_set(psi)
     if not sic.certified:
         raise ValueError(
-            f"fiducial is not certified at 1e-10 (gram={sic.gram_residual:.3e}, "
+            f"fiducial is not certified at {sic.tol} (gram={sic.gram_residual:.3e}, "
             f"quartic={sic.quartic_residual:.3e}); refusing to convert"
         )
     os.makedirs(args.out, exist_ok=True)
