@@ -143,10 +143,13 @@ def _gradient_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _Point(NamedTuple):
-    """A search point with its objective f, overlap residual rho and overlaps B, flattened over r = r1*d + r2."""
+    """A search point with its objective f, overlap residual rho and overlaps B, flattened over r = r1*d + r2.
+
+    A stack of points psi[R, d] carries f[R], rho[R, d^2] and B[R, d^2].
+    """
 
     psi: np.ndarray
-    f: float
+    f: float | np.ndarray
     rho: np.ndarray
     b: np.ndarray
 
