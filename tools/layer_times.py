@@ -1,12 +1,18 @@
-"""Median us per operator_space layer on the bench candidates d = 8..24: layer_times.py LABEL=SRC [LABEL=SRC ...]
+"""Median us per layer, operator_space and search, by checkout: layer_times.py LABEL=SRC [LABEL=SRC ...]
 
-Each SRC runs in its own interpreter, in rounds of alternating order (median of round medians).  A line tracer (about
-1 us per line) times operator_set's inline steps; operator_set untraced, K_t, frame potential and quasi-ONB run whole.
+Each SRC runs in its own interpreter, in rounds of alternating order (median of round medians).
+operator_space, on the bench candidates d = 8..24: a line tracer (about 1 us per line) times operator_set's inline
+steps; operator_set untraced, K_t, frame potential and quasi-ONB run whole.
+search, per bench search (d, restarts) at workload seed 1: wall and CPU us of search_detailed (CPU of the whole
+process, BLAS threads included), and one descent tick, _evaluate then _gradient, for R = 1 and R = 16 restarts: one
+call on an (R, d) stack where the search batches its restarts, R calls on single states where it does not.
 """
-import collections, json, linecache, os, statistics, subprocess, sys, time, timeit
+import collections, importlib, json, linecache, os, statistics, subprocess, sys, time, timeit
 from pathlib import Path
 
-ROOT, DIMS, ROUNDS, REPS = Path(__file__).resolve().parents[1], (8, 12, 16, 20, 24), 3, 15
+import numpy as np
+
+ROOT, DIMS, ROUNDS, REPS, SEARCH_REPS, TICKS = Path(__file__).resolve().parents[1], (8, 12, 16, 20, 24), 3, 15, 5, 50
 INLINE = {"copy": ("np.array(ops",), "psd": ("eigvalsh", "cholesky", "lows", "margin"),  # first match wins
           "hermiticity": ("herm", "adj"), "pair_traces": ("_pair_traces",)}
 
@@ -37,6 +43,32 @@ def layer_seconds(sf, d: int) -> dict:
     return {k: statistics.median(r[k] for r in runs) for k in runs[0]}
 
 
+def search_seconds(sf, d: int, restarts: int, seed: int) -> dict:
+    search = importlib.import_module("sic_forge.search")  # the package attribute `search` is the function
+    config, runs = sf.SearchConfig(dim=d, restarts=restarts, seed=seed), []
+    for _ in range(SEARCH_REPS):
+        wall, cpu = time.perf_counter(), time.process_time()
+        sf.search_detailed(config)
+        runs.append({"search_wall": time.perf_counter() - wall, "search_cpu": time.process_time() - cpu})
+    row = {k: statistics.median(r[k] for r in runs) for k in runs[0]}
+    batched = hasattr(search, "_BATCH_ENTRIES")
+    for rows in (1, 16):
+        states = [search._random_start(d, seed, r) for r in range(rows)]
+        stack = np.array(states)
+        tick = (lambda: search._gradient(search._evaluate(stack))) if batched else (
+            lambda: [search._gradient(search._evaluate(p)) for p in states])
+        row[f"tick_r{rows}"] = statistics.median(timeit.repeat(tick, number=TICKS, repeat=REPS)) / TICKS
+    return row
+
+
+def child(src: str) -> dict:
+    sys.path[:0] = [src, str(ROOT / "bench")]
+    sf = __import__("sic_forge.files")
+    from workloads import Search, derived_seed  # the bench search's (d, restarts) and seeds
+    return {"operator_space": {d: layer_seconds(sf, d) for d in DIMS},
+            "search": {f"d={d} R={r}": search_seconds(sf, d, r, derived_seed(1, d)) for d, r in Search.dims}}
+
+
 def main(checkouts: list) -> dict:
     sys.path.insert(0, str(ROOT / "bench"))
     from run import machine_facts  # the benchmark's own facts: CPUs, numpy, BLAS, thread variables, load
@@ -46,15 +78,16 @@ def main(checkouts: list) -> dict:
     for r in range(ROUNDS):
         for label, src in checkouts if r % 2 == 0 else checkouts[::-1]:
             rounds[label].append(json.loads(subprocess.check_output([sys.executable, __file__, src], text=True)))
-    layers = {label: {d: {k: round(1e6 * statistics.median(run[d][k] for run in runs), 1) for k in runs[0][d]}
-                      for d in runs[0]} for label, runs in rounds.items()}
-    return {"unit": "us", "statistic": f"median of {ROUNDS} rounds of the median of {REPS} repeats", "machine": machine,
+    layers = {label: {table: {key: {k: round(1e6 * statistics.median(run[table][key][k] for run in runs), 1)
+                                    for k in runs[0][table][key]} for key in runs[0][table]} for table in runs[0]}
+              for label, runs in rounds.items()}
+    return {"unit": "us", "statistic": f"median of {ROUNDS} rounds of the median of {REPS} repeats ({SEARCH_REPS} for "
+            f"search_detailed; a tick repeat is the mean of {TICKS} ticks)", "machine": machine,
             "command": "python tools/layer_times.py " + " ".join(f"{l}=SRC" for l, _ in checkouts), "layers": layers}
 
 
 if __name__ == "__main__":
-    if "=" not in sys.argv[1]:  # a child: time the checkout whose src is given (the package, files loaded)
-        sys.path.insert(0, sys.argv[1])
-        print(json.dumps({d: layer_seconds(__import__("sic_forge.files"), d) for d in DIMS}))
+    if "=" not in sys.argv[1]:  # a child: time the checkout whose src is given
+        print(json.dumps(child(sys.argv[1])))
     else:
         print(json.dumps(main([tuple(a.split("=", 1)) for a in sys.argv[1:]]), indent=1))
