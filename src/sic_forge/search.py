@@ -230,7 +230,6 @@ def _gradient_descent(
     final = _Point(*(np.empty_like(a) for a in point))
     iterations, evaluations = np.zeros((2, len(point.f)), dtype=int)
     rows = np.arange(len(point.f))  # the original index of each working row
-    point = _Point(*(a.copy() for a in point))
     g = _gradient(point)
     gnorm_sq = np.vecdot(g, g).real
     scale = np.clip(1.0 / np.maximum(1.0, _norms(g)), _MIN_STEP, _MAX_STEP)
@@ -250,24 +249,23 @@ def _gradient_descent(
         trial = _evaluate(cand / _norms(cand)[:, None])
         ticks += 1
         ok = trial.f <= point.f - _ARMIJO * scale * gnorm_sq
-        scale[~ok] *= _SHRINK
-        go = ok | (scale >= _MIN_STEP)  # a row whose halving runs out stalled: the basin's floor
-        accepted = np.count_nonzero(ok)
-        if not accepted:
+        accepted, halved = np.count_nonzero(ok), scale * _SHRINK
+        if not accepted:  # every row halves its step; a row whose halving runs out stalled: the basin's floor
+            scale, go = halved, halved >= _MIN_STEP
             continue
-        acc = slice(None) if accepted == len(ok) else ok
-        new = _Point(*(a[acc] for a in trial))
-        g_new = _gradient(new)
-        s, y = new.psi - point.psi[acc], g_new - g[acc]
+        g_new = _gradient(trial)  # at every trial of the tick; a failed row keeps its gradient below
+        s, y = trial.psi - point.psi, g_new - g
         sy, ss = np.vecdot(s, y).real, np.vecdot(s, s).real
-        step = np.where(sy > 1e-300, ss / np.maximum(sy, 1e-300), scale[acc] * 2.0)
-        for a, v in zip((*point, g), (*new, g_new)):
-            a[acc] = v
-        gnorm_sq[acc] = np.vecdot(g_new, g_new).real
-        scale[acc] = np.clip(step, _MIN_STEP, _MAX_STEP)
-        iters[acc] += 1
-        go[acc] = (np.sqrt(ss) > step_tol) & (iters[acc] < max_iters) & (new.f > objective_floor)
-        go[acc] &= gnorm_sq[acc] > 0.0
+        step = np.clip(np.where(sy > 1e-300, ss / np.maximum(sy, 1e-300), scale * 2.0), _MIN_STEP, _MAX_STEP)
+        gn = np.vecdot(g_new, g_new).real
+        if accepted < len(ok):  # a row whose trial failed keeps its point and halves its step
+            c = ok[:, None]
+            trial = _Point(*(np.where(c if a.ndim > 1 else ok, t, a) for t, a in zip(trial, point)))
+            g_new, gn, step = np.where(c, g_new, g), np.where(ok, gn, gnorm_sq), np.where(ok, step, halved)
+        point, g, gnorm_sq, scale = trial, g_new, gn, step
+        iters += ok
+        going = (np.sqrt(ss) > step_tol) & (iters < max_iters) & (point.f > objective_floor) & (gnorm_sq > 0.0)
+        go = np.where(ok, going, scale >= _MIN_STEP)
 
 
 def _least_squares_refine(
