@@ -6,10 +6,19 @@ dense matrix-vector products, and tensor entries from explicit triple
 products, so that each check exercises two genuinely different computations.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sic_forge import build_sic_set, displacement
+from sic_forge import build_sic_set, displacement, files
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+
+
+def bench_fiducial(d: int) -> np.ndarray:
+    """The stored bench candidate for d (bench/make_fiducials.py)."""
+    return files.load_fiducial(BENCH_DATA / f"fiducial_d{d}.json")
 
 
 def oracle_clock(d: int) -> np.ndarray:

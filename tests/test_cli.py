@@ -9,7 +9,7 @@ import pytest
 
 from sic_forge import SearchConfig, build_sic_set, files, search_detailed
 from sic_forge.cli import main
-from conftest import random_density
+from conftest import BENCH_DATA, random_density
 
 
 @pytest.fixture()
@@ -232,6 +232,19 @@ def test_kt_reports_bound_and_value(hesse_file, capsys):
     assert payload["value"] == pytest.approx(4.5, abs=1e-8)
     code, _, _ = run(capsys, ["kt", "--dim", "4", "--t", "0.5"])
     assert code == 2
+
+
+@pytest.mark.parametrize("with_fiducial", [False, True])
+def test_kt_at_large_t_prints_strict_json(with_fiducial, capsys):
+    # (d+1)**(t-1) overflows a float at d = 7, t = 400; the bound underflows to a finite value
+    argv = ["kt", "--dim", "7", "--t", "400", "--json"]
+    if with_fiducial:
+        argv += ["--fiducial", str(BENCH_DATA / "fiducial_d7.json")]
+    code, stdout, _ = run(capsys, argv)
+    assert code == 0
+    payload = json.loads(stdout, parse_constant=lambda token: pytest.fail(f"non-finite JSON token {token}"))
+    assert payload["lower_bound"] >= 0.0
+    assert ("value" in payload) == with_fiducial
 
 
 def test_kt_rejects_non_finite_t(capsys):

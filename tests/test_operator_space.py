@@ -1,5 +1,7 @@
 """Orthonormality defect, its lower bound, frame potential, and certification."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from sic_forge import (
 )
 from sic_forge.operator_space import _pair_traces
 from sic_forge.wh import HERMITIAN_TOL, PSD_FLOOR
-from conftest import random_state
+from conftest import bench_fiducial, random_state
 
 
 def brute_force_kt(ops: np.ndarray, t: float) -> float:
@@ -101,6 +103,21 @@ def test_kt_lower_bound_values(d, t, expected):
 def test_kt_lower_bound_rejects_small_t():
     with pytest.raises(ValueError):
         kt_lower_bound(3, 0.5)
+
+
+def test_kt_lower_bound_past_the_float_range_of_its_power():
+    # (d+1)**(t-1) = 8**342 = 2**1026 overflows a float; the bound 294 * 2**-1026 does not
+    assert kt_lower_bound(7, 343.0) == pytest.approx(math.ldexp(294.0, -1026), rel=1e-12)
+    for t in (400.0, 1e308):
+        bound = kt_lower_bound(7, t)
+        assert math.isfinite(bound) and bound >= 0.0
+
+
+def test_kt_measure_at_large_t():
+    opset = projectors_from_vectors(build_sic_set(bench_fiducial(7)).vectors)
+    report = kt_measure(opset, 400.0)
+    assert math.isfinite(report.lower_bound) and math.isfinite(report.gap)
+    assert report.value >= 0.0 and report.lower_bound >= 0.0
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf")])
