@@ -138,10 +138,16 @@ def _check_order(t) -> float:
 
 
 def kt_lower_bound(d: int, t: float) -> float:
-    """Least possible order-t defect of d^2 PSD unit-norm operators: d^2(d-1)/(d+1)^(t-1)."""
+    """Least possible order-t defect of d^2 PSD unit-norm operators: d^2(d-1)/(d+1)^(t-1).
+
+    Where (d+1)^(t-1) overflows a float, the bound is taken through logs, and underflows to 0.0 at the largest t.
+    """
     d = check_dim(d)
     t = _check_order(t)
-    return d * d * (d - 1) / (d + 1) ** (t - 1)
+    try:
+        return d * d * (d - 1) / (d + 1) ** (t - 1)
+    except OverflowError:
+        return math.exp(math.log(d * d * (d - 1)) - (t - 1) * math.log(d + 1))
 
 
 def kt_measure(opset: OperatorSet, t: float) -> KtReport:
