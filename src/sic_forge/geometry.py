@@ -8,8 +8,11 @@ linearly and invertibly to probability vectors:
 The inverse accepts any probability vector but does not guarantee positivity;
 physicality is diagnosed through the smallest eigenvalue rather than enforced.
 Pure states are exactly the probability vectors meeting two trace conditions:
-a quadratic one, sum_i p(i)^2 = 2/(d(d+1)), and a cubic one contracted against
-the triple-overlap tensor c_ijk = Re tr(Pi_i Pi_j Pi_k).
+a quadratic one, sum_i p(i)^2 = 2/(d(d+1)), and a cubic one,
+sum_ijk c_ijk p(i) p(j) p(k) = (d+7)/(d+1)^3, against the triple-overlap tensor
+c_ijk = Re tr(Pi_i Pi_j Pi_k).  The cubic sum is evaluated in O(d^4) as tr(A^3)
+with A = sum_i p(i) |v_i><v_i|; the dense d^6 tensor is still built, for callers
+and as the test oracle, but the purity test does not read it.
 """
 
 from __future__ import annotations
@@ -141,10 +144,11 @@ def purity_quadratic_residual(p) -> float:
 
 @dataclass(frozen=True)
 class StructureTensor:
-    """Triple-overlap coefficients c[i, j, k] = Re tr(Pi_i Pi_j Pi_k)."""
+    """Triple-overlap coefficients c[i, j, k] = Re tr(Pi_i Pi_j Pi_k), with the SIC set's read-only vectors."""
 
     d: int
     c: np.ndarray
+    vectors: np.ndarray
 
 
 def structure_coefficients(sic: SicSet) -> StructureTensor:
@@ -162,9 +166,11 @@ def structure_coefficients(sic: SicSet) -> StructureTensor:
             f"structure tensor has d^6 = {d**6} entries at d={d}; dimensions above {STRUCTURE_TENSOR_MAX_DIM} are refused"
         )
     s = sic.vectors.conj() @ sic.vectors.T
-    c = (s[:, :, None] * s[None, :, :] * s.T[:, None, :]).real  # s_ij s_jk s_ki
+    t = s[:, :, None] * s[None, :, :]
+    t *= s.T[:, None, :]  # s_ij s_jk s_ki
+    c = t.real.copy()  # contiguous, and the complex products are not kept alive
     c.setflags(write=False)
-    return StructureTensor(d=d, c=c)
+    return StructureTensor(d=d, c=c, vectors=sic.vectors)
 
 
 def purity_cubic_target(d: int) -> float:
@@ -173,11 +179,15 @@ def purity_cubic_target(d: int) -> float:
 
 
 def purity_cubic_residual(p, tensor: StructureTensor) -> float:
-    """|sum_{ijk} c_ijk p(i) p(j) p(k) - (d+7)/(d+1)^3|."""
+    """|sum_{ijk} c_ijk p(i) p(j) p(k) - (d+7)/(d+1)^3|, the sum taken as tr(A^3) with A = sum_i p(i) |v_i><v_i|.
+
+    A is Hermitian for real p, and the imaginary parts of tr(Pi_i Pi_j Pi_k) cancel under j <-> k, so tr(A^3)
+    equals the d^6 contraction against c for any real p, state or not.
+    """
     p = check_probability_vector(p, tensor.d)
-    contracted = np.tensordot(tensor.c, p, axes=([2], [0]))
-    value = float(p @ contracted @ p)
-    return abs(value - purity_cubic_target(tensor.d))
+    v = tensor.vectors
+    a = (v.T * p) @ v.conj()
+    return abs(float(np.vdot(a @ a, a).real) - purity_cubic_target(tensor.d))
 
 
 def is_pure_probability_vector(p, tensor: StructureTensor) -> bool:

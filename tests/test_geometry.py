@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sic_forge import (
+    SearchConfig,
     build_sic_set,
     check_density_matrix,
     check_probability_vector,
@@ -13,10 +17,33 @@ from sic_forge import (
     purity_quadratic_residual,
     purity_quadratic_target,
     reconstruct_density,
+    search,
     sic_probabilities,
     structure_coefficients,
 )
-from conftest import random_density, random_state
+from conftest import bench_fiducial, random_density, random_state
+
+
+def dense_triple_products(sic) -> np.ndarray:
+    """Re tr(Pi_i Pi_j Pi_k) from explicit products of the projector stack."""
+    proj = sic.projectors
+    return np.einsum("iab,jbc,kca->ijk", proj, proj, proj).real
+
+
+def dense_cubic_residual(p, tensor) -> float:
+    """The cubic purity residual as the d^6 contraction of p against the stored tensor c."""
+    value = float(p @ np.tensordot(tensor.c, p, axes=([2], [0])) @ p)
+    return abs(value - purity_cubic_target(tensor.d))
+
+
+@pytest.fixture(scope="module")
+def tensors(sic_d2, sic_d3):
+    """Structure tensors for d = 2..7: exact fiducials for d = 2, 3, searched ones above."""
+    sics = {2: sic_d2, 3: sic_d3}
+    for d in range(4, 8):
+        sics[d] = build_sic_set(search(SearchConfig(dim=d, restarts=12, seed=7)).fiducial)
+    assert all(sic.certified for sic in sics.values())
+    return {d: structure_coefficients(sic) for d, sic in sics.items()}
 
 
 def test_probabilities_of_maximally_mixed(sic_d3):
@@ -120,6 +147,39 @@ def test_structure_tensor_matches_dense_triple_products(sic_d2):
             for k in range(4):
                 dense = np.trace(proj[i] @ proj[j] @ proj[k]).real
                 assert abs(tensor.c[i, j, k] - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_structure_tensor_is_contiguous_and_owns_its_data(d, sic_d2, sic_d3):
+    sic = {2: sic_d2, 3: sic_d3}.get(d) or build_sic_set(bench_fiducial(d))
+    tensor = structure_coefficients(sic)
+    c = tensor.c
+    assert c.dtype == np.float64 and c.flags.c_contiguous and c.flags.owndata and not c.flags.writeable
+    np.testing.assert_allclose(c, dense_triple_products(sic), rtol=0, atol=1e-12)
+    assert tensor.vectors is sic.vectors and not tensor.vectors.flags.writeable
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data(), st.integers(2, 7))
+def test_cubic_residual_equals_the_dense_contraction_on_the_simplex(tensors, data, d):
+    # any point of the simplex, unphysical ones included: vertices, faces and interior
+    weights = data.draw(arrays(np.float64, (d * d,), elements=st.floats(0.0, 1.0)))
+    assume(weights.sum() > 0.0)
+    p = weights / weights.sum()
+    tensor = tensors[d]
+    assert purity_cubic_residual(p, tensor) == pytest.approx(dense_cubic_residual(p, tensor), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [11, 12])
+def test_cubic_residual_equals_the_dense_contraction_on_bench_fiducials(d):
+    sic = build_sic_set(bench_fiducial(d))
+    tensor = structure_coefficients(sic)
+    rng = np.random.default_rng(2100 + d)
+    points = [sic_probabilities(random_density(rng, d), sic) for _ in range(3)]
+    points += [sic_probabilities(np.outer(z, z.conj()), sic) for z in (random_state(rng, d) for _ in range(3))]
+    points += [rng.dirichlet(np.full(d * d, 0.2)) for _ in range(3)]
+    for p in points:
+        assert purity_cubic_residual(p, tensor) == pytest.approx(dense_cubic_residual(p, tensor), rel=0, abs=1e-12)
 
 
 def test_structure_tensor_guard():
