@@ -1,4 +1,4 @@
-"""Median us per layer, operator_space and search, by checkout: layer_times.py LABEL=SRC [LABEL=SRC ...]
+"""Median us per layer, operator_space, search and tomography, by checkout: layer_times.py LABEL=SRC [LABEL=SRC ...]
 
 Each SRC runs in its own interpreter, in rounds of alternating order (median of round medians).
 operator_space, on the bench candidates d = 8..24: a line tracer (about 1 us per line) times operator_set's inline
@@ -6,6 +6,8 @@ steps; operator_set untraced, K_t, frame potential and quasi-ONB run whole.
 search, per bench search (d, restarts) at workload seed 1: wall and CPU us of search_detailed (CPU of the whole
 process, BLAS threads included), and one descent tick, _evaluate then _gradient, for R = 1 and R = 16 restarts: one
 call on an (R, d) stack where the search batches its restarts, R calls on single states where it does not.
+tomography, on the bench tomography candidates (d = 5, 7, 11): the geometry and mubs calls of one seeded pure state,
+and structure_coefficients, each repeated to about 10 ms per repeat and reported per call.
 """
 import collections, importlib, json, linecache, os, statistics, subprocess, sys, time, timeit
 from pathlib import Path
@@ -61,12 +63,35 @@ def search_seconds(sf, d: int, restarts: int, seed: int) -> dict:
     return row
 
 
+def per_call(fn, *args) -> float:
+    number = max(1, int(0.01 / timeit.timeit(lambda: fn(*args), number=1)))
+    return statistics.median(timeit.repeat(lambda: fn(*args), number=number, repeat=REPS)) / number
+
+
+def tomography_seconds(sf, psi) -> dict:
+    sic = sf.build_sic_set(psi)
+    d, tensor, mubset = sic.d, sf.structure_coefficients(sic), sf.build_mubs(sic.d)
+    rng = np.random.default_rng([1, d])
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    z /= np.linalg.norm(z)
+    rho = np.outer(z, z.conj())
+    p = sf.sic_probabilities(rho, sic)
+    calls = {"sic_probabilities": (sf.sic_probabilities, rho, sic),
+             "reconstruct_density": (sf.reconstruct_density, p, sic),
+             "structure_coefficients": (sf.structure_coefficients, sic),
+             "purity_quadratic_residual": (sf.purity_quadratic_residual, p),
+             "purity_cubic_residual": (sf.purity_cubic_residual, p, tensor),
+             "uncertainty_profile": (sf.uncertainty_profile, z, mubset)}
+    return {k: per_call(*c) for k, c in calls.items()}
+
+
 def child(src: str) -> dict:
     sys.path[:0] = [src, str(ROOT / "bench")]
     sf = __import__("sic_forge.files")
-    from workloads import Search, derived_seed  # the bench search's (d, restarts) and seeds
+    from workloads import Search, Tomography, derived_seed, load_candidate  # the bench's dimensions, seeds, candidates
     return {"operator_space": {d: layer_seconds(sf, d) for d in DIMS},
-            "search": {f"d={d} R={r}": search_seconds(sf, d, r, derived_seed(1, d)) for d, r in Search.dims}}
+            "search": {f"d={d} R={r}": search_seconds(sf, d, r, derived_seed(1, d)) for d, r in Search.dims},
+            "tomography": {d: tomography_seconds(sf, load_candidate(d, True)) for d, _ in Tomography.states_per_dim}}
 
 
 def main(checkouts: list) -> dict:
@@ -82,8 +107,9 @@ def main(checkouts: list) -> dict:
                                     for k in runs[0][table][key]} for key in runs[0][table]} for table in runs[0]}
               for label, runs in rounds.items()}
     return {"unit": "us", "statistic": f"median of {ROUNDS} rounds of the median of {REPS} repeats ({SEARCH_REPS} for "
-            f"search_detailed; a tick repeat is the mean of {TICKS} ticks)", "machine": machine,
-            "command": "python tools/layer_times.py " + " ".join(f"{l}=SRC" for l, _ in checkouts), "layers": layers}
+            f"search_detailed; a tick repeat is the mean of {TICKS} ticks, a tomography repeat about 10 ms of calls)",
+            "machine": machine, "command": "python tools/layer_times.py " + " ".join(f"{l}=SRC" for l, _ in checkouts),
+            "layers": layers}
 
 
 if __name__ == "__main__":
