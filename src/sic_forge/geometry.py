@@ -10,9 +10,9 @@ physicality is diagnosed through the smallest eigenvalue rather than enforced.
 Pure states are exactly the probability vectors meeting two trace conditions:
 a quadratic one, sum_i p(i)^2 = 2/(d(d+1)), and a cubic one,
 sum_ijk c_ijk p(i) p(j) p(k) = (d+7)/(d+1)^3, against the triple-overlap tensor
-c_ijk = Re tr(Pi_i Pi_j Pi_k).  The cubic sum is evaluated in O(d^4) as tr(A^3)
-with A = sum_i p(i) |v_i><v_i|; the dense d^6 tensor is still built, for callers
-and as the test oracle, but the purity test does not read it.
+c_ijk = Re tr(Pi_i Pi_j Pi_k).  The purity test evaluates the cubic sum in O(d^4)
+as tr(A^3) with A = sum_i p(i) |v_i><v_i|, from the d^2 SIC vectors; the d^6
+tensor c serves callers and the tests' dense contraction.
 """
 
 from __future__ import annotations

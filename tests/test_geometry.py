@@ -37,12 +37,17 @@ def dense_cubic_residual(p, tensor) -> float:
 
 
 @pytest.fixture(scope="module")
-def tensors(sic_d2, sic_d3):
-    """Structure tensors for d = 2..7: exact fiducials for d = 2, 3, searched ones above."""
-    sics = {2: sic_d2, 3: sic_d3}
+def sics(sic_d2, sic_d3):
+    """SIC sets for d = 2..7: exact fiducials for d = 2, 3, searched ones above."""
+    found = {2: sic_d2, 3: sic_d3}
     for d in range(4, 8):
-        sics[d] = build_sic_set(search(SearchConfig(dim=d, restarts=12, seed=7)).fiducial)
-    assert all(sic.certified for sic in sics.values())
+        found[d] = build_sic_set(search(SearchConfig(dim=d, restarts=12, seed=7)).fiducial)
+    assert all(sic.certified for sic in found.values())
+    return found
+
+
+@pytest.fixture(scope="module")
+def tensors(sics):
     return {d: structure_coefficients(sic) for d, sic in sics.items()}
 
 
@@ -150,8 +155,8 @@ def test_structure_tensor_matches_dense_triple_products(sic_d2):
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
-def test_structure_tensor_is_contiguous_and_owns_its_data(d, sic_d2, sic_d3):
-    sic = {2: sic_d2, 3: sic_d3}.get(d) or build_sic_set(bench_fiducial(d))
+def test_structure_tensor_is_contiguous_and_owns_its_data(d, sics):
+    sic = sics[d]
     tensor = structure_coefficients(sic)
     c = tensor.c
     assert c.dtype == np.float64 and c.flags.c_contiguous and c.flags.owndata and not c.flags.writeable
