@@ -20,7 +20,7 @@ import numpy as np
 
 from . import files, geometry, mubs, operator_space, verify
 from .search import SearchConfig, search_detailed
-from .wh import PURITY_TOL, as_state_vector
+from .wh import as_state_vector
 
 __all__ = ["main"]
 
@@ -251,18 +251,13 @@ def cmd_verify(args) -> int:
 
 
 def _purity_block(p: np.ndarray, sic: verify.SicSet) -> dict:
-    """Both purity residuals and the verdict; above the structure-tensor cap the cubic test is skipped (None)."""
-    quad = geometry.purity_quadratic_residual(p)
-    cubic = pure = None
-    if sic.d <= geometry.STRUCTURE_TENSOR_MAX_DIM:
-        cubic = geometry.purity_cubic_residual(p, geometry.structure_coefficients(sic))
-        pure = bool(quad <= PURITY_TOL and cubic <= PURITY_TOL)
+    """Both purity residuals with their targets and the boolean verdict, at every d, from the SIC vectors."""
     return {
-        "quadratic_residual": quad,
+        "quadratic_residual": geometry.purity_quadratic_residual(p),
         "quadratic_target": geometry.purity_quadratic_target(sic.d),
-        "cubic_residual": cubic,
+        "cubic_residual": geometry.purity_cubic_residual(p, sic),
         "cubic_target": geometry.purity_cubic_target(sic.d),
-        "pure": pure,
+        "pure": geometry.is_pure_probability_vector(p, sic),
     }
 
 
@@ -274,32 +269,27 @@ def cmd_convert(args) -> int:
             f"fiducial is not certified at {sic.tol} (gram={sic.gram_residual:.3e}, "
             f"quartic={sic.quartic_residual:.3e}); refusing to convert"
         )
-    os.makedirs(args.out, exist_ok=True)
 
     if args.rho is not None:
-        rho = geometry.check_density_matrix(files.load_density(args.rho))
-        p = geometry.sic_probabilities(rho, sic)
+        p = geometry.sic_probabilities(files.load_density(args.rho), sic)
         purity = _purity_block(p, sic)
         out_path = os.path.join(args.out, "probabilities.json")
-        files.write_json_atomic(out_path, files.probabilities_payload(p, sic.d, extra={"purity": purity}))
+        payload = files.probabilities_payload(p, sic.d, extra={"purity": purity})
         summary = {"command": "convert", "dim": sic.d, "direction": "rho->p", "purity": purity, "artifact_paths": [out_path]}
     else:
-        p = geometry.check_probability_vector(files.load_probabilities(args.probs), sic.d)
+        p = files.load_probabilities(args.probs)
         rec = geometry.reconstruct_density(p, sic)
         purity = _purity_block(p, sic)
         out_path = os.path.join(args.out, "density.json")
-        files.write_json_atomic(
-            out_path,
-            files.density_payload(
-                rec.matrix,
-                extra={
-                    "reconstruction": {
-                        "min_eigenvalue": rec.min_eigenvalue,
-                        "physical": rec.physical,
-                        "purity": purity,
-                    }
-                },
-            ),
+        payload = files.density_payload(
+            rec.matrix,
+            extra={
+                "reconstruction": {
+                    "min_eigenvalue": rec.min_eigenvalue,
+                    "physical": rec.physical,
+                    "purity": purity,
+                }
+            },
         )
         summary = {
             "command": "convert",
@@ -310,6 +300,8 @@ def cmd_convert(args) -> int:
             "purity": purity,
             "artifact_paths": [out_path],
         }
+    os.makedirs(args.out, exist_ok=True)
+    files.write_json_atomic(out_path, payload)
 
     if args.json:
         print(json.dumps(summary, indent=2, allow_nan=False))
@@ -317,8 +309,7 @@ def cmd_convert(args) -> int:
         print(f"dim: {summary['dim']}")
         print(f"direction: {summary['direction']}")
         print(f"purity_quadratic_residual: {purity['quadratic_residual']:.6e}")
-        if purity["cubic_residual"] is not None:
-            print(f"purity_cubic_residual: {purity['cubic_residual']:.6e}")
+        print(f"purity_cubic_residual: {purity['cubic_residual']:.6e}")
         if "min_eigenvalue" in summary:
             print(f"min_eigenvalue: {summary['min_eigenvalue']:.6e}")
             print(f"physical: {'yes' if summary['physical'] else 'no'}")

@@ -10,9 +10,11 @@ physicality is diagnosed through the smallest eigenvalue rather than enforced.
 Pure states are exactly the probability vectors meeting two trace conditions:
 a quadratic one, sum_i p(i)^2 = 2/(d(d+1)), and a cubic one,
 sum_ijk c_ijk p(i) p(j) p(k) = (d+7)/(d+1)^3, against the triple-overlap tensor
-c_ijk = Re tr(Pi_i Pi_j Pi_k).  The purity test evaluates the cubic sum in O(d^4)
-as tr(A^3) with A = sum_i p(i) |v_i><v_i|, from the d^2 SIC vectors; the d^6
-tensor c serves callers and the tests' dense contraction.
+c_ijk = Re tr(Pi_i Pi_j Pi_k).  States move through the d^2 SIC vectors only:
+with Pi_i = |v_i><v_i|, p(i) = <v_i|rho|v_i> / d, the inverse is V^T diag(w) conj(V)
+for w = (d+1) p - 1/d, and the cubic sum is tr(A^3) for A = V^T diag(p) conj(V),
+in O(d^4).  The d^6 tensor c is the paper's object and the tests' oracle; no
+runtime path builds it.
 """
 
 from __future__ import annotations
@@ -96,12 +98,13 @@ def _require_certified(sic: SicSet) -> None:
 
 
 def sic_probabilities(rho, sic: SicSet) -> np.ndarray:
-    """Outcome probabilities p(i) = tr(rho Pi_i) / d of the SIC measurement."""
+    """Outcome probabilities p(i) = tr(rho Pi_i) / d = <v_i|rho|v_i> / d of the SIC measurement."""
     _require_certified(sic)
     rho = check_density_matrix(rho)
     if rho.shape[0] != sic.d:
         raise ValueError(f"dimension mismatch: state has d={rho.shape[0]}, SIC set has d={sic.d}")
-    return (sic.projectors.reshape(sic.d**2, -1) @ rho.T.reshape(-1)).real / sic.d
+    v = sic.vectors
+    return np.vecdot(v, v @ rho.T).real / sic.d
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,8 @@ def reconstruct_density(p, sic: SicSet) -> ReconstructedDensity:
     d = sic.d
     p = check_probability_vector(p, d)
     coeff = (d + 1) * p - 1.0 / d
-    matrix = np.tensordot(coeff, sic.projectors, axes=1)
+    v = sic.vectors
+    matrix = (v.T * coeff) @ v.conj()
     matrix = 0.5 * (matrix + matrix.conj().T)  # scrub roundoff asymmetry
     matrix.setflags(write=False)
     min_eig = float(np.linalg.eigvalsh(matrix)[0])
@@ -178,19 +182,20 @@ def purity_cubic_target(d: int) -> float:
     return (d + 7.0) / (d + 1.0) ** 3
 
 
-def purity_cubic_residual(p, tensor: StructureTensor) -> float:
+def purity_cubic_residual(p, sic: SicSet) -> float:
     """|sum_{ijk} c_ijk p(i) p(j) p(k) - (d+7)/(d+1)^3|, the sum taken as tr(A^3) with A = sum_i p(i) |v_i><v_i|.
 
+    ``sic`` is the SIC set; only its ``d`` and ``vectors`` are read, so a ``StructureTensor`` serves as well.
     A is Hermitian for real p, and the imaginary parts of tr(Pi_i Pi_j Pi_k) cancel under j <-> k, so tr(A^3)
     equals the d^6 contraction against c for any real p, state or not.
     """
-    p = check_probability_vector(p, tensor.d)
-    v = tensor.vectors
+    p = check_probability_vector(p, sic.d)
+    v = sic.vectors
     a = (v.T * p) @ v.conj()
-    return abs(float(np.vdot(a @ a, a).real) - purity_cubic_target(tensor.d))
+    return abs(float(np.vdot(a @ a, a).real) - purity_cubic_target(sic.d))
 
 
-def is_pure_probability_vector(p, tensor: StructureTensor) -> bool:
-    """True when both purity residuals are within ``PURITY_TOL``."""
-    p = check_probability_vector(p, tensor.d)
-    return purity_quadratic_residual(p) <= PURITY_TOL and purity_cubic_residual(p, tensor) <= PURITY_TOL
+def is_pure_probability_vector(p, sic: SicSet) -> bool:
+    """True when both purity residuals are within ``PURITY_TOL``; ``sic`` as in ``purity_cubic_residual``."""
+    p = check_probability_vector(p, sic.d)
+    return purity_quadratic_residual(p) <= PURITY_TOL and purity_cubic_residual(p, sic) <= PURITY_TOL

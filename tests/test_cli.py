@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sic_forge import SearchConfig, build_sic_set, files, search_detailed
+from sic_forge import SearchConfig, build_sic_set, files, geometry, search_detailed
 from sic_forge.cli import main
-from conftest import BENCH_DATA, random_density
+from conftest import BENCH_DATA, random_density, random_state
 
 
 @pytest.fixture()
@@ -207,6 +207,57 @@ def test_convert_rejects_uncertified_fiducial(tmp_path, capsys):
     assert "fiducial is not certified at 1e-10 (gram=" in err
 
 
+def test_convert_validates_the_density_once(tmp_path, hesse_file, capsys, monkeypatch):
+    calls = []
+    check = geometry.check_density_matrix
+
+    def counted(rho):
+        calls.append(rho)
+        return check(rho)
+
+    monkeypatch.setattr(geometry, "check_density_matrix", counted)
+    rho_path = tmp_path / "mixed.json"
+    files.write_json_atomic(rho_path, files.density_payload(np.eye(3) / 3.0))
+    code, _, _ = run(capsys, ["convert", "--fiducial", hesse_file, "--rho", str(rho_path), "--out", str(tmp_path / "conv")])
+    assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_convert_tests_purity_above_the_structure_tensor_cap(tmp_path, capsys, as_json):
+    fiducial = str(BENCH_DATA / "fiducial_d16.json")
+    rng = np.random.default_rng(1600)
+    z = random_state(rng, 16)
+    for name, rho, pure in (("pure", np.outer(z, z.conj()), True), ("mixed", random_density(rng, 16), False)):
+        rho_path = tmp_path / f"{name}.json"
+        files.write_json_atomic(rho_path, files.density_payload(rho))
+        out = tmp_path / name
+        argv = ["convert", "--fiducial", fiducial, "--rho", str(rho_path), "--out", str(out)]
+        code, stdout, _ = run(capsys, argv + ["--json"] if as_json else argv)
+        assert code == 0
+        purity = files.load_json(out / "probabilities.json")["purity"]
+        assert isinstance(purity["cubic_residual"], float) and purity["pure"] is pure
+        if pure:
+            assert purity["cubic_residual"] <= 1e-9
+        if as_json:
+            assert json.loads(stdout)["purity"] == purity
+        else:
+            assert f"purity_cubic_residual: {purity['cubic_residual']:.6e}" in stdout
+
+
+def test_convert_builds_no_structure_tensor(tmp_path, hesse_file, capsys, monkeypatch):
+    def refuse(sic):
+        raise AssertionError("convert built the d^6 structure tensor")
+
+    monkeypatch.setattr(geometry, "structure_coefficients", refuse)
+    rho_path = tmp_path / "mixed.json"
+    files.write_json_atomic(rho_path, files.density_payload(np.eye(3) / 3.0))
+    p_path = tmp_path / "probs.json"
+    files.write_json_atomic(p_path, files.probabilities_payload([1.0 / 3.0] + [1.0 / 12.0] * 8, 3))
+    for flag, path in (("--rho", rho_path), ("--probs", p_path)):
+        code, _, _ = run(capsys, ["convert", "--fiducial", hesse_file, flag, str(path), "--out", str(tmp_path / "conv")])
+        assert code == 0
+
+
 def test_mubs_prime_and_composite(capsys):
     code, stdout, _ = run(capsys, ["mubs", "--dim", "7", "--json"])
     assert code == 0
@@ -270,7 +321,7 @@ def test_convert_rejects_non_finite_probabilities(tmp_path, hesse_file, capsys):
     code, _, err = run(capsys, ["convert", "--fiducial", hesse_file, "--probs", str(p_path), "--out", str(out)])
     assert code == 2
     assert f"{p_path}: not valid JSON (non-finite number 'NaN')" in err
-    assert not (out / "density.json").exists()
+    assert not out.exists()
 
 
 def test_convert_rejects_non_finite_density(tmp_path, hesse_file, capsys):
@@ -282,7 +333,7 @@ def test_convert_rejects_non_finite_density(tmp_path, hesse_file, capsys):
     code, _, err = run(capsys, ["convert", "--fiducial", hesse_file, "--rho", str(rho_path), "--out", str(out)])
     assert code == 2
     assert f"{rho_path}: not valid JSON (non-finite number 'NaN')" in err
-    assert not (out / "probabilities.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])

@@ -51,6 +51,24 @@ def tensors(sics):
     return {d: structure_coefficients(sic) for d, sic in sics.items()}
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data(), st.integers(2, 7))
+def test_conversions_equal_the_projector_stack(sics, data, d):
+    sic = sics[d]
+    g = data.draw(arrays(np.float64, (2, d, d), elements=st.floats(-1.0, 1.0)))
+    g = g[0] + 1j * g[1]
+    rho = g @ g.conj().T
+    assume(np.trace(rho).real > 1e-3)
+    rho /= np.trace(rho).real
+    dense = np.trace(sic.projectors @ rho, axis1=1, axis2=2).real / d
+    np.testing.assert_allclose(sic_probabilities(rho, sic), dense, rtol=0, atol=1e-13)
+    weights = data.draw(arrays(np.float64, (d * d,), elements=st.floats(0.0, 1.0)))
+    assume(weights.sum() > 0.0)
+    p = weights / weights.sum()
+    dense = np.tensordot((d + 1) * p - 1.0 / d, sic.projectors, axes=1)
+    np.testing.assert_allclose(reconstruct_density(p, sic).matrix, dense, rtol=0, atol=1e-13)
+
+
 def test_probabilities_of_maximally_mixed(sic_d3):
     p = sic_probabilities(np.eye(3) / 3.0, sic_d3)
     np.testing.assert_allclose(p, 1.0 / 9.0, atol=1e-12)
@@ -164,15 +182,18 @@ def test_structure_tensor_is_contiguous_and_owns_its_data(d, sics):
     assert tensor.vectors is sic.vectors and not tensor.vectors.flags.writeable
 
 
+# The cubic tests read only d and the SIC vectors, so each runs on the SicSet (as convert passes it) and on the
+# StructureTensor that carries both (as the bench passes it).
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.data(), st.integers(2, 7))
-def test_cubic_residual_equals_the_dense_contraction_on_the_simplex(tensors, data, d):
+def test_cubic_residual_equals_the_dense_contraction_on_the_simplex(sics, tensors, data, d):
     # any point of the simplex, unphysical ones included: vertices, faces and interior
     weights = data.draw(arrays(np.float64, (d * d,), elements=st.floats(0.0, 1.0)))
     assume(weights.sum() > 0.0)
     p = weights / weights.sum()
-    tensor = tensors[d]
-    assert purity_cubic_residual(p, tensor) == pytest.approx(dense_cubic_residual(p, tensor), rel=0, abs=1e-12)
+    dense = dense_cubic_residual(p, tensors[d])
+    for operand in (sics[d], tensors[d]):
+        assert purity_cubic_residual(p, operand) == pytest.approx(dense, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [11, 12])
@@ -184,7 +205,9 @@ def test_cubic_residual_equals_the_dense_contraction_on_bench_fiducials(d):
     points += [sic_probabilities(np.outer(z, z.conj()), sic) for z in (random_state(rng, d) for _ in range(3))]
     points += [rng.dirichlet(np.full(d * d, 0.2)) for _ in range(3)]
     for p in points:
-        assert purity_cubic_residual(p, tensor) == pytest.approx(dense_cubic_residual(p, tensor), rel=0, abs=1e-12)
+        dense = dense_cubic_residual(p, tensor)
+        for operand in (sic, tensor):
+            assert purity_cubic_residual(p, operand) == pytest.approx(dense, rel=0, abs=1e-12)
 
 
 def test_structure_tensor_guard():
@@ -224,8 +247,9 @@ def test_pure_states_meet_both_conditions(d, sic_d2, sic_d3):
         z = random_state(rng, d)
         p = sic_probabilities(np.outer(z, z.conj()), sic)
         assert purity_quadratic_residual(p) <= 1e-10
-        assert purity_cubic_residual(p, tensor) <= 1e-10
-        assert is_pure_probability_vector(p, tensor)
+        for operand in (sic, tensor):
+            assert purity_cubic_residual(p, operand) <= 1e-10
+            assert is_pure_probability_vector(p, operand)
 
 
 @pytest.mark.parametrize("d", [2, 3])
