@@ -27,11 +27,9 @@ from .operator_space import (
     OperatorSet,
     QuasiOnbReport,
     frame_potential,
-    hs_inner,
     kt_lower_bound,
     kt_measure,
     operator_set,
-    projectors_from_vectors,
     quasi_onb_certify,
 )
 from .verify import (

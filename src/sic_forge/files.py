@@ -24,9 +24,7 @@ __all__ = [
     "load_json",
     "load_probabilities",
     "load_state_vector",
-    "matrix_to_pairs",
     "probabilities_payload",
-    "vector_to_pairs",
     "write_json_atomic",
 ]
 
@@ -37,14 +35,9 @@ class FileFormatError(ValueError):
     """Raised when an artifact file is malformed; the message names the bad field."""
 
 
-def vector_to_pairs(v) -> list:
-    """Complex vector as a list of [re, im] pairs."""
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
-
-
-def matrix_to_pairs(m) -> list:
-    """Complex matrix as row-major nested lists of [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+def _to_pairs(a: np.ndarray) -> list:
+    """Complex array as nested lists of [re, im] pairs: a vector's list, a matrix's row-major rows."""
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def write_json_atomic(path, payload) -> None:
@@ -112,7 +105,7 @@ def fiducial_payload(psi, gram: float, quartic: float) -> dict:
         "format_version": FORMAT_VERSION,
         "kind": "fiducial",
         "dim": int(psi.shape[0]),
-        "components": vector_to_pairs(psi),
+        "components": _to_pairs(psi),
         "residuals": {"gram": float(gram), "quartic": float(quartic)},
     }
 
@@ -139,7 +132,7 @@ def density_payload(matrix, extra: dict | None = None) -> dict:
         "format_version": FORMAT_VERSION,
         "kind": "density_matrix",
         "dim": int(matrix.shape[0]),
-        "matrix": matrix_to_pairs(matrix),
+        "matrix": _to_pairs(matrix),
     }
     if extra:
         payload.update(extra)

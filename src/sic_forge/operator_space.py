@@ -22,22 +22,11 @@ __all__ = [
     "OperatorSet",
     "QuasiOnbReport",
     "frame_potential",
-    "hs_inner",
     "kt_lower_bound",
     "kt_measure",
     "operator_set",
-    "projectors_from_vectors",
     "quasi_onb_certify",
 ]
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product tr(A^dagger B)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
-        raise ValueError(f"operands must be square matrices of equal shape, got {a.shape} and {b.shape}")
-    return complex(np.vdot(a, b))
 
 
 def _pair_traces(ops: np.ndarray) -> np.ndarray:
@@ -105,14 +94,6 @@ def operator_set(ops) -> OperatorSet:
     for table in (arr, pair_traces):
         table.setflags(write=False)
     return OperatorSet(d=d, ops=arr, pair_traces=pair_traces)
-
-
-def projectors_from_vectors(vectors) -> OperatorSet:
-    """Rank-1 projectors |v><v| of a family of unit vectors, as an OperatorSet."""
-    v = np.asarray(vectors, dtype=complex)
-    if v.ndim != 2:
-        raise ValueError(f"expected a 2-D array of row vectors, got shape {v.shape}")
-    return operator_set(v[:, :, None] * v.conj()[:, None, :])
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .verify import _cyclic_add, _overlaps, gram_residual, quartic_residual
+from .verify import _overlaps, gram_residual, quartic_residual
 from .wh import as_state_vector, check_dim, check_tolerance, phase_constants
 
 __all__ = [
@@ -108,17 +108,6 @@ class RestartOutcome:
 STOP_REASONS = ("objective_floor", "line_search_stalled", "iteration_budget")
 
 
-@lru_cache(maxsize=None)
-def _derivative_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only sub[a, m] = (m - a) % d and dft[a, m] = omega**(a*m)."""
-    idx = np.arange(d)
-    sub = (idx[None, :] - idx[:, None]) % d
-    dft = phase_constants(d).omega_powers[np.outer(idx, idx) % d]
-    for table in (sub, dft):
-        table.setflags(write=False)
-    return sub, dft
-
-
 def _residual_derivative(psi: np.ndarray, b: np.ndarray) -> np.ndarray:
     """W[r, m] = d rho_r / d conj(psi_m), rows r = r1*d + r2.
 
@@ -126,20 +115,20 @@ def _residual_derivative(psi: np.ndarray, b: np.ndarray) -> np.ndarray:
     the tau phase of the overlaps cancels in |B|^2, so even d needs no sign care.
     """
     d = psi.shape[0]
-    sub, dft = _derivative_tables(d)
+    pc = phase_constants(d)
+    dft = pc.dft
     b = b.reshape(d, d)
-    lead = (b.conj() * dft.conj())[:, :, None] * dft[None, :, :] * psi[sub][:, None, :]
-    trail = b[:, :, None] * dft.conj()[None, :, :] * psi[_cyclic_add(d)][:, None, :]
+    lead = (b.conj() * dft.conj())[:, :, None] * dft[None, :, :] * psi[pc.sub][:, None, :]
+    trail = b[:, :, None] * dft.conj()[None, :, :] * psi[pc.add][:, None, :]
     return (lead + trail).reshape(d * d, d)
 
 
 @lru_cache(maxsize=None)
-def _gradient_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only gathers of the gradient: lead[a, m] = a*d + (m - a) % d, sub and add."""
-    sub = _derivative_tables(d)[0]
-    lead = np.arange(d)[:, None] * d + sub
+def _lead_gather(d: int) -> np.ndarray:
+    """Read-only flat gather of the gradient's conj(F) half: lead[a, m] = a*d + (m - a) % d."""
+    lead = np.arange(d)[:, None] * d + phase_constants(d).sub
     lead.setflags(write=False)
-    return lead, sub, _cyclic_add(d)
+    return lead
 
 
 class _Point(NamedTuple):
@@ -178,9 +167,9 @@ def _gradient(point: _Point) -> np.ndarray:
     """
     psi = point.psi
     *rows, d = psi.shape
-    lead, sub, add = _gradient_tables(d)
+    pc, lead = phase_constants(d), _lead_gather(d)
     f = np.fft.fft((point.rho * point.b).reshape(*rows, d, d), axis=-1)
-    g = (4.0 / d) * (f.conj().reshape(*rows, d * d)[..., lead] * psi[..., sub] + f * psi[..., add]).sum(axis=-2)
+    g = (4.0 / d) * (f.conj().reshape(*rows, d * d)[..., lead] * psi[..., pc.sub] + f * psi[..., pc.add]).sum(axis=-2)
     return g - np.vecdot(psi, g)[..., None] * psi
 
 
@@ -364,8 +353,9 @@ def _candidate(psi: np.ndarray, restarts_used: int, iterations: int, residual_to
 
 
 def _check_integer(value, name: str, low: int, high: int | None = None) -> int:
-    """Validate an integer field in [low, high) (a Python or numpy integer, as for the dimension) and return it as int."""
-    if isinstance(value, (int, np.integer)) and low <= value and (high is None or value < high):
+    """Validate an integer field in [low, high) (a Python or numpy integer, not a bool) and return it as int."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if integer and low <= value and (high is None or value < high):
         return int(value)
     rule = f">= {low}" if high is None else f"in [{low}, {high})"
     raise ValueError(f"{name} must be an integer {rule}, got {value!r}")

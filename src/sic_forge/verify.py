@@ -16,7 +16,6 @@ evaluation is kept to the test-suite as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,15 +35,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _cyclic_add(d: int) -> np.ndarray:
-    """Read-only index table add[a, m] = (a + m) % d."""
-    idx = np.arange(d)
-    add = (idx[:, None] + idx[None, :]) % d
-    add.setflags(write=False)
-    return add
-
-
 def _overlaps(psi: np.ndarray) -> np.ndarray:
     """B[r1, r2] = sum_j omega**(j*r2) conj(psi_{j+r1}) psi_j: one inverse FFT over j.
 
@@ -53,13 +43,7 @@ def _overlaps(psi: np.ndarray) -> np.ndarray:
     each row equal bit for bit to the row's own call.
     """
     d = psi.shape[-1]
-    return d * np.fft.ifft(psi.conj()[..., _cyclic_add(d)] * psi[..., None, :], axis=-1)
-
-
-def _overlap_grid(psi: np.ndarray) -> np.ndarray:
-    """All d^2 overlaps <psi|D_(r1,r2)|psi>, indexed [r1, r2]: tau**(r1*r2) * B."""
-    idx = np.arange(psi.shape[0])
-    return phase_constants(psi.shape[0]).tau_power(np.outer(idx, idx)) * _overlaps(psi)
+    return d * np.fft.ifft(psi.conj()[..., phase_constants(d).add] * psi[..., None, :], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -76,9 +60,10 @@ class GramOverlaps:
 
 
 def gram_overlaps(psi) -> GramOverlaps:
-    """Compute all d^2 displacement overlaps via the componentwise formula."""
+    """Compute all d^2 displacement overlaps via the componentwise formula: tau**(r1*r2) * B."""
     psi = as_state_vector(psi)
-    values = _overlap_grid(psi)
+    idx = np.arange(psi.shape[0])
+    values = phase_constants(psi.shape[0]).tau_power(np.outer(idx, idx)) * _overlaps(psi)
     phases = np.angle(values)
     phases[0, 0] = 0.0
     values.setflags(write=False)
@@ -146,12 +131,9 @@ def fourier_identity_check(psi, k: int, r1: int) -> FourierIdentityCheck:
     d = psi.shape[0]
     k, r1 = int(k) % d, int(r1) % d
     pc = phase_constants(d)
-    idx = np.arange(d)
-    row = _overlap_grid(psi)[r1, :]
-    lhs = complex(np.sum(pc.omega_powers[(k * idx) % d] * np.abs(row) ** 2) / d)
-    rhs = complex(
-        np.sum(psi[idx] * psi.conj()[(idx + k) % d] * psi.conj()[(idx + r1) % d] * psi[(idx + k + r1) % d])
-    )
+    lhs = complex(np.sum(pc.dft[k] * np.abs(_overlaps(psi)[r1]) ** 2) / d)
+    add = pc.add
+    rhs = complex(np.sum(psi * psi.conj()[add[k]] * psi.conj()[add[r1]] * psi[add[(k + r1) % d]]))
     return FourierIdentityCheck(lhs=lhs, rhs=rhs)
 
 

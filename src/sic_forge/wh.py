@@ -48,9 +48,9 @@ def check_dim(d: int) -> int:
 
 
 def check_tolerance(tol: float, name: str) -> float:
-    """Validate a certification tolerance (positive and finite) and return it as float."""
+    """Validate a certification tolerance (positive and finite, not a bool) and return it as float."""
     value = float(tol)
-    if not 0.0 < value < math.inf:
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {tol!r}")
     return value
 
@@ -83,22 +83,23 @@ def as_state_vector(psi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseConstants:
-    """Unit phases of one dimension, computed once and cached.
+    """Unit phases and Z_d index tables of one dimension, computed once and cached.
 
     ``omega = exp(2*pi*i/d)`` generates the clock spectrum and
     ``tau = -exp(i*pi/d)`` satisfies ``tau**2 == omega``.  tau has
     multiplicative order 2d when d is even, so tau exponents must never be
     reduced mod d; :meth:`tau_power` takes the raw integer exponent.
+    The read-only (d, d) gather tables are ``add[a, m] = (a + m) % d``,
+    ``sub[a, m] = (m - a) % d`` and ``dft[a, m] = omega**(a*m)``.
     """
 
     d: int
     omega: complex
     tau: complex
     omega_powers: np.ndarray
-
-    def omega_power(self, n: int) -> complex:
-        """omega**n for any integer n (reduction mod d is exact here)."""
-        return complex(self.omega_powers[n % self.d])
+    add: np.ndarray
+    sub: np.ndarray
+    dft: np.ndarray
 
     def tau_power(self, n):
         """tau**n = exp(i*pi*(d+1)*n/d) from the plain integer (or integer array) n."""
@@ -109,13 +110,21 @@ class PhaseConstants:
 def phase_constants(d: int) -> PhaseConstants:
     """Return the cached phase constants for dimension ``d``."""
     d = check_dim(d)
-    powers = np.exp(2j * np.pi * np.arange(d) / d)
-    powers.setflags(write=False)
+    idx = np.arange(d)
+    powers = np.exp(2j * np.pi * idx / d)
+    add = (idx[:, None] + idx[None, :]) % d
+    sub = (idx[None, :] - idx[:, None]) % d
+    dft = powers[np.outer(idx, idx) % d]
+    for table in (powers, add, sub, dft):
+        table.setflags(write=False)
     return PhaseConstants(
         d=d,
         omega=complex(powers[1]),
         tau=-complex(np.exp(1j * np.pi / d)),
         omega_powers=powers,
+        add=add,
+        sub=sub,
+        dft=dft,
     )
 
 

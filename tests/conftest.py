@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sic_forge import build_sic_set, displacement, files
+from sic_forge import build_sic_set, displacement, files, operator_set
 
 BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
@@ -46,6 +46,12 @@ def oracle_displacement(d: int, r1: int, r2: int) -> np.ndarray:
 def displacement_table(d: int) -> dict:
     """The package's d^2 displacement operators keyed by canonical (r1, r2): the d^4 stack the group checks read."""
     return {(r1, r2): displacement(d, (r1, r2)) for r1 in range(d) for r2 in range(d)}
+
+
+def projector_set(vectors):
+    """The rank-1 projectors |v><v| of row vectors, validated as an OperatorSet."""
+    v = np.asarray(vectors, dtype=complex)
+    return operator_set(v[:, :, None] * v.conj()[:, None, :])
 
 
 def random_state(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from sic_forge import (
     kt_lower_bound,
     kt_measure,
     minimum_uncertainty_target,
-    projectors_from_vectors,
+    operator_set,
     purity_cubic_residual,
     purity_cubic_target,
     purity_quadratic_residual,
@@ -37,7 +37,7 @@ from sic_forge import (
     uncertainty_profile,
 )
 from sic_forge.cli import main
-from conftest import random_density, random_state
+from conftest import projector_set, random_density, random_state
 
 SEARCH_SEED = 7
 SEARCH_RESTARTS = {2: 12, 3: 12, 4: 16, 5: 16, 6: 24, 7: 24}
@@ -69,7 +69,7 @@ def test_criterion_1_bound_reproduction(fiducial_d2, fiducial_d3):
             exact = float(Fraction(d * d * (d - 1), (d + 1) ** (t - 1)))
             ok = ok and kt_lower_bound(d, t) == exact
     for d, psi in ((2, fiducial_d2), (3, fiducial_d3)):
-        opset = projectors_from_vectors(build_sic_set(psi).vectors)
+        opset = operator_set(build_sic_set(psi).projectors)
         ok = ok and abs(kt_measure(opset, 1.0).value - (d**3 - d**2)) <= 1e-8
         ok = ok and abs(kt_measure(opset, 2.0).value - d * d * (d - 1) / (d + 1)) <= 1e-8
     elapsed = time.perf_counter() - started
@@ -84,7 +84,7 @@ def test_criterion_2_frame_potential_identity(fiducial_d2, fiducial_d3):
         for _ in range(100):
             vectors = np.stack([random_state(rng, d) for _ in range(d * d)])
             phi = frame_potential(vectors)
-            k2 = kt_measure(projectors_from_vectors(vectors), 2.0).value
+            k2 = kt_measure(projector_set(vectors), 2.0).value
             worst_gap = max(worst_gap, abs(phi - (k2 + d * d)))
     ok = worst_gap <= 1e-10
     for d, psi in ((2, fiducial_d2), (3, fiducial_d3)):

@@ -9,21 +9,17 @@ from hypothesis import strategies as st
 
 from sic_forge import (
     SearchConfig,
-    build_clock,
-    build_shift,
     build_sic_set,
     frame_potential,
-    hs_inner,
     kt_lower_bound,
     kt_measure,
     operator_set,
-    projectors_from_vectors,
     quasi_onb_certify,
     search,
 )
 from sic_forge.operator_space import _pair_traces
 from sic_forge.wh import HERMITIAN_TOL, PSD_FLOOR
-from conftest import bench_fiducial, random_state
+from conftest import bench_fiducial, projector_set, random_state
 
 
 def brute_force_kt(ops: np.ndarray, t: float) -> float:
@@ -75,23 +71,6 @@ def random_psd_unit_norm(rng: np.random.Generator, d: int) -> np.ndarray:
     return a / np.sqrt(np.trace(a @ a).real)
 
 
-def test_hs_inner_identity_and_projector():
-    for d in (2, 3, 5):
-        assert abs(hs_inner(np.eye(d), np.eye(d)) - d) <= 1e-14
-    v = np.array([0.6, 0.8j])
-    proj = np.outer(v, v.conj())
-    assert abs(hs_inner(proj, proj) - 1.0) <= 1e-14
-
-
-def test_hs_inner_clock_shift_orthogonal():
-    assert abs(hs_inner(build_clock(2), build_shift(2))) <= 1e-14
-
-
-def test_hs_inner_shape_mismatch():
-    with pytest.raises(ValueError):
-        hs_inner(np.eye(2), np.eye(3))
-
-
 @pytest.mark.parametrize(
     "d,t,expected",
     [(2, 1.0, 4.0), (2, 2.0, 4.0 / 3.0), (3, 2.0, 4.5), (2, 3.0, 4.0 / 9.0)],
@@ -114,7 +93,7 @@ def test_kt_lower_bound_past_the_float_range_of_its_power():
 
 
 def test_kt_measure_at_large_t():
-    opset = projectors_from_vectors(build_sic_set(bench_fiducial(7)).vectors)
+    opset = operator_set(build_sic_set(bench_fiducial(7)).projectors)
     report = kt_measure(opset, 400.0)
     assert math.isfinite(report.lower_bound) and math.isfinite(report.gap)
     assert report.value >= 0.0 and report.lower_bound >= 0.0
@@ -125,12 +104,12 @@ def test_kt_rejects_non_finite_t(t, fiducial_d2):
     with pytest.raises(ValueError, match="t must be finite"):
         kt_lower_bound(3, t)
     with pytest.raises(ValueError, match="t must be finite"):
-        kt_measure(projectors_from_vectors(build_sic_set(fiducial_d2).vectors), t)
+        kt_measure(operator_set(build_sic_set(fiducial_d2).projectors), t)
 
 
 def test_kt_on_sic_set_frozen_values(fiducial_d2):
     # 12 ordered pairs, each overlap 1/3: K_1 = 4, K_2 = 4/3
-    opset = projectors_from_vectors(build_sic_set(fiducial_d2).vectors)
+    opset = operator_set(build_sic_set(fiducial_d2).projectors)
     assert kt_measure(opset, 1.0).value == pytest.approx(4.0, abs=1e-10)
     assert kt_measure(opset, 2.0).value == pytest.approx(4.0 / 3.0, abs=1e-10)
 
@@ -154,7 +133,7 @@ def test_kt_matches_brute_force():
 
 
 def test_kt_rejects_bad_inputs(fiducial_d2):
-    opset = projectors_from_vectors(build_sic_set(fiducial_d2).vectors)
+    opset = operator_set(build_sic_set(fiducial_d2).projectors)
     with pytest.raises(ValueError):
         kt_measure(opset, 0.9)
     with pytest.raises(ValueError):
@@ -206,12 +185,12 @@ def test_frame_potential_identity_with_kt(d):
     for _ in range(30):
         vectors = np.stack([random_state(rng, d) for _ in range(d * d)])
         phi = frame_potential(vectors)
-        k2 = kt_measure(projectors_from_vectors(vectors), 2.0).value
+        k2 = kt_measure(projector_set(vectors), 2.0).value
         assert abs(phi - (k2 + d * d)) <= 1e-10
 
 
 def test_quasi_onb_certifies_exact_sic(fiducial_d3):
-    opset = projectors_from_vectors(build_sic_set(fiducial_d3).vectors)
+    opset = operator_set(build_sic_set(fiducial_d3).projectors)
     report = quasi_onb_certify(opset, tol=1e-10)
     assert report.passed
     # a passing family resolves the identity within 10x the tolerance
@@ -230,16 +209,16 @@ def test_quasi_onb_fails_repeated_projector():
 def test_quasi_onb_fails_random_projectors():
     rng = np.random.default_rng(9)
     vectors = np.stack([random_state(rng, 2) for _ in range(4)])
-    report = quasi_onb_certify(projectors_from_vectors(vectors), tol=1e-10)
+    report = quasi_onb_certify(projector_set(vectors), tol=1e-10)
     assert not report.passed
     assert report.overlap_deviation > 0.0
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9, True])
 def test_quasi_onb_rejects_bad_tol(bad):
     # random projectors fail every condition, yet an infinite tolerance would pass them
     rng = np.random.default_rng(9)
-    opset = projectors_from_vectors(np.stack([random_state(rng, 2) for _ in range(4)]))
+    opset = projector_set(np.stack([random_state(rng, 2) for _ in range(4)]))
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         quasi_onb_certify(opset, tol=bad)
 
@@ -255,7 +234,7 @@ def test_equality_aligns_with_certification(fiducial_d2, fiducial_d3):
     # Certified sets sit on the bound for t in {1, 2}; a t=2 gap at the
     # 1e-10 level conversely passes certification at 1e-4.
     for psi in (fiducial_d2, fiducial_d3):
-        opset = projectors_from_vectors(build_sic_set(psi).vectors)
+        opset = operator_set(build_sic_set(psi).projectors)
         assert quasi_onb_certify(opset, tol=1e-10).passed
         for t in (1.0, 2.0):
             assert abs(kt_measure(opset, t).gap) <= 1e-8
@@ -283,7 +262,7 @@ def test_operator_set_validation_rejections(fiducial_d2):
 def test_pair_traces_are_stored_read_only(fiducial_d3):
     ops = build_sic_set(fiducial_d3).projectors
     opset = operator_set(ops)
-    expected = np.array([[hs_inner(a, b).real for b in ops] for a in ops])
+    expected = np.array([[np.vdot(a, b).real for b in ops] for a in ops])
     np.testing.assert_allclose(opset.pair_traces, expected, atol=1e-14)
     assert not opset.pair_traces.flags.writeable
     kt_measure(opset, 2.0)

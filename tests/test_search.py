@@ -19,6 +19,7 @@ from sic_forge import (
     search_detailed,
 )
 from sic_forge.search import STOP_REASONS
+from sic_forge.wh import phase_constants
 from conftest import random_state
 
 
@@ -143,17 +144,17 @@ def test_gradient_is_adjoint_of_residual_derivative(d):
 
 
 def test_gradient_tables_are_cached_read_only():
-    from sic_forge.search import _gradient_tables
+    # the gradient gathers through its own cached lead table and the phase constants' sub and add
+    from sic_forge.search import _lead_gather
 
     for d in (3, 8):
-        tables = _gradient_tables(d)
-        assert _gradient_tables(d) is tables
-        lead, sub, add = tables
+        lead, pc = _lead_gather(d), phase_constants(d)
+        assert _lead_gather(d) is lead and phase_constants(d) is pc
         r1, m = np.divmod(np.arange(d * d), d)
         assert np.array_equal(lead.reshape(-1), r1 * d + (m - r1) % d)
-        assert np.array_equal(sub.reshape(-1), (m - r1) % d)
-        assert np.array_equal(add.reshape(-1), (m + r1) % d)
-        assert not any(t.flags.writeable for t in tables)
+        assert np.array_equal(pc.sub.reshape(-1), (m - r1) % d)
+        assert np.array_equal(pc.add.reshape(-1), (m + r1) % d)
+        assert not any(t.flags.writeable for t in (lead, pc.sub, pc.add))
 
 
 def test_only_gauss_newton_builds_the_residual_derivative(monkeypatch):
@@ -306,7 +307,7 @@ def test_search_rejects_bad_config():
         search(SearchConfig(dim=3, restarts=0, seed=0))
     with pytest.raises(ValueError):
         search(SearchConfig(dim=3, restarts=5, seed=0, accept_tol=0.0))
-    for bad in (float("inf"), float("nan")):
+    for bad in (float("inf"), float("nan"), True, np.True_):
         with pytest.raises(ValueError, match="accept_tol"):
             search(SearchConfig(dim=3, restarts=1, seed=0, accept_tol=bad))
     for bad in (3.9, 3.0, "3"):
@@ -320,6 +321,9 @@ def test_search_rejects_bad_config():
         ("restarts", 2.5),
         ("restarts", float("nan")),
         ("restarts", "4"),
+        ("restarts", True),
+        ("max_iters", True),
+        ("seed", False),
         ("max_iters", float("nan")),
         ("max_iters", 2.5),
         ("max_iters", float("inf")),
@@ -342,7 +346,7 @@ def test_search_config_accepts_numpy_integers(good):
     assert search(SearchConfig(dim=3, restarts=good, seed=good, max_iters=good)).restarts_used == int(good)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), -3, 2.5, 0, "10"])
+@pytest.mark.parametrize("bad", [float("nan"), -3, 2.5, 0, "10", True])
 def test_polish_rejects_bad_max_iters(bad, fiducial_d3):
     with pytest.raises(ValueError, match=rf"^max_iters .*{re.escape(repr(bad))}$"):
         polish(fiducial_d3, max_iters=bad)
@@ -370,7 +374,7 @@ def test_polish_fixed_point(fiducial_d3):
     assert np.abs(cand.fiducial - fiducial_d3).max() <= 1e-13
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9, True])
 def test_polish_rejects_bad_residual_tol(bad, fiducial_d3):
     with pytest.raises(ValueError, match="residual_tol"):
         polish(fiducial_d3, residual_tol=bad)

@@ -9,9 +9,9 @@ from sic_forge import (
     fourier_identity_check,
     gram_overlaps,
     gram_residual,
+    operator_set,
     quartic_residual,
     quasi_onb_certify,
-    projectors_from_vectors,
 )
 from sic_forge.verify import quartic_target, _quartic_terms
 from conftest import oracle_displacement, random_state
@@ -126,7 +126,7 @@ def test_build_sic_set_certifies_exact_fiducial(fiducial_d3):
     sic = build_sic_set(fiducial_d3, tol=1e-10)
     assert sic.certified
     assert np.abs(sic.projectors.sum(axis=0) - 3.0 * np.eye(3)).max() <= 1e-9
-    assert quasi_onb_certify(projectors_from_vectors(sic.vectors), tol=1e-8).passed
+    assert quasi_onb_certify(operator_set(sic.projectors), tol=1e-8).passed
 
 
 def test_build_sic_set_reports_uncertified_candidate():
@@ -137,7 +137,7 @@ def test_build_sic_set_reports_uncertified_candidate():
     assert sic.quartic_residual == pytest.approx(0.5, abs=1e-13)
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9, True])
 def test_build_sic_set_rejects_bad_tol(bad):
     # an infinite tolerance would certify any unit vector
     with pytest.raises(ValueError, match="tol must be positive and finite"):

@@ -77,6 +77,9 @@ def test_phase_constants_invariants():
         assert abs(pc.tau**2 - pc.omega) <= 1e-14
         assert abs(abs(pc.omega) - 1.0) <= 1e-14
         assert abs(abs(pc.tau) - 1.0) <= 1e-14
+        a, m = np.divmod(np.arange(d * d), d)
+        np.testing.assert_allclose(pc.dft.reshape(-1), np.exp(2j * np.pi * a * m / d), rtol=0.0, atol=1e-13)
+        assert not any(t.flags.writeable for t in (pc.omega_powers, pc.add, pc.sub, pc.dft))
 
 
 def test_displacement_identity_at_origin():
