@@ -252,12 +252,13 @@ def cmd_verify(args) -> int:
 
 def _purity_block(p: np.ndarray, sic: verify.SicSet) -> dict:
     """Both purity residuals with their targets and the boolean verdict, at every d, from the SIC vectors."""
+    quadratic, cubic = geometry.purity_quadratic_residual(p), geometry.purity_cubic_residual(p, sic)
     return {
-        "quadratic_residual": geometry.purity_quadratic_residual(p),
+        "quadratic_residual": quadratic,
         "quadratic_target": geometry.purity_quadratic_target(sic.d),
-        "cubic_residual": geometry.purity_cubic_residual(p, sic),
+        "cubic_residual": cubic,
         "cubic_target": geometry.purity_cubic_target(sic.d),
-        "pure": geometry.is_pure_probability_vector(p, sic),
+        "pure": geometry._is_pure(quadratic, cubic),
     }
 
 

@@ -195,7 +195,12 @@ def purity_cubic_residual(p, sic: SicSet) -> float:
     return abs(float(np.vdot(a @ a, a).real) - purity_cubic_target(sic.d))
 
 
+def _is_pure(quadratic_residual: float, cubic_residual: float) -> bool:
+    """The purity verdict from the two purity residuals: both within ``PURITY_TOL``."""
+    return quadratic_residual <= PURITY_TOL and cubic_residual <= PURITY_TOL
+
+
 def is_pure_probability_vector(p, sic: SicSet) -> bool:
     """True when both purity residuals are within ``PURITY_TOL``; ``sic`` as in ``purity_cubic_residual``."""
     p = check_probability_vector(p, sic.d)
-    return purity_quadratic_residual(p) <= PURITY_TOL and purity_cubic_residual(p, sic) <= PURITY_TOL
+    return _is_pure(purity_quadratic_residual(p), purity_cubic_residual(p, sic))

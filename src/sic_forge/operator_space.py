@@ -111,11 +111,11 @@ class KtReport:
 
 
 def _check_order(t) -> float:
-    """Validate a defect order t (finite and >= 1) and return it as float."""
-    t = float(t)
-    if not 1.0 <= t < math.inf:
+    """Validate a defect order t (finite and >= 1, not a bool) and return it as float."""
+    value = float(t)
+    if isinstance(t, (bool, np.bool_)) or not 1.0 <= value < math.inf:
         raise ValueError(f"t must be finite and >= 1, got {t}")
-    return t
+    return value
 
 
 def kt_lower_bound(d: int, t: float) -> float:

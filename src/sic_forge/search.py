@@ -13,8 +13,10 @@ residual and overlaps then feed the next gradient or Gauss-Newton step.
 The restarts of one run descend together in lockstep batches along a leading
 row axis, one trial point per restart per step of the batch; each restart keeps
 its own line search and exits, so its trajectory equals the restart run alone.
-The Gauss-Newton tail then runs restart by restart.  Input is validated at the
-public entry points only.
+The Gauss-Newton tail then runs restart by restart, on the restarts whose
+descent reached the refinement switch: near an exact zero of the residual it
+converges fast, and at a local minimum with nonzero residual its step vanishes
+with the gradient.  Input is validated at the public entry points only.
 """
 
 from __future__ import annotations
@@ -92,8 +94,12 @@ class RestartOutcome:
     restart run alone.
     ``stop_reason`` is one of ``STOP_REASONS``: the run reached the
     objective floor, its last line search found no decrease (a local
-    minimum, or a zero gradient), or it spent its iteration budget.  Every
-    field is deterministic for a given config.
+    minimum, or a zero gradient), or it spent its iteration budget.  A
+    restart whose descent ended above the refinement switch is not refined
+    (``refine_iterations`` is 0): it reports ``iteration_budget`` if the
+    descent spent ``max_iters``, else ``line_search_stalled``, which then also
+    covers a descent step that fell below tolerance.  Every field is
+    deterministic for a given config.
     """
 
     restart: int
@@ -300,22 +306,27 @@ def _descend(
 ) -> list[tuple[_Point, RestartOutcome]]:
     """Two-phase minimization of the rows of psi[R, d], restarts first, first + 1, ...,
     sharing the max_iters budget across both phases: global descent of all rows
-    in lockstep first, then least-squares refinement of each row's tail, which
-    starts from the row's last evaluated descent point.
+    in lockstep first, then least-squares refinement of the tail of each row the
+    descent brought down to the refinement switch, from its last descent point.
 
-    The restart's stop reason is the refinement's.  A descent that stalls, or
-    whose step falls below step_tol, above the floor leaves budget, so the
-    refinement always tries a step after it; a refinement that tries none was
-    stopped by the floor or the spent budget, which also ended the descent.
+    The Gauss-Newton step -J^+ rho converges fast only near an exact zero of the
+    residual: at a local minimum with nonzero residual, J^T rho is the vanishing
+    gradient, so the step vanishes too.  A row the descent left above the switch
+    keeps its last descent point and is stopped by the descent: its budget if
+    spent, else its stalled line search or its step below step_tol, both reported
+    as ``line_search_stalled``.  A refined row's stop reason is the refinement's.
     """
     switch = max(objective_floor, _REFINE_SWITCH)
     ends, descent_iters, descent_evals = _gradient_descent(_evaluate(psi), max_iters, switch, step_tol)
     results = []
     for row, (descent, evals) in enumerate(zip(descent_iters.tolist(), descent_evals.tolist())):
-        budget = min(_REFINE_MAX_ITERS, max_iters - descent)
-        point, refine, refine_evals, stop = _least_squares_refine(
-            _Point(*(a[row] for a in ends)), objective_floor, budget
-        )
+        point = _Point(*(a[row] for a in ends))
+        if point.f <= switch:
+            budget = min(_REFINE_MAX_ITERS, max_iters - descent)
+            point, refine, refine_evals, stop = _least_squares_refine(point, objective_floor, budget)
+        else:
+            refine = refine_evals = 0
+            stop = "iteration_budget" if descent >= max_iters else "line_search_stalled"
         outcome = RestartOutcome(
             restart=first + row,
             objective_value=float(point.f),

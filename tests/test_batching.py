@@ -2,7 +2,10 @@
 
 The serial descent below is the one-restart-at-a-time loop the search ran
 before restarts were batched.  It is kept here as the oracle of the batched
-descent: outcomes and final points must agree bit for bit.
+descent: outcomes and final points must agree bit for bit.  The ungated
+pipeline, which refines every restart's tail wherever its descent ended, is
+kept as the oracle of the refinement gate: the gate may drop only refinements
+that certify nothing.
 """
 
 import dataclasses
@@ -63,11 +66,19 @@ def serial_descent(point, max_iters: int, objective_floor: float, step_tol: floa
     return point, iterations, evaluations
 
 
-def serial_restart(config: SearchConfig, restart: int):
-    """One restart of search_detailed run alone: (final psi, outcome fields as a tuple)."""
+def serial_restart(config: SearchConfig, restart: int, gated: bool = True):
+    """One restart of search_detailed run alone: (final psi, outcome fields as a tuple).
+
+    Gated, as the search runs, only a descent that reached the refinement switch
+    is refined; ungated, every descent is.
+    """
     floor = config.accept_tol * 1e-4
+    switch = max(floor, _REFINE_SWITCH)
     start = _evaluate(_random_start(config.dim, config.seed, restart))
-    point, descent, evals = serial_descent(start, config.max_iters, max(floor, _REFINE_SWITCH), _STEP_TOL)
+    point, descent, evals = serial_descent(start, config.max_iters, switch, _STEP_TOL)
+    if gated and point.f > switch:
+        stop = "iteration_budget" if descent >= config.max_iters else "line_search_stalled"
+        return point.psi, (restart, float(point.f), descent, descent, 0, 1 + evals, stop)
     budget = min(_REFINE_MAX_ITERS, config.max_iters - descent)
     point, refine, refine_evals, stop = _least_squares_refine(point, floor, budget)
     return point.psi, (restart, float(point.f), descent + refine, descent, refine, 1 + evals + refine_evals, stop)
@@ -90,6 +101,38 @@ def test_batched_search_equals_the_serial_oracle(d, seed):
     assert [dataclasses.astuple(o) for o in outcomes] == [fields for _, fields in alone]
     best = min(range(config.restarts), key=lambda r: (alone[r][1][1], r))
     assert candidate.fiducial.tobytes() == alone[best][0].tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_the_refinement_gate_keeps_every_certified_restart(d, seed):
+    # refining a restart the descent left above the switch never certifies it: the ungated tail is the oracle
+    config = SearchConfig(dim=d, restarts=6, seed=seed)
+    candidate, outcomes = search_detailed(config)
+    ungated = [serial_restart(config, r, gated=False) for r in range(config.restarts)]
+    certified = {o.restart for o in outcomes if o.objective_value <= config.accept_tol}
+    assert certified and certified == {r for r, (_, f) in enumerate(ungated) if f[1] <= config.accept_tol}
+    for r in certified:
+        assert dataclasses.astuple(outcomes[r]) == ungated[r][1]
+    best = min(range(config.restarts), key=lambda r: (ungated[r][1][1], r))
+    assert candidate.fiducial.tobytes() == ungated[best][0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "config, restart, stop",
+    [
+        (SearchConfig(dim=5, restarts=2, seed=999, max_iters=3), 0, "iteration_budget"),
+        (SearchConfig(dim=8, restarts=4, seed=5), 0, "line_search_stalled"),
+    ],
+)
+def test_a_restart_left_above_the_switch_keeps_its_last_descent_point(config, restart, stop):
+    outcome = search_detailed(config)[1][restart]
+    start = _evaluate(_random_start(config.dim, config.seed, restart))
+    point, descent, evals = serial_descent(start, config.max_iters, _REFINE_SWITCH, _STEP_TOL)
+    assert point.f > _REFINE_SWITCH
+    assert outcome.objective_value == float(point.f)
+    assert (outcome.iterations, outcome.descent_iterations, outcome.refine_iterations) == (descent, descent, 0)
+    assert (outcome.evaluations, outcome.stop_reason) == (1 + evals, stop)
 
 
 @pytest.mark.parametrize(

@@ -222,6 +222,26 @@ def test_convert_validates_the_density_once(tmp_path, hesse_file, capsys, monkey
     assert code == 0 and len(calls) == 1
 
 
+def test_convert_computes_each_purity_residual_once(tmp_path, hesse_file, capsys, monkeypatch):
+    calls = []
+    for name in ("purity_quadratic_residual", "purity_cubic_residual"):
+
+        def counted(*args, _name=name, _original=getattr(geometry, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(geometry, name, counted)
+    rho_path = tmp_path / "mixed.json"
+    files.write_json_atomic(rho_path, files.density_payload(np.eye(3) / 3.0))
+    p_path = tmp_path / "probs.json"
+    files.write_json_atomic(p_path, files.probabilities_payload([1.0 / 3.0] + [1.0 / 12.0] * 8, 3))
+    for flag, path in (("--rho", rho_path), ("--probs", p_path)):
+        calls.clear()
+        code, _, _ = run(capsys, ["convert", "--fiducial", hesse_file, flag, str(path), "--out", str(tmp_path / "conv")])
+        assert code == 0
+        assert sorted(calls) == ["purity_cubic_residual", "purity_quadratic_residual"]
+
+
 @pytest.mark.parametrize("as_json", [True, False])
 def test_convert_tests_purity_above_the_structure_tensor_cap(tmp_path, capsys, as_json):
     fiducial = str(BENCH_DATA / "fiducial_d16.json")

@@ -99,7 +99,7 @@ def test_kt_measure_at_large_t():
     assert report.value >= 0.0 and report.lower_bound >= 0.0
 
 
-@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), True, False, np.True_])
 def test_kt_rejects_non_finite_t(t, fiducial_d2):
     with pytest.raises(ValueError, match="t must be finite"):
         kt_lower_bound(3, t)

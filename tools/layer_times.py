@@ -5,7 +5,10 @@ operator_space, on the bench candidates d = 8..24: a line tracer (about 1 us per
 steps; operator_set untraced, K_t, frame potential and quasi-ONB run whole.
 search, per bench search (d, restarts) at workload seed 1: wall and CPU us of search_detailed (CPU of the whole
 process, BLAS threads included), and one descent tick, _evaluate then _gradient, for R = 1 and R = 16 restarts: one
-call on an (R, d) stack where the search batches its restarts, R calls on single states where it does not.
+call on an (R, d) stack where the search batches its restarts, R calls on single states where it does not.  Three
+deterministic counts per row, reported as they are: the restarts certified (RestartOutcome objective within
+accept_tol), and the overlap evaluations of the Gauss-Newton tail (summed from _least_squares_refine) and of the
+descent (the RestartOutcome evaluations less those, start points included).
 tomography, on the bench tomography candidates (d = 5, 7, 11): the geometry and mubs calls of one seeded pure state,
 and structure_coefficients, each repeated to about 10 ms per repeat and reported per call.
 """
@@ -15,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT, DIMS, ROUNDS, REPS, SEARCH_REPS, TICKS = Path(__file__).resolve().parents[1], (8, 12, 16, 20, 24), 3, 15, 5, 50
+COUNTS = ("certified", "descent_evals", "refine_evals")  # search row entries that are counts, not seconds
 INLINE = {"copy": ("np.array(ops",), "psd": ("eigvalsh", "cholesky", "lows", "margin"),  # first match wins
           "hermiticity": ("herm", "adj"), "pair_traces": ("_pair_traces",)}
 
@@ -53,6 +57,19 @@ def search_seconds(sf, d: int, restarts: int, seed: int) -> dict:
         sf.search_detailed(config)
         runs.append({"search_wall": time.perf_counter() - wall, "search_cpu": time.process_time() - cpu})
     row = {k: statistics.median(r[k] for r in runs) for k in runs[0]}
+    refine, refine_evals = search._least_squares_refine, []
+    def counting(*args):
+        result = refine(*args)
+        refine_evals.append(result[2])
+        return result
+    search._least_squares_refine = counting
+    try:
+        _, outcomes = sf.search_detailed(config)
+    finally:
+        search._least_squares_refine = refine
+    row["certified"] = sum(o.objective_value <= config.accept_tol for o in outcomes)
+    row["refine_evals"] = sum(refine_evals)
+    row["descent_evals"] = sum(o.evaluations for o in outcomes) - row["refine_evals"]
     batched = hasattr(search, "_BATCH_ENTRIES")
     for rows in (1, 16):
         states = [search._random_start(d, seed, r) for r in range(rows)]
@@ -103,10 +120,13 @@ def main(checkouts: list) -> dict:
     for r in range(ROUNDS):
         for label, src in checkouts if r % 2 == 0 else checkouts[::-1]:
             rounds[label].append(json.loads(subprocess.check_output([sys.executable, __file__, src], text=True)))
-    layers = {label: {table: {key: {k: round(1e6 * statistics.median(run[table][key][k] for run in runs), 1)
-                                    for k in runs[0][table][key]} for key in runs[0][table]} for table in runs[0]}
-              for label, runs in rounds.items()}
-    return {"unit": "us", "statistic": f"median of {ROUNDS} rounds of the median of {REPS} repeats ({SEARCH_REPS} for "
+    def median(runs, table, key, k):
+        value = statistics.median(run[table][key][k] for run in runs)
+        return value if k in COUNTS else round(1e6 * value, 1)
+    layers = {label: {table: {key: {k: median(runs, table, key, k) for k in runs[0][table][key]}
+                              for key in runs[0][table]} for table in runs[0]} for label, runs in rounds.items()}
+    return {"unit": f"us; the search counts {', '.join(COUNTS)} as they are",
+            "statistic": f"median of {ROUNDS} rounds of the median of {REPS} repeats ({SEARCH_REPS} for "
             f"search_detailed; a tick repeat is the mean of {TICKS} ticks, a tomography repeat about 10 ms of calls)",
             "machine": machine, "command": "python tools/layer_times.py " + " ".join(f"{l}=SRC" for l, _ in checkouts),
             "layers": layers}
