@@ -60,6 +60,15 @@ def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(-3, 25):
         assert is_prime(n) == (n in primes)
+    assert is_prime(np.int64(7)) and not is_prime(np.uint8(9))
+
+
+@pytest.mark.parametrize("bad", [7.9, 7.0, np.float64(5.0), True, "7", None])
+def test_is_prime_rejects_non_integers(bad):
+    # int() used to truncate, so is_prime(7.9) was True
+    with pytest.raises(ValueError, match="n must be an integer") as info:
+        is_prime(bad)
+    assert repr(bad) in str(info.value)
 
 
 @pytest.mark.parametrize("d", [4, 6, 9, 10, 12])

@@ -150,6 +150,19 @@ def test_displace_state_matches_dense(d):
 def test_canonical_index_reduces_mod_d():
     assert canonical_index(3, (4, -1)) == (1, 2)
     assert canonical_index(5, (0, 5)) == (0, 0)
+    assert canonical_index(5, (np.int64(-7), np.uint8(9))) == (3, 4)
+    assert all(type(i) is int for i in canonical_index(5, (np.int64(-7), np.uint8(9))))
+
+
+@pytest.mark.parametrize("r, name", [((1.5, 2), "r1"), ((0, 2.9), "r2"), ((True, 2), "r1"), ((1, "2"), "r2"),
+                                     ((np.float64(1.0), 0), "r1"), ((0, np.bool_(True)), "r2"), ((None, 0), "r1")])
+def test_index_helpers_reject_non_integers(r, name):
+    # int() used to truncate: (1.5, 2.9) read as (1, 2), and a displacement by (0.5, 0) was the identity
+    psi = np.array([1.0, 0.0, 0.0])
+    for call in (lambda: canonical_index(3, r), lambda: displacement(3, r), lambda: displace_state(psi, r)):
+        with pytest.raises(ValueError, match=f"index {name} must be an integer") as info:
+            call()
+        assert repr(r[0] if name == "r1" else r[1]) in str(info.value)
 
 
 def test_as_state_vector_validation():
