@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wh import as_state_vector, check_dim, check_tolerance, phase_constants
+from .wh import _check_integer, as_state_vector, check_dim, check_tolerance, phase_constants
 
 __all__ = [
     "MubSet",
@@ -31,8 +31,8 @@ __all__ = [
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (desk-scale n)."""
-    n = int(n)
+    """Deterministic trial-division primality check of an integer n (desk-scale n)."""
+    n = _check_integer(n, "n")
     if n < 2:
         return False
     if n < 4:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .verify import _overlaps, gram_residual, quartic_residual
-from .wh import as_state_vector, check_dim, check_tolerance, phase_constants
+from .wh import _check_integer, as_state_vector, check_dim, check_tolerance, phase_constants
 
 __all__ = [
     "RestartOutcome",
@@ -361,15 +361,6 @@ def _candidate(psi: np.ndarray, restarts_used: int, iterations: int, residual_to
         iterations=iterations,
         certified=bool(quartic <= residual_tol),
     )
-
-
-def _check_integer(value, name: str, low: int, high: int | None = None) -> int:
-    """Validate an integer field in [low, high) (a Python or numpy integer, not a bool) and return it as int."""
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if integer and low <= value and (high is None or value < high):
-        return int(value)
-    rule = f">= {low}" if high is None else f"in [{low}, {high})"
-    raise ValueError(f"{name} must be an integer {rule}, got {value!r}")
 
 
 def search_detailed(config: SearchConfig) -> tuple[SicCandidate, tuple[RestartOutcome, ...]]:

@@ -40,11 +40,18 @@ PROBABILITY_SUM_TOL = 1e-10  # |sum_i p(i) - 1| of a probability vector
 PURITY_TOL = 1e-9  # both purity residuals of a pure probability vector
 
 
+def _check_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """Validate an integer in [low, high) (a Python or numpy integer, not a bool) and return it as int."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if integer and (low is None or low <= value) and (high is None or value < high):
+        return int(value)
+    rule = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high})"
+    raise ValueError(f"{name} must be an integer{rule}, got {value!r}")
+
+
 def check_dim(d: int) -> int:
     """Validate a Hilbert-space dimension (a Python or numpy integer >= 2) and return it as int."""
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
-    return int(d)
+    return _check_integer(d, "dimension", 2)
 
 
 def check_tolerance(tol: float, name: str) -> float:
@@ -56,9 +63,9 @@ def check_tolerance(tol: float, name: str) -> float:
 
 
 def canonical_index(d: int, r) -> tuple[int, int]:
-    """Reduce an index pair to its canonical representative in [0, d) x [0, d)."""
+    """Reduce an index pair of integers (negative ones too) to its canonical representative in [0, d) x [0, d)."""
     r1, r2 = r
-    return int(r1) % d, int(r2) % d
+    return _check_integer(r1, "index r1") % d, _check_integer(r2, "index r2") % d
 
 
 def as_state_vector(psi) -> np.ndarray:
