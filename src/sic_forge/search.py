@@ -94,12 +94,12 @@ class RestartOutcome:
     restart run alone.
     ``stop_reason`` is one of ``STOP_REASONS``: the run reached the
     objective floor, its last line search found no decrease (a local
-    minimum, or a zero gradient), or it spent its iteration budget.  A
-    restart whose descent ended above the refinement switch is not refined
-    (``refine_iterations`` is 0): it reports ``iteration_budget`` if the
-    descent spent ``max_iters``, else ``line_search_stalled``, which then also
-    covers a descent step that fell below tolerance.  Every field is
-    deterministic for a given config.
+    minimum, or a zero gradient), it spent its iteration budget, or its last
+    accepted descent step was shorter than the step tolerance.  A restart
+    whose descent ended above the refinement switch is not refined
+    (``refine_iterations`` is 0) and reports the descent's exit; a refined
+    restart reports the refinement's.  Every field is deterministic for a
+    given config.
     """
 
     restart: int
@@ -111,7 +111,7 @@ class RestartOutcome:
     stop_reason: str
 
 
-STOP_REASONS = ("objective_floor", "line_search_stalled", "iteration_budget")
+STOP_REASONS = ("objective_floor", "line_search_stalled", "iteration_budget", "step_below_tolerance")
 
 
 def _residual_derivative(psi: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -211,35 +211,42 @@ def _backtrack(psi: np.ndarray, direction: np.ndarray, scale: float, min_scale: 
 
 def _gradient_descent(
     point: _Point, max_iters: int, objective_floor: float, step_tol: float
-) -> tuple[_Point, np.ndarray, np.ndarray]:
+) -> tuple[_Point, np.ndarray, np.ndarray, np.ndarray]:
     """Backtracking descent with Barzilai-Borwein step seeding of the rows psi[R, d];
-    returns (points, iterations, evaluations), all per row.
+    returns (points, iterations, evaluations, stop reasons), all per row.
 
     The rows advance in lockstep, one trial point per active row per tick.  Each
     row keeps its own Armijo test, step halving, BB step and exits, so it makes
     exactly the evaluations it makes alone.  Each accepted step renormalizes back
     onto the sphere and satisfies an Armijo decrease, so every row's objective is
     nonincreasing along its trajectory.  Finished rows leave the working arrays,
-    which hold the active rows only.
+    which hold the active rows only.  A row's stop reason is the first of its
+    exits that holds when it leaves: the floor, the budget, an accepted step
+    no longer than step_tol, else a stalled line search or a zero gradient.
     """
     final = _Point(*(np.empty_like(a) for a in point))
     iterations, evaluations = np.zeros((2, len(point.f)), dtype=int)
+    stops = np.empty(len(point.f), dtype=object)
     rows = np.arange(len(point.f))  # the original index of each working row
     g = _gradient(point)
     gnorm_sq = np.vecdot(g, g).real
     scale = np.clip(1.0 / np.maximum(1.0, _norms(g)), _MIN_STEP, _MAX_STEP)
     iters, ticks = np.zeros(len(rows), dtype=int), 0  # every working row evaluates one trial per tick
     go = (max_iters > 0) & (point.f > objective_floor) & (gnorm_sq > 0.0)
+    ok = long_step = np.zeros(len(rows), dtype=bool)  # the last tick's accepted rows and steps longer than step_tol
     while True:
         if np.count_nonzero(go) < len(go):  # retire the finished rows with their last accepted points
             done = ~go
             evaluations[rows[done]] = ticks
             for out, a in zip((*final, iterations), (*point, iters)):
                 out[rows[done]] = a[done]
+            exits = (point.f[done] <= objective_floor, iters[done] >= max_iters, (ok & ~long_step)[done])
+            stops[rows[done]] = np.select(exits, ("objective_floor", "iteration_budget", "step_below_tolerance"),
+                                          "line_search_stalled")
             point = _Point(*(a[go] for a in point))
-            rows, g, gnorm_sq, scale, iters = (a[go] for a in (rows, g, gnorm_sq, scale, iters))
+            rows, g, gnorm_sq, scale, iters, long_step = (a[go] for a in (rows, g, gnorm_sq, scale, iters, long_step))
             if not len(rows):
-                return final, iterations, evaluations
+                return final, iterations, evaluations, stops
         cand = point.psi + scale[:, None] * -g
         trial = _evaluate(cand / _norms(cand)[:, None])
         ticks += 1
@@ -259,7 +266,8 @@ def _gradient_descent(
             g_new, gn, step = np.where(c, g_new, g), np.where(ok, gn, gnorm_sq), np.where(ok, step, halved)
         point, g, gnorm_sq, scale = trial, g_new, gn, step
         iters += ok
-        going = (np.sqrt(ss) > step_tol) & (iters < max_iters) & (point.f > objective_floor) & (gnorm_sq > 0.0)
+        long_step = np.sqrt(ss) > step_tol
+        going = long_step & (iters < max_iters) & (point.f > objective_floor) & (gnorm_sq > 0.0)
         go = np.where(ok, going, scale >= _MIN_STEP)
 
 
@@ -312,21 +320,18 @@ def _descend(
     The Gauss-Newton step -J^+ rho converges fast only near an exact zero of the
     residual: at a local minimum with nonzero residual, J^T rho is the vanishing
     gradient, so the step vanishes too.  A row the descent left above the switch
-    keeps its last descent point and is stopped by the descent: its budget if
-    spent, else its stalled line search or its step below step_tol, both reported
-    as ``line_search_stalled``.  A refined row's stop reason is the refinement's.
+    keeps its last descent point and the descent's stop reason.  A refined row's
+    stop reason is the refinement's.
     """
     switch = max(objective_floor, _REFINE_SWITCH)
-    ends, descent_iters, descent_evals = _gradient_descent(_evaluate(psi), max_iters, switch, step_tol)
+    ends, descent_iters, descent_evals, stops = _gradient_descent(_evaluate(psi), max_iters, switch, step_tol)
     results = []
-    for row, (descent, evals) in enumerate(zip(descent_iters.tolist(), descent_evals.tolist())):
+    for row, (descent, evals, stop) in enumerate(zip(descent_iters.tolist(), descent_evals.tolist(), stops)):
         point = _Point(*(a[row] for a in ends))
-        if point.f <= switch:
+        refine = refine_evals = 0
+        if stop == "objective_floor":  # the descent reached the switch
             budget = min(_REFINE_MAX_ITERS, max_iters - descent)
             point, refine, refine_evals, stop = _least_squares_refine(point, objective_floor, budget)
-        else:
-            refine = refine_evals = 0
-            stop = "iteration_budget" if descent >= max_iters else "line_search_stalled"
         outcome = RestartOutcome(
             restart=first + row,
             objective_value=float(point.f),

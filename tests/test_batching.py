@@ -38,10 +38,16 @@ search_module = importlib.import_module("sic_forge.search")
 
 
 def serial_descent(point, max_iters: int, objective_floor: float, step_tol: float):
-    """Backtracking descent with Barzilai-Borwein step seeding of one restart; returns (point, iterations, evaluations)."""
+    """Backtracking descent with Barzilai-Borwein step seeding of one restart;
+    returns (point, iterations, evaluations, stop reason).
+
+    The floor and the budget outrank a short last step: a step that ends both
+    reports the floor or the budget.
+    """
     g = _gradient(point)
     step = 1.0 / max(1.0, float(np.linalg.norm(g)))
     iterations = evaluations = 0
+    stop = "line_search_stalled"  # a zero gradient or a failed halving ladder
     while iterations < max_iters and point.f > objective_floor:
         gnorm_sq = float(np.vdot(g, g).real)
         if gnorm_sq <= 0.0:
@@ -62,8 +68,13 @@ def serial_descent(point, max_iters: int, objective_floor: float, step_tol: floa
         step = ss / sy if sy > 1e-300 else alpha * 2.0
         point, g = trial, g_new
         if math.sqrt(ss) <= step_tol:
+            stop = "step_below_tolerance"
             break
-    return point, iterations, evaluations
+    if point.f <= objective_floor:
+        stop = "objective_floor"
+    elif iterations >= max_iters:
+        stop = "iteration_budget"
+    return point, iterations, evaluations, stop
 
 
 def serial_restart(config: SearchConfig, restart: int, gated: bool = True):
@@ -75,9 +86,8 @@ def serial_restart(config: SearchConfig, restart: int, gated: bool = True):
     floor = config.accept_tol * 1e-4
     switch = max(floor, _REFINE_SWITCH)
     start = _evaluate(_random_start(config.dim, config.seed, restart))
-    point, descent, evals = serial_descent(start, config.max_iters, switch, _STEP_TOL)
+    point, descent, evals, stop = serial_descent(start, config.max_iters, switch, _STEP_TOL)
     if gated and point.f > switch:
-        stop = "iteration_budget" if descent >= config.max_iters else "line_search_stalled"
         return point.psi, (restart, float(point.f), descent, descent, 0, 1 + evals, stop)
     budget = min(_REFINE_MAX_ITERS, config.max_iters - descent)
     point, refine, refine_evals, stop = _least_squares_refine(point, floor, budget)
@@ -122,17 +132,39 @@ def test_the_refinement_gate_keeps_every_certified_restart(d, seed):
     "config, restart, stop",
     [
         (SearchConfig(dim=5, restarts=2, seed=999, max_iters=3), 0, "iteration_budget"),
-        (SearchConfig(dim=8, restarts=4, seed=5), 0, "line_search_stalled"),
+        (SearchConfig(dim=8, restarts=4, seed=5), 0, "step_below_tolerance"),
+        (SearchConfig(dim=8, restarts=6, seed=5), 5, "line_search_stalled"),
     ],
 )
 def test_a_restart_left_above_the_switch_keeps_its_last_descent_point(config, restart, stop):
     outcome = search_detailed(config)[1][restart]
     start = _evaluate(_random_start(config.dim, config.seed, restart))
-    point, descent, evals = serial_descent(start, config.max_iters, _REFINE_SWITCH, _STEP_TOL)
+    point, descent, evals, serial_stop = serial_descent(start, config.max_iters, _REFINE_SWITCH, _STEP_TOL)
     assert point.f > _REFINE_SWITCH
     assert outcome.objective_value == float(point.f)
     assert (outcome.iterations, outcome.descent_iterations, outcome.refine_iterations) == (descent, descent, 0)
-    assert (outcome.evaluations, outcome.stop_reason) == (1 + evals, stop)
+    assert (outcome.evaluations, outcome.stop_reason, serial_stop) == (1 + evals, stop, stop)
+
+
+@pytest.mark.parametrize("restart, stop", [(0, "step_below_tolerance"), (5, "line_search_stalled")])
+def test_the_stop_reason_names_the_exit_the_descent_took(monkeypatch, restart, stop):
+    # a stalled restart's last halving ladder found no decrease; a short step's last ladder succeeded
+    config = SearchConfig(dim=8, restarts=6, seed=5)
+    assert search_detailed(config)[1][restart].stop_reason == stop
+    ladders, backtrack = [], _backtrack
+
+    def recording(psi, direction, *args):
+        trial, scale, trials = backtrack(psi, direction, *args)
+        ladders.append(None if trial is None else np.linalg.norm(trial.psi - psi))
+        return trial, scale, trials
+
+    monkeypatch.setattr(importlib.import_module(__name__), "_backtrack", recording)
+    start = _evaluate(_random_start(config.dim, config.seed, restart))
+    assert serial_descent(start, config.max_iters, _REFINE_SWITCH, _STEP_TOL)[3] == stop
+    if stop == "line_search_stalled":
+        assert ladders[-1] is None and None not in ladders[:-1]
+    else:
+        assert None not in ladders and ladders[-1] <= _STEP_TOL < min(ladders[:-1])
 
 
 @pytest.mark.parametrize(

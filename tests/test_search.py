@@ -172,11 +172,11 @@ def test_only_gauss_newton_builds_the_residual_derivative(monkeypatch):
         module._gradient_descent(module._evaluate(module._random_start(d, 7, 0)[None]), 400, 1e-10, 0.0)
     assert calls == []
     _, outcomes = search_detailed(SearchConfig(dim=8, restarts=4, seed=5))
-    # restarts 1 and 3 refine to the floor, one W per step; the stalled 0 and 2 never reach the switch and build none
+    # restarts 1 and 3 refine to the floor, one W per step; the stopped 0 and 2 never reach the switch and build none
     assert [(o.refine_iterations, o.stop_reason) for o in outcomes] == [
-        (0, "line_search_stalled"),
+        (0, "step_below_tolerance"),
         (2, "objective_floor"),
-        (0, "line_search_stalled"),
+        (0, "step_below_tolerance"),
         (2, "objective_floor"),
     ]
     assert len(calls) == 4
@@ -237,11 +237,11 @@ def test_restart_trace_is_deterministic_and_consistent(monkeypatch):
         assert o.descent_iterations + o.refine_iterations == o.iterations
         assert o.evaluations >= 1 + o.iterations  # the start point, then one trial per accepted step at least
         assert o.stop_reason in STOP_REASONS
-    # restarts 1 and 3 certify; 0 and 2 end at the same local minimum
+    # restarts 1 and 3 certify; 0 and 2 end at the same local minimum, on a step below tolerance
     assert [o.stop_reason for o in outcomes] == [
-        "line_search_stalled",
+        "step_below_tolerance",
         "objective_floor",
-        "line_search_stalled",
+        "step_below_tolerance",
         "objective_floor",
     ]
 
