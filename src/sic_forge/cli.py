@@ -5,11 +5,16 @@ honest negative result (e.g. an uncertified candidate, files still written),
 2 for usage or input errors.  All file writes are atomic, and artifacts
 written by two runs with identical flags are byte-identical; wall time is
 therefore reported on stdout only, never inside written artifacts.
+
+Each subcommand computes one report.  ``--json`` prints it as indented JSON;
+text mode prints one ``key: value`` line per leaf, nested keys joined by
+``.`` and each value written as its JSON text.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -110,13 +115,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        print(json.dumps(payload, indent=2, allow_nan=False) if args.json else "\n".join(_text_lines(payload)))
     except (files.FileFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return code
 
 
-def cmd_search(args) -> int:
+def _text_lines(payload: dict, prefix: str = ""):
+    """One ``key: <JSON value>`` line per leaf of the report; nested keys are joined by ``.``."""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from _text_lines(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}: {json.dumps(value, allow_nan=False)}"
+
+
+def cmd_search(args) -> tuple[dict, int]:
     try:
         accept_tol = args.tol**2
     except OverflowError:
@@ -160,45 +176,24 @@ def cmd_search(args) -> int:
             "certified": candidate.certified,
             "artifact_paths": [fiducial_path],
             "restarts": [
-                {
-                    "restart": o.restart,
-                    "objective": o.objective_value,
-                    "iterations": o.iterations,
-                    "descent_iterations": o.descent_iterations,
-                    "refine_iterations": o.refine_iterations,
-                    "evaluations": o.evaluations,
-                    "stop_reason": o.stop_reason,
-                }
+                {"objective" if key == "objective_value" else key: value for key, value in dataclasses.asdict(o).items()}
                 for o in outcomes
             ],
         },
     )
-
-    if args.json:
-        summary = {
-            "command": "search",
-            "dim": args.dim,
-            "residuals": residuals,
-            "wall_time_ms": wall_ms,
-            "artifact_paths": [fiducial_path, report_path],
-            "seed": args.seed,
-            "certified": candidate.certified,
-        }
-        print(json.dumps(summary, indent=2, allow_nan=False))
-    else:
-        print(f"dim: {args.dim}")
-        print(f"seed: {args.seed}  restarts: {args.restarts}")
-        print(f"gram_residual: {candidate.gram_residual:.6e}")
-        print(f"quartic_residual: {candidate.quartic_residual:.6e}")
-        print(f"objective: {candidate.objective_value:.6e}")
-        print(f"certified: {'yes' if candidate.certified else 'no'} (tol {args.tol:.1e})")
-        print(f"wall_time_ms: {wall_ms}")
-        print(f"wrote: {fiducial_path}")
-        print(f"wrote: {report_path}")
-    return EXIT_OK if candidate.certified else EXIT_NEGATIVE
+    payload = {
+        "command": "search",
+        "dim": args.dim,
+        "residuals": residuals,
+        "wall_time_ms": wall_ms,
+        "artifact_paths": [fiducial_path, report_path],
+        "seed": args.seed,
+        "certified": candidate.certified,
+    }
+    return payload, EXIT_OK if candidate.certified else EXIT_NEGATIVE
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     psi = as_state_vector(files.load_fiducial(args.fiducial))
     sic = verify.build_sic_set(psi, tol=args.tol)
     opset = operator_space.operator_set(sic.projectors)
@@ -207,47 +202,25 @@ def cmd_verify(args) -> int:
     phi = operator_space.frame_potential(sic.vectors)
     identity_gap = phi - (k2.value + sic.d**2)
     cert = operator_space.quasi_onb_certify(opset, tol=args.tol)
-
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "verify",
-                    "dim": sic.d,
-                    "residuals": {"gram": sic.gram_residual, "quartic": sic.quartic_residual},
-                    "k1": {"value": k1.value, "lower_bound": k1.lower_bound, "gap": k1.gap},
-                    "k2": {"value": k2.value, "lower_bound": k2.lower_bound, "gap": k2.gap},
-                    "frame_potential": phi,
-                    "frame_potential_identity_gap": identity_gap,
-                    "quasi_onb": {
-                        "passed": cert.passed,
-                        "projector_deviation": cert.projector_deviation,
-                        "trace_deviation": cert.trace_deviation,
-                        "overlap_deviation": cert.overlap_deviation,
-                        "completeness_deviation": cert.completeness_deviation,
-                    },
-                    "certified": sic.certified,
-                    "tol": args.tol,
-                },
-                indent=2,
-                allow_nan=False,
-            )
-        )
-    else:
-        print(f"dim: {sic.d}")
-        print(f"gram_residual: {sic.gram_residual:.6e}")
-        print(f"quartic_residual: {sic.quartic_residual:.6e}")
-        print(f"K_1: {k1.value:.12g} (lower bound {k1.lower_bound:.12g}, gap {k1.gap:.3e})")
-        print(f"K_2: {k2.value:.12g} (lower bound {k2.lower_bound:.12g}, gap {k2.gap:.3e})")
-        print(f"frame_potential: {phi:.12g}")
-        print(f"frame_potential_identity_gap: {identity_gap:.3e}")
-        print(
-            f"quasi_onb: {'PASS' if cert.passed else 'FAIL'} (tol {args.tol:.1e}; "
-            f"projector {cert.projector_deviation:.3e}, trace {cert.trace_deviation:.3e}, "
-            f"overlap {cert.overlap_deviation:.3e}, completeness {cert.completeness_deviation:.3e})"
-        )
-        print(f"certified: {'yes' if sic.certified else 'no'} (tol {args.tol:.1e})")
-    return EXIT_OK if sic.certified else EXIT_NEGATIVE
+    payload = {
+        "command": "verify",
+        "dim": sic.d,
+        "residuals": {"gram": sic.gram_residual, "quartic": sic.quartic_residual},
+        "k1": {"value": k1.value, "lower_bound": k1.lower_bound, "gap": k1.gap},
+        "k2": {"value": k2.value, "lower_bound": k2.lower_bound, "gap": k2.gap},
+        "frame_potential": phi,
+        "frame_potential_identity_gap": identity_gap,
+        "quasi_onb": {
+            "passed": cert.passed,
+            "projector_deviation": cert.projector_deviation,
+            "trace_deviation": cert.trace_deviation,
+            "overlap_deviation": cert.overlap_deviation,
+            "completeness_deviation": cert.completeness_deviation,
+        },
+        "certified": sic.certified,
+        "tol": args.tol,
+    }
+    return payload, EXIT_OK if sic.certified else EXIT_NEGATIVE
 
 
 def _purity_block(p: np.ndarray, sic: verify.SicSet) -> dict:
@@ -262,7 +235,7 @@ def _purity_block(p: np.ndarray, sic: verify.SicSet) -> dict:
     }
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args) -> tuple[dict, int]:
     psi = as_state_vector(files.load_fiducial(args.fiducial))
     sic = verify.build_sic_set(psi)
     if not sic.certified:
@@ -275,14 +248,14 @@ def cmd_convert(args) -> int:
         p = geometry.sic_probabilities(files.load_density(args.rho), sic)
         purity = _purity_block(p, sic)
         out_path = os.path.join(args.out, "probabilities.json")
-        payload = files.probabilities_payload(p, sic.d, extra={"purity": purity})
-        summary = {"command": "convert", "dim": sic.d, "direction": "rho->p", "purity": purity, "artifact_paths": [out_path]}
+        artifact = files.probabilities_payload(p, sic.d, extra={"purity": purity})
+        payload = {"command": "convert", "dim": sic.d, "direction": "rho->p", "purity": purity, "artifact_paths": [out_path]}
     else:
         p = files.load_probabilities(args.probs)
         rec = geometry.reconstruct_density(p, sic)
         purity = _purity_block(p, sic)
         out_path = os.path.join(args.out, "density.json")
-        payload = files.density_payload(
+        artifact = files.density_payload(
             rec.matrix,
             extra={
                 "reconstruction": {
@@ -292,7 +265,7 @@ def cmd_convert(args) -> int:
                 }
             },
         )
-        summary = {
+        payload = {
             "command": "convert",
             "dim": sic.d,
             "direction": "p->rho",
@@ -302,23 +275,11 @@ def cmd_convert(args) -> int:
             "artifact_paths": [out_path],
         }
     os.makedirs(args.out, exist_ok=True)
-    files.write_json_atomic(out_path, payload)
-
-    if args.json:
-        print(json.dumps(summary, indent=2, allow_nan=False))
-    else:
-        print(f"dim: {summary['dim']}")
-        print(f"direction: {summary['direction']}")
-        print(f"purity_quadratic_residual: {purity['quadratic_residual']:.6e}")
-        print(f"purity_cubic_residual: {purity['cubic_residual']:.6e}")
-        if "min_eigenvalue" in summary:
-            print(f"min_eigenvalue: {summary['min_eigenvalue']:.6e}")
-            print(f"physical: {'yes' if summary['physical'] else 'no'}")
-        print(f"wrote: {out_path}")
-    return EXIT_OK
+    files.write_json_atomic(out_path, artifact)
+    return payload, EXIT_OK
 
 
-def cmd_mubs(args) -> int:
+def cmd_mubs(args) -> tuple[dict, int]:
     mubset = mubs.build_mubs(args.dim)
     residual = mubs.unbiasedness_residual(mubset)
     payload = {"command": "mubs", "dim": args.dim, "bases": args.dim + 1, "unbiasedness_residual": residual}
@@ -331,21 +292,10 @@ def cmd_mubs(args) -> int:
         payload["target"] = mubs.minimum_uncertainty_target(args.dim)
         payload["minimum_uncertainty"] = verdict
         payload["tol"] = args.tol
-
-    if args.json:
-        print(json.dumps(payload, indent=2, allow_nan=False))
-    else:
-        print(f"dim: {args.dim} ({args.dim + 1} bases)")
-        print(f"unbiasedness_residual: {residual:.6e}")
-        if args.state is not None:
-            per = ", ".join(f"{x:.12g}" for x in payload["per_basis"])
-            print(f"per_basis: [{per}]")
-            print(f"target: {payload['target']:.12g}")
-            print(f"minimum_uncertainty: {'yes' if payload['minimum_uncertainty'] else 'no'} (tol {args.tol:.1e})")
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_kt(args) -> int:
+def cmd_kt(args) -> tuple[dict, int]:
     bound = operator_space.kt_lower_bound(args.dim, args.t)
     payload = {"command": "kt", "dim": args.dim, "t": args.t, "lower_bound": bound}
 
@@ -357,16 +307,7 @@ def cmd_kt(args) -> int:
         report = operator_space.kt_measure(operator_space.operator_set(sic.projectors), args.t)
         payload["value"] = report.value
         payload["gap"] = report.gap
-
-    if args.json:
-        print(json.dumps(payload, indent=2, allow_nan=False))
-    else:
-        print(f"dim: {args.dim}  t: {args.t:g}")
-        print(f"lower_bound: {bound:.12g}")
-        if "value" in payload:
-            print(f"value: {payload['value']:.12g}")
-            print(f"gap: {payload['gap']:.3e}")
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
 if __name__ == "__main__":

@@ -77,6 +77,50 @@ def test_search_runs_are_byte_identical(tmp_path, capsys):
     assert rep_path.read_bytes() == first_rep
 
 
+def flatten(payload: dict, prefix: str = "") -> list:
+    """(dotted key, value) for every leaf of a JSON object, in order; lists are leaves."""
+    leaves = []
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            leaves += flatten(value, f"{prefix}{key}.")
+        else:
+            leaves.append((f"{prefix}{key}", value))
+    return leaves
+
+
+TEXT_MODE_CASES = {
+    "search": ["search", "--dim", "2", "--restarts", "2", "--seed", "3", "--out", "{out}"],
+    "verify": ["verify", "--fiducial", "{fiducial}"],
+    "kt": ["kt", "--dim", "3", "--t", "2.5"],
+    "kt_fiducial": ["kt", "--dim", "3", "--t", "2", "--fiducial", "{fiducial}"],
+    "convert_rho": ["convert", "--fiducial", "{fiducial}", "--rho", "{rho}", "--out", "{out}"],
+    "convert_probs": ["convert", "--fiducial", "{fiducial}", "--probs", "{probs}", "--out", "{out}"],
+    "mubs": ["mubs", "--dim", "5"],
+    "mubs_state": ["mubs", "--dim", "3", "--state", "{fiducial}"],
+}
+
+
+@pytest.mark.parametrize("case", TEXT_MODE_CASES)
+def test_text_mode_prints_the_json_payload_one_leaf_per_line(tmp_path, hesse_file, capsys, case):
+    rho_path, p_path = tmp_path / "rho.json", tmp_path / "probs.json"
+    files.write_json_atomic(rho_path, files.density_payload(random_density(np.random.default_rng(3), 3)))
+    files.write_json_atomic(p_path, files.probabilities_payload([1.0 / 3.0] + [1.0 / 12.0] * 8, 3))
+    paths = {"out": str(tmp_path / "out"), "fiducial": hesse_file, "rho": str(rho_path), "probs": str(p_path)}
+    argv = [arg.format(**paths) for arg in TEXT_MODE_CASES[case]]
+    json_code, json_out, _ = run(capsys, argv + ["--json"])
+    text_code, text_out, _ = run(capsys, argv)
+    assert text_code == json_code
+    leaves = []
+    for line in text_out.splitlines():
+        key, sep, value = line.partition(": ")
+        assert sep and key and " " not in key, line
+        leaves.append((key, json.loads(value, parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))))
+    expected = flatten(json.loads(json_out))
+    assert [k for k, _ in leaves] == [k for k, _ in expected]
+    # wall time differs between the two runs; every other value is the same JSON text
+    assert [kv for kv in leaves if kv[0] != "wall_time_ms"] == [kv for kv in expected if kv[0] != "wall_time_ms"]
+
+
 def test_verify_certifies_exact_fiducial(hesse_file, capsys):
     code, stdout, _ = run(capsys, ["verify", "--fiducial", hesse_file, "--json"])
     assert code == 0
@@ -261,7 +305,7 @@ def test_convert_tests_purity_above_the_structure_tensor_cap(tmp_path, capsys, a
         if as_json:
             assert json.loads(stdout)["purity"] == purity
         else:
-            assert f"purity_cubic_residual: {purity['cubic_residual']:.6e}" in stdout
+            assert f"purity.cubic_residual: {json.dumps(purity['cubic_residual'])}" in stdout.splitlines()
 
 
 def test_convert_builds_no_structure_tensor(tmp_path, hesse_file, capsys, monkeypatch):
