@@ -176,7 +176,7 @@ def cmd_search(args) -> tuple[dict, int]:
             "certified": candidate.certified,
             "artifact_paths": [fiducial_path],
             "restarts": [
-                {"objective" if key == "objective_value" else key: value for key, value in dataclasses.asdict(o).items()}
+                {"objective" if k == "objective_value" else k: v for k, v in dataclasses.asdict(o).items()}
                 for o in outcomes
             ],
         },

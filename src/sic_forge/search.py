@@ -226,7 +226,7 @@ def _gradient_descent(
     """
     final = _Point(*(np.empty_like(a) for a in point))
     iterations, evaluations = np.zeros((2, len(point.f)), dtype=int)
-    stops = np.empty(len(point.f), dtype=object)
+    short = np.zeros(len(point.f), dtype=bool)  # per row: its last tick accepted a step no longer than step_tol
     rows = np.arange(len(point.f))  # the original index of each working row
     g = _gradient(point)
     gnorm_sq = np.vecdot(g, g).real
@@ -237,15 +237,16 @@ def _gradient_descent(
     while True:
         if np.count_nonzero(go) < len(go):  # retire the finished rows with their last accepted points
             done = ~go
-            evaluations[rows[done]] = ticks
-            for out, a in zip((*final, iterations), (*point, iters)):
-                out[rows[done]] = a[done]
-            exits = (point.f[done] <= objective_floor, iters[done] >= max_iters, (ok & ~long_step)[done])
-            stops[rows[done]] = np.select(exits, ("objective_floor", "iteration_budget", "step_below_tolerance"),
-                                          "line_search_stalled")
+            gone = rows[done]
+            evaluations[gone] = ticks
+            for out, a in zip((*final, iterations, short), (*point, iters, ok & ~long_step)):
+                out[gone] = a[done]
             point = _Point(*(a[go] for a in point))
             rows, g, gnorm_sq, scale, iters, long_step = (a[go] for a in (rows, g, gnorm_sq, scale, iters, long_step))
             if not len(rows):
+                exits = (final.f <= objective_floor, iterations >= max_iters, short)
+                stops = np.select(exits, ("objective_floor", "iteration_budget", "step_below_tolerance"),
+                                  "line_search_stalled")
                 return final, iterations, evaluations, stops
         cand = point.psi + scale[:, None] * -g
         trial = _evaluate(cand / _norms(cand)[:, None])
@@ -326,7 +327,7 @@ def _descend(
     switch = max(objective_floor, _REFINE_SWITCH)
     ends, descent_iters, descent_evals, stops = _gradient_descent(_evaluate(psi), max_iters, switch, step_tol)
     results = []
-    for row, (descent, evals, stop) in enumerate(zip(descent_iters.tolist(), descent_evals.tolist(), stops)):
+    for row, (descent, evals, stop) in enumerate(zip(descent_iters.tolist(), descent_evals.tolist(), stops.tolist())):
         point = _Point(*(a[row] for a in ends))
         refine = refine_evals = 0
         if stop == "objective_floor":  # the descent reached the switch

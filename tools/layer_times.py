@@ -1,4 +1,4 @@
-"""Median us per layer, operator_space, search and tomography, by checkout: layer_times.py LABEL=SRC [LABEL=SRC ...]
+"""Median us per layer, operator_space, search, tomography and cli, by checkout: layer_times.py LABEL=SRC [LABEL=SRC ...]
 
 Each SRC runs in its own interpreter, in rounds of alternating order (median of round medians).
 operator_space, on the bench candidates d = 8..24: a line tracer (about 1 us per line) times operator_set's inline
@@ -11,8 +11,10 @@ accept_tol), and the overlap evaluations of the Gauss-Newton tail (summed from _
 descent (the RestartOutcome evaluations less those, start points included).
 tomography, on the bench tomography candidates (d = 5, 7, 11): the geometry and mubs calls of one seeded pure state,
 and structure_coefficients, each repeated to about 10 ms per repeat and reported per call.
+cli, on the bench cli workload's arguments at workload seed 1 (bench/data/fiducial_d{5,7}.json): in-process cli.main
+per subcommand, with --json and in text mode (without it), stdout captured.
 """
-import collections, importlib, json, linecache, os, statistics, subprocess, sys, time, timeit
+import collections, contextlib, importlib, io, json, linecache, os, statistics, subprocess, sys, tempfile, time, timeit
 from pathlib import Path
 
 import numpy as np
@@ -102,13 +104,33 @@ def tomography_seconds(sf, psi) -> dict:
     return {k: per_call(*c) for k, c in calls.items()}
 
 
+def cli_seconds(src: str) -> dict:
+    from workloads import Cli  # the bench's cli arguments and the input files its set-up writes
+    main = importlib.import_module("sic_forge.cli").main
+    def timed(argv) -> float:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return timeit.timeit(lambda: main(argv), number=1)
+    with tempfile.TemporaryDirectory() as work:
+        bench = Cli(1, str(Path(src).resolve().parent))
+        bench.work = work
+        bench.setup()
+        table = {}
+        for _, argv, _, _ in bench.commands()[1:]:  # the first is the bare import
+            name = argv[0] + ("_rho" if "--rho" in argv else "_probs" if "--probs" in argv else "")
+            modes = {"json": argv, "text": [a for a in argv if a != "--json"]}
+            runs = [{mode: timed(args) for mode, args in modes.items()} for _ in range(REPS)]
+            table[name] = {mode: statistics.median(r[mode] for r in runs) for mode in modes}
+    return table
+
+
 def child(src: str) -> dict:
     sys.path[:0] = [src, str(ROOT / "bench")]
     sf = __import__("sic_forge.files")
     from workloads import Search, Tomography, derived_seed, load_candidate  # the bench's dimensions, seeds, candidates
     return {"operator_space": {d: layer_seconds(sf, d) for d in DIMS},
             "search": {f"d={d} R={r}": search_seconds(sf, d, r, derived_seed(1, d)) for d, r in Search.dims},
-            "tomography": {d: tomography_seconds(sf, load_candidate(d, True)) for d, _ in Tomography.states_per_dim}}
+            "tomography": {d: tomography_seconds(sf, load_candidate(d, True)) for d, _ in Tomography.states_per_dim},
+            "cli": cli_seconds(src)}
 
 
 def main(checkouts: list) -> dict:
