@@ -287,10 +287,9 @@ def cmd_mubs(args) -> tuple[dict, int]:
     if args.state is not None:
         psi = as_state_vector(files.load_state_vector(args.state))
         profile = mubs.uncertainty_profile(psi, mubset)
-        verdict = mubs.is_minimum_uncertainty(psi, mubset, tol=args.tol)
         payload["per_basis"] = [float(x) for x in profile.per_basis]
         payload["target"] = mubs.minimum_uncertainty_target(args.dim)
-        payload["minimum_uncertainty"] = verdict
+        payload["minimum_uncertainty"] = mubs.is_minimum_uncertainty(psi, mubset, tol=args.tol)
         payload["tol"] = args.tol
     return payload, EXIT_OK
 
