@@ -128,13 +128,14 @@ def test_the_refinement_gate_keeps_every_certified_restart(d, seed):
     assert candidate.fiducial.tobytes() == ungated[best][0].tobytes()
 
 
+# restarts the descent leaves above the switch: a failed last halving ladder, and a last step below _STEP_TOL
+STALLED = (SearchConfig(dim=8, restarts=1, seed=1), 0, "line_search_stalled")
+SHORT_STEP = (SearchConfig(dim=8, restarts=4, seed=5), 0, "step_below_tolerance")
+
+
 @pytest.mark.parametrize(
     "config, restart, stop",
-    [
-        (SearchConfig(dim=5, restarts=2, seed=999, max_iters=3), 0, "iteration_budget"),
-        (SearchConfig(dim=8, restarts=4, seed=5), 0, "step_below_tolerance"),
-        (SearchConfig(dim=8, restarts=6, seed=5), 5, "line_search_stalled"),
-    ],
+    [(SearchConfig(dim=5, restarts=2, seed=999, max_iters=3), 0, "iteration_budget"), STALLED, SHORT_STEP],
 )
 def test_a_restart_left_above_the_switch_keeps_its_last_descent_point(config, restart, stop):
     outcome = search_detailed(config)[1][restart]
@@ -146,10 +147,9 @@ def test_a_restart_left_above_the_switch_keeps_its_last_descent_point(config, re
     assert (outcome.evaluations, outcome.stop_reason, serial_stop) == (1 + evals, stop, stop)
 
 
-@pytest.mark.parametrize("restart, stop", [(0, "step_below_tolerance"), (5, "line_search_stalled")])
-def test_the_stop_reason_names_the_exit_the_descent_took(monkeypatch, restart, stop):
+@pytest.mark.parametrize("config, restart, stop", [STALLED, SHORT_STEP])
+def test_the_stop_reason_names_the_exit_the_descent_took(monkeypatch, config, restart, stop):
     # a stalled restart's last halving ladder found no decrease; a short step's last ladder succeeded
-    config = SearchConfig(dim=8, restarts=6, seed=5)
     assert search_detailed(config)[1][restart].stop_reason == stop
     ladders, backtrack = [], _backtrack
 
