@@ -214,7 +214,7 @@ def test_quasi_onb_fails_random_projectors():
     assert report.overlap_deviation > 0.0
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9, True])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9, True, "1e-3", None, "abc", 1e-3 + 0j])
 def test_quasi_onb_rejects_bad_tol(bad):
     # random projectors fail every condition, yet an infinite tolerance would pass them
     rng = np.random.default_rng(9)

@@ -313,7 +313,7 @@ def test_search_rejects_bad_config():
         search(SearchConfig(dim=3, restarts=0, seed=0))
     with pytest.raises(ValueError):
         search(SearchConfig(dim=3, restarts=5, seed=0, accept_tol=0.0))
-    for bad in (float("inf"), float("nan"), True, np.True_):
+    for bad in (float("inf"), float("nan"), True, np.True_, "1e-18", None, "abc", 1e-18 + 0j):
         with pytest.raises(ValueError, match="accept_tol"):
             search(SearchConfig(dim=3, restarts=1, seed=0, accept_tol=bad))
     for bad in (3.9, 3.0, "3"):
@@ -380,7 +380,7 @@ def test_polish_fixed_point(fiducial_d3):
     assert np.abs(cand.fiducial - fiducial_d3).max() <= 1e-13
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9, True])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9, True, "1e-3", None, "abc", 1e-3 + 0j])
 def test_polish_rejects_bad_residual_tol(bad, fiducial_d3):
     with pytest.raises(ValueError, match="residual_tol"):
         polish(fiducial_d3, residual_tol=bad)

@@ -137,7 +137,7 @@ def test_build_sic_set_reports_uncertified_candidate():
     assert sic.quartic_residual == pytest.approx(0.5, abs=1e-13)
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9, True])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9, True, "1e-3", None, "abc", 1e-3 + 0j])
 def test_build_sic_set_rejects_bad_tol(bad):
     # an infinite tolerance would certify any unit vector
     with pytest.raises(ValueError, match="tol must be positive and finite"):

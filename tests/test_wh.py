@@ -13,6 +13,7 @@ from sic_forge import (
     displacement,
     phase_constants,
 )
+from sic_forge.wh import check_tolerance
 from conftest import displacement_table, oracle_displacement, random_state
 
 
@@ -60,6 +61,21 @@ def test_check_dim_accepts_python_and_numpy_integers():
 def test_check_dim_rejects_non_integral_or_small(bad):
     with pytest.raises(ValueError, match="dimension must be an integer >= 2") as info:
         check_dim(bad)
+    assert repr(bad) in str(info.value)
+
+
+def test_check_tolerance_accepts_python_and_numpy_reals():
+    for tol in (1e-3, 2, np.float64(1e-3), np.float32(0.5), np.int64(3)):
+        assert check_tolerance(tol, "tol") == float(tol) and type(check_tolerance(tol, "tol")) is float
+
+
+@pytest.mark.parametrize(
+    "bad", ["1e-3", None, "abc", b"1", 1e-3 + 0j, np.complex128(1e-3), np.array(1e-3), [1e-3], True, np.True_]
+)
+def test_check_tolerance_rejects_what_is_not_a_real_number(bad):
+    # text that float() would parse is rejected too, and every rejection names the parameter
+    with pytest.raises(ValueError, match="my_tol must be positive and finite") as info:
+        check_tolerance(bad, "my_tol")
     assert repr(bad) in str(info.value)
 
 
