@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,11 +56,12 @@ def check_dim(d: int) -> int:
 
 
 def check_tolerance(tol: float, name: str) -> float:
-    """Validate a certification tolerance (positive and finite, not a bool) and return it as float."""
-    value = float(tol)
-    if isinstance(tol, (bool, np.bool_)) or not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
-    return value
+    """Validate a certification tolerance (a positive finite Python or numpy real, not a bool); return it as float."""
+    if isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool):
+        with contextlib.suppress(OverflowError):  # an int past the float range
+            if 0.0 < (value := float(tol)) < math.inf:
+                return value
+    raise ValueError(f"{name} must be positive and finite (a real number), got {tol!r}")
 
 
 def canonical_index(d: int, r) -> tuple[int, int]:

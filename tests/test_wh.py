@@ -70,7 +70,7 @@ def test_check_tolerance_accepts_python_and_numpy_reals():
 
 
 @pytest.mark.parametrize(
-    "bad", ["1e-3", None, "abc", b"1", 1e-3 + 0j, np.complex128(1e-3), np.array(1e-3), [1e-3], True, np.True_]
+    "bad", ["1e-3", None, "abc", b"1", 1e-3 + 0j, np.complex128(1e-3), np.array(1e-3), [1e-3], True, np.True_, 10**400]
 )
 def test_check_tolerance_rejects_what_is_not_a_real_number(bad):
     # text that float() would parse is rejected too, and every rejection names the parameter
