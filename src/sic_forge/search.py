@@ -50,6 +50,11 @@ _REFINE_SWITCH = 1e-10  # objective level where the least-squares refinement tak
 _REFINE_MAX_ITERS = 60
 _REFINE_MIN_SCALE = _SHRINK**19  # the Gauss-Newton step is halved at most 19 times
 _STEP_TOL = 1e-13  # a restart stops once its accepted step is shorter than this
+# A restart also stops on a plateau: at every _PLATEAU_ITERS-th accepted descent step, if its objective is above
+# _PLATEAU_LEVEL, far above the refinement switch, and fell by no more than the fraction _PLATEAU_DROP since the last.
+_PLATEAU_ITERS = 10
+_PLATEAU_LEVEL = 1e-4
+_PLATEAU_DROP = 1e-6
 _BATCH_ENTRIES = 2**16  # overlap entries (restarts x d^2) descending together: bounds a batch's memory
 
 
@@ -111,7 +116,13 @@ class RestartOutcome:
     stop_reason: str
 
 
-STOP_REASONS = ("objective_floor", "line_search_stalled", "iteration_budget", "step_below_tolerance")
+STOP_REASONS = (
+    "objective_floor",
+    "line_search_stalled",
+    "iteration_budget",
+    "step_below_tolerance",
+    "objective_plateau",
+)
 
 
 def _residual_derivative(psi: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -227,26 +238,31 @@ def _gradient_descent(
     final = _Point(*(np.empty_like(a) for a in point))
     iterations, evaluations = np.zeros((2, len(point.f)), dtype=int)
     short = np.zeros(len(point.f), dtype=bool)  # per row: its last tick accepted a step no longer than step_tol
+    plateau = np.zeros(len(point.f), dtype=bool)  # per row: its last tick was a checkpoint on a plateau
     rows = np.arange(len(point.f))  # the original index of each working row
     g = _gradient(point)
     gnorm_sq = np.vecdot(g, g).real
     scale = np.clip(1.0 / np.maximum(1.0, _norms(g)), _MIN_STEP, _MAX_STEP)
     iters, ticks = np.zeros(len(rows), dtype=int), 0  # every working row evaluates one trial per tick
+    mark = point.f  # per row: the objective at its last plateau checkpoint
     go = (max_iters > 0) & (point.f > objective_floor) & (gnorm_sq > 0.0)
-    ok = long_step = np.zeros(len(rows), dtype=bool)  # the last tick's accepted rows and steps longer than step_tol
+    # the last tick's accepted rows, steps longer than step_tol and plateau checkpoints
+    ok = long_step = flat = np.zeros(len(rows), dtype=bool)
     while True:
         if np.count_nonzero(go) < len(go):  # retire the finished rows with their last accepted points
             done = ~go
             gone = rows[done]
             evaluations[gone] = ticks
-            for out, a in zip((*final, iterations, short), (*point, iters, ok & ~long_step)):
+            for out, a in zip((*final, iterations, short, plateau), (*point, iters, ok & ~long_step, ok & flat)):
                 out[gone] = a[done]
             point = _Point(*(a[go] for a in point))
-            rows, g, gnorm_sq, scale, iters, long_step = (a[go] for a in (rows, g, gnorm_sq, scale, iters, long_step))
+            rows, g, gnorm_sq, scale, iters, mark, long_step, flat = (
+                a[go] for a in (rows, g, gnorm_sq, scale, iters, mark, long_step, flat)
+            )
             if not len(rows):
-                exits = (final.f <= objective_floor, iterations >= max_iters, short)
-                stops = np.select(exits, ("objective_floor", "iteration_budget", "step_below_tolerance"),
-                                  "line_search_stalled")
+                exits = (final.f <= objective_floor, iterations >= max_iters, short, plateau)
+                reasons = ("objective_floor", "iteration_budget", "step_below_tolerance", "objective_plateau")
+                stops = np.select(exits, reasons, "line_search_stalled")
                 return final, iterations, evaluations, stops
         cand = point.psi + scale[:, None] * -g
         trial = _evaluate(cand / _norms(cand)[:, None])
@@ -268,7 +284,10 @@ def _gradient_descent(
         point, g, gnorm_sq, scale = trial, g_new, gn, step
         iters += ok
         long_step = np.sqrt(ss) > step_tol
-        going = long_step & (iters < max_iters) & (point.f > objective_floor) & (gnorm_sq > 0.0)
+        check = ok & (iters % _PLATEAU_ITERS == 0)
+        flat = check & (point.f > _PLATEAU_LEVEL) & (point.f > (1.0 - _PLATEAU_DROP) * mark)
+        mark = np.where(check, point.f, mark)
+        going = long_step & ~flat & (iters < max_iters) & (point.f > objective_floor) & (gnorm_sq > 0.0)
         go = np.where(ok, going, scale >= _MIN_STEP)
 
 

@@ -22,6 +22,9 @@ from sic_forge.search import (
     _ARMIJO,
     _MAX_STEP,
     _MIN_STEP,
+    _PLATEAU_DROP,
+    _PLATEAU_ITERS,
+    _PLATEAU_LEVEL,
     _REFINE_MAX_ITERS,
     _REFINE_SWITCH,
     _STEP_TOL,
@@ -37,16 +40,20 @@ from conftest import random_state
 search_module = importlib.import_module("sic_forge.search")
 
 
-def serial_descent(point, max_iters: int, objective_floor: float, step_tol: float):
+def serial_descent(point, max_iters: int, objective_floor: float, step_tol: float, plateau: bool = True):
     """Backtracking descent with Barzilai-Borwein step seeding of one restart;
     returns (point, iterations, evaluations, stop reason).
 
-    The floor and the budget outrank a short last step: a step that ends both
-    reports the floor or the budget.
+    With plateau, every _PLATEAU_ITERS-th accepted step is a checkpoint: the
+    descent stops there if f is above _PLATEAU_LEVEL and fell by no more than
+    the fraction _PLATEAU_DROP since the last checkpoint (the start first).
+    The floor and the budget outrank a short last step, and a short last step
+    outranks a plateau: a step that ends several reports the first of them.
     """
     g = _gradient(point)
     step = 1.0 / max(1.0, float(np.linalg.norm(g)))
     iterations = evaluations = 0
+    mark = float(point.f)  # the objective at the last checkpoint
     stop = "line_search_stalled"  # a zero gradient or a failed halving ladder
     while iterations < max_iters and point.f > objective_floor:
         gnorm_sq = float(np.vdot(g, g).real)
@@ -70,6 +77,12 @@ def serial_descent(point, max_iters: int, objective_floor: float, step_tol: floa
         if math.sqrt(ss) <= step_tol:
             stop = "step_below_tolerance"
             break
+        if plateau and iterations % _PLATEAU_ITERS == 0:
+            f = float(point.f)
+            if f > _PLATEAU_LEVEL and f > (1.0 - _PLATEAU_DROP) * mark:
+                stop = "objective_plateau"
+                break
+            mark = f
     if point.f <= objective_floor:
         stop = "objective_floor"
     elif iterations >= max_iters:
@@ -77,16 +90,17 @@ def serial_descent(point, max_iters: int, objective_floor: float, step_tol: floa
     return point, iterations, evaluations, stop
 
 
-def serial_restart(config: SearchConfig, restart: int, gated: bool = True):
+def serial_restart(config: SearchConfig, restart: int, gated: bool = True, plateau: bool = True):
     """One restart of search_detailed run alone: (final psi, outcome fields as a tuple).
 
     Gated, as the search runs, only a descent that reached the refinement switch
-    is refined; ungated, every descent is.
+    is refined; ungated, every descent is.  Without plateau, the descent runs
+    on past every plateau checkpoint.
     """
     floor = config.accept_tol * 1e-4
     switch = max(floor, _REFINE_SWITCH)
     start = _evaluate(_random_start(config.dim, config.seed, restart))
-    point, descent, evals, stop = serial_descent(start, config.max_iters, switch, _STEP_TOL)
+    point, descent, evals, stop = serial_descent(start, config.max_iters, switch, _STEP_TOL, plateau)
     if gated and point.f > switch:
         return point.psi, (restart, float(point.f), descent, descent, 0, 1 + evals, stop)
     budget = min(_REFINE_MAX_ITERS, config.max_iters - descent)
@@ -113,29 +127,51 @@ def test_batched_search_equals_the_serial_oracle(d, seed):
     assert candidate.fiducial.tobytes() == alone[best][0].tobytes()
 
 
+def assert_keeps_every_certified_restart(config, reference):
+    """search_detailed certifies the same restarts as the reference, a list of serial_restart
+    results, with the same outcomes and the same best fiducial; returns the search's outcomes."""
+    candidate, outcomes = search_detailed(config)
+    certified = {o.restart for o in outcomes if o.objective_value <= config.accept_tol}
+    assert certified and certified == {r for r, (_, f) in enumerate(reference) if f[1] <= config.accept_tol}
+    for r in certified:
+        assert dataclasses.astuple(outcomes[r]) == reference[r][1]
+    best = min(range(config.restarts), key=lambda r: (reference[r][1][1], r))
+    assert candidate.fiducial.tobytes() == reference[best][0].tobytes()
+    return outcomes
+
+
 @pytest.mark.parametrize("d", range(2, 13))
 @pytest.mark.parametrize("seed", [0, 5, 2024])
 def test_the_refinement_gate_keeps_every_certified_restart(d, seed):
-    # refining a restart the descent left above the switch never certifies it: the ungated tail is the oracle
+    # refining a restart whose descent ran to its end above the switch never certifies it: the ungated tail is the
+    # oracle.  Its descent runs past the plateau checkpoints: refined from a plateau, d=4 seed 2024 restart 3 certifies.
     config = SearchConfig(dim=d, restarts=6, seed=seed)
-    candidate, outcomes = search_detailed(config)
-    ungated = [serial_restart(config, r, gated=False) for r in range(config.restarts)]
-    certified = {o.restart for o in outcomes if o.objective_value <= config.accept_tol}
-    assert certified and certified == {r for r, (_, f) in enumerate(ungated) if f[1] <= config.accept_tol}
-    for r in certified:
-        assert dataclasses.astuple(outcomes[r]) == ungated[r][1]
-    best = min(range(config.restarts), key=lambda r: (ungated[r][1][1], r))
-    assert candidate.fiducial.tobytes() == ungated[best][0].tobytes()
+    assert_keeps_every_certified_restart(
+        config, [serial_restart(config, r, gated=False, plateau=False) for r in range(config.restarts)]
+    )
 
 
-# restarts the descent leaves above the switch: a failed last halving ladder, and a last step below _STEP_TOL
-STALLED = (SearchConfig(dim=8, restarts=1, seed=1), 0, "line_search_stalled")
-SHORT_STEP = (SearchConfig(dim=8, restarts=4, seed=5), 0, "step_below_tolerance")
+@pytest.mark.parametrize("d", range(2, 13))
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_the_plateau_exit_keeps_every_certified_restart(d, seed):
+    # a certified restart's descent never sits on a plateau above _PLATEAU_LEVEL: the descent without the exit is the oracle
+    config = SearchConfig(dim=d, restarts=6, seed=seed)
+    outcomes = assert_keeps_every_certified_restart(
+        config, [serial_restart(config, r, plateau=False) for r in range(config.restarts)]
+    )
+    assert all(o.objective_value > _PLATEAU_LEVEL for o in outcomes if o.stop_reason == "objective_plateau")
+
+
+# restarts the descent leaves above the switch: a failed last halving ladder, a last step below _STEP_TOL,
+# and a plateau checkpoint
+STALLED = (SearchConfig(dim=4, restarts=4, seed=5), 3, "line_search_stalled")
+SHORT_STEP = (SearchConfig(dim=6, restarts=2, seed=0), 1, "step_below_tolerance")
+PLATEAU = (SearchConfig(dim=8, restarts=1, seed=5), 0, "objective_plateau")
 
 
 @pytest.mark.parametrize(
     "config, restart, stop",
-    [(SearchConfig(dim=5, restarts=2, seed=999, max_iters=3), 0, "iteration_budget"), STALLED, SHORT_STEP],
+    [(SearchConfig(dim=5, restarts=2, seed=999, max_iters=3), 0, "iteration_budget"), STALLED, SHORT_STEP, PLATEAU],
 )
 def test_a_restart_left_above_the_switch_keeps_its_last_descent_point(config, restart, stop):
     outcome = search_detailed(config)[1][restart]
@@ -147,9 +183,10 @@ def test_a_restart_left_above_the_switch_keeps_its_last_descent_point(config, re
     assert (outcome.evaluations, outcome.stop_reason, serial_stop) == (1 + evals, stop, stop)
 
 
-@pytest.mark.parametrize("config, restart, stop", [STALLED, SHORT_STEP])
+@pytest.mark.parametrize("config, restart, stop", [STALLED, SHORT_STEP, PLATEAU])
 def test_the_stop_reason_names_the_exit_the_descent_took(monkeypatch, config, restart, stop):
-    # a stalled restart's last halving ladder found no decrease; a short step's last ladder succeeded
+    # a stalled restart's last halving ladder found no decrease; a short step's and a plateau's last ladder succeeded,
+    # a plateau's at a checkpoint and with a step longer than _STEP_TOL
     assert search_detailed(config)[1][restart].stop_reason == stop
     ladders, backtrack = [], _backtrack
 
@@ -163,8 +200,10 @@ def test_the_stop_reason_names_the_exit_the_descent_took(monkeypatch, config, re
     assert serial_descent(start, config.max_iters, _REFINE_SWITCH, _STEP_TOL)[3] == stop
     if stop == "line_search_stalled":
         assert ladders[-1] is None and None not in ladders[:-1]
-    else:
+    elif stop == "step_below_tolerance":
         assert None not in ladders and ladders[-1] <= _STEP_TOL < min(ladders[:-1])
+    else:
+        assert None not in ladders and len(ladders) % _PLATEAU_ITERS == 0 and _STEP_TOL < min(ladders)
 
 
 @pytest.mark.parametrize(
