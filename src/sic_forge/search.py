@@ -13,6 +13,10 @@ residual and overlaps then feed the next gradient or Gauss-Newton step.
 The restarts of one run descend together in lockstep batches along a leading
 row axis, one trial point per restart per step of the batch; each restart keeps
 its own line search and exits, so its trajectory equals the restart run alone.
+A restart also leaves the descent on a plateau: at every 10th accepted step,
+if its objective is above 1e-4 and fell by no more than a fraction 1e-6 since
+the last such checkpoint.  Certified restarts fall far faster while that high,
+so the exit cuts only the descent of restarts sitting on a local minimum.
 The Gauss-Newton tail then runs restart by restart, on the restarts whose
 descent reached the refinement switch: near an exact zero of the residual it
 converges fast, and at a local minimum with nonzero residual its step vanishes
@@ -50,11 +54,9 @@ _REFINE_SWITCH = 1e-10  # objective level where the least-squares refinement tak
 _REFINE_MAX_ITERS = 60
 _REFINE_MIN_SCALE = _SHRINK**19  # the Gauss-Newton step is halved at most 19 times
 _STEP_TOL = 1e-13  # a restart stops once its accepted step is shorter than this
-# A restart also stops on a plateau: at every _PLATEAU_ITERS-th accepted descent step, if its objective is above
-# _PLATEAU_LEVEL, far above the refinement switch, and fell by no more than the fraction _PLATEAU_DROP since the last.
-_PLATEAU_ITERS = 10
-_PLATEAU_LEVEL = 1e-4
-_PLATEAU_DROP = 1e-6
+_PLATEAU_ITERS = 10  # every 10th accepted descent step is a plateau checkpoint, where a restart stops if
+_PLATEAU_LEVEL = 1e-4  # its objective is above this level, far above the refinement switch,
+_PLATEAU_DROP = 1e-6  # and fell by no more than this fraction since its previous checkpoint
 _BATCH_ENTRIES = 2**16  # overlap entries (restarts x d^2) descending together: bounds a batch's memory
 
 
@@ -99,8 +101,10 @@ class RestartOutcome:
     restart run alone.
     ``stop_reason`` is one of ``STOP_REASONS``: the run reached the
     objective floor, its last line search found no decrease (a local
-    minimum, or a zero gradient), it spent its iteration budget, or its last
-    accepted descent step was shorter than the step tolerance.  A restart
+    minimum, or a zero gradient), it spent its iteration budget, its last
+    accepted descent step was shorter than the step tolerance, or its descent
+    stopped at a plateau checkpoint (objective above 1e-4 that fell by no
+    more than a fraction 1e-6 over its last 10 accepted steps).  A restart
     whose descent ended above the refinement switch is not refined
     (``refine_iterations`` is 0) and reports the descent's exit; a refined
     restart reports the refinement's.  Every field is deterministic for a
@@ -231,9 +235,13 @@ def _gradient_descent(
     exactly the evaluations it makes alone.  Each accepted step renormalizes back
     onto the sphere and satisfies an Armijo decrease, so every row's objective is
     nonincreasing along its trajectory.  Finished rows leave the working arrays,
-    which hold the active rows only.  A row's stop reason is the first of its
-    exits that holds when it leaves: the floor, the budget, an accepted step
-    no longer than step_tol, else a stalled line search or a zero gradient.
+    which hold the active rows only.  Every _PLATEAU_ITERS-th accepted step of a
+    row is a checkpoint: the row stops there if its objective is above
+    _PLATEAU_LEVEL and fell by no more than the fraction _PLATEAU_DROP since its
+    previous checkpoint (its start first).  A row's stop reason is the first of
+    its exits that holds when it leaves: the floor, the budget, an accepted step
+    no longer than step_tol, a plateau, else a stalled line search or a zero
+    gradient.
     """
     final = _Point(*(np.empty_like(a) for a in point))
     iterations, evaluations = np.zeros((2, len(point.f)), dtype=int)
@@ -435,7 +443,8 @@ def polish(psi, max_iters: int = 4000, residual_tol: float = 1e-9) -> SicCandida
 
     Inputs already at a minimum are returned unchanged (the objective floor is
     hit immediately); far-from-minimum inputs still come back with the best
-    point found and honest residuals.
+    point found and honest residuals.  The descent's plateau exit can stop
+    only a run whose objective is above 1e-4.
     """
     psi = as_state_vector(psi)
     max_iters = _check_integer(max_iters, "max_iters", 1)

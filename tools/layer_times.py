@@ -5,10 +5,11 @@ operator_space, on the bench candidates d = 8..24: a line tracer (about 1 us per
 steps; operator_set untraced, K_t, frame potential and quasi-ONB run whole.
 search, per bench search (d, restarts) at workload seed 1: wall and CPU us of search_detailed (CPU of the whole
 process, BLAS threads included), and one descent tick, _evaluate then _gradient, for R = 1 and R = 16 restarts: one
-call on an (R, d) stack where the search batches its restarts, R calls on single states where it does not.  Three
-deterministic counts per row, reported as they are: the restarts certified (RestartOutcome objective within
-accept_tol), and the overlap evaluations of the Gauss-Newton tail (summed from _least_squares_refine) and of the
-descent (the RestartOutcome evaluations less those, start points included).
+call on an (R, d) stack where the search batches its restarts, R calls on single states where it does not.
+Deterministic counts per row, reported as they are: the restarts certified (RestartOutcome objective within
+accept_tol), the overlap evaluations of the Gauss-Newton tail (summed from _least_squares_refine) and of the
+descent (the RestartOutcome evaluations less those, start points included), and as stop.<reason> the restarts
+that stopped for each of the checkout's STOP_REASONS.
 tomography, on the bench tomography candidates (d = 5, 7, 11): the geometry and mubs calls of one seeded pure state,
 and structure_coefficients, each repeated to about 10 ms per repeat and reported per call.
 cli, on the bench cli workload's arguments at workload seed 1 (bench/data/fiducial_d{5,7}.json): in-process cli.main
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT, DIMS, ROUNDS, REPS, SEARCH_REPS, TICKS = Path(__file__).resolve().parents[1], (8, 12, 16, 20, 24), 3, 15, 5, 50
-COUNTS = ("certified", "descent_evals", "refine_evals")  # search row entries that are counts, not seconds
+COUNTS = ("certified", "descent_evals", "refine_evals", "stop.")  # prefixes of the search row counts, not seconds
 INLINE = {"copy": ("np.array(ops",), "psd": ("eigvalsh", "cholesky", "lows", "margin"),  # first match wins
           "hermiticity": ("herm", "adj"), "pair_traces": ("_pair_traces",)}
 
@@ -72,6 +73,8 @@ def search_seconds(sf, d: int, restarts: int, seed: int) -> dict:
     row["certified"] = sum(o.objective_value <= config.accept_tol for o in outcomes)
     row["refine_evals"] = sum(refine_evals)
     row["descent_evals"] = sum(o.evaluations for o in outcomes) - row["refine_evals"]
+    stops = collections.Counter(o.stop_reason for o in outcomes)
+    row.update({f"stop.{reason}": stops[reason] for reason in search.STOP_REASONS})
     batched = hasattr(search, "_BATCH_ENTRIES")
     for rows in (1, 16):
         states = [search._random_start(d, seed, r) for r in range(rows)]
@@ -144,10 +147,10 @@ def main(checkouts: list) -> dict:
             rounds[label].append(json.loads(subprocess.check_output([sys.executable, __file__, src], text=True)))
     def median(runs, table, key, k):
         value = statistics.median(run[table][key][k] for run in runs)
-        return value if k in COUNTS else round(1e6 * value, 1)
+        return value if k.startswith(COUNTS) else round(1e6 * value, 1)
     layers = {label: {table: {key: {k: median(runs, table, key, k) for k in runs[0][table][key]}
                               for key in runs[0][table]} for table in runs[0]} for label, runs in rounds.items()}
-    return {"unit": f"us; the search counts {', '.join(COUNTS)} as they are",
+    return {"unit": f"us; the search counts {', '.join(COUNTS)}<reason> as they are",
             "statistic": f"median of {ROUNDS} rounds of the median of {REPS} repeats ({SEARCH_REPS} for "
             f"search_detailed; a tick repeat is the mean of {TICKS} ticks, a tomography repeat about 10 ms of calls)",
             "machine": machine, "command": "python tools/layer_times.py " + " ".join(f"{l}=SRC" for l, _ in checkouts),
