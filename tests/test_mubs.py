@@ -184,7 +184,11 @@ def test_basis_state_is_not_minimum_uncertainty():
     assert minimum_uncertainty_target(3) == pytest.approx(0.5, abs=1e-15)
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9, True, pytest.param(np.True_, id="np.True_"), "1e-3", None, "abc", 1e-3 + 0j])
+@pytest.mark.parametrize(
+    "bad",
+    [float("inf"), float("nan"), 0.0, -1e-9, True, pytest.param(np.True_, id="np.True_")]
+    + ["1e-3", None, "abc", 1e-3 + 0j],
+)
 def test_minimum_uncertainty_rejects_bad_tol(bad):
     e0 = np.array([1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="tol must be positive and finite"):
