@@ -5,7 +5,8 @@ before restarts were batched.  It is kept here as the oracle of the batched
 descent: outcomes and final points must agree bit for bit.  The ungated
 pipeline, which refines every restart's tail wherever its descent ended, is
 kept as the oracle of the refinement gate: the gate may drop only refinements
-that certify nothing.
+that certify nothing.  The descent without its plateau exit is the oracle of
+that exit: it may stop only restarts that certify nothing.
 """
 
 import dataclasses
