@@ -10,13 +10,18 @@ gradient is W's adjoint applied to rho, computed through one FFT of rho*B in
 O(d^2 log d) without forming W, and W itself is built only for the
 Gauss-Newton refinement.  Each trial point runs the overlap kernel once; its
 residual and overlaps then feed the next gradient or Gauss-Newton step.
+The descent takes Barzilai-Borwein steps under a nonmonotone Armijo test
+(Grippo, Lampariello and Lucidi 1986; Raydan 1997): a trial passes against the
+largest of the restart's last 10 accepted objectives, so the objective may rise
+between accepted steps but never above the start's.
 The restarts of one run descend together in lockstep batches along a leading
 row axis, one trial point per restart per step of the batch; each restart keeps
 its own line search and exits, so its trajectory equals the restart run alone.
 A restart also leaves the descent on a plateau: at every 10th accepted step,
-if its objective is above 1e-4 and fell by no more than a fraction 1e-6 since
-the last such checkpoint.  Certified restarts fall far faster while that high,
-so the exit cuts only the descent of restarts sitting on a local minimum.
+if its lowest objective so far is above 1e-4 and fell by no more than a
+fraction 1e-6 since the last such checkpoint.  Certified restarts fall far
+faster while that high, so the exit cuts only the descent of restarts sitting
+on a local minimum.
 The Gauss-Newton tail then runs restart by restart, on the restarts whose
 descent reached the refinement switch: near an exact zero of the residual it
 converges fast, and at a local minimum with nonzero residual its step vanishes
@@ -47,6 +52,7 @@ __all__ = [
 ]
 
 _ARMIJO = 1e-4
+_ARMIJO_MEMORY = 10  # a trial is tested against the largest of its row's last 10 accepted objectives
 _SHRINK = 0.5
 _MIN_STEP = 1e-14
 _MAX_STEP = 1e6
@@ -55,7 +61,7 @@ _REFINE_MAX_ITERS = 60
 _REFINE_MIN_SCALE = _SHRINK**19  # the Gauss-Newton step is halved at most 19 times
 _STEP_TOL = 1e-13  # a restart stops once its accepted step is shorter than this
 _PLATEAU_ITERS = 10  # every 10th accepted descent step is a plateau checkpoint, where a restart stops if
-_PLATEAU_LEVEL = 1e-4  # its objective is above this level, far above the refinement switch,
+_PLATEAU_LEVEL = 1e-4  # its lowest objective is above this level, far above the refinement switch,
 _PLATEAU_DROP = 1e-6  # and fell by no more than this fraction since its previous checkpoint
 _BATCH_ENTRIES = 2**16  # overlap entries (restarts x d^2) descending together: bounds a batch's memory
 
@@ -100,15 +106,15 @@ class RestartOutcome:
     batches, and each restart's trajectory and counts equal those of the
     restart run alone.
     ``stop_reason`` is one of ``STOP_REASONS``: the run reached the
-    objective floor, its last line search found no decrease (a local
-    minimum, or a zero gradient), it spent its iteration budget, its last
-    accepted descent step was shorter than the step tolerance, or its descent
-    stopped at a plateau checkpoint (objective above 1e-4 that fell by no
-    more than a fraction 1e-6 over its last 10 accepted steps).  A restart
-    whose descent ended above the refinement switch is not refined
-    (``refine_iterations`` is 0) and reports the descent's exit; a refined
-    restart reports the refinement's.  Every field is deterministic for a
-    given config.
+    objective floor, its last line search found no acceptable step (a zero
+    gradient, or a Gauss-Newton step at the roundoff floor), it spent its
+    iteration budget, its last accepted descent step was shorter than the
+    step tolerance, or its descent stopped at a plateau checkpoint (lowest
+    objective so far above 1e-4, and fallen by no more than a fraction 1e-6
+    over its last 10 accepted steps).  A restart whose descent ended above
+    the refinement switch is not refined (``refine_iterations`` is 0) and
+    reports the descent's exit; a refined restart reports the refinement's.
+    Every field is deterministic for a given config.
     """
 
     restart: int
@@ -227,21 +233,25 @@ def _backtrack(psi: np.ndarray, direction: np.ndarray, scale: float, min_scale: 
 def _gradient_descent(
     point: _Point, max_iters: int, objective_floor: float, step_tol: float
 ) -> tuple[_Point, np.ndarray, np.ndarray, np.ndarray]:
-    """Backtracking descent with Barzilai-Borwein step seeding of the rows psi[R, d];
-    returns (points, iterations, evaluations, stop reasons), all per row.
+    """Nonmonotone backtracking descent with Barzilai-Borwein step seeding of the
+    rows psi[R, d]; returns (points, iterations, evaluations, stop reasons), all
+    per row.
 
     The rows advance in lockstep, one trial point per active row per tick.  Each
     row keeps its own Armijo test, step halving, BB step and exits, so it makes
     exactly the evaluations it makes alone.  Each accepted step renormalizes back
-    onto the sphere and satisfies an Armijo decrease, so every row's objective is
-    nonincreasing along its trajectory.  Finished rows leave the working arrays,
-    which hold the active rows only.  Every _PLATEAU_ITERS-th accepted step of a
-    row is a checkpoint: the row stops there if its objective is above
-    _PLATEAU_LEVEL and fell by no more than the fraction _PLATEAU_DROP since its
-    previous checkpoint (its start first).  A row's stop reason is the first of
-    its exits that holds when it leaves: the floor, the budget, an accepted step
-    no longer than step_tol, a plateau, else a stalled line search or a zero
-    gradient.
+    onto the sphere and passes the Armijo test against the largest of the row's
+    last _ARMIJO_MEMORY accepted objectives, its start included (Grippo et al.
+    1986): a BB step may raise the objective, never above that largest one, so
+    never above the start's.  With a memory of 1 this is the monotone test.
+    Finished rows leave the working arrays, which hold the active rows only and
+    end at their last accepted points.  Every _PLATEAU_ITERS-th accepted step of
+    a row is a checkpoint: the row stops there if its lowest objective so far is
+    above _PLATEAU_LEVEL and fell by no more than the fraction _PLATEAU_DROP
+    since its previous checkpoint (its start first).  A row's stop reason is the
+    first of its exits that holds when it leaves: the floor, the budget, an
+    accepted step no longer than step_tol, a plateau, else a stalled line search
+    or a zero gradient.
     """
     final = _Point(*(np.empty_like(a) for a in point))
     iterations, evaluations = np.zeros((2, len(point.f)), dtype=int)
@@ -252,7 +262,8 @@ def _gradient_descent(
     gnorm_sq = np.vecdot(g, g).real
     scale = np.clip(1.0 / np.maximum(1.0, _norms(g)), _MIN_STEP, _MAX_STEP)
     iters, ticks = np.zeros(len(rows), dtype=int), 0  # every working row evaluates one trial per tick
-    mark = point.f  # per row: the objective at its last plateau checkpoint
+    recent = np.repeat(point.f[:, None], _ARMIJO_MEMORY, axis=1)  # per row: its accepted objectives, a ring on iters
+    low = mark = point.f  # per row: its lowest objective, and that at its last plateau checkpoint
     go = (max_iters > 0) & (point.f > objective_floor) & (gnorm_sq > 0.0)
     # the last tick's accepted rows, steps longer than step_tol and plateau checkpoints
     ok = long_step = flat = np.zeros(len(rows), dtype=bool)
@@ -264,8 +275,8 @@ def _gradient_descent(
             for out, a in zip((*final, iterations, short, plateau), (*point, iters, ok & ~long_step, ok & flat)):
                 out[gone] = a[done]
             point = _Point(*(a[go] for a in point))
-            rows, g, gnorm_sq, scale, iters, mark, long_step, flat = (
-                a[go] for a in (rows, g, gnorm_sq, scale, iters, mark, long_step, flat)
+            rows, g, gnorm_sq, scale, iters, recent, low, mark, long_step, flat = (
+                a[go] for a in (rows, g, gnorm_sq, scale, iters, recent, low, mark, long_step, flat)
             )
             if not len(rows):
                 exits = (final.f <= objective_floor, iterations >= max_iters, short, plateau)
@@ -275,9 +286,9 @@ def _gradient_descent(
         cand = point.psi + scale[:, None] * -g
         trial = _evaluate(cand / _norms(cand)[:, None])
         ticks += 1
-        ok = trial.f <= point.f - _ARMIJO * scale * gnorm_sq
+        ok = trial.f <= recent.max(axis=1) - _ARMIJO * scale * gnorm_sq
         accepted, halved = np.count_nonzero(ok), scale * _SHRINK
-        if not accepted:  # every row halves its step; a row whose halving runs out stalled: the basin's floor
+        if not accepted:  # every row halves its step; a row whose halving runs out stalled
             scale, go = halved, halved >= _MIN_STEP
             continue
         g_new = _gradient(trial)  # at every trial of the tick; a failed row keeps its gradient below
@@ -291,10 +302,12 @@ def _gradient_descent(
             g_new, gn, step = np.where(c, g_new, g), np.where(ok, gn, gnorm_sq), np.where(ok, step, halved)
         point, g, gnorm_sq, scale = trial, g_new, gn, step
         iters += ok
+        recent[ok, iters[ok] % _ARMIJO_MEMORY] = point.f[ok]
+        low = np.minimum(low, point.f)
         long_step = np.sqrt(ss) > step_tol
         check = ok & (iters % _PLATEAU_ITERS == 0)
-        flat = check & (point.f > _PLATEAU_LEVEL) & (point.f > (1.0 - _PLATEAU_DROP) * mark)
-        mark = np.where(check, point.f, mark)
+        flat = check & (low > _PLATEAU_LEVEL) & (low > (1.0 - _PLATEAU_DROP) * mark)
+        mark = np.where(check, low, mark)
         going = long_step & ~flat & (iters < max_iters) & (point.f > objective_floor) & (gnorm_sq > 0.0)
         go = np.where(ok, going, scale >= _MIN_STEP)
 

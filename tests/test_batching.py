@@ -1,14 +1,16 @@
 """Lockstep restart batches: every restart's trajectory equals the restart run alone.
 
 The serial descent below is the one-restart-at-a-time loop the search ran
-before restarts were batched.  It is kept here as the oracle of the batched
-descent: outcomes and final points must agree bit for bit.  The ungated
+before restarts were batched, its nonmonotone Armijo test written separately
+on a deque of accepted objectives.  It is kept here as the oracle of the
+batched descent: outcomes and final points must agree bit for bit.  The ungated
 pipeline, which refines every restart's tail wherever its descent ended, is
 kept as the oracle of the refinement gate: the gate may drop only refinements
 that certify nothing.  The descent without its plateau exit is the oracle of
 that exit: it may stop only restarts that certify nothing.
 """
 
+import collections
 import dataclasses
 import importlib
 import math
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from sic_forge import SearchConfig, search_detailed
 from sic_forge.search import (
     _ARMIJO,
+    _ARMIJO_MEMORY,
     _MAX_STEP,
     _MIN_STEP,
     _PLATEAU_DROP,
@@ -42,27 +45,32 @@ search_module = importlib.import_module("sic_forge.search")
 
 
 def serial_descent(point, max_iters: int, objective_floor: float, step_tol: float, plateau: bool = True):
-    """Backtracking descent with Barzilai-Borwein step seeding of one restart;
-    returns (point, iterations, evaluations, stop reason).
+    """Nonmonotone backtracking descent with Barzilai-Borwein step seeding of one
+    restart; returns (point, iterations, evaluations, stop reason).
 
-    With plateau, every _PLATEAU_ITERS-th accepted step is a checkpoint: the
-    descent stops there if f is above _PLATEAU_LEVEL and fell by no more than
-    the fraction _PLATEAU_DROP since the last checkpoint (the start first).
-    The floor and the budget outrank a short last step, and a short last step
-    outranks a plateau: a step that ends several reports the first of them.
+    A trial passes the Armijo test against the largest of the last
+    _ARMIJO_MEMORY accepted objectives, the start included (Grippo, Lampariello
+    and Lucidi 1986; Raydan 1997).  With plateau, every _PLATEAU_ITERS-th
+    accepted step is a checkpoint: the descent stops there if the lowest f so
+    far is above _PLATEAU_LEVEL and fell by no more than the fraction
+    _PLATEAU_DROP since the last checkpoint (the start first).  The floor and
+    the budget outrank a short last step, and a short last step outranks a
+    plateau: a step that ends several reports the first of them.
     """
     g = _gradient(point)
     step = 1.0 / max(1.0, float(np.linalg.norm(g)))
     iterations = evaluations = 0
-    mark = float(point.f)  # the objective at the last checkpoint
+    recent = collections.deque([float(point.f)], maxlen=_ARMIJO_MEMORY)  # the last accepted objectives
+    low = mark = float(point.f)  # the lowest objective so far, and that at the last checkpoint
     stop = "line_search_stalled"  # a zero gradient or a failed halving ladder
     while iterations < max_iters and point.f > objective_floor:
         gnorm_sq = float(np.vdot(g, g).real)
         if gnorm_sq <= 0.0:
             break
         alpha = min(max(step, _MIN_STEP), _MAX_STEP)
+        reference = max(recent)
         trial, alpha, trials = _backtrack(
-            point.psi, -g, alpha, _MIN_STEP, lambda a, f_new: f_new <= point.f - _ARMIJO * a * gnorm_sq
+            point.psi, -g, alpha, _MIN_STEP, lambda a, f_new: f_new <= reference - _ARMIJO * a * gnorm_sq
         )
         evaluations += trials
         if trial is None:
@@ -75,15 +83,16 @@ def serial_descent(point, max_iters: int, objective_floor: float, step_tol: floa
         ss = float(np.vdot(s, s).real)
         step = ss / sy if sy > 1e-300 else alpha * 2.0
         point, g = trial, g_new
+        recent.append(float(point.f))
+        low = min(low, float(point.f))
         if math.sqrt(ss) <= step_tol:
             stop = "step_below_tolerance"
             break
         if plateau and iterations % _PLATEAU_ITERS == 0:
-            f = float(point.f)
-            if f > _PLATEAU_LEVEL and f > (1.0 - _PLATEAU_DROP) * mark:
+            if low > _PLATEAU_LEVEL and low > (1.0 - _PLATEAU_DROP) * mark:
                 stop = "objective_plateau"
                 break
-            mark = f
+            mark = low
     if point.f <= objective_floor:
         stop = "objective_floor"
     elif iterations >= max_iters:
@@ -155,8 +164,9 @@ def test_the_refinement_gate_keeps_every_certified_restart(d, seed):
 @pytest.mark.parametrize("d", range(2, 13))
 @pytest.mark.parametrize("seed", [0, 5, 2024])
 def test_the_plateau_exit_keeps_every_certified_restart(d, seed):
-    # a certified restart's descent never sits on a plateau above _PLATEAU_LEVEL: the descent without the exit is
-    # the oracle
+    # on this grid no restart the exit stops would certify if its descent ran on: the descent without the exit is
+    # the oracle.  A nonmonotone rise over a whole checkpoint interval can fool the exit (2 of the 398 plateau stops
+    # of the bench searches at seeds 1, 97, 2 and 3 would certify)
     config = SearchConfig(dim=d, restarts=6, seed=seed)
     outcomes = assert_keeps_every_certified_restart(
         config, [serial_restart(config, r, plateau=False) for r in range(config.restarts)]
@@ -164,16 +174,22 @@ def test_the_plateau_exit_keeps_every_certified_restart(d, seed):
     assert all(o.objective_value > _PLATEAU_LEVEL for o in outcomes if o.stop_reason == "objective_plateau")
 
 
-# restarts the descent leaves above the switch: a failed last halving ladder, a last step below _STEP_TOL,
-# and a plateau checkpoint
-STALLED = (SearchConfig(dim=6, restarts=1, seed=12), 0, "line_search_stalled")
-SHORT_STEP = (SearchConfig(dim=4, restarts=1, seed=14), 0, "step_below_tolerance")
+# restarts the descent leaves above the switch: a last step below _STEP_TOL, at d=7 on a local minimum at 0.0153
+# and at d=4 on one at 1/135, and a plateau checkpoint.  No search restart's descent stalls: the nonmonotone test
+# accepts the roundoff-level trials that used to fail its last halving ladder (see the zero-gradient test below)
+SHORT_STEP_D7 = (SearchConfig(dim=7, restarts=1, seed=21), 0, "step_below_tolerance")
+SHORT_STEP = (SearchConfig(dim=4, restarts=1, seed=10), 0, "step_below_tolerance")
 PLATEAU = (SearchConfig(dim=8, restarts=1, seed=5), 0, "objective_plateau")
 
 
 @pytest.mark.parametrize(
     "config, restart, stop",
-    [(SearchConfig(dim=5, restarts=2, seed=999, max_iters=3), 0, "iteration_budget"), STALLED, SHORT_STEP, PLATEAU],
+    [
+        (SearchConfig(dim=5, restarts=2, seed=999, max_iters=3), 0, "iteration_budget"),
+        SHORT_STEP_D7,
+        SHORT_STEP,
+        PLATEAU,
+    ],
 )
 def test_a_restart_left_above_the_switch_keeps_its_last_descent_point(config, restart, stop):
     outcome = search_detailed(config)[1][restart]
@@ -185,10 +201,10 @@ def test_a_restart_left_above_the_switch_keeps_its_last_descent_point(config, re
     assert (outcome.evaluations, outcome.stop_reason, serial_stop) == (1 + evals, stop, stop)
 
 
-@pytest.mark.parametrize("config, restart, stop", [STALLED, SHORT_STEP, PLATEAU])
+@pytest.mark.parametrize("config, restart, stop", [SHORT_STEP_D7, SHORT_STEP, PLATEAU])
 def test_the_stop_reason_names_the_exit_the_descent_took(monkeypatch, config, restart, stop):
-    # a stalled restart's last halving ladder found no decrease; a short step's and a plateau's last ladder succeeded,
-    # a plateau's at a checkpoint and with a step longer than _STEP_TOL
+    # a short step's and a plateau's last ladder succeeded, a plateau's at a checkpoint and with a step longer
+    # than _STEP_TOL
     assert search_detailed(config)[1][restart].stop_reason == stop
     ladders, backtrack = [], _backtrack
 
@@ -200,12 +216,38 @@ def test_the_stop_reason_names_the_exit_the_descent_took(monkeypatch, config, re
     monkeypatch.setattr(importlib.import_module(__name__), "_backtrack", recording)
     start = _evaluate(_random_start(config.dim, config.seed, restart))
     assert serial_descent(start, config.max_iters, _REFINE_SWITCH, _STEP_TOL)[3] == stop
-    if stop == "line_search_stalled":
-        assert ladders[-1] is None and None not in ladders[:-1]
-    elif stop == "step_below_tolerance":
+    if stop == "step_below_tolerance":
         assert None not in ladders and ladders[-1] <= _STEP_TOL < min(ladders[:-1])
     else:
         assert None not in ladders and len(ladders) % _PLATEAU_ITERS == 0 and _STEP_TOL < min(ladders)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_a_descent_from_a_zero_gradient_stalls_at_once(d):
+    # a basis state is a critical point of the objective: the descent evaluates its start only and stops
+    start = np.zeros(d, dtype=complex)
+    start[0] = 1.0
+    [(point, outcome)] = search_module._descend(start[None], 4000, 1e-22, _STEP_TOL)
+    assert np.array_equal(point.psi, start) and outcome.objective_value > _REFINE_SWITCH
+    assert (outcome.iterations, outcome.evaluations, outcome.stop_reason) == (0, 1, "line_search_stalled")
+    assert serial_descent(_evaluate(start), 4000, _REFINE_SWITCH, _STEP_TOL)[1:] == (0, 0, "line_search_stalled")
+
+
+def test_a_refinement_at_its_roundoff_floor_stalls(monkeypatch):
+    # below any reachable floor, each restart's Gauss-Newton tail stops when its last damping ladder finds no decrease
+    config = SearchConfig(dim=3, restarts=2, seed=1, accept_tol=1e-40)
+    ladders, backtrack = [], search_module._backtrack
+
+    def recording(psi, direction, *args):
+        trial, scale, trials = backtrack(psi, direction, *args)
+        ladders.append(trial is None)
+        return trial, scale, trials
+
+    monkeypatch.setattr(search_module, "_backtrack", recording)
+    outcomes = search_detailed(config)[1]
+    assert ladders.count(True) == 2 and all(o.refine_iterations > 0 for o in outcomes)
+    assert {o.stop_reason for o in outcomes} == {"line_search_stalled"}
+    assert [dataclasses.astuple(o) for o in outcomes] == [serial_restart(config, r)[1] for r in range(2)]
 
 
 @pytest.mark.parametrize(
