@@ -8,8 +8,9 @@ process, BLAS threads included), and one descent tick, _evaluate then _gradient,
 call on an (R, d) stack where the search batches its restarts, R calls on single states where it does not.
 Deterministic counts per row, reported as they are: the restarts certified (RestartOutcome objective within
 accept_tol), the overlap evaluations of the Gauss-Newton tail (summed from _least_squares_refine) and of the
-descent (the RestartOutcome evaluations less those, start points included), and as stop.<reason> the restarts
-that stopped for each of the checkout's STOP_REASONS.
+descent (the RestartOutcome evaluations less those, start points included), the descent's accepted steps
+(descent_iterations), so that descent_evals - restarts - descent_iters is its rejected trials, and as
+stop.<reason> the restarts that stopped for each of the checkout's STOP_REASONS.
 tomography, on the bench tomography candidates (d = 5, 7, 11): the geometry and mubs calls of one seeded pure state,
 and structure_coefficients, each repeated to about 10 ms per repeat and reported per call.
 cli, on the bench cli workload's arguments at workload seed 1 (bench/data/fiducial_d{5,7}.json): in-process cli.main
@@ -21,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT, DIMS, ROUNDS, REPS, SEARCH_REPS, TICKS = Path(__file__).resolve().parents[1], (8, 12, 16, 20, 24), 3, 15, 5, 50
-COUNTS = ("certified", "descent_evals", "refine_evals", "stop.")  # prefixes of the search row counts, not seconds
+# prefixes of the search row counts, not seconds
+COUNTS = ("certified", "descent_evals", "descent_iters", "refine_evals", "stop.")
 INLINE = {"copy": ("np.array(ops",), "psd": ("eigvalsh", "cholesky", "lows", "margin"),  # first match wins
           "hermiticity": ("herm", "adj"), "pair_traces": ("_pair_traces",)}
 
@@ -73,6 +75,7 @@ def search_seconds(sf, d: int, restarts: int, seed: int) -> dict:
     row["certified"] = sum(o.objective_value <= config.accept_tol for o in outcomes)
     row["refine_evals"] = sum(refine_evals)
     row["descent_evals"] = sum(o.evaluations for o in outcomes) - row["refine_evals"]
+    row["descent_iters"] = sum(o.descent_iterations for o in outcomes)
     stops = collections.Counter(o.stop_reason for o in outcomes)
     row.update({f"stop.{reason}": stops[reason] for reason in search.STOP_REASONS})
     batched = hasattr(search, "_BATCH_ENTRIES")
