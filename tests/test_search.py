@@ -218,17 +218,16 @@ def test_descent_meets_the_nonmonotone_armijo_rule(monkeypatch, d):
     assert rises  # the objective does rise between accepted steps: the rule is not the monotone one
 
 
-def test_the_lowest_objective_never_rises_with_the_budget(monkeypatch):
-    # a run with a budget of b accepted steps ends at the b-th accepted point of the run without one,
-    # so the running minimum the plateau checkpoints read never increases
+def test_a_budget_of_b_steps_ends_at_the_bth_accepted_point(monkeypatch):
+    # same start, growing budget: each run is a prefix of the longer ones, so the lowest objective reached, which
+    # the plateau checkpoints read, never rises with the budget, though the last one may
     from sic_forge.search import _evaluate, _gradient_descent, _random_start
 
     f = [value for _, value, _ in accepted_points(monkeypatch, 4, 42, 12)]
     psi0 = _random_start(4, 42, 0)[None]
     ends = [_gradient_descent(_evaluate(psi0.copy()), b, 0.0, 0.0)[0].f[0] for b in range(1, 12)]
-    assert ends == f[1:12]
-    lowest = np.minimum.accumulate(f)
-    assert np.all(lowest[1:] <= lowest[:-1]) and lowest[-1] < f[0]
+    assert ends == f[1:12] and min(ends) < f[0]
+    assert any(b > a for a, b in zip(ends, ends[1:]))  # the last objective rises once, from b = 5 to 6
 
 
 def test_the_plateau_exit_reads_the_running_minimum():
