@@ -33,12 +33,8 @@ from .operator_space import (
     quasi_onb_certify,
 )
 from .verify import (
-    FourierIdentityCheck,
-    GramOverlaps,
     SicSet,
     build_sic_set,
-    fourier_identity_check,
-    gram_overlaps,
     gram_residual,
     quartic_defects,
     quartic_residual,

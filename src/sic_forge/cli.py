@@ -57,7 +57,7 @@ _positive_float = _arg_type(float, "number", lambda v: 0.0 < v < math.inf, "valu
 
 def _order_arg(text: str) -> float:
     try:
-        return operator_space._check_order(text)
+        return operator_space._check_order(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -88,14 +88,19 @@ def _dim_field(payload: dict, label: str) -> int:
     return raw
 
 
-def _pairs_to_vector(data, field: str, label: str) -> np.ndarray:
+def _array_field(path, label: str, field: str, shape_of_dim) -> np.ndarray:
+    """Read the artifact at ``path`` and return its ``field`` as a float array of shape ``shape_of_dim(dim)``."""
+    payload = load_json(path)
+    d = _dim_field(payload, label)
+    shape = shape_of_dim(d)
+    rule = f"{label} file: field '{field}' must be an array of numbers of shape {shape} for dim {d}"
     try:
-        arr = np.asarray(data, dtype=float)
+        arr = np.asarray(_require(payload, field, label), dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(f"{label} file: field '{field}' must be an array of [re, im] pairs") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
-        raise FileFormatError(f"{label} file: field '{field}' must be an array of [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+        raise FileFormatError(rule) from exc
+    if arr.shape != shape:
+        raise FileFormatError(f"{rule}, got shape {arr.shape}")
+    return arr
 
 
 def fiducial_payload(psi, gram: float, quartic: float) -> dict:
@@ -111,13 +116,9 @@ def fiducial_payload(psi, gram: float, quartic: float) -> dict:
 
 
 def load_state_vector(path, label: str = "state") -> np.ndarray:
-    """Read the components of a state-vector artifact (fiducial files included)."""
-    payload = load_json(path)
-    d = _dim_field(payload, label)
-    psi = _pairs_to_vector(_require(payload, "components", label), "components", label)
-    if psi.shape[0] != d:
-        raise FileFormatError(f"{label} file: field 'components' has length {psi.shape[0]}, expected dim {d}")
-    return psi
+    """Read the components of a state-vector artifact (fiducial files included): dim [re, im] pairs."""
+    arr = _array_field(path, label, "components", lambda d: (d, 2))
+    return arr[:, 0] + 1j * arr[:, 1]
 
 
 def load_fiducial(path) -> np.ndarray:
@@ -140,18 +141,8 @@ def density_payload(matrix, extra: dict | None = None) -> dict:
 
 
 def load_density(path) -> np.ndarray:
-    """Read a density-matrix artifact (structure only; physics checks live elsewhere)."""
-    payload = load_json(path)
-    d = _dim_field(payload, "density")
-    raw = _require(payload, "matrix", "density")
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError("density file: field 'matrix' must be rows of [re, im] pairs") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise FileFormatError("density file: field 'matrix' must be a square array of [re, im] pairs")
-    if arr.shape[0] != d:
-        raise FileFormatError(f"density file: field 'matrix' has side {arr.shape[0]}, expected dim {d}")
+    """Read a density-matrix artifact, rows of [re, im] pairs (structure only; physics checks live elsewhere)."""
+    arr = _array_field(path, "density", "matrix", lambda d: (d, d, 2))
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
@@ -170,13 +161,4 @@ def probabilities_payload(p, d: int, extra: dict | None = None) -> dict:
 
 def load_probabilities(path) -> np.ndarray:
     """Read a probability-vector artifact of length dim^2."""
-    payload = load_json(path)
-    d = _dim_field(payload, "probabilities")
-    raw = _require(payload, "p", "probabilities")
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError("probabilities file: field 'p' must be a flat list of numbers") from exc
-    if arr.ndim != 1 or arr.shape[0] != d * d:
-        raise FileFormatError(f"probabilities file: field 'p' must have length dim^2 = {d * d}")
-    return arr
+    return _array_field(path, "probabilities", "p", lambda d: (d * d,))

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .wh import HERMITIAN_TOL, PSD_FLOOR, UNIT_NORM_TOL, check_dim, check_tolerance
+from .wh import HERMITIAN_TOL, PSD_FLOOR, UNIT_NORM_TOL, _real, check_dim, check_tolerance
 
 __all__ = [
     "KtReport",
@@ -111,11 +111,10 @@ class KtReport:
 
 
 def _check_order(t) -> float:
-    """Validate a defect order t (finite and >= 1, not a bool) and return it as float."""
-    value = float(t)
-    if isinstance(t, (bool, np.bool_)) or not 1.0 <= value < math.inf:
-        raise ValueError(f"t must be finite and >= 1, got {t}")
-    return value
+    """Validate a defect order t (a finite Python or numpy real >= 1, not a bool) and return it as float."""
+    if 1.0 <= (value := _real(t)) < math.inf:
+        return value
+    raise ValueError(f"t must be finite and >= 1 (a real number), got {t!r}")
 
 
 def kt_lower_bound(d: int, t: float) -> float:

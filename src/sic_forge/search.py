@@ -451,16 +451,15 @@ def search(config: SearchConfig) -> SicCandidate:
     return search_detailed(config)[0]
 
 
-def polish(psi, max_iters: int = 4000, residual_tol: float = 1e-9) -> SicCandidate:
+def polish(psi) -> SicCandidate:
     """Refine a near-minimum candidate with the same descent and a tighter floor.
 
-    Inputs already at a minimum are returned unchanged (the objective floor is
-    hit immediately); far-from-minimum inputs still come back with the best
-    point found and honest residuals.  The descent's plateau exit can stop
-    only a run whose objective is above 1e-4.
+    The run spends at most 4000 iterations, and the result is certified when
+    its quartic residual is within 1e-9.  Inputs already at a minimum are
+    returned unchanged (the objective floor is hit immediately);
+    far-from-minimum inputs still come back with the best point found and
+    honest residuals.  The descent's plateau exit can stop only a run whose
+    objective is above 1e-4.
     """
-    psi = as_state_vector(psi)
-    max_iters = _check_integer(max_iters, "max_iters", 1)
-    residual_tol = check_tolerance(residual_tol, "residual_tol")
-    [(refined, outcome)] = _descend(psi[None], max_iters, 1e-28, 0.0)
-    return _candidate(refined.psi, restarts_used=0, iterations=outcome.iterations, residual_tol=residual_tol)
+    [(refined, outcome)] = _descend(as_state_vector(psi)[None], 4000, 1e-28, 0.0)
+    return _candidate(refined.psi, restarts_used=0, iterations=outcome.iterations, residual_tol=1e-9)

@@ -22,12 +22,8 @@ import numpy as np
 from .wh import _displaced, as_state_vector, check_tolerance, phase_constants
 
 __all__ = [
-    "FourierIdentityCheck",
-    "GramOverlaps",
     "SicSet",
     "build_sic_set",
-    "fourier_identity_check",
-    "gram_overlaps",
     "gram_residual",
     "quartic_defects",
     "quartic_residual",
@@ -44,31 +40,6 @@ def _overlaps(psi: np.ndarray) -> np.ndarray:
     """
     d = psi.shape[-1]
     return d * np.fft.ifft(psi.conj()[..., phase_constants(d).add] * psi[..., None, :], axis=-1)
-
-
-@dataclass(frozen=True)
-class GramOverlaps:
-    """Displacement overlaps of a state and their phase angles, indexed [r1, r2].
-
-    ``phases[r]`` is the argument of the overlap at r != (0, 0); the origin
-    entry is fixed to 0.0.
-    """
-
-    d: int
-    values: np.ndarray
-    phases: np.ndarray
-
-
-def gram_overlaps(psi) -> GramOverlaps:
-    """Compute all d^2 displacement overlaps via the componentwise formula: tau**(r1*r2) * B."""
-    psi = as_state_vector(psi)
-    idx = np.arange(psi.shape[0])
-    values = phase_constants(psi.shape[0]).tau_power(np.outer(idx, idx)) * _overlaps(psi)
-    phases = np.angle(values)
-    phases[0, 0] = 0.0
-    values.setflags(write=False)
-    phases.setflags(write=False)
-    return GramOverlaps(d=psi.shape[0], values=values, phases=phases)
 
 
 def gram_residual(psi) -> float:
@@ -88,53 +59,19 @@ def quartic_target(d: int) -> np.ndarray:
     return target
 
 
-def _quartic_terms(psi: np.ndarray) -> np.ndarray:
-    """T[k, l] = sum_j psi_j conj(psi_{j+k}) conj(psi_{j+l}) psi_{j+k+l}, indices mod d.
-
-    By the Fourier identity T[k, r1] is the inverse DFT over r2 of |B[r1, r2]|^2.
-    """
-    return np.fft.ifft(np.abs(_overlaps(psi)) ** 2, axis=1).T
-
-
 def quartic_defects(psi) -> np.ndarray:
-    """Complex defect matrix of the quartic fiducial equations, entry per (k, l)."""
+    """Complex defect matrix of the quartic fiducial equations, entry per (k, l).
+
+    The component sum sum_j psi_j conj(psi_{j+k}) conj(psi_{j+l}) psi_{j+k+l}
+    is, by the Fourier identity, the inverse DFT over r2 of |B[l, r2]|^2 taken at k.
+    """
     psi = as_state_vector(psi)
-    return _quartic_terms(psi) - quartic_target(psi.shape[0])
+    return np.fft.ifft(np.abs(_overlaps(psi)) ** 2, axis=1).T - quartic_target(psi.shape[0])
 
 
 def quartic_residual(psi) -> float:
     """Largest modulus among the quartic equation defects."""
     return float(np.max(np.abs(quartic_defects(psi))))
-
-
-@dataclass(frozen=True)
-class FourierIdentityCheck:
-    """Both sides of the overlap power-spectrum identity at one index pair."""
-
-    lhs: complex
-    rhs: complex
-
-    @property
-    def gap(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-def fourier_identity_check(psi, k: int, r1: int) -> FourierIdentityCheck:
-    """Evaluate both sides of the power-spectrum identity at one (k, r1).
-
-    lhs = (1/d) sum_{r2} omega**(k*r2) |<psi|D_(r1,r2)|psi>|^2 and rhs is the
-    matching quartic component sum.  The two agree for every unit vector,
-    fiducial or not; the identity is what makes the quartic equations
-    equivalent to the overlap conditions.
-    """
-    psi = as_state_vector(psi)
-    d = psi.shape[0]
-    k, r1 = int(k) % d, int(r1) % d
-    pc = phase_constants(d)
-    lhs = complex(np.sum(pc.dft[k] * np.abs(_overlaps(psi)[r1]) ** 2) / d)
-    add = pc.add
-    rhs = complex(np.sum(psi * psi.conj()[add[k]] * psi.conj()[add[r1]] * psi[add[(k + r1) % d]]))
-    return FourierIdentityCheck(lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)

@@ -55,12 +55,18 @@ def check_dim(d: int) -> int:
     return _check_integer(d, "dimension", 2)
 
 
+def _real(x) -> float:
+    """x as a float if it is a Python or numpy real (not a bool, text, complex or array) in float range, else NaN."""
+    if isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool):
+        with contextlib.suppress(OverflowError):  # an int past the float range
+            return float(x)
+    return math.nan
+
+
 def check_tolerance(tol: float, name: str) -> float:
     """Validate a certification tolerance (a positive finite Python or numpy real, not a bool); return it as float."""
-    if isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool):
-        with contextlib.suppress(OverflowError):  # an int past the float range
-            if 0.0 < (value := float(tol)) < math.inf:
-                return value
+    if 0.0 < (value := _real(tol)) < math.inf:
+        return value
     raise ValueError(f"{name} must be positive and finite (a real number), got {tol!r}")
 
 

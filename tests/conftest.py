@@ -54,6 +54,22 @@ def projector_set(vectors):
     return operator_set(v[:, :, None] * v.conj()[:, None, :])
 
 
+def brute_force_quartic_terms(psi: np.ndarray) -> np.ndarray:
+    """T[k, l] = sum_j psi_j conj(psi_{j+k}) conj(psi_{j+l}) psi_{j+k+l}: an explicit loop over (k, l, j)."""
+    d = psi.shape[0]
+    t = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            for j in range(d):
+                t[k, l] += (
+                    psi[j]
+                    * psi[(j + k) % d].conjugate()
+                    * psi[(j + l) % d].conjugate()
+                    * psi[(j + k + l) % d]
+                )
+    return t
+
+
 def random_state(rng: np.random.Generator, d: int) -> np.ndarray:
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return z / np.linalg.norm(z)

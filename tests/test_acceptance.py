@@ -17,7 +17,6 @@ from sic_forge import (
     build_mubs,
     build_sic_set,
     frame_potential,
-    fourier_identity_check,
     gram_residual,
     is_minimum_uncertainty,
     kt_lower_bound,
@@ -28,7 +27,9 @@ from sic_forge import (
     purity_cubic_target,
     purity_quadratic_residual,
     purity_quadratic_target,
+    quartic_defects,
     quartic_residual,
+    quartic_target,
     reconstruct_density,
     search,
     sic_probabilities,
@@ -37,7 +38,7 @@ from sic_forge import (
     uncertainty_profile,
 )
 from sic_forge.cli import main
-from conftest import projector_set, random_density, random_state
+from conftest import brute_force_quartic_terms, projector_set, random_density, random_state
 
 SEARCH_SEED = 7
 SEARCH_RESTARTS = {2: 12, 3: 12, 4: 16, 5: 16, 6: 24, 7: 24}
@@ -112,9 +113,8 @@ def test_criterion_4_condition_form_equivalence(searched):
         rng = np.random.default_rng(3000 + d)
         for _ in range(100):
             psi = random_state(rng, d)
-            for k in range(d):
-                for r1 in range(d):
-                    worst = max(worst, fourier_identity_check(psi, k, r1).gap)
+            gap = quartic_defects(psi) + quartic_target(d) - brute_force_quartic_terms(psi)
+            worst = max(worst, float(np.max(np.abs(gap))))
     ok = worst <= 1e-12
 
     outputs = [candidate for candidate, _ in searched.values()]

@@ -99,8 +99,13 @@ def test_kt_measure_at_large_t():
     assert report.value >= 0.0 and report.lower_bound >= 0.0
 
 
-@pytest.mark.parametrize("t", [float("nan"), float("inf"), True, False, np.True_])
+@pytest.mark.parametrize(
+    "t",
+    [float("nan"), float("inf"), True, False, np.True_, "2", " 3 ", None, 2 + 0j, np.array([2.0]),
+     pytest.param(10**400, id="10**400")],
+)
 def test_kt_rejects_non_finite_t(t, fiducial_d2):
+    # an order is a finite real number: text, None, complex values and arrays are refused, not converted
     with pytest.raises(ValueError, match="t must be finite"):
         kt_lower_bound(3, t)
     with pytest.raises(ValueError, match="t must be finite"):

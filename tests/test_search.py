@@ -344,7 +344,7 @@ def test_search_validates_input_once(monkeypatch, fiducial_d3):
         search_detailed(config)
         assert len(calls) <= 1
     calls.clear()
-    polish(fiducial_d3, max_iters=50)
+    polish(fiducial_d3)
     assert len(calls) == 1
 
 
@@ -421,12 +421,6 @@ def test_search_config_accepts_numpy_integers(good):
     assert search(SearchConfig(dim=3, restarts=good, seed=good, max_iters=good)).restarts_used == int(good)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), -3, 2.5, 0, "10", True])
-def test_polish_rejects_bad_max_iters(bad, fiducial_d3):
-    with pytest.raises(ValueError, match=rf"^max_iters .*{re.escape(repr(bad))}$"):
-        polish(fiducial_d3, max_iters=bad)
-
-
 def test_search_is_deterministic():
     config = SearchConfig(dim=3, restarts=5, seed=21)
     first = search(config)
@@ -441,7 +435,7 @@ def test_polish_recovers_perturbed_fiducial(fiducial_d3):
     noisy = fiducial_d3 + 1e-3 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
     noisy /= np.linalg.norm(noisy)
     cand = polish(noisy)
-    assert cand.quartic_residual <= 1e-11
+    assert cand.quartic_residual <= 1e-11 and cand.certified
 
 
 def test_polish_fixed_point(fiducial_d3):
@@ -449,14 +443,8 @@ def test_polish_fixed_point(fiducial_d3):
     assert np.abs(cand.fiducial - fiducial_d3).max() <= 1e-13
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-9, True, "1e-3", None, "abc", 1e-3 + 0j])
-def test_polish_rejects_bad_residual_tol(bad, fiducial_d3):
-    with pytest.raises(ValueError, match="residual_tol"):
-        polish(fiducial_d3, residual_tol=bad)
-
-
 def test_polish_far_input_returns_best_found():
     e0 = np.array([1.0, 0.0, 0.0])
-    cand = polish(e0, max_iters=5)
+    cand = polish(e0)
     assert cand.objective_value <= objective(e0)
-    assert cand.quartic_residual > 0.0
+    assert cand.quartic_residual > 0.0 and not cand.certified

@@ -6,40 +6,30 @@ import pytest
 from sic_forge import (
     build_sic_set,
     displace_state,
-    fourier_identity_check,
-    gram_overlaps,
     gram_residual,
     operator_set,
+    phase_constants,
+    quartic_defects,
     quartic_residual,
     quasi_onb_certify,
 )
-from sic_forge.verify import quartic_target, _quartic_terms
-from conftest import oracle_displacement, random_state
+from sic_forge.verify import _overlaps, quartic_target
+from conftest import brute_force_quartic_terms, oracle_displacement, random_state
 
 
-def brute_force_quartic_terms(psi: np.ndarray) -> np.ndarray:
-    """Explicit triple loop over (k, l, j), straight off the component formula."""
-    d = psi.shape[0]
-    t = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            for j in range(d):
-                t[k, l] += (
-                    psi[j]
-                    * psi[(j + k) % d].conjugate()
-                    * psi[(j + l) % d].conjugate()
-                    * psi[(j + k + l) % d]
-                )
-    return t
+def displacement_overlaps(psi: np.ndarray) -> np.ndarray:
+    """<psi|D_(r1,r2)|psi> as [r1, r2]: the overlap kernel's B times the tau**(r1*r2) phase it leaves out."""
+    idx = np.arange(psi.shape[0])
+    return phase_constants(psi.shape[0]).tau_power(np.outer(idx, idx)) * _overlaps(psi)
 
 
 def test_overlaps_of_basis_state():
     psi = np.zeros(4, dtype=complex)
     psi[0] = 1.0
-    g = gram_overlaps(psi)
+    values = displacement_overlaps(psi)
     for r2 in range(4):
-        assert abs(g.values[0, r2] - 1.0) <= 1e-14  # clock eigenstate
-    assert abs(g.values[1, 0]) <= 1e-14  # shifted basis states are orthogonal
+        assert abs(values[0, r2] - 1.0) <= 1e-14  # clock eigenstate
+    assert abs(values[1, 0]) <= 1e-14  # shifted basis states are orthogonal
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -47,15 +37,12 @@ def test_overlaps_match_dense_oracle(d):
     rng = np.random.default_rng(300 + d)
     for _ in range(10):
         psi = random_state(rng, d)
-        g = gram_overlaps(psi)
-        assert abs(g.values[0, 0] - 1.0) <= 1e-12
+        values = displacement_overlaps(psi)
+        assert abs(values[0, 0] - 1.0) <= 1e-12
         for r1 in range(d):
             for r2 in range(d):
                 dense = np.vdot(psi, oracle_displacement(d, r1, r2) @ psi)
-                assert abs(g.values[r1, r2] - dense) <= 1e-13
-                if (r1, r2) != (0, 0) and abs(dense) > 1e-12:
-                    # compare on the circle to dodge the branch cut at +-pi
-                    assert abs(np.exp(1j * g.phases[r1, r2]) - dense / abs(dense)) <= 1e-10
+                assert abs(values[r1, r2] - dense) <= 1e-13
 
 
 def test_gram_residual_frozen_cases(fiducial_d2, fiducial_d3):
@@ -66,20 +53,23 @@ def test_gram_residual_frozen_cases(fiducial_d2, fiducial_d3):
 
 
 def test_d3_fiducial_overlap_moduli(fiducial_d3):
-    g = gram_overlaps(fiducial_d3)
-    moduli = np.abs(g.values) ** 2
+    moduli = np.abs(displacement_overlaps(fiducial_d3)) ** 2
     assert moduli[0, 0] == pytest.approx(1.0, abs=1e-14)
     off = np.delete(moduli.reshape(-1), 0)
     np.testing.assert_allclose(off, 0.25, atol=1e-13)
 
 
-def test_quartic_terms_match_brute_force():
+def test_quartic_terms_match_brute_force(fiducial_d3):
+    # the Fourier identity: the inverse DFT of the overlap power spectrum equals the quartic component sums
     rng = np.random.default_rng(11)
-    for d in (2, 3, 5, 7, 12, 16):
-        psi = random_state(rng, d)
-        np.testing.assert_allclose(
-            _quartic_terms(psi), brute_force_quartic_terms(psi), atol=1e-13
-        )
+    states = [random_state(rng, d) for d in (2, 3, 5, 7, 12, 16)]
+    for d in range(2, 9):
+        rng = np.random.default_rng(400 + d)
+        states += [random_state(rng, d) for _ in range(20)]
+    states += [np.array([1.0, 0.0]), fiducial_d3]
+    for psi in states:
+        terms = quartic_defects(psi) + quartic_target(psi.shape[0])
+        np.testing.assert_allclose(terms, brute_force_quartic_terms(psi), atol=1e-13)
 
 
 def test_quartic_residual_frozen_cases(fiducial_d3):
@@ -93,33 +83,9 @@ def test_quartic_residual_frozen_cases(fiducial_d3):
 def test_quartic_origin_term_is_fourth_moment():
     rng = np.random.default_rng(12)
     psi = random_state(rng, 4)
-    t = _quartic_terms(psi)
+    t = quartic_defects(psi) + quartic_target(4)
     assert abs(t[0, 0] - np.sum(np.abs(psi) ** 4)) <= 1e-13
     assert quartic_target(4)[0, 0] == pytest.approx(2.0 / 5.0, abs=1e-15)
-
-
-def test_fourier_identity_basis_state():
-    check = fourier_identity_check(np.array([1.0, 0.0]), 0, 0)
-    assert abs(check.lhs - 1.0) <= 1e-14
-    assert abs(check.rhs - 1.0) <= 1e-14
-
-
-@pytest.mark.parametrize("d", range(2, 9))
-def test_fourier_identity_holds_for_random_states(d):
-    rng = np.random.default_rng(400 + d)
-    for _ in range(20):
-        psi = random_state(rng, d)
-        for k in range(d):
-            for r1 in range(d):
-                assert fourier_identity_check(psi, k, r1).gap <= 1e-12
-
-
-def test_fourier_rhs_hits_sic_targets(fiducial_d3):
-    for k in range(3):
-        for r1 in range(3):
-            check = fourier_identity_check(fiducial_d3, k, r1)
-            expected = ((k == 0) + (r1 == 0)) / 4.0
-            assert abs(check.rhs - expected) <= 1e-10
 
 
 def test_build_sic_set_certifies_exact_fiducial(fiducial_d3):

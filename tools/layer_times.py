@@ -1,6 +1,7 @@
 """Median us per layer, operator_space, search, tomography and cli, by checkout: layer_times.py LABEL=SRC [LABEL=SRC ...]
 
-Each SRC runs in its own interpreter, in rounds of alternating order (median of round medians).
+Each SRC runs in its own interpreter, in rounds of alternating order: each time is the median of the round medians,
+and the key <name>.quartiles beside it holds the first and third quartiles of those round medians, its noise.
 operator_space, on the bench candidates d = 8..24: a line tracer (about 1 us per line) times operator_set's inline
 steps; operator_set untraced, K_t, frame potential and quasi-ONB run whole.
 search, per bench search (d, restarts) at workload seed 1: wall and CPU us of search_detailed (CPU of the whole
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT, DIMS, ROUNDS, REPS, SEARCH_REPS, TICKS = Path(__file__).resolve().parents[1], (8, 12, 16, 20, 24), 3, 15, 5, 50
+ROOT, DIMS, ROUNDS, REPS, SEARCH_REPS, TICKS = Path(__file__).resolve().parents[1], (8, 12, 16, 20, 24), 5, 15, 5, 50
 # prefixes of the search row counts, not seconds
 COUNTS = ("certified", "descent_evals", "descent_iters", "refine_evals", "stop.")
 INLINE = {"copy": ("np.array(ops",), "psd": ("eigvalsh", "cholesky", "lows", "margin"),  # first match wins
@@ -148,13 +149,16 @@ def main(checkouts: list) -> dict:
     for r in range(ROUNDS):
         for label, src in checkouts if r % 2 == 0 else checkouts[::-1]:
             rounds[label].append(json.loads(subprocess.check_output([sys.executable, __file__, src], text=True)))
-    def median(runs, table, key, k):
-        value = statistics.median(run[table][key][k] for run in runs)
-        return value if k.startswith(COUNTS) else round(1e6 * value, 1)
-    layers = {label: {table: {key: {k: median(runs, table, key, k) for k in runs[0][table][key]}
+    def summary(runs, table, key, k) -> dict:
+        values = [run[table][key][k] for run in runs]
+        if k.startswith(COUNTS):  # deterministic: every round reads the same
+            return {k: statistics.median(values)}
+        q1, median, q3 = (round(1e6 * q, 1) for q in statistics.quantiles(values, n=4, method="inclusive"))
+        return {k: median, f"{k}.quartiles": [q1, q3]}
+    layers = {label: {table: {key: {n: v for k in runs[0][table][key] for n, v in summary(runs, table, key, k).items()}
                               for key in runs[0][table]} for table in runs[0]} for label, runs in rounds.items()}
     return {"unit": f"us; the search counts {', '.join(COUNTS)}<reason> as they are",
-            "statistic": f"median of {ROUNDS} rounds of the median of {REPS} repeats ({SEARCH_REPS} for "
+            "statistic": f"median and quartiles of {ROUNDS} rounds of the median of {REPS} repeats ({SEARCH_REPS} for "
             f"search_detailed; a tick repeat is the mean of {TICKS} ticks, a tomography repeat about 10 ms of calls)",
             "machine": machine, "command": "python tools/layer_times.py " + " ".join(f"{l}=SRC" for l, _ in checkouts),
             "layers": layers}
