@@ -88,6 +88,44 @@ def test_quartic_origin_term_is_fourth_moment():
     assert quartic_target(4)[0, 0] == pytest.approx(2.0 / 5.0, abs=1e-15)
 
 
+def fourier_identity_sides(psi: np.ndarray, k: int, r1: int) -> tuple[complex, complex]:
+    """Both sides of the power-spectrum identity at one (k, r1).
+
+    lhs = (1/d) sum_{r2} omega**(k*r2) |<psi|D_(r1,r2)|psi>|^2 from the overlap
+    kernel; rhs = sum_j psi_j conj(psi_{j+k}) conj(psi_{j+r1}) psi_{j+k+r1}.
+    """
+    d = psi.shape[0]
+    lhs = complex(np.sum(phase_constants(d).dft[k] * np.abs(_overlaps(psi)[r1]) ** 2) / d)
+    j = np.arange(d)
+    rhs = complex(np.sum(psi * psi[(j + k) % d].conj() * psi[(j + r1) % d].conj() * psi[(j + k + r1) % d]))
+    return lhs, rhs
+
+
+def test_fourier_identity_basis_state():
+    lhs, rhs = fourier_identity_sides(np.array([1.0, 0.0]), 0, 0)
+    assert abs(lhs - 1.0) <= 1e-14
+    assert abs(rhs - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_fourier_identity_holds_for_random_states(d):
+    rng = np.random.default_rng(400 + d)
+    for _ in range(20):
+        psi = random_state(rng, d)
+        for k in range(d):
+            for r1 in range(d):
+                lhs, rhs = fourier_identity_sides(psi, k, r1)
+                assert abs(lhs - rhs) <= 1e-12
+
+
+def test_fourier_rhs_hits_sic_targets(fiducial_d3):
+    for k in range(3):
+        for r1 in range(3):
+            _, rhs = fourier_identity_sides(fiducial_d3, k, r1)
+            expected = ((k == 0) + (r1 == 0)) / 4.0
+            assert abs(rhs - expected) <= 1e-10
+
+
 def test_build_sic_set_certifies_exact_fiducial(fiducial_d3):
     sic = build_sic_set(fiducial_d3, tol=1e-10)
     assert sic.certified
