@@ -423,6 +423,42 @@ def test_loaders_reject_integers_too_large_for_a_float(tmp_path):
         files.load_density(path)
 
 
+NON_NUMBERS = ["true", "false", "null", '"0.25"']
+
+
+@pytest.mark.parametrize("leaf", NON_NUMBERS)
+def test_load_state_vector_requires_number_components(tmp_path, leaf):
+    path = tmp_path / "state.json"
+    path.write_text('{"format_version": 1, "dim": 2, "components": [[1, 0], [%s, 0]]}' % leaf)
+    with pytest.raises(files.FileFormatError, match="fiducial file: field 'components'"):
+        files.load_fiducial(path)
+
+
+@pytest.mark.parametrize("leaf", NON_NUMBERS)
+def test_load_density_requires_number_entries(tmp_path, leaf):
+    path = tmp_path / "rho.json"
+    path.write_text('{"format_version": 1, "dim": 2, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [%s, 0]]]}' % leaf)
+    with pytest.raises(files.FileFormatError, match="density file: field 'matrix'"):
+        files.load_density(path)
+
+
+@pytest.mark.parametrize("leaf", NON_NUMBERS)
+def test_load_probabilities_requires_number_entries(tmp_path, leaf):
+    path = tmp_path / "p.json"
+    path.write_text('{"format_version": 1, "dim": 2, "p": [0.25, 0.25, 0.25, %s]}' % leaf)
+    with pytest.raises(files.FileFormatError, match="probabilities file: field 'p'"):
+        files.load_probabilities(path)
+
+
+def test_verify_rejects_boolean_components(tmp_path, capsys):
+    # true/false used to load as 1.0/0.0, so this file was verified as the basis state e0 and exited 1
+    path = tmp_path / "bools.json"
+    path.write_text('{"format_version": 1, "dim": 2, "components": [[true, false], [false, false]]}')
+    code, stdout, err = run(capsys, ["verify", "--fiducial", str(path)])
+    assert code == 2 and stdout == ""
+    assert "fiducial file: field 'components'" in err
+
+
 def test_write_json_atomic_refuses_non_finite(tmp_path):
     target = tmp_path / "artifact.json"
     for bad in (float("nan"), float("inf")):
