@@ -38,7 +38,6 @@ from .verify import (
     gram_residual,
     quartic_defects,
     quartic_residual,
-    quartic_target,
 )
 from .search import (
     RestartOutcome,

@@ -88,14 +88,22 @@ def _dim_field(payload: dict, label: str) -> int:
     return raw
 
 
+def _numbers(value) -> bool:
+    """True when every leaf of a parsed JSON value is a number; true and false are not numbers."""
+    return all(map(_numbers, value)) if isinstance(value, list) else type(value) in (int, float)
+
+
 def _array_field(path, label: str, field: str, shape_of_dim) -> np.ndarray:
     """Read the artifact at ``path`` and return its ``field`` as a float array of shape ``shape_of_dim(dim)``."""
     payload = load_json(path)
     d = _dim_field(payload, label)
     shape = shape_of_dim(d)
     rule = f"{label} file: field '{field}' must be an array of numbers of shape {shape} for dim {d}"
+    raw = _require(payload, field, label)
+    if not _numbers(raw):  # numpy would read null as NaN, true as 1 and "0.25" as 0.25
+        raise FileFormatError(f"{rule}, got an entry that is not a number")
     try:
-        arr = np.asarray(_require(payload, field, label), dtype=float)
+        arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(rule) from exc
     if arr.shape != shape:

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .verify import _overlaps, gram_residual, quartic_residual
+from .verify import _gram, _quartic, _residual
 from .wh import _check_integer, as_state_vector, check_dim, check_tolerance, phase_constants
 
 __all__ = [
@@ -171,12 +171,9 @@ class _Point(NamedTuple):
 
 
 def _evaluate(psi: np.ndarray) -> _Point:
-    """Run the overlap kernel once at psi[..., d]: rho = |B|^2 - t and f = sum rho^2 / d, per row."""
-    d = psi.shape[-1]
-    b = _overlaps(psi).reshape(*psi.shape[:-1], d * d)
-    rho = b.real**2 + b.imag**2 - 1.0 / (d + 1)
-    rho[..., 0] -= d / (d + 1)  # t = 1 at the origin
-    return _Point(psi, np.vecdot(rho, rho) / d, rho, b)
+    """Run the overlap kernel once at psi[..., d]: the residual rho and overlaps B, and f = sum rho^2 / d, per row."""
+    rho, b = _residual(psi)
+    return _Point(psi, np.vecdot(rho, rho) / psi.shape[-1], rho, b)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -397,11 +394,12 @@ def _candidate(psi: np.ndarray, restarts_used: int, iterations: int, residual_to
     # Residuals come from the certification module, never from optimizer state.
     psi = psi.copy()
     psi.setflags(write=False)
-    quartic = quartic_residual(psi)
+    point = _evaluate(psi)
+    quartic = _quartic(point.rho)
     return SicCandidate(
         fiducial=psi,
-        objective_value=float(_evaluate(psi).f),
-        gram_residual=gram_residual(psi),
+        objective_value=float(point.f),
+        gram_residual=_gram(point.rho),
         quartic_residual=quartic,
         restarts_used=restarts_used,
         iterations=iterations,

@@ -8,13 +8,16 @@ equations with no phase factors left in them:
     sum_j psi_j conj(psi_{j+k}) conj(psi_{j+l}) psi_{j+k+l}
         = (delta_{k0} + delta_{l0}) / (d+1)      for all k, l in Z_d.
 
-Both forms, and the search residual, come from one overlap kernel: a single
-FFT over the d cyclic products conj(psi_{j+r1}) psi_j.  Dense-matrix
+Every check reads one residual rho_r = |<psi|D_r|psi>|^2 - t_r from one overlap
+kernel, a single FFT over the d cyclic products conj(psi_{j+r1}) psi_j: the gram
+residual, the quartic defects (a row-wise inverse DFT of rho, as that of t is the
+right-hand side above) and the search objective sum rho_r^2 / d.  Dense-matrix
 evaluation is kept to the test-suite as an independent oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,36 +30,42 @@ __all__ = [
     "gram_residual",
     "quartic_defects",
     "quartic_residual",
-    "quartic_target",
 ]
 
 
-def _overlaps(psi: np.ndarray) -> np.ndarray:
-    """B[r1, r2] = sum_j omega**(j*r2) conj(psi_{j+r1}) psi_j: one inverse FFT over j.
+def _residual(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho_r = |<psi|D_r|psi>|^2 - t_r (t = 1 at r = 0, else 1/(d+1)) and the overlaps B_r, flat over r1*d + r2.
 
-    B is the overlap <psi|D_(r1,r2)|psi> without its tau**(r1*r2) phase, which
-    drops out of every modulus.  A stack of states psi[..., d] gives B[..., r1, r2],
-    each row equal bit for bit to the row's own call.
+    B[r1, r2] = sum_j omega**(j*r2) conj(psi_{j+r1}) psi_j is <psi|D_r|psi> without its tau**(r1*r2) phase, which
+    drops out of every modulus.  The SIC target t is written here only.  A stack of states psi[..., d] gives
+    rho[..., d^2] and B[..., d^2], each row equal bit for bit to the row's own call.
     """
     d = psi.shape[-1]
-    return d * np.fft.ifft(psi.conj()[..., phase_constants(d).add] * psi[..., None, :], axis=-1)
+    b = d * np.fft.ifft(psi.conj()[..., phase_constants(d).add] * psi[..., None, :], axis=-1)
+    b = b.reshape(*psi.shape[:-1], d * d)
+    rho = b.real**2 + b.imag**2 - 1.0 / (d + 1)
+    rho[..., 0] -= d / (d + 1)  # t = 1 at the origin
+    return rho, b
+
+
+def _gram(rho: np.ndarray) -> float:
+    """Largest |rho_r| over r != 0 of one rho[d^2]."""
+    return float(np.abs(rho[1:]).max())
+
+
+def _defects(rho: np.ndarray) -> np.ndarray:
+    """Quartic defects of one rho[d^2]: the inverse DFT over r2 of rho[l, r2] at k, as a (k, l) matrix."""
+    return np.fft.ifft(rho.reshape(math.isqrt(rho.shape[0]), -1), axis=1).T
+
+
+def _quartic(rho: np.ndarray) -> float:
+    """Largest modulus among the quartic defects of one rho[d^2]."""
+    return float(np.abs(_defects(rho)).max())
 
 
 def gram_residual(psi) -> float:
     """Largest deviation of |<psi|D_r|psi>|^2 from 1/(d+1) over r != 0."""
-    psi = as_state_vector(psi)
-    d = psi.shape[0]
-    dev = np.abs(np.abs(_overlaps(psi)) ** 2 - 1.0 / (d + 1))
-    dev[0, 0] = 0.0
-    return float(dev.max())
-
-
-def quartic_target(d: int) -> np.ndarray:
-    """Right-hand side (delta_{k0} + delta_{l0}) / (d+1) as a (k, l) matrix."""
-    target = np.zeros((d, d))
-    target[0, :] += 1.0 / (d + 1)
-    target[:, 0] += 1.0 / (d + 1)
-    return target
+    return _gram(_residual(as_state_vector(psi))[0])
 
 
 def quartic_defects(psi) -> np.ndarray:
@@ -65,13 +74,12 @@ def quartic_defects(psi) -> np.ndarray:
     The component sum sum_j psi_j conj(psi_{j+k}) conj(psi_{j+l}) psi_{j+k+l}
     is, by the Fourier identity, the inverse DFT over r2 of |B[l, r2]|^2 taken at k.
     """
-    psi = as_state_vector(psi)
-    return np.fft.ifft(np.abs(_overlaps(psi)) ** 2, axis=1).T - quartic_target(psi.shape[0])
+    return _defects(_residual(as_state_vector(psi))[0])
 
 
 def quartic_residual(psi) -> float:
     """Largest modulus among the quartic equation defects."""
-    return float(np.max(np.abs(quartic_defects(psi))))
+    return _quartic(_residual(as_state_vector(psi))[0])
 
 
 @dataclass(frozen=True)
@@ -104,8 +112,8 @@ def build_sic_set(psi, tol: float = 1e-10) -> SicSet:
     r1, r2 = np.divmod(np.arange(d * d), d)
     vectors = _displaced(psi, r1[:, None], r2[:, None])
     projectors = vectors[:, :, None] * vectors.conj()[:, None, :]
-    g = gram_residual(psi)
-    q = quartic_residual(psi)
+    rho, _ = _residual(psi)
+    g, q = _gram(rho), _quartic(rho)
     fiducial = psi.copy()
     for arr in (fiducial, vectors, projectors):
         arr.setflags(write=False)

@@ -70,6 +70,12 @@ def brute_force_quartic_terms(psi: np.ndarray) -> np.ndarray:
     return t
 
 
+def quartic_rhs(d: int) -> np.ndarray:
+    """Right-hand side (delta_{k0} + delta_{l0}) / (d+1) of the quartic fiducial equations, as a (k, l) matrix."""
+    at_origin = (np.arange(d) == 0) / (d + 1)
+    return at_origin[:, None] + at_origin[None, :]
+
+
 def random_state(rng: np.random.Generator, d: int) -> np.ndarray:
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return z / np.linalg.norm(z)

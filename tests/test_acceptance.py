@@ -29,7 +29,6 @@ from sic_forge import (
     purity_quadratic_target,
     quartic_defects,
     quartic_residual,
-    quartic_target,
     reconstruct_density,
     search,
     sic_probabilities,
@@ -38,7 +37,7 @@ from sic_forge import (
     uncertainty_profile,
 )
 from sic_forge.cli import main
-from conftest import brute_force_quartic_terms, projector_set, random_density, random_state
+from conftest import brute_force_quartic_terms, projector_set, quartic_rhs, random_density, random_state
 
 SEARCH_SEED = 7
 SEARCH_RESTARTS = {2: 12, 3: 12, 4: 16, 5: 16, 6: 24, 7: 24}
@@ -113,7 +112,7 @@ def test_criterion_4_condition_form_equivalence(searched):
         rng = np.random.default_rng(3000 + d)
         for _ in range(100):
             psi = random_state(rng, d)
-            gap = quartic_defects(psi) + quartic_target(d) - brute_force_quartic_terms(psi)
+            gap = quartic_defects(psi) + quartic_rhs(d) - brute_force_quartic_terms(psi)
             worst = max(worst, float(np.max(np.abs(gap))))
     ok = worst <= 1e-12
 

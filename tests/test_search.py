@@ -288,18 +288,19 @@ def test_a_memory_of_one_is_the_monotone_descent(monkeypatch, config, iterations
 
 
 def test_restart_trace_is_deterministic_and_consistent(monkeypatch):
-    module = importlib.import_module("sic_forge.search")
     kernel_runs = []
-    original = module._overlaps
+    original = importlib.import_module("sic_forge.verify")._residual
 
     def counting(psi):
         kernel_runs.append(math.prod(psi.shape[:-1]))  # the points in one call: its leading-axis size
         return original(psi)
 
-    monkeypatch.setattr(module, "_overlaps", counting)
+    for name in ("sic_forge.verify", "sic_forge.search"):  # every binding of the kernel
+        monkeypatch.setattr(importlib.import_module(name), "_residual", counting)
     config = SearchConfig(dim=8, restarts=4, seed=5)
     _, outcomes = search_detailed(config)
-    # every point the overlap kernel evaluated for the restarts is counted, plus one for the candidate's objective
+    # every point the overlap kernel evaluated for the restarts is counted, plus one for the candidate's objective,
+    # gram and quartic residuals together
     assert sum(kernel_runs) == sum(o.evaluations for o in outcomes) + 1
     assert search_detailed(config)[1] == outcomes
     for o in outcomes:

@@ -1,11 +1,17 @@
 """Fiducial certification: overlaps, residual forms, and orbit construction."""
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sic_forge import (
     build_sic_set,
     displace_state,
+    files,
     gram_residual,
     operator_set,
     phase_constants,
@@ -13,14 +19,23 @@ from sic_forge import (
     quartic_residual,
     quasi_onb_certify,
 )
-from sic_forge.verify import _overlaps, quartic_target
-from conftest import brute_force_quartic_terms, oracle_displacement, random_state
+from sic_forge.verify import _residual
+from sic_forge.wh import STATE_NORM_TOL
+from conftest import bench_fiducial, brute_force_quartic_terms, oracle_displacement, quartic_rhs, random_state
+
+GOLDENS = Path(__file__).resolve().parents[1] / "goldens"
+
+
+def kernel_overlaps(psi: np.ndarray) -> np.ndarray:
+    """The overlap kernel's B as [r1, r2]."""
+    d = psi.shape[0]
+    return _residual(psi)[1].reshape(d, d)
 
 
 def displacement_overlaps(psi: np.ndarray) -> np.ndarray:
     """<psi|D_(r1,r2)|psi> as [r1, r2]: the overlap kernel's B times the tau**(r1*r2) phase it leaves out."""
     idx = np.arange(psi.shape[0])
-    return phase_constants(psi.shape[0]).tau_power(np.outer(idx, idx)) * _overlaps(psi)
+    return phase_constants(psi.shape[0]).tau_power(np.outer(idx, idx)) * kernel_overlaps(psi)
 
 
 def test_overlaps_of_basis_state():
@@ -38,11 +53,14 @@ def test_overlaps_match_dense_oracle(d):
     for _ in range(10):
         psi = random_state(rng, d)
         values = displacement_overlaps(psi)
+        rho = _residual(psi)[0].reshape(d, d)
         assert abs(values[0, 0] - 1.0) <= 1e-12
         for r1 in range(d):
             for r2 in range(d):
                 dense = np.vdot(psi, oracle_displacement(d, r1, r2) @ psi)
                 assert abs(values[r1, r2] - dense) <= 1e-13
+                target = 1.0 if r1 == r2 == 0 else 1.0 / (d + 1)
+                assert abs(rho[r1, r2] - (abs(dense) ** 2 - target)) <= 1e-13
 
 
 def test_gram_residual_frozen_cases(fiducial_d2, fiducial_d3):
@@ -68,7 +86,7 @@ def test_quartic_terms_match_brute_force(fiducial_d3):
         states += [random_state(rng, d) for _ in range(20)]
     states += [np.array([1.0, 0.0]), fiducial_d3]
     for psi in states:
-        terms = quartic_defects(psi) + quartic_target(psi.shape[0])
+        terms = quartic_defects(psi) + quartic_rhs(psi.shape[0])
         np.testing.assert_allclose(terms, brute_force_quartic_terms(psi), atol=1e-13)
 
 
@@ -83,9 +101,9 @@ def test_quartic_residual_frozen_cases(fiducial_d3):
 def test_quartic_origin_term_is_fourth_moment():
     rng = np.random.default_rng(12)
     psi = random_state(rng, 4)
-    t = quartic_defects(psi) + quartic_target(4)
+    t = quartic_defects(psi) + quartic_rhs(4)
     assert abs(t[0, 0] - np.sum(np.abs(psi) ** 4)) <= 1e-13
-    assert quartic_target(4)[0, 0] == pytest.approx(2.0 / 5.0, abs=1e-15)
+    assert quartic_rhs(4)[0, 0] == pytest.approx(2.0 / 5.0, abs=1e-15)
 
 
 def fourier_identity_sides(psi: np.ndarray, k: int, r1: int) -> tuple[complex, complex]:
@@ -95,7 +113,7 @@ def fourier_identity_sides(psi: np.ndarray, k: int, r1: int) -> tuple[complex, c
     kernel; rhs = sum_j psi_j conj(psi_{j+k}) conj(psi_{j+r1}) psi_{j+k+r1}.
     """
     d = psi.shape[0]
-    lhs = complex(np.sum(phase_constants(d).dft[k] * np.abs(_overlaps(psi)[r1]) ** 2) / d)
+    lhs = complex(np.sum(phase_constants(d).dft[k] * np.abs(kernel_overlaps(psi)[r1]) ** 2) / d)
     j = np.arange(d)
     rhs = complex(np.sum(psi * psi[(j + k) % d].conj() * psi[(j + r1) % d].conj() * psi[(j + k + r1) % d]))
     return lhs, rhs
@@ -122,8 +140,7 @@ def test_fourier_rhs_hits_sic_targets(fiducial_d3):
     for k in range(3):
         for r1 in range(3):
             _, rhs = fourier_identity_sides(fiducial_d3, k, r1)
-            expected = ((k == 0) + (r1 == 0)) / 4.0
-            assert abs(rhs - expected) <= 1e-10
+            assert abs(rhs - quartic_rhs(3)[k, r1]) <= 1e-10
 
 
 def test_build_sic_set_certifies_exact_fiducial(fiducial_d3):
@@ -131,6 +148,16 @@ def test_build_sic_set_certifies_exact_fiducial(fiducial_d3):
     assert sic.certified
     assert np.abs(sic.projectors.sum(axis=0) - 3.0 * np.eye(3)).max() <= 1e-9
     assert quasi_onb_certify(operator_set(sic.projectors), tol=1e-8).passed
+
+
+def test_build_sic_set_validates_once_and_runs_the_kernel_once(monkeypatch, fiducial_d3):
+    module = importlib.import_module("sic_forge.verify")
+    calls = []
+    for name in ("as_state_vector", "_residual"):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda psi, _f=original, _n=name: calls.append(_n) or _f(psi))
+    assert build_sic_set(fiducial_d3).certified
+    assert calls == ["as_state_vector", "_residual"]
 
 
 def test_build_sic_set_reports_uncertified_candidate():
@@ -203,3 +230,25 @@ def test_gram_and_quartic_forms_agree(d, fiducial_d2, fiducial_d3):
                 assert q <= d * eps
             if q <= eps:
                 assert g <= d * eps
+
+
+STORED = {3: files.load_fiducial(GOLDENS / "fiducial_d3.json"), **{d: bench_fiducial(d) for d in (5, 7, 8, 11, 12)}}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.integers(2, 12), st.sampled_from(["random", "basis", "stored"]), st.integers(0, 2**32 - 1), st.floats(-1.0, 1.0)
+)
+def test_residual_forms_bound_each_other_off_unit_norm(d, kind, seed, stretch):
+    # the unit-norm check passes |norm^2 - 1| <= STATE_NORM_TOL, and the origin entry rho_0 = norm^4 - 1 of the
+    # residual enters the quartic defects' l = 0 row, so quartic <= gram holds only up to |rho_0| / d
+    psi = random_state(np.random.default_rng(seed), d)
+    if kind == "basis":
+        psi = np.eye(d)[0]
+    if kind == "stored" and d in STORED:
+        psi = STORED[d]
+    psi = psi * np.sqrt(1.0 + 0.99 * STATE_NORM_TOL * stretch)
+    g, q, origin = gram_residual(psi), quartic_residual(psi), abs(_residual(psi)[0][0])
+    ulps = 1.0 + 4.0 * np.finfo(float).eps  # the basis state at d = 2 meets g = 2q exactly
+    assert q <= (g + origin / d) * ulps
+    assert g <= d * q * ulps

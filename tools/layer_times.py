@@ -5,8 +5,8 @@ and the key <name>.quartiles beside it holds the first and third quartiles of th
 operator_space, on the bench candidates d = 8..24: a line tracer (about 1 us per line) times operator_set's inline
 steps; operator_set untraced, K_t, frame potential and quasi-ONB run whole.
 search, per bench search (d, restarts) at workload seed 1: wall and CPU us of search_detailed (CPU of the whole
-process, BLAS threads included), and one descent tick, _evaluate then _gradient, for R = 1 and R = 16 restarts: one
-call on an (R, d) stack where the search batches its restarts, R calls on single states where it does not.
+process, BLAS threads included), and one descent tick, _evaluate then _gradient on an (R, d) stack of start points,
+for R = 1 and R = 16 restarts.
 Deterministic counts per row, reported as they are: the restarts certified (RestartOutcome objective within
 accept_tol), the overlap evaluations of the Gauss-Newton tail (summed from _least_squares_refine) and of the
 descent (the RestartOutcome evaluations less those, start points included), the descent's accepted steps
@@ -79,12 +79,9 @@ def search_seconds(sf, d: int, restarts: int, seed: int) -> dict:
     row["descent_iters"] = sum(o.descent_iterations for o in outcomes)
     stops = collections.Counter(o.stop_reason for o in outcomes)
     row.update({f"stop.{reason}": stops[reason] for reason in search.STOP_REASONS})
-    batched = hasattr(search, "_BATCH_ENTRIES")
     for rows in (1, 16):
-        states = [search._random_start(d, seed, r) for r in range(rows)]
-        stack = np.array(states)
-        tick = (lambda: search._gradient(search._evaluate(stack))) if batched else (
-            lambda: [search._gradient(search._evaluate(p)) for p in states])
+        stack = np.array([search._random_start(d, seed, r) for r in range(rows)])
+        tick = lambda: search._gradient(search._evaluate(stack))
         row[f"tick_r{rows}"] = statistics.median(timeit.repeat(tick, number=TICKS, repeat=REPS)) / TICKS
     return row
 
