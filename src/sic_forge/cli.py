@@ -289,7 +289,7 @@ def cmd_mubs(args) -> tuple[dict, int]:
         profile = mubs.uncertainty_profile(psi, mubset)
         payload["per_basis"] = [float(x) for x in profile.per_basis]
         payload["target"] = mubs.minimum_uncertainty_target(args.dim)
-        payload["minimum_uncertainty"] = mubs.is_minimum_uncertainty(psi, mubset, tol=args.tol)
+        payload["minimum_uncertainty"] = mubs._is_minimum(profile.per_basis, args.dim, args.tol)
         payload["tol"] = args.tol
     return payload, EXIT_OK
 

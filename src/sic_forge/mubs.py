@@ -110,8 +110,12 @@ def minimum_uncertainty_target(d: int) -> float:
     return 2.0 / (d + 1)
 
 
+def _is_minimum(per_basis: np.ndarray, d: int, tol: float) -> bool:
+    """The minimum-uncertainty verdict from a profile's per-basis sums: each within tol of 2/(d+1)."""
+    return bool(np.max(np.abs(per_basis - minimum_uncertainty_target(d))) <= tol)
+
+
 def is_minimum_uncertainty(psi, mubs: MubSet, tol: float = 1e-8) -> bool:
     """True when every per-basis squared-probability sum equals 2/(d+1) within tol."""
     tol = check_tolerance(tol, "tol")
-    profile = uncertainty_profile(psi, mubs)
-    return bool(np.max(np.abs(profile.per_basis - minimum_uncertainty_target(mubs.d))) <= tol)
+    return _is_minimum(uncertainty_profile(psi, mubs).per_basis, mubs.d, tol)

@@ -58,7 +58,6 @@ _MIN_STEP = 1e-14
 _MAX_STEP = 1e6
 _REFINE_SWITCH = 1e-10  # objective level where the least-squares refinement takes over
 _REFINE_MAX_ITERS = 60
-_REFINE_MIN_SCALE = _SHRINK**19  # the Gauss-Newton step is halved at most 19 times
 _STEP_TOL = 1e-13  # a restart stops once its accepted step is shorter than this
 _PLATEAU_ITERS = 10  # every 10th accepted descent step is a plateau checkpoint, where a restart stops if
 _PLATEAU_LEVEL = 1e-4  # its lowest objective is above this level, far above the refinement switch,
@@ -106,14 +105,15 @@ class RestartOutcome:
     batches, and each restart's trajectory and counts equal those of the
     restart run alone.
     ``stop_reason`` is one of ``STOP_REASONS``: the run reached the
-    objective floor, its last line search found no acceptable step (a zero
-    gradient, or a Gauss-Newton step at the roundoff floor), it spent its
-    iteration budget, its last accepted descent step was shorter than the
-    step tolerance, or its descent stopped at a plateau checkpoint (lowest
-    objective so far above 1e-4, and fallen by no more than a fraction 1e-6
-    over its last 10 accepted steps).  A restart whose descent ended above
-    the refinement switch is not refined (``refine_iterations`` is 0) and
-    reports the descent's exit; a refined restart reports the refinement's.
+    objective floor, it found no step that lowers the objective (a zero
+    descent gradient, or one full Gauss-Newton step at the roundoff floor),
+    it spent its iteration budget, its last accepted descent step was shorter
+    than the step tolerance, or its descent stopped at a plateau checkpoint
+    (lowest objective so far above 1e-4, and fallen by no more than a
+    fraction 1e-6 over its last 10 accepted steps).  A restart whose descent
+    ended above the refinement switch is not refined (``refine_iterations``
+    is 0) and reports the descent's exit; a refined restart reports the
+    refinement's.
     Every field is deterministic for a given config.
     """
 
@@ -213,22 +213,8 @@ def objective_gradient(psi) -> np.ndarray:
     return _gradient(_evaluate(as_state_vector(psi)))
 
 
-def _backtrack(psi: np.ndarray, direction: np.ndarray, scale: float, min_scale: float, accept) -> tuple:
-    """First trial psi + s*direction, renormalized, for s = scale, scale/2, ... >= min_scale
-    whose objective f passes accept(s, f); returns (point, s, trials), point None if none does."""
-    trials = 0
-    while scale >= min_scale:
-        trials += 1
-        cand = psi + scale * direction
-        trial = _evaluate(cand / np.linalg.norm(cand))
-        if accept(scale, trial.f):
-            return trial, scale, trials
-        scale *= _SHRINK
-    return None, scale, trials
-
-
 def _gradient_descent(
-    point: _Point, max_iters: int, objective_floor: float, step_tol: float
+    point: _Point, max_iters: int, objective_floor: float
 ) -> tuple[_Point, np.ndarray, np.ndarray, np.ndarray]:
     """Nonmonotone backtracking descent with Barzilai-Borwein step seeding of the
     rows psi[R, d]; returns (points, iterations, evaluations, stop reasons), all
@@ -247,12 +233,12 @@ def _gradient_descent(
     above _PLATEAU_LEVEL and fell by no more than the fraction _PLATEAU_DROP
     since its previous checkpoint (its start first).  A row's stop reason is the
     first of its exits that holds when it leaves: the floor, the budget, an
-    accepted step no longer than step_tol, a plateau, else a stalled line search
+    accepted step no longer than _STEP_TOL, a plateau, else a stalled line search
     or a zero gradient.
     """
     final = _Point(*(np.empty_like(a) for a in point))
     iterations, evaluations = np.zeros((2, len(point.f)), dtype=int)
-    short = np.zeros(len(point.f), dtype=bool)  # per row: its last tick accepted a step no longer than step_tol
+    short = np.zeros(len(point.f), dtype=bool)  # per row: its last tick accepted a step no longer than _STEP_TOL
     plateau = np.zeros(len(point.f), dtype=bool)  # per row: its last tick was a checkpoint on a plateau
     rows = np.arange(len(point.f))  # the original index of each working row
     g = _gradient(point)
@@ -262,7 +248,7 @@ def _gradient_descent(
     recent = np.repeat(point.f[:, None], _ARMIJO_MEMORY, axis=1)  # per row: its accepted objectives, a ring on iters
     low = mark = point.f  # per row: its lowest objective, and that at its last plateau checkpoint
     go = (max_iters > 0) & (point.f > objective_floor) & (gnorm_sq > 0.0)
-    # the last tick's accepted rows, steps longer than step_tol and plateau checkpoints
+    # the last tick's accepted rows, steps longer than _STEP_TOL and plateau checkpoints
     ok = long_step = flat = np.zeros(len(rows), dtype=bool)
     while True:
         if np.count_nonzero(go) < len(go):  # retire the finished rows with their last accepted points
@@ -301,7 +287,7 @@ def _gradient_descent(
         iters += ok
         recent[ok, iters[ok] % _ARMIJO_MEMORY] = point.f[ok]
         low = np.minimum(low, point.f)
-        long_step = np.sqrt(ss) > step_tol
+        long_step = np.sqrt(ss) > _STEP_TOL
         check = ok & (iters % _PLATEAU_ITERS == 0)
         flat = check & (low > _PLATEAU_LEVEL) & (low > (1.0 - _PLATEAU_DROP) * mark)
         mark = np.where(check, low, mark)
@@ -316,10 +302,14 @@ def _least_squares_refine(
     (point, iterations, evaluations, stop reason).
 
     Solves the linearized residual in the least-squares sense (the minimal-norm
-    solution ignores the flat directions along fiducial orbits), retracts onto
-    the sphere, and keeps a step only if the objective decreases, damping the
-    step by halves otherwise.  Quadratic tail convergence where the plain
-    descent turns algebraic, e.g. on the continuous fiducial family at d=3.
+    solution ignores the flat directions along fiducial orbits), takes the full
+    step psi + delta, retracts onto the sphere, and keeps the step only if the
+    objective decreases; otherwise it stops there, one evaluation later, with
+    line_search_stalled.  Near an exact zero of the redundant SIC system the
+    undamped step converges on its own (Dedieu and Shub 2000): quadratic tail
+    convergence where the plain descent turns algebraic, e.g. on the continuous
+    fiducial family at d=3.  A step fails only at the objective's roundoff
+    floor, near 1e-32, which a floor set below it reaches (accept_tol 1e-40).
 
     The real Jacobian of rho in (Re psi, Im psi) is 2 [Re W | Im W].  The
     quartic defects are a row-wise DFT of rho, an isometry up to 1/sqrt(d), so
@@ -334,12 +324,10 @@ def _least_squares_refine(
             break
         w = _residual_derivative(point.psi, point.b)
         delta, *_ = np.linalg.lstsq(np.hstack([w.real, w.imag]), -0.5 * point.rho, rcond=None)
-        direction = delta[:d] + 1j * delta[d:]
-        trial, _, trials = _backtrack(
-            point.psi, direction, 1.0, _REFINE_MIN_SCALE, lambda s, f_new: f_new < point.f
-        )
-        evaluations += trials
-        if trial is None:
+        cand = point.psi + (delta[:d] + 1j * delta[d:])
+        trial = _evaluate(cand / np.linalg.norm(cand))
+        evaluations += 1
+        if not trial.f < point.f:
             stop = "line_search_stalled"
             break
         point = trial
@@ -348,7 +336,7 @@ def _least_squares_refine(
 
 
 def _descend(
-    psi: np.ndarray, max_iters: int, objective_floor: float, step_tol: float, first: int = 0
+    psi: np.ndarray, max_iters: int, objective_floor: float, first: int = 0
 ) -> list[tuple[_Point, RestartOutcome]]:
     """Two-phase minimization of the rows of psi[R, d], restarts first, first + 1, ...,
     sharing the max_iters budget across both phases: global descent of all rows
@@ -362,7 +350,7 @@ def _descend(
     stop reason is the refinement's.
     """
     switch = max(objective_floor, _REFINE_SWITCH)
-    ends, descent_iters, descent_evals, stops = _gradient_descent(_evaluate(psi), max_iters, switch, step_tol)
+    ends, descent_iters, descent_evals, stops = _gradient_descent(_evaluate(psi), max_iters, switch)
     results = []
     for row, (descent, evals, stop) in enumerate(zip(descent_iters.tolist(), descent_evals.tolist(), stops.tolist())):
         point = _Point(*(a[row] for a in ends))
@@ -427,7 +415,7 @@ def search_detailed(config: SearchConfig) -> tuple[SicCandidate, tuple[RestartOu
     outcomes, best = [], None
     for first in range(0, restarts, batch):
         starts = np.array([_random_start(d, seed, r) for r in range(first, min(first + batch, restarts))])
-        for point, outcome in _descend(starts, max_iters, floor, _STEP_TOL, first):
+        for point, outcome in _descend(starts, max_iters, floor, first):
             outcomes.append(outcome)
             if best is None or outcome.objective_value < best[1].objective_value:
                 best = point, outcome
@@ -452,12 +440,13 @@ def search(config: SearchConfig) -> SicCandidate:
 def polish(psi) -> SicCandidate:
     """Refine a near-minimum candidate with the same descent and a tighter floor.
 
-    The run spends at most 4000 iterations, and the result is certified when
-    its quartic residual is within 1e-9.  Inputs already at a minimum are
+    The run spends at most 4000 iterations, with the search's step tolerance
+    and Gauss-Newton tail, and the result is certified when its quartic
+    residual is within 1e-9.  Inputs already at a minimum are
     returned unchanged (the objective floor is hit immediately);
     far-from-minimum inputs still come back with the best point found and
     honest residuals.  The descent's plateau exit can stop only a run whose
     objective is above 1e-4.
     """
-    [(refined, outcome)] = _descend(as_state_vector(psi)[None], 4000, 1e-28, 0.0)
+    [(refined, outcome)] = _descend(as_state_vector(psi)[None], 4000, 1e-28)
     return _candidate(refined.psi, restarts_used=0, iterations=outcome.iterations, residual_tol=1e-9)

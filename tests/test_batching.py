@@ -1,9 +1,10 @@
 """Lockstep restart batches: every restart's trajectory equals the restart run alone.
 
 The serial descent below is the one-restart-at-a-time loop the search ran
-before restarts were batched, its nonmonotone Armijo test written separately
-on a deque of accepted objectives.  It is kept here as the oracle of the
-batched descent: outcomes and final points must agree bit for bit.  The ungated
+before restarts were batched, its nonmonotone Armijo test and halving ladder
+written separately on a deque of accepted objectives.  It is kept here as the
+oracle of the batched descent: outcomes and final points must agree bit for
+bit.  The ungated
 pipeline, which refines every restart's tail wherever its descent ended, is
 kept as the oracle of the refinement gate: the gate may drop only refinements
 that certify nothing.  The descent without its plateau exit is the oracle of
@@ -31,8 +32,8 @@ from sic_forge.search import (
     _PLATEAU_LEVEL,
     _REFINE_MAX_ITERS,
     _REFINE_SWITCH,
+    _SHRINK,
     _STEP_TOL,
-    _backtrack,
     _evaluate,
     _gradient,
     _least_squares_refine,
@@ -44,18 +45,20 @@ from conftest import random_state
 search_module = importlib.import_module("sic_forge.search")
 
 
-def serial_descent(point, max_iters: int, objective_floor: float, step_tol: float, plateau: bool = True):
+def serial_descent(point, max_iters: int, objective_floor: float, plateau: bool = True, ladders: list | None = None):
     """Nonmonotone backtracking descent with Barzilai-Borwein step seeding of one
     restart; returns (point, iterations, evaluations, stop reason).
 
     A trial passes the Armijo test against the largest of the last
     _ARMIJO_MEMORY accepted objectives, the start included (Grippo, Lampariello
-    and Lucidi 1986; Raydan 1997).  With plateau, every _PLATEAU_ITERS-th
-    accepted step is a checkpoint: the descent stops there if the lowest f so
-    far is above _PLATEAU_LEVEL and fell by no more than the fraction
-    _PLATEAU_DROP since the last checkpoint (the start first).  The floor and
-    the budget outrank a short last step, and a short last step outranks a
-    plateau: a step that ends several reports the first of them.
+    and Lucidi 1986; Raydan 1997); the step halves until one does, or until it
+    falls below _MIN_STEP.  With plateau, every _PLATEAU_ITERS-th accepted step
+    is a checkpoint: the descent stops there if the lowest f so far is above
+    _PLATEAU_LEVEL and fell by no more than the fraction _PLATEAU_DROP since the
+    last checkpoint (the start first).  The floor and the budget outrank a
+    short last step, and a short last step outranks a plateau: a step that ends
+    several reports the first of them.  Into ladders, if given, each line search
+    appends its accepted step's length |psi_new - psi|, or None if it found none.
     """
     g = _gradient(point)
     step = 1.0 / max(1.0, float(np.linalg.norm(g)))
@@ -69,10 +72,17 @@ def serial_descent(point, max_iters: int, objective_floor: float, step_tol: floa
             break
         alpha = min(max(step, _MIN_STEP), _MAX_STEP)
         reference = max(recent)
-        trial, alpha, trials = _backtrack(
-            point.psi, -g, alpha, _MIN_STEP, lambda a, f_new: f_new <= reference - _ARMIJO * a * gnorm_sq
-        )
-        evaluations += trials
+        while alpha >= _MIN_STEP:
+            evaluations += 1
+            cand = point.psi + alpha * -g
+            trial = _evaluate(cand / np.linalg.norm(cand))
+            if trial.f <= reference - _ARMIJO * alpha * gnorm_sq:
+                break
+            alpha *= _SHRINK
+        else:
+            trial = None
+        if ladders is not None:
+            ladders.append(None if trial is None else np.linalg.norm(trial.psi - point.psi))
         if trial is None:
             break  # line search stalled: at the numerical floor of the basin
         iterations += 1
@@ -85,7 +95,7 @@ def serial_descent(point, max_iters: int, objective_floor: float, step_tol: floa
         point, g = trial, g_new
         recent.append(float(point.f))
         low = min(low, float(point.f))
-        if math.sqrt(ss) <= step_tol:
+        if math.sqrt(ss) <= _STEP_TOL:
             stop = "step_below_tolerance"
             break
         if plateau and iterations % _PLATEAU_ITERS == 0:
@@ -110,7 +120,7 @@ def serial_restart(config: SearchConfig, restart: int, gated: bool = True, plate
     floor = config.accept_tol * 1e-4
     switch = max(floor, _REFINE_SWITCH)
     start = _evaluate(_random_start(config.dim, config.seed, restart))
-    point, descent, evals, stop = serial_descent(start, config.max_iters, switch, _STEP_TOL, plateau)
+    point, descent, evals, stop = serial_descent(start, config.max_iters, switch, plateau)
     if gated and point.f > switch:
         return point.psi, (restart, float(point.f), descent, descent, 0, 1 + evals, stop)
     budget = min(_REFINE_MAX_ITERS, config.max_iters - descent)
@@ -194,7 +204,7 @@ PLATEAU = (SearchConfig(dim=8, restarts=1, seed=5), 0, "objective_plateau")
 def test_a_restart_left_above_the_switch_keeps_its_last_descent_point(config, restart, stop):
     outcome = search_detailed(config)[1][restart]
     start = _evaluate(_random_start(config.dim, config.seed, restart))
-    point, descent, evals, serial_stop = serial_descent(start, config.max_iters, _REFINE_SWITCH, _STEP_TOL)
+    point, descent, evals, serial_stop = serial_descent(start, config.max_iters, _REFINE_SWITCH)
     assert point.f > _REFINE_SWITCH
     assert outcome.objective_value == float(point.f)
     assert (outcome.iterations, outcome.descent_iterations, outcome.refine_iterations) == (descent, descent, 0)
@@ -202,20 +212,13 @@ def test_a_restart_left_above_the_switch_keeps_its_last_descent_point(config, re
 
 
 @pytest.mark.parametrize("config, restart, stop", [SHORT_STEP_D7, SHORT_STEP, PLATEAU])
-def test_the_stop_reason_names_the_exit_the_descent_took(monkeypatch, config, restart, stop):
+def test_the_stop_reason_names_the_exit_the_descent_took(config, restart, stop):
     # a short step's and a plateau's last ladder succeeded, a plateau's at a checkpoint and with a step longer
     # than _STEP_TOL
     assert search_detailed(config)[1][restart].stop_reason == stop
-    ladders, backtrack = [], _backtrack
-
-    def recording(psi, direction, *args):
-        trial, scale, trials = backtrack(psi, direction, *args)
-        ladders.append(None if trial is None else np.linalg.norm(trial.psi - psi))
-        return trial, scale, trials
-
-    monkeypatch.setattr(importlib.import_module(__name__), "_backtrack", recording)
+    ladders = []
     start = _evaluate(_random_start(config.dim, config.seed, restart))
-    assert serial_descent(start, config.max_iters, _REFINE_SWITCH, _STEP_TOL)[3] == stop
+    assert serial_descent(start, config.max_iters, _REFINE_SWITCH, ladders=ladders)[3] == stop
     if stop == "step_below_tolerance":
         assert None not in ladders and ladders[-1] <= _STEP_TOL < min(ladders[:-1])
     else:
@@ -227,27 +230,51 @@ def test_a_descent_from_a_zero_gradient_stalls_at_once(d):
     # a basis state is a critical point of the objective: the descent evaluates its start only and stops
     start = np.zeros(d, dtype=complex)
     start[0] = 1.0
-    [(point, outcome)] = search_module._descend(start[None], 4000, 1e-22, _STEP_TOL)
+    [(point, outcome)] = search_module._descend(start[None], 4000, 1e-22)
     assert np.array_equal(point.psi, start) and outcome.objective_value > _REFINE_SWITCH
     assert (outcome.iterations, outcome.evaluations, outcome.stop_reason) == (0, 1, "line_search_stalled")
-    assert serial_descent(_evaluate(start), 4000, _REFINE_SWITCH, _STEP_TOL)[1:] == (0, 0, "line_search_stalled")
+    assert serial_descent(_evaluate(start), 4000, _REFINE_SWITCH)[1:] == (0, 0, "line_search_stalled")
+
+
+def traced_tails(monkeypatch, config):
+    """search_detailed(config)'s outcomes, and per Gauss-Newton tail it ran: (f at the tail's start, f at each
+    point the tail evaluated, its iterations, evaluations and stop reason)."""
+    tails, refine, evaluate = [], search_module._least_squares_refine, search_module._evaluate
+
+    def recording(point, *args):
+        trials = []
+        monkeypatch.setattr(search_module, "_evaluate", lambda psi: trials.append(evaluate(psi)) or trials[-1])
+        result = refine(point, *args)
+        monkeypatch.setattr(search_module, "_evaluate", evaluate)
+        tails.append((float(point.f), [float(t.f) for t in trials], *result[1:]))
+        return result
+
+    monkeypatch.setattr(search_module, "_least_squares_refine", recording)
+    return search_detailed(config)[1], tails
 
 
 def test_a_refinement_at_its_roundoff_floor_stalls(monkeypatch):
-    # below any reachable floor, each restart's Gauss-Newton tail stops when its last damping ladder finds no decrease
+    # below any reachable floor, each restart's Gauss-Newton tail keeps its full steps while they lower the
+    # objective and stops at the first that does not, which costs one evaluation
     config = SearchConfig(dim=3, restarts=2, seed=1, accept_tol=1e-40)
-    ladders, backtrack = [], search_module._backtrack
-
-    def recording(psi, direction, *args):
-        trial, scale, trials = backtrack(psi, direction, *args)
-        ladders.append(trial is None)
-        return trial, scale, trials
-
-    monkeypatch.setattr(search_module, "_backtrack", recording)
-    outcomes = search_detailed(config)[1]
-    assert ladders.count(True) == 2 and all(o.refine_iterations > 0 for o in outcomes)
-    assert {o.stop_reason for o in outcomes} == {"line_search_stalled"}
+    outcomes, tails = traced_tails(monkeypatch, config)
+    assert len(tails) == 2
+    for o, (start, trials, iterations, evaluations, stop) in zip(outcomes, tails):
+        assert stop == o.stop_reason == "line_search_stalled" and iterations == o.refine_iterations > 0
+        assert evaluations == len(trials) == iterations + 1
+        kept = [start, *trials[:-1]]
+        assert all(new < old for old, new in zip(kept, kept[1:])) and trials[-1] >= kept[-1] == o.objective_value
     assert [dataclasses.astuple(o) for o in outcomes] == [serial_restart(config, r)[1] for r in range(2)]
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_every_refined_restart_of_the_grid_reaches_the_floor_in_full_steps(monkeypatch, d, seed):
+    # the traffic an undamped tail rests on: each Gauss-Newton step lowers the objective at full length, one
+    # evaluation per step, and every refined restart stops at the objective floor
+    outcomes, tails = traced_tails(monkeypatch, SearchConfig(dim=d, restarts=6, seed=seed))
+    assert all(o.stop_reason == "objective_floor" for o in outcomes if o.refine_iterations > 0)
+    assert all((evaluations, stop) == (iterations, "objective_floor") for *_, iterations, evaluations, stop in tails)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sic_forge import SearchConfig, build_sic_set, files, geometry, search_detailed
+from sic_forge import SearchConfig, build_sic_set, files, geometry, mubs, search_detailed
 from sic_forge.cli import main
 from conftest import BENCH_DATA, random_density, random_state
 
@@ -337,6 +337,19 @@ def test_mubs_profiles_fiducial(hesse_file, capsys):
     payload = json.loads(stdout)
     assert payload["minimum_uncertainty"] is True
     np.testing.assert_allclose(payload["per_basis"], 0.5, atol=1e-10)
+
+
+@pytest.mark.parametrize("tol", ["1e-8", "1e-17"])
+def test_mubs_profiles_the_state_once(capsys, monkeypatch, tol):
+    # the verdict is read from the printed profile, and agrees with the library's at the same tol
+    path = os.path.join(BENCH_DATA, "fiducial_d7.json")
+    calls, profile = [], mubs.uncertainty_profile
+    monkeypatch.setattr(mubs, "uncertainty_profile", lambda *args: calls.append(1) or profile(*args))
+    code, stdout, _ = run(capsys, ["mubs", "--dim", "7", "--state", path, "--tol", tol, "--json"])
+    assert code == 0 and len(calls) == 1
+    monkeypatch.setattr(mubs, "uncertainty_profile", profile)
+    verdict = mubs.is_minimum_uncertainty(files.load_state_vector(path), mubs.build_mubs(7), float(tol))
+    assert json.loads(stdout)["minimum_uncertainty"] is verdict is (tol == "1e-8")
 
 
 def test_kt_reports_bound_and_value(hesse_file, capsys):

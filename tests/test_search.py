@@ -1,12 +1,17 @@
 """Search objective, gradient, descent, and reproducibility."""
 
+import dataclasses
 import importlib
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sic_forge
 from sic_forge import (
     SearchConfig,
     build_sic_set,
@@ -15,6 +20,7 @@ from sic_forge import (
     objective,
     objective_gradient,
     polish,
+    quartic_residual,
     search,
     search_detailed,
 )
@@ -169,7 +175,7 @@ def test_only_gauss_newton_builds_the_residual_derivative(monkeypatch):
 
     monkeypatch.setattr(module, "_residual_derivative", counting)
     for d in (3, 8, 24):
-        module._gradient_descent(module._evaluate(module._random_start(d, 7, 0)[None]), 400, 1e-10, 0.0)
+        module._gradient_descent(module._evaluate(module._random_start(d, 7, 0)[None]), 400, 1e-10)
     assert calls == []
     _, outcomes = search_detailed(SearchConfig(dim=8, restarts=4, seed=5))
     # restarts 1 to 3 refine to the floor, one W per step; the stopped restart 0 never reaches the switch, builds none
@@ -194,7 +200,7 @@ def accepted_points(monkeypatch, d: int, seed: int, budget: int = 4000) -> list:
 
     monkeypatch.setattr(module, "_gradient", recording)
     start = module._evaluate(module._random_start(d, seed, 0)[None])
-    module._gradient_descent(start, budget, module._REFINE_SWITCH, module._STEP_TOL)
+    module._gradient_descent(start, budget, module._REFINE_SWITCH)
     monkeypatch.setattr(module, "_gradient", gradient)
     return points
 
@@ -225,7 +231,7 @@ def test_a_budget_of_b_steps_ends_at_the_bth_accepted_point(monkeypatch):
 
     f = [value for _, value, _ in accepted_points(monkeypatch, 4, 42, 12)]
     psi0 = _random_start(4, 42, 0)[None]
-    ends = [_gradient_descent(_evaluate(psi0.copy()), b, 0.0, 0.0)[0].f[0] for b in range(1, 12)]
+    ends = [_gradient_descent(_evaluate(psi0.copy()), b, 0.0)[0].f[0] for b in range(1, 12)]
     assert ends == f[1:12] and min(ends) < f[0]
     assert any(b > a for a, b in zip(ends, ends[1:]))  # the last objective rises once, from b = 5 to 6
 
@@ -429,6 +435,43 @@ def test_search_is_deterministic():
     assert np.array_equal(first.fiducial, second.fiducial)
     assert first.quartic_residual == second.quartic_residual
     assert first.gram_residual == second.gram_residual
+
+
+FRESH_SEARCH = """
+import dataclasses, sys
+sys.path.insert(0, {src!r})
+import sic_forge
+for d, restarts in {runs!r}:
+    candidate, outcomes = sic_forge.search_detailed(sic_forge.SearchConfig(dim=d, restarts=restarts, seed={seed}))
+    print([dataclasses.astuple(o) for o in outcomes], candidate.fiducial.tobytes().hex(), candidate.certified)
+"""
+
+
+def test_search_is_deterministic_across_fresh_interpreters():
+    # two new interpreters, run side by side, print the same outcomes and fiducial bytes as this process, and
+    # each candidate passes the bench search check: all restarts reported, certified exactly when its recomputed
+    # quartic residual is within sqrt(accept_tol), and a certified candidate's gram and quartic residuals agree
+    runs, seed = ((3, 4), (8, 4), (12, 4), (20, 2)), 11
+    src = os.path.dirname(os.path.dirname(sic_forge.__file__))
+    code = FRESH_SEARCH.format(src=src, runs=runs, seed=seed)
+    children = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True) for _ in range(2)]
+    try:
+        printed = [child.communicate(timeout=300)[0] for child in children]
+    finally:
+        for child in children:
+            child.kill()
+    assert [child.returncode for child in children] == [0, 0] and printed[0] == printed[1]
+    lines = printed[0].splitlines()
+    assert len(lines) == len(runs)
+    for (d, restarts), line in zip(runs, lines):
+        config = SearchConfig(dim=d, restarts=restarts, seed=seed)
+        candidate, outcomes = search_detailed(config)
+        fiducial = candidate.fiducial.tobytes().hex()
+        assert line == f"{[dataclasses.astuple(o) for o in outcomes]} {fiducial} {candidate.certified}"
+        quartic, gram = quartic_residual(candidate.fiducial), gram_residual(candidate.fiducial)
+        assert len(outcomes) == restarts
+        assert candidate.certified == (quartic <= math.sqrt(config.accept_tol))
+        assert not candidate.certified or abs(quartic - gram) <= 1e-8
 
 
 def test_polish_recovers_perturbed_fiducial(fiducial_d3):
