@@ -463,6 +463,26 @@ def test_load_probabilities_requires_number_entries(tmp_path, leaf):
         files.load_probabilities(path)
 
 
+NESTED_FIELDS = {  # per loader kind, the command that reads it from {path}
+    "components": ["verify", "--fiducial", "{path}"],
+    "matrix": ["convert", "--fiducial", "{fiducial}", "--rho", "{path}", "--out", "{out}"],
+    "p": ["convert", "--fiducial", "{fiducial}", "--probs", "{path}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("depth", [900, 100_000])
+@pytest.mark.parametrize("field", NESTED_FIELDS)
+def test_loaders_refuse_nesting_too_deep(tmp_path, hesse_file, capsys, field, depth):
+    # 100,000 levels overflow the JSON parser's recursion; 900 parse, and must not overflow the leaf check
+    path = tmp_path / "deep.json"
+    path.write_text('{"format_version": 1, "dim": 3, "%s": %s0%s}' % (field, "[" * depth, "]" * depth))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, [a.format(path=path, fiducial=hesse_file, out=out) for a in NESTED_FIELDS[field]])
+    assert code == 2 and stdout == ""
+    assert str(path) in err or f"field '{field}'" in err
+    assert not out.exists()
+
+
 def test_verify_rejects_boolean_components(tmp_path, capsys):
     # true/false used to load as 1.0/0.0, so this file was verified as the basis state e0 and exited 1
     path = tmp_path / "bools.json"
