@@ -14,6 +14,7 @@ text mode prints one ``key: value`` line per leaf, nested keys joined by
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import files, geometry, mubs, operator_space, verify
 from .search import SearchConfig, search_detailed
-from .wh import as_state_vector
+from .wh import _check_integer, check_dim, check_tolerance
 
 __all__ = ["main"]
 
@@ -34,32 +35,25 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 
-def _arg_type(convert, noun: str, ok, rule: str):
-    """An argparse type: ``convert`` the text (else "invalid NOUN"), then require ``ok(value)`` (else ``rule``)."""
+def _validated(convert, check, *args):
+    """An argparse type: the text through ``convert``, then the library validator ``check(value, *args)``.
+
+    Text that ``convert`` refuses goes to ``check`` as is, so every bad value is refused in the validator's words.
+    """
 
     def parse(text: str):
+        with contextlib.suppress(ValueError):
+            text = convert(text)
         try:
-            value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {noun} {text!r}") from None
-        if not ok(value):
-            raise argparse.ArgumentTypeError(rule.format(value))
-        return value
+            return check(text, *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
-_dim_arg = _arg_type(int, "dimension", lambda v: v >= 2, "dimension must be >= 2, got {}")
-_positive_int = _arg_type(int, "integer", lambda v: v >= 1, "value must be >= 1, got {}")
-_seed_arg = _arg_type(int, "seed", lambda v: 0 <= v < 2**64, "seed must fit in 64 unsigned bits")
-_positive_float = _arg_type(float, "number", lambda v: 0.0 < v < math.inf, "value must be positive and finite, got {}")
-
-
-def _order_arg(text: str) -> float:
-    try:
-        return operator_space._check_order(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+_dim_type = _validated(int, check_dim)
+_tol_type = _validated(float, check_tolerance, "tol")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,18 +61,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_search = sub.add_parser("search", help="search for a fiducial vector")
-    p_search.add_argument("--dim", type=_dim_arg, required=True)
-    p_search.add_argument("--restarts", type=_positive_int, required=True)
-    p_search.add_argument("--seed", type=_seed_arg, required=True)
-    p_search.add_argument("--tol", type=_positive_float, default=1e-9, help="residual certification tolerance")
-    p_search.add_argument("--max-iters", type=_positive_int, default=4000)
+    p_search.add_argument("--dim", type=_dim_type, required=True)
+    # --restarts, --seed and --max-iters carry the bounds search_detailed checks
+    p_search.add_argument("--restarts", type=_validated(int, _check_integer, "restarts", 1), required=True)
+    p_search.add_argument("--seed", type=_validated(int, _check_integer, "seed", 0, 2**64), required=True)
+    p_search.add_argument("--tol", type=_tol_type, default=1e-9, help="residual certification tolerance")
+    p_search.add_argument("--max-iters", type=_validated(int, _check_integer, "max_iters", 1), default=4000)
     p_search.add_argument("--out", default=".", help="output directory for fiducial and report files")
     p_search.add_argument("--json", action="store_true", help="print the run report as JSON")
     p_search.set_defaults(func=cmd_search)
 
     p_verify = sub.add_parser("verify", help="certify a fiducial file and report operator-space diagnostics")
     p_verify.add_argument("--fiducial", required=True)
-    p_verify.add_argument("--tol", type=_positive_float, default=1e-10)
+    p_verify.add_argument("--tol", type=_tol_type, default=1e-10)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -92,15 +87,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_convert.set_defaults(func=cmd_convert)
 
     p_mubs = sub.add_parser("mubs", help="build prime-dimension MUBs and profile a state against them")
-    p_mubs.add_argument("--dim", type=_dim_arg, required=True)
+    p_mubs.add_argument("--dim", type=_dim_type, required=True)
     p_mubs.add_argument("--state", help="state-vector file to profile")
-    p_mubs.add_argument("--tol", type=_positive_float, default=1e-8)
+    p_mubs.add_argument("--tol", type=_tol_type, default=1e-8)
     p_mubs.add_argument("--json", action="store_true")
     p_mubs.set_defaults(func=cmd_mubs)
 
     p_kt = sub.add_parser("kt", help="orthonormality-defect lower bound, and the value on a fiducial's orbit")
-    p_kt.add_argument("--dim", type=_dim_arg, required=True)
-    p_kt.add_argument("--t", type=_order_arg, required=True)
+    p_kt.add_argument("--dim", type=_dim_type, required=True)
+    p_kt.add_argument("--t", type=_validated(float, operator_space._check_order), required=True)
     p_kt.add_argument("--fiducial")
     p_kt.add_argument("--json", action="store_true")
     p_kt.set_defaults(func=cmd_kt)
@@ -165,21 +160,20 @@ def cmd_search(args) -> tuple[dict, int]:
     )
     files.write_json_atomic(
         report_path,
-        {
-            "format_version": files.FORMAT_VERSION,
-            "kind": "run_report",
-            "command": "search",
-            "dim": args.dim,
-            "seed": args.seed,
-            "tol": args.tol,
-            "residuals": residuals,
-            "certified": candidate.certified,
-            "artifact_paths": [fiducial_path],
-            "restarts": [
+        files._artifact(
+            "run_report",
+            command="search",
+            dim=args.dim,
+            seed=args.seed,
+            tol=args.tol,
+            residuals=residuals,
+            certified=candidate.certified,
+            artifact_paths=[fiducial_path],
+            restarts=[
                 {"objective" if k == "objective_value" else k: v for k, v in dataclasses.asdict(o).items()}
                 for o in outcomes
             ],
-        },
+        ),
     )
     payload = {
         "command": "search",
@@ -194,8 +188,7 @@ def cmd_search(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    psi = as_state_vector(files.load_fiducial(args.fiducial))
-    sic = verify.build_sic_set(psi, tol=args.tol)
+    sic = verify.build_sic_set(files.load_fiducial(args.fiducial), tol=args.tol)
     opset = operator_space.operator_set(sic.projectors)
     k1 = operator_space.kt_measure(opset, 1.0)
     k2 = operator_space.kt_measure(opset, 2.0)
@@ -236,8 +229,7 @@ def _purity_block(p: np.ndarray, sic: verify.SicSet) -> dict:
 
 
 def cmd_convert(args) -> tuple[dict, int]:
-    psi = as_state_vector(files.load_fiducial(args.fiducial))
-    sic = verify.build_sic_set(psi)
+    sic = verify.build_sic_set(files.load_fiducial(args.fiducial))
     if not sic.certified:
         raise ValueError(
             f"fiducial is not certified at {sic.tol} (gram={sic.gram_residual:.3e}, "
@@ -285,8 +277,7 @@ def cmd_mubs(args) -> tuple[dict, int]:
     payload = {"command": "mubs", "dim": args.dim, "bases": args.dim + 1, "unbiasedness_residual": residual}
 
     if args.state is not None:
-        psi = as_state_vector(files.load_state_vector(args.state))
-        profile = mubs.uncertainty_profile(psi, mubset)
+        profile = mubs.uncertainty_profile(files.load_state_vector(args.state), mubset)
         payload["per_basis"] = [float(x) for x in profile.per_basis]
         payload["target"] = mubs.minimum_uncertainty_target(args.dim)
         payload["minimum_uncertainty"] = mubs._is_minimum(profile.per_basis, args.dim, args.tol)
@@ -299,10 +290,9 @@ def cmd_kt(args) -> tuple[dict, int]:
     payload = {"command": "kt", "dim": args.dim, "t": args.t, "lower_bound": bound}
 
     if args.fiducial is not None:
-        psi = as_state_vector(files.load_fiducial(args.fiducial))
-        if psi.shape[0] != args.dim:
-            raise ValueError(f"fiducial has dim {psi.shape[0]}, expected {args.dim}")
-        sic = verify.build_sic_set(psi)
+        sic = verify.build_sic_set(files.load_fiducial(args.fiducial))
+        if sic.d != args.dim:
+            raise ValueError(f"fiducial has dim {sic.d}, expected {args.dim}")
         report = operator_space.kt_measure(operator_space.operator_set(sic.projectors), args.t)
         payload["value"] = report.value
         payload["gap"] = report.gap

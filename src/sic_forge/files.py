@@ -70,6 +70,8 @@ def load_json(path) -> dict:
             payload = json.load(handle, parse_float=_finite_number, parse_constant=_finite_number)
     except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: not valid JSON (nested too deep to parse)") from exc
     if not isinstance(payload, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
     return payload
@@ -88,9 +90,15 @@ def _dim_field(payload: dict, label: str) -> int:
     return raw
 
 
-def _numbers(value) -> bool:
-    """True when every leaf of a parsed JSON value is a number; true and false are not numbers."""
-    return all(map(_numbers, value)) if isinstance(value, list) else type(value) in (int, float)
+def _numbers(value, depth: int) -> bool:
+    """True when every leaf of a parsed JSON value within ``depth`` list levels is a number; true and false are not.
+
+    Lists nested deeper cannot have the expected shape and are left to the shape check, so the recursion is no
+    deeper than the expected array.
+    """
+    if isinstance(value, list):
+        return depth == 0 or all(_numbers(item, depth - 1) for item in value)
+    return type(value) in (int, float)
 
 
 def _array_field(path, label: str, field: str, shape_of_dim) -> np.ndarray:
@@ -100,7 +108,7 @@ def _array_field(path, label: str, field: str, shape_of_dim) -> np.ndarray:
     shape = shape_of_dim(d)
     rule = f"{label} file: field '{field}' must be an array of numbers of shape {shape} for dim {d}"
     raw = _require(payload, field, label)
-    if not _numbers(raw):  # numpy would read null as NaN, true as 1 and "0.25" as 0.25
+    if not _numbers(raw, len(shape)):  # numpy would read null as NaN, true as 1 and "0.25" as 0.25
         raise FileFormatError(f"{rule}, got an entry that is not a number")
     try:
         arr = np.asarray(raw, dtype=float)
@@ -111,16 +119,19 @@ def _array_field(path, label: str, field: str, shape_of_dim) -> np.ndarray:
     return arr
 
 
+def _artifact(kind: str, extra: dict | None = None, /, **fields) -> dict:
+    """An artifact: ``format_version`` and ``kind``, then ``fields`` in order, then ``extra``'s blocks.
+
+    A key of ``extra`` that is already present overrides its value in place.
+    """
+    return {"format_version": FORMAT_VERSION, "kind": kind, **fields, **(extra or {})}
+
+
 def fiducial_payload(psi, gram: float, quartic: float) -> dict:
     """Fiducial artifact: raw components plus a recomputable residual block."""
     psi = np.asarray(psi, dtype=complex)
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "fiducial",
-        "dim": int(psi.shape[0]),
-        "components": _to_pairs(psi),
-        "residuals": {"gram": float(gram), "quartic": float(quartic)},
-    }
+    residuals = {"gram": float(gram), "quartic": float(quartic)}
+    return _artifact("fiducial", dim=int(psi.shape[0]), components=_to_pairs(psi), residuals=residuals)
 
 
 def load_state_vector(path, label: str = "state") -> np.ndarray:
@@ -137,15 +148,7 @@ def load_fiducial(path) -> np.ndarray:
 def density_payload(matrix, extra: dict | None = None) -> dict:
     """Density-matrix artifact; ``extra`` blocks (diagnostics) are appended as-is."""
     matrix = np.asarray(matrix, dtype=complex)
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "kind": "density_matrix",
-        "dim": int(matrix.shape[0]),
-        "matrix": _to_pairs(matrix),
-    }
-    if extra:
-        payload.update(extra)
-    return payload
+    return _artifact("density_matrix", extra, dim=int(matrix.shape[0]), matrix=_to_pairs(matrix))
 
 
 def load_density(path) -> np.ndarray:
@@ -156,15 +159,7 @@ def load_density(path) -> np.ndarray:
 
 def probabilities_payload(p, d: int, extra: dict | None = None) -> dict:
     """Probability-vector artifact; entries are stored as plain floats."""
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "kind": "probabilities",
-        "dim": int(d),
-        "p": [float(x) for x in np.asarray(p, dtype=float)],
-    }
-    if extra:
-        payload.update(extra)
-    return payload
+    return _artifact("probabilities", extra, dim=int(d), p=[float(x) for x in np.asarray(p, dtype=float)])
 
 
 def load_probabilities(path) -> np.ndarray:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -150,14 +149,6 @@ def _residual_derivative(psi: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (lead + trail).reshape(d * d, d)
 
 
-@lru_cache(maxsize=None)
-def _lead_gather(d: int) -> np.ndarray:
-    """Read-only flat gather of the gradient's conj(F) half: lead[a, m] = a*d + (m - a) % d."""
-    lead = np.arange(d)[:, None] * d + phase_constants(d).sub
-    lead.setflags(write=False)
-    return lead
-
-
 class _Point(NamedTuple):
     """A search point with its objective f, overlap residual rho and overlaps B, flattened over r = r1*d + r2.
 
@@ -191,9 +182,10 @@ def _gradient(point: _Point) -> np.ndarray:
     """
     psi = point.psi
     *rows, d = psi.shape
-    pc, lead = phase_constants(d), _lead_gather(d)
+    pc = phase_constants(d)
     f = np.fft.fft((point.rho * point.b).reshape(*rows, d, d), axis=-1)
-    g = (4.0 / d) * (f.conj().reshape(*rows, d * d)[..., lead] * psi[..., pc.sub] + f * psi[..., pc.add]).sum(axis=-2)
+    lead = (f.conj() * psi[..., None, :])[..., np.arange(d)[:, None], pc.sub]  # conj(F[r1, m-r1]) psi_{m-r1}
+    g = (4.0 / d) * (lead + f * psi[..., pc.add]).sum(axis=-2)
     return g - np.vecdot(psi, g)[..., None] * psi
 
 

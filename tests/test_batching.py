@@ -3,8 +3,9 @@
 The serial descent below is the one-restart-at-a-time loop the search ran
 before restarts were batched, its nonmonotone Armijo test and halving ladder
 written separately on a deque of accepted objectives.  It is kept here as the
-oracle of the batched descent: outcomes and final points must agree bit for
-bit.  The ungated
+oracle of the batched descent, and the serial Gauss-Newton tail beside it,
+written separately too, as the oracle of the search's tail: outcomes and
+final points must agree bit for bit.  The ungated
 pipeline, which refines every restart's tail wherever its descent ended, is
 kept as the oracle of the refinement gate: the gate may drop only refinements
 that certify nothing.  The descent without its plateau exit is the oracle of
@@ -36,9 +37,9 @@ from sic_forge.search import (
     _STEP_TOL,
     _evaluate,
     _gradient,
-    _least_squares_refine,
     _norms,
     _random_start,
+    _residual_derivative,
 )
 from conftest import random_state
 
@@ -110,6 +111,31 @@ def serial_descent(point, max_iters: int, objective_floor: float, plateau: bool 
     return point, iterations, evaluations, stop
 
 
+def serial_refine(point, objective_floor: float, max_iters: int):
+    """Gauss-Newton tail of one restart; returns (point, iterations, evaluations, stop reason).
+
+    Each step solves [Re W | Im W] delta = -rho/2 in the least-squares sense (the real Jacobian of rho in
+    (Re psi, Im psi) is 2 [Re W | Im W]), moves to psi + delta at full length and renormalises.  The step is kept
+    only if the objective falls; otherwise the tail stops with line_search_stalled.  It stops with
+    iteration_budget once max_iters steps are kept, and with objective_floor once f is at or below the floor.
+    """
+    d = point.psi.shape[0]
+    iterations = evaluations = 0
+    while point.f > objective_floor:
+        if iterations >= max_iters:
+            return point, iterations, evaluations, "iteration_budget"
+        w = _residual_derivative(point.psi, point.b)
+        delta = np.linalg.lstsq(np.concatenate([w.real, w.imag], axis=1), -point.rho / 2, rcond=None)[0]
+        moved = point.psi + (delta[:d] + 1j * delta[d:])
+        trial = _evaluate(moved / np.linalg.norm(moved))
+        evaluations += 1
+        if trial.f >= point.f:
+            return point, iterations, evaluations, "line_search_stalled"
+        point = trial
+        iterations += 1
+    return point, iterations, evaluations, "objective_floor"
+
+
 def serial_restart(config: SearchConfig, restart: int, gated: bool = True, plateau: bool = True):
     """One restart of search_detailed run alone: (final psi, outcome fields as a tuple).
 
@@ -124,7 +150,7 @@ def serial_restart(config: SearchConfig, restart: int, gated: bool = True, plate
     if gated and point.f > switch:
         return point.psi, (restart, float(point.f), descent, descent, 0, 1 + evals, stop)
     budget = min(_REFINE_MAX_ITERS, config.max_iters - descent)
-    point, refine, refine_evals, stop = _least_squares_refine(point, floor, budget)
+    point, refine, refine_evals, stop = serial_refine(point, floor, budget)
     return point.psi, (restart, float(point.f), descent + refine, descent, refine, 1 + evals + refine_evals, stop)
 
 

@@ -49,19 +49,6 @@ def test_search_writes_certified_fiducial(tmp_path, capsys):
     assert "wall_time_ms" in stdout
 
 
-def test_search_rejects_bad_dimension(capsys):
-    code, _, err = run(capsys, ["search", "--dim", "0", "--restarts", "5", "--seed", "1"])
-    assert code == 2
-
-
-def test_search_rejects_non_finite_tol(tmp_path, capsys):
-    # 1e200 and 1e-200 are finite, but the objective tolerance tol**2 overflows or underflows
-    for tol in ("inf", "nan", "1e200", "1e-200"):
-        code, _, err = run(capsys, ["search", "--dim", "2", "--restarts", "1", "--seed", "1", "--tol", tol, "--out", str(tmp_path)])
-        assert code == 2 and "--tol" in err
-    assert os.listdir(tmp_path) == []
-
-
 def test_search_runs_are_byte_identical(tmp_path, capsys):
     out = str(tmp_path / "same")
     argv = ["search", "--dim", "3", "--restarts", "4", "--seed", "11", "--out", out, "--json"]
@@ -375,11 +362,44 @@ def test_kt_at_large_t_prints_strict_json(with_fiducial, capsys):
     assert ("value" in payload) == with_fiducial
 
 
-def test_kt_rejects_non_finite_t(capsys):
-    for t in ("nan", "inf"):
-        code, stdout, err = run(capsys, ["kt", "--dim", "3", "--t", t])
-        assert code == 2
-        assert "--t" in err and stdout == ""
+# Every numeric flag at its boundaries.  VALID_FLAGS completes each call ({fiducial} is a stored fiducial), and
+# BAD_FLAGS lists the values each flag refuses; both are literals, which tools/cli_diff.py reads.
+VALID_FLAGS = {
+    "search": {"--dim": "2", "--restarts": "1", "--seed": "1"},
+    "verify": {"--fiducial": "{fiducial}"},
+    "mubs": {"--dim": "3"},
+    "kt": {"--dim": "3", "--t": "2"},
+}
+BAD_FLAGS = {
+    ("search", "--dim"): ["0", "-1", "1", "2.5", "nan", "inf", "abc"],
+    ("search", "--restarts"): ["0", "-1", "1.5", "nan", "abc"],
+    ("search", "--seed"): ["-1", "18446744073709551616", "1.5", "nan", "abc"],
+    ("search", "--max-iters"): ["0", "-1", "2.5", "nan", "abc"],
+    ("search", "--tol"): ["0", "-1", "nan", "inf", "abc", "1e200", "1e-200"],
+    ("verify", "--tol"): ["0", "-1", "nan", "inf", "abc"],
+    ("mubs", "--dim"): ["6", "0", "1", "nan", "abc"],
+    ("mubs", "--tol"): ["0", "-1", "nan", "inf", "abc"],
+    ("kt", "--dim"): ["0", "-1", "2.5", "inf", "abc"],
+    ("kt", "--t"): ["0", "0.5", "-1", "nan", "inf", "abc"],
+}
+# the values refused after parsing: a composite dimension, and a finite --tol whose square, the objective tolerance,
+# overflows or underflows
+REFUSED_AFTER_PARSING = {"6": "prime dimension required, got 6", "1e200": "--tol 1e+200", "1e-200": "--tol 1e-200"}
+
+
+def bad_flag_argv(command: str, flag: str, value: str) -> list:
+    flags = {**VALID_FLAGS[command], flag: value}
+    fiducial = BENCH_DATA / "fiducial_d5.json"
+    return [command] + [text.format(fiducial=fiducial) for pair in flags.items() for text in pair]
+
+
+@pytest.mark.parametrize("command, flag, value", [(*key, v) for key, values in BAD_FLAGS.items() for v in values])
+def test_a_bad_numeric_flag_exits_2_and_names_the_flag(tmp_path, monkeypatch, capsys, command, flag, value):
+    monkeypatch.chdir(tmp_path)  # search writes to the working directory by default
+    code, stdout, err = run(capsys, bad_flag_argv(command, flag, value))
+    assert code == 2 and stdout == ""
+    assert REFUSED_AFTER_PARSING.get(value, f"argument {flag}: ") in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_mubs_rejects_non_finite_state(tmp_path, capsys):

@@ -150,17 +150,14 @@ def test_gradient_is_adjoint_of_residual_derivative(d):
 
 
 def test_gradient_tables_are_cached_read_only():
-    # the gradient gathers through its own cached lead table and the phase constants' sub and add
-    from sic_forge.search import _lead_gather
-
+    # the gradient gathers through the phase constants' sub and add
     for d in (3, 8):
-        lead, pc = _lead_gather(d), phase_constants(d)
-        assert _lead_gather(d) is lead and phase_constants(d) is pc
+        pc = phase_constants(d)
+        assert phase_constants(d) is pc
         r1, m = np.divmod(np.arange(d * d), d)
-        assert np.array_equal(lead.reshape(-1), r1 * d + (m - r1) % d)
         assert np.array_equal(pc.sub.reshape(-1), (m - r1) % d)
         assert np.array_equal(pc.add.reshape(-1), (m + r1) % d)
-        assert not any(t.flags.writeable for t in (lead, pc.sub, pc.add))
+        assert not any(t.flags.writeable for t in (pc.sub, pc.add))
 
 
 def test_only_gauss_newton_builds_the_residual_derivative(monkeypatch):
