@@ -188,13 +188,13 @@ def cmd_search(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    sic = verify.build_sic_set(files.load_fiducial(args.fiducial), tol=args.tol)
-    opset = operator_space.operator_set(sic.projectors)
-    k1 = operator_space.kt_measure(opset, 1.0)
-    k2 = operator_space.kt_measure(opset, 2.0)
-    phi = operator_space.frame_potential(sic.vectors)
+    psi = files.load_fiducial(args.fiducial)
+    sic = verify.build_sic_set(psi, tol=args.tol)
+    k1 = verify.orbit_kt(psi, 1.0)
+    k2 = verify.orbit_kt(psi, 2.0)
+    phi = verify._frame_potential(psi)
     identity_gap = phi - (k2.value + sic.d**2)
-    cert = operator_space.quasi_onb_certify(opset, tol=args.tol)
+    cert = verify.orbit_quasi_onb(psi, tol=args.tol)
     payload = {
         "command": "verify",
         "dim": sic.d,
@@ -290,10 +290,10 @@ def cmd_kt(args) -> tuple[dict, int]:
     payload = {"command": "kt", "dim": args.dim, "t": args.t, "lower_bound": bound}
 
     if args.fiducial is not None:
-        sic = verify.build_sic_set(files.load_fiducial(args.fiducial))
-        if sic.d != args.dim:
-            raise ValueError(f"fiducial has dim {sic.d}, expected {args.dim}")
-        report = operator_space.kt_measure(operator_space.operator_set(sic.projectors), args.t)
+        psi = files.load_fiducial(args.fiducial)
+        if psi.shape[0] != args.dim:
+            raise ValueError(f"fiducial has dim {psi.shape[0]}, expected {args.dim}")
+        report = verify.orbit_kt(psi, args.t)
         payload["value"] = report.value
         payload["gap"] = report.gap
     return payload, EXIT_OK

@@ -11,23 +11,32 @@ equations with no phase factors left in them:
 Every check reads one residual rho_r = |<psi|D_r|psi>|^2 - t_r from one overlap
 kernel, a single FFT over the d cyclic products conj(psi_{j+r1}) psi_j: the gram
 residual, the quartic defects (a row-wise inverse DFT of rho, as that of t is the
-right-hand side above) and the search objective sum rho_r^2 / d.  Dense-matrix
-evaluation is kept to the test-suite as an independent oracle.
+right-hand side above) and the search objective sum rho_r^2 / d.
+
+The orbit's operator-space quantities come from the same d^2 overlaps B_r.  The
+projectors Pi_i = |D_i psi><D_i psi| have pair traces tr(Pi_i Pi_j) = |B_{j-i}|^2,
+so the order-t defect, the frame potential and the quasi-ONB certificate are sums
+and maxima over the grid, and no stack of d^2 projectors (d^4 entries) is built.
+Dense-matrix evaluation is kept to the test-suite as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .operator_space import KtReport, QuasiOnbReport, _check_order, kt_lower_bound
 from .wh import _displaced, as_state_vector, check_tolerance, phase_constants
 
 __all__ = [
     "SicSet",
     "build_sic_set",
     "gram_residual",
+    "orbit_kt",
+    "orbit_quasi_onb",
     "quartic_defects",
     "quartic_residual",
 ]
@@ -82,18 +91,62 @@ def quartic_residual(psi) -> float:
     return _quartic(_residual(as_state_vector(psi))[0])
 
 
+def _pair_traces(psi: np.ndarray) -> np.ndarray:
+    """tr(Pi_i Pi_j) = |B_{j-i}|^2 of the orbit's projectors, flat over r = r1*d + r2; entry 0 is ||psi||^4."""
+    b = _residual(psi)[1]
+    return b.real**2 + b.imag**2
+
+
+def orbit_kt(psi, t: float) -> KtReport:
+    """Order-t defect of the orbit's d^2 projectors, d^2 * sum over r != 0 of |B_r|^(2t), with its PSD lower bound.
+
+    Equal, up to roundoff, to ``kt_measure(operator_set(build_sic_set(psi).projectors), t)``.
+    """
+    t = _check_order(t)
+    s = _pair_traces(as_state_vector(psi))
+    d = math.isqrt(s.shape[0])
+    value = d * d * float(np.sum(s[1:] ** t))
+    bound = kt_lower_bound(d, t)
+    return KtReport(t=t, value=value, lower_bound=bound, gap=value - bound)
+
+
+def _frame_potential(psi) -> float:
+    """Frame potential of the orbit's vectors, d^2 * sum over all r of |B_r|^4 (``frame_potential`` of the orbit)."""
+    s = _pair_traces(as_state_vector(psi))
+    return s.shape[0] * float(np.sum(s**2))
+
+
+def orbit_quasi_onb(psi, tol: float) -> QuasiOnbReport:
+    """Quasi-ONB certificate of the orbit's d^2 projectors, read from psi and the overlap grid.
+
+    With n = ||psi||^2 - 1: Pi^2 - Pi = n Pi gives the projector deviation |n| max_j |psi_j|^2, tr(Pi) = 1 + n the
+    trace deviation |n|, and sum_r D_r Pi D_r^dagger = d tr(Pi) I the completeness deviation d |n|; the overlap
+    deviation is the gram residual.  Equal, up to roundoff, to ``quasi_onb_certify`` on the projector stack.
+    """
+    psi = as_state_vector(psi)
+    tol = check_tolerance(tol, "tol")
+    d = psi.shape[0]
+    n = abs(float(np.vdot(psi, psi).real) - 1.0)
+    deviations = {
+        "projector_deviation": n * float(np.max(psi.real**2 + psi.imag**2)),
+        "trace_deviation": n,
+        "overlap_deviation": _gram(_residual(psi)[0]),
+        "completeness_deviation": d * n,
+    }
+    return QuasiOnbReport(d=d, tol=tol, **deviations, passed=max(deviations.values()) <= tol)
+
+
 @dataclass(frozen=True)
 class SicSet:
     """A fiducial's displacement orbit with certification residuals.
 
-    Vector and projector i correspond to the displacement index
-    ``(i // d, i % d)``.  ``certified`` is True when both residuals are within
-    ``tol``; an uncertified set is still returned with honest residuals.
+    Vector i is D_r psi at the displacement index ``r = (i // d, i % d)``.
+    ``certified`` is True when both residuals are within ``tol``; an
+    uncertified set is still returned with honest residuals.
     """
 
     fiducial: np.ndarray
     vectors: np.ndarray
-    projectors: np.ndarray
     gram_residual: float
     quartic_residual: float
     tol: float
@@ -103,6 +156,17 @@ class SicSet:
     def d(self) -> int:
         return self.fiducial.shape[0]
 
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """The d^2 projectors |v_i><v_i| of ``vectors``, a read-only (d^2, d, d) stack built on first read and kept.
+
+        The stack has d^4 entries (23.8 GiB at d = 200) and no caller in the package, which reads the orbit's
+        operator-space quantities from the overlap grid (``orbit_kt``, ``orbit_quasi_onb``); it is the dense oracle.
+        """
+        projectors = self.vectors[:, :, None] * self.vectors.conj()[:, None, :]
+        projectors.setflags(write=False)
+        return projectors
+
 
 def build_sic_set(psi, tol: float = 1e-10) -> SicSet:
     """Displace a candidate through the whole index grid and certify the orbit."""
@@ -111,16 +175,14 @@ def build_sic_set(psi, tol: float = 1e-10) -> SicSet:
     d = psi.shape[0]
     r1, r2 = np.divmod(np.arange(d * d), d)
     vectors = _displaced(psi, r1[:, None], r2[:, None])
-    projectors = vectors[:, :, None] * vectors.conj()[:, None, :]
     rho, _ = _residual(psi)
     g, q = _gram(rho), _quartic(rho)
     fiducial = psi.copy()
-    for arr in (fiducial, vectors, projectors):
+    for arr in (fiducial, vectors):
         arr.setflags(write=False)
     return SicSet(
         fiducial=fiducial,
         vectors=vectors,
-        projectors=projectors,
         gram_residual=g,
         quartic_residual=q,
         tol=tol,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sic_forge import SearchConfig, build_sic_set, files, geometry, mubs, search_detailed
+from sic_forge import SearchConfig, build_sic_set, files, geometry, mubs, operator_space, search_detailed, verify
 from sic_forge.cli import main
 from conftest import BENCH_DATA, random_density, random_state
 
@@ -347,6 +347,51 @@ def test_kt_reports_bound_and_value(hesse_file, capsys):
     assert payload["value"] == pytest.approx(4.5, abs=1e-8)
     code, _, _ = run(capsys, ["kt", "--dim", "4", "--t", "0.5"])
     assert code == 2
+
+
+def test_verify_and_kt_build_no_projector_stack(capsys, monkeypatch):
+    # both read the orbit from the overlap grid: the dense operator_space path and SicSet.projectors are never called
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the dense path was called")
+
+    for name in ("operator_set", "kt_measure", "frame_potential", "quasi_onb_certify"):
+        monkeypatch.setattr(operator_space, name, refuse)
+    monkeypatch.setattr(verify.SicSet, "projectors", property(refuse))
+    fiducial = str(BENCH_DATA / "fiducial_d7.json")
+    for argv in (["verify", "--fiducial", fiducial], ["kt", "--dim", "7", "--t", "2", "--fiducial", fiducial]):
+        code, stdout, err = run(capsys, argv)
+        assert code == 0 and err == "" and stdout
+
+
+@pytest.mark.parametrize("d", [5, 12, 24])
+def test_verify_and_kt_agree_with_the_dense_oracle(d, capsys):
+    path = str(BENCH_DATA / f"fiducial_d{d}.json")
+    sic = build_sic_set(files.load_fiducial(path))
+    opset = operator_space.operator_set(sic.projectors)
+    code, stdout, _ = run(capsys, ["verify", "--fiducial", path, "--json"])
+    assert code == (0 if sic.certified else 1)
+    payload = json.loads(stdout)
+    for key, t in (("k1", 1.0), ("k2", 2.0)):
+        dense = operator_space.kt_measure(opset, t)
+        assert payload[key]["lower_bound"] == dense.lower_bound
+        assert abs(payload[key]["value"] - dense.value) <= 1e-10 and abs(payload[key]["gap"] - dense.gap) <= 1e-10
+    assert abs(payload["frame_potential"] - operator_space.frame_potential(sic.vectors)) <= 1e-10
+    dense = operator_space.quasi_onb_certify(opset, tol=1e-10)
+    assert payload["quasi_onb"]["passed"] is dense.passed
+    for field in ("projector_deviation", "trace_deviation", "overlap_deviation", "completeness_deviation"):
+        assert abs(payload["quasi_onb"][field] - getattr(dense, field)) <= 1e-10
+    code, stdout, _ = run(capsys, ["kt", "--dim", str(d), "--t", "2.5", "--fiducial", path, "--json"])
+    assert code == 0
+    assert abs(json.loads(stdout)["value"] - operator_space.kt_measure(opset, 2.5).value) <= 1e-10
+
+
+def test_kt_checks_the_dimension_before_any_orbit_work(tmp_path, capsys):
+    # a d = 200 orbit has a 23.8 GiB projector stack; the mismatch is refused before the orbit is touched
+    path = tmp_path / "d200.json"
+    files.write_json_atomic(path, files.fiducial_payload(random_state(np.random.default_rng(200), 200), 1.0, 1.0))
+    code, stdout, err = run(capsys, ["kt", "--dim", "3", "--t", "2", "--fiducial", str(path)])
+    assert code == 2 and stdout == ""
+    assert "fiducial has dim 200, expected 3" in err
 
 
 @pytest.mark.parametrize("with_fiducial", [False, True])

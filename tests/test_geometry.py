@@ -219,7 +219,6 @@ def test_structure_tensor_guard():
     fake = SicSet(
         fiducial=np.zeros(d),
         vectors=np.zeros((d * d, d)),
-        projectors=np.zeros((d * d, d, d)),
         gram_residual=0.0,
         quartic_residual=0.0,
         tol=1e-10,

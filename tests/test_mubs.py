@@ -22,7 +22,7 @@ from sic_forge import (
     unbiasedness_residual,
     uncertainty_profile,
 )
-from conftest import oracle_clock, oracle_shift, random_state
+from conftest import bench_fiducial, oracle_clock, oracle_shift, random_state
 
 
 def schur_eigenbasis(u: np.ndarray) -> np.ndarray:
@@ -227,4 +227,15 @@ def test_sic_orbit_minimum_uncertainty_for_searched_dimension():
     m = build_mubs(5)
     sic = build_sic_set(cand.fiducial)
     for vec in sic.vectors:
+        assert is_minimum_uncertainty(vec, m, tol=1e-8)
+
+
+@pytest.mark.parametrize("d", [7, 11])
+def test_sic_orbit_minimum_uncertainty_on_stored_fiducials(d):
+    # the paper's second result past d = 5: every vector of a stored fiducial's orbit meets 2/(d+1) in every basis
+    sic = build_sic_set(bench_fiducial(d))
+    assert sic.certified
+    m = build_mubs(d)
+    for vec in sic.vectors:
+        np.testing.assert_allclose(uncertainty_profile(vec, m).per_basis, 2.0 / (d + 1), rtol=0, atol=1e-12)
         assert is_minimum_uncertainty(vec, m, tol=1e-8)

@@ -1,5 +1,6 @@
 """Fiducial certification: overlaps, residual forms, and orbit construction."""
 
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -12,14 +13,18 @@ from sic_forge import (
     build_sic_set,
     displace_state,
     files,
+    frame_potential,
     gram_residual,
+    kt_measure,
     operator_set,
+    orbit_kt,
+    orbit_quasi_onb,
     phase_constants,
     quartic_defects,
     quartic_residual,
     quasi_onb_certify,
 )
-from sic_forge.verify import _residual
+from sic_forge.verify import _frame_potential, _residual
 from sic_forge.wh import STATE_NORM_TOL
 from conftest import bench_fiducial, brute_force_quartic_terms, oracle_displacement, quartic_rhs, random_state
 
@@ -252,3 +257,66 @@ def test_residual_forms_bound_each_other_off_unit_norm(d, kind, seed, stretch):
     ulps = 1.0 + 4.0 * np.finfo(float).eps  # the basis state at d = 2 meets g = 2q exactly
     assert q <= (g + origin / d) * ulps
     assert g <= d * q * ulps
+
+
+def test_projectors_are_built_from_the_vectors_when_read(fiducial_d3):
+    sic = build_sic_set(fiducial_d3)
+    assert [f.name for f in dataclasses.fields(sic)] == [
+        "fiducial", "vectors", "gram_residual", "quartic_residual", "tol", "certified"
+    ]
+    stack = sic.projectors
+    assert stack.shape == (9, 3, 3) and not stack.flags.writeable
+    np.testing.assert_array_equal(stack, sic.vectors[:, :, None] * sic.vectors.conj()[:, None, :])
+    assert sic.projectors is stack  # built once, on first read
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sic.projectors = stack
+
+
+DEVIATIONS = ("projector_deviation", "trace_deviation", "overlap_deviation", "completeness_deviation")
+
+
+def assert_orbit_forms_match_the_dense_oracle(psi: np.ndarray) -> None:
+    """The grid forms against operator_space on the projector stack: K_t, frame potential and quasi-ONB to 1e-10."""
+    sic = build_sic_set(psi)
+    opset = operator_set(sic.projectors)
+    for t in (1.0, 2.0, 1.5, 2.75, 400.0):
+        dense, grid = kt_measure(opset, t), orbit_kt(psi, t)
+        assert (grid.t, grid.lower_bound) == (dense.t, dense.lower_bound)
+        assert abs(grid.value - dense.value) <= 1e-10 and abs(grid.gap - dense.gap) <= 1e-10
+    assert abs(_frame_potential(psi) - frame_potential(sic.vectors)) <= 1e-10
+    # off unit norm, n = ||psi||^2 - 1 alone sets the projector, trace and completeness deviations; the dense
+    # values carry a roundoff of about d^2 eps, so these three are also compared at the size of n itself
+    n = abs(float(np.vdot(psi, psi).real) - 1.0)
+    for tol in (1e-10, 1e-3):
+        dense, grid = quasi_onb_certify(opset, tol), orbit_quasi_onb(psi, tol)
+        assert (grid.d, grid.tol, grid.passed) == (dense.d, dense.tol, dense.passed)
+        for field in DEVIATIONS:
+            error = abs(getattr(grid, field) - getattr(dense, field))
+            assert error <= 1e-10, field
+            if n > 1e-13 and field != "overlap_deviation":
+                assert error <= 0.05 * getattr(grid, field), field
+
+
+@pytest.mark.parametrize("stretch", [0.0, 0.99, -0.99])
+@pytest.mark.parametrize("d", range(2, 25))
+def test_orbit_forms_match_the_dense_oracle_on_random_states(d, stretch):
+    psi = random_state(np.random.default_rng(2100 + d), d) * np.sqrt(1.0 + stretch * STATE_NORM_TOL)
+    assert_orbit_forms_match_the_dense_oracle(psi)
+
+
+@pytest.mark.parametrize("d", [5, 7, 8, 11, 12, 16, 20, 24])
+def test_orbit_forms_match_the_dense_oracle_on_bench_fiducials(d):
+    assert_orbit_forms_match_the_dense_oracle(bench_fiducial(d))
+
+
+def test_orbit_forms_validate_their_input():
+    e0 = np.eye(3)[0]
+    for bad_t in (0.5, float("nan"), True, "2"):
+        with pytest.raises(ValueError, match="t must be finite and >= 1"):
+            orbit_kt(e0, bad_t)
+    for bad_tol in (0.0, float("inf"), None):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            orbit_quasi_onb(e0, bad_tol)
+    for call in (lambda psi: orbit_kt(psi, 2.0), _frame_potential, lambda psi: orbit_quasi_onb(psi, 1e-10)):
+        with pytest.raises(ValueError, match="not unit-norm"):
+            call(2.0 * e0)
