@@ -36,8 +36,6 @@ from .verify import (
     SicSet,
     build_sic_set,
     gram_residual,
-    orbit_kt,
-    orbit_quasi_onb,
     quartic_defects,
     quartic_residual,
 )

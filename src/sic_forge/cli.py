@@ -2,9 +2,10 @@
 
 Exit codes are a stable scripting contract: 0 for success/certified, 1 for an
 honest negative result (e.g. an uncertified candidate, files still written),
-2 for usage or input errors.  All file writes are atomic, and artifacts
-written by two runs with identical flags are byte-identical; wall time is
-therefore reported on stdout only, never inside written artifacts.
+2 for usage or input errors and for runs too large for memory.  All file
+writes are atomic, and artifacts written by two runs with identical flags are
+byte-identical; wall time is therefore reported on stdout only, never inside
+written artifacts.
 
 Each subcommand computes one report.  ``--json`` prints it as indented JSON;
 text mode prints one ``key: value`` line per leaf, nested keys joined by
@@ -112,8 +113,8 @@ def main(argv=None) -> int:
     try:
         payload, code = args.func(args)
         print(json.dumps(payload, indent=2, allow_nan=False) if args.json else "\n".join(_text_lines(payload)))
-    except (files.FileFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (files.FileFormatError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     return code
 
@@ -188,13 +189,9 @@ def cmd_search(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    psi = files.load_fiducial(args.fiducial)
-    sic = verify.build_sic_set(psi, tol=args.tol)
-    k1 = verify.orbit_kt(psi, 1.0)
-    k2 = verify.orbit_kt(psi, 2.0)
-    phi = verify._frame_potential(psi)
+    sic = verify.build_sic_set(files.load_fiducial(args.fiducial), tol=args.tol)
+    k1, k2, phi, cert = sic.kt(1.0), sic.kt(2.0), sic.frame_potential, sic.quasi_onb()
     identity_gap = phi - (k2.value + sic.d**2)
-    cert = verify.orbit_quasi_onb(psi, tol=args.tol)
     payload = {
         "command": "verify",
         "dim": sic.d,
@@ -293,7 +290,7 @@ def cmd_kt(args) -> tuple[dict, int]:
         psi = files.load_fiducial(args.fiducial)
         if psi.shape[0] != args.dim:
             raise ValueError(f"fiducial has dim {psi.shape[0]}, expected {args.dim}")
-        report = verify.orbit_kt(psi, args.t)
+        report = verify.build_sic_set(psi).kt(args.t)
         payload["value"] = report.value
         payload["gap"] = report.gap
     return payload, EXIT_OK

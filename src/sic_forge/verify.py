@@ -13,10 +13,11 @@ kernel, a single FFT over the d cyclic products conj(psi_{j+r1}) psi_j: the gram
 residual, the quartic defects (a row-wise inverse DFT of rho, as that of t is the
 right-hand side above) and the search objective sum rho_r^2 / d.
 
-The orbit's operator-space quantities come from the same d^2 overlaps B_r.  The
-projectors Pi_i = |D_i psi><D_i psi| have pair traces tr(Pi_i Pi_j) = |B_{j-i}|^2,
-so the order-t defect, the frame potential and the quasi-ONB certificate are sums
-and maxima over the grid, and no stack of d^2 projectors (d^4 entries) is built.
+A SIC set is its fiducial and its d^2 overlaps: ``build_sic_set`` runs the kernel
+once and keeps the grid |B_r|^2.  The projectors Pi_i = |D_i psi><D_i psi| have
+pair traces tr(Pi_i Pi_j) = |B_{j-i}|^2, so the order-t defect, the frame
+potential and the quasi-ONB certificate are sums and maxima over that grid, and
+neither the d^3 orbit vectors nor the d^4 projector stack is built for them.
 Dense-matrix evaluation is kept to the test-suite as an independent oracle.
 """
 
@@ -35,8 +36,6 @@ __all__ = [
     "SicSet",
     "build_sic_set",
     "gram_residual",
-    "orbit_kt",
-    "orbit_quasi_onb",
     "quartic_defects",
     "quartic_residual",
 ]
@@ -91,62 +90,19 @@ def quartic_residual(psi) -> float:
     return _quartic(_residual(as_state_vector(psi))[0])
 
 
-def _pair_traces(psi: np.ndarray) -> np.ndarray:
-    """tr(Pi_i Pi_j) = |B_{j-i}|^2 of the orbit's projectors, flat over r = r1*d + r2; entry 0 is ||psi||^4."""
-    b = _residual(psi)[1]
-    return b.real**2 + b.imag**2
-
-
-def orbit_kt(psi, t: float) -> KtReport:
-    """Order-t defect of the orbit's d^2 projectors, d^2 * sum over r != 0 of |B_r|^(2t), with its PSD lower bound.
-
-    Equal, up to roundoff, to ``kt_measure(operator_set(build_sic_set(psi).projectors), t)``.
-    """
-    t = _check_order(t)
-    s = _pair_traces(as_state_vector(psi))
-    d = math.isqrt(s.shape[0])
-    value = d * d * float(np.sum(s[1:] ** t))
-    bound = kt_lower_bound(d, t)
-    return KtReport(t=t, value=value, lower_bound=bound, gap=value - bound)
-
-
-def _frame_potential(psi) -> float:
-    """Frame potential of the orbit's vectors, d^2 * sum over all r of |B_r|^4 (``frame_potential`` of the orbit)."""
-    s = _pair_traces(as_state_vector(psi))
-    return s.shape[0] * float(np.sum(s**2))
-
-
-def orbit_quasi_onb(psi, tol: float) -> QuasiOnbReport:
-    """Quasi-ONB certificate of the orbit's d^2 projectors, read from psi and the overlap grid.
-
-    With n = ||psi||^2 - 1: Pi^2 - Pi = n Pi gives the projector deviation |n| max_j |psi_j|^2, tr(Pi) = 1 + n the
-    trace deviation |n|, and sum_r D_r Pi D_r^dagger = d tr(Pi) I the completeness deviation d |n|; the overlap
-    deviation is the gram residual.  Equal, up to roundoff, to ``quasi_onb_certify`` on the projector stack.
-    """
-    psi = as_state_vector(psi)
-    tol = check_tolerance(tol, "tol")
-    d = psi.shape[0]
-    n = abs(float(np.vdot(psi, psi).real) - 1.0)
-    deviations = {
-        "projector_deviation": n * float(np.max(psi.real**2 + psi.imag**2)),
-        "trace_deviation": n,
-        "overlap_deviation": _gram(_residual(psi)[0]),
-        "completeness_deviation": d * n,
-    }
-    return QuasiOnbReport(d=d, tol=tol, **deviations, passed=max(deviations.values()) <= tol)
-
-
 @dataclass(frozen=True)
 class SicSet:
-    """A fiducial's displacement orbit with certification residuals.
+    """A fiducial's displacement orbit, held as the fiducial and its overlap grid, with certification residuals.
 
-    Vector i is D_r psi at the displacement index ``r = (i // d, i % d)``.
-    ``certified`` is True when both residuals are within ``tol``; an
-    uncertified set is still returned with honest residuals.
+    ``overlap_grid[r]`` is |B_r|^2 = tr(Pi_0 Pi_r), read-only and flat over r = r1*d + r2; entry 0 is ||psi||^4.
+    Every pair trace tr(Pi_i Pi_j) of the orbit is the entry at the displacement from i to j, so ``kt``,
+    ``frame_potential`` and ``quasi_onb`` read it and no orbit vector.  Vector i is D_r psi at the displacement
+    index ``r = (i // d, i % d)``.  ``certified`` is True when both residuals are within ``tol``; an uncertified
+    set is still returned with honest residuals.
     """
 
     fiducial: np.ndarray
-    vectors: np.ndarray
+    overlap_grid: np.ndarray
     gram_residual: float
     quartic_residual: float
     tol: float
@@ -157,32 +113,72 @@ class SicSet:
         return self.fiducial.shape[0]
 
     @cached_property
+    def vectors(self) -> np.ndarray:
+        """The d^2 orbit vectors D_r psi, a read-only (d^2, d) array built on first read and kept."""
+        d = self.d
+        r1, r2 = np.divmod(np.arange(d * d), d)
+        vectors = _displaced(self.fiducial, r1[:, None], r2[:, None])
+        vectors.setflags(write=False)
+        return vectors
+
+    @cached_property
     def projectors(self) -> np.ndarray:
         """The d^2 projectors |v_i><v_i| of ``vectors``, a read-only (d^2, d, d) stack built on first read and kept.
 
         The stack has d^4 entries (23.8 GiB at d = 200) and no caller in the package, which reads the orbit's
-        operator-space quantities from the overlap grid (``orbit_kt``, ``orbit_quasi_onb``); it is the dense oracle.
+        operator-space quantities from ``overlap_grid``; it is the dense oracle.
         """
         projectors = self.vectors[:, :, None] * self.vectors.conj()[:, None, :]
         projectors.setflags(write=False)
         return projectors
 
+    def kt(self, t: float) -> KtReport:
+        """Order-t defect of the orbit's d^2 projectors, d^2 * sum over r != 0 of |B_r|^(2t), with its PSD lower bound.
+
+        Equal, up to roundoff, to ``kt_measure(operator_set(self.projectors), t)``.
+        """
+        t = _check_order(t)
+        d = self.d
+        value = d * d * float(np.sum(self.overlap_grid[1:] ** t))
+        bound = kt_lower_bound(d, t)
+        return KtReport(t=t, value=value, lower_bound=bound, gap=value - bound)
+
+    @property
+    def frame_potential(self) -> float:
+        """Frame potential of the orbit's vectors, d^2 * sum over all r of |B_r|^4 (``frame_potential`` of them)."""
+        s = self.overlap_grid
+        return s.shape[0] * float(np.sum(s**2))
+
+    def quasi_onb(self) -> QuasiOnbReport:
+        """Quasi-ONB certificate of the orbit's d^2 projectors at ``tol``, read from the fiducial and the residuals.
+
+        With n = ||psi||^2 - 1: Pi^2 - Pi = n Pi gives the projector deviation |n| max_j |psi_j|^2, tr(Pi) = 1 + n the
+        trace deviation |n|, and sum_r D_r Pi D_r^dagger = d tr(Pi) I the completeness deviation d |n|; the overlap
+        deviation is the gram residual.  Equal, up to roundoff, to ``quasi_onb_certify`` on the projector stack.
+        """
+        psi = self.fiducial
+        n = abs(float(np.vdot(psi, psi).real) - 1.0)
+        deviations = {
+            "projector_deviation": n * float(np.max(psi.real**2 + psi.imag**2)),
+            "trace_deviation": n,
+            "overlap_deviation": self.gram_residual,
+            "completeness_deviation": self.d * n,
+        }
+        return QuasiOnbReport(d=self.d, tol=self.tol, **deviations, passed=max(deviations.values()) <= self.tol)
+
 
 def build_sic_set(psi, tol: float = 1e-10) -> SicSet:
-    """Displace a candidate through the whole index grid and certify the orbit."""
+    """Certify a candidate's orbit from one run of the overlap kernel; the orbit vectors are built only when read."""
     psi = as_state_vector(psi)
     tol = check_tolerance(tol, "tol")
-    d = psi.shape[0]
-    r1, r2 = np.divmod(np.arange(d * d), d)
-    vectors = _displaced(psi, r1[:, None], r2[:, None])
-    rho, _ = _residual(psi)
+    rho, b = _residual(psi)
     g, q = _gram(rho), _quartic(rho)
-    fiducial = psi.copy()
-    for arr in (fiducial, vectors):
+    fiducial, grid = psi.copy(), b.real**2 + b.imag**2
+    for arr in (fiducial, grid):
         arr.setflags(write=False)
     return SicSet(
         fiducial=fiducial,
-        vectors=vectors,
+        overlap_grid=grid,
         gram_residual=g,
         quartic_residual=q,
         tol=tol,

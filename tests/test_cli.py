@@ -339,6 +339,18 @@ def test_mubs_profiles_the_state_once(capsys, monkeypatch, tol):
     assert json.loads(stdout)["minimum_uncertainty"] is verdict is (tol == "1e-8")
 
 
+def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):
+    # exit 1 is the honest negative, so a run too large for memory is refused like an input error
+    message = "Unable to allocate 15.3 GiB for an array with shape (1010, 1009, 1009) and data type complex128"
+
+    def oversized(dim):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(mubs, "build_mubs", oversized)
+    code, stdout, err = run(capsys, ["mubs", "--dim", "1009"])
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
 def test_kt_reports_bound_and_value(hesse_file, capsys):
     code, stdout, _ = run(capsys, ["kt", "--dim", "3", "--t", "2", "--fiducial", hesse_file, "--json"])
     assert code == 0
@@ -350,17 +362,23 @@ def test_kt_reports_bound_and_value(hesse_file, capsys):
 
 
 def test_verify_and_kt_build_no_projector_stack(capsys, monkeypatch):
-    # both read the orbit from the overlap grid: the dense operator_space path and SicSet.projectors are never called
+    # both read the orbit from one run of the overlap kernel: the dense operator_space path, SicSet.vectors and
+    # SicSet.projectors are never called
     def refuse(*args, **kwargs):
         raise RuntimeError("the dense path was called")
 
     for name in ("operator_set", "kt_measure", "frame_potential", "quasi_onb_certify"):
         monkeypatch.setattr(operator_space, name, refuse)
-    monkeypatch.setattr(verify.SicSet, "projectors", property(refuse))
+    for name in ("vectors", "projectors"):
+        monkeypatch.setattr(verify.SicSet, name, property(refuse))
+    calls, kernel = [], verify._residual
+    monkeypatch.setattr(verify, "_residual", lambda psi: calls.append(1) or kernel(psi))
     fiducial = str(BENCH_DATA / "fiducial_d7.json")
     for argv in (["verify", "--fiducial", fiducial], ["kt", "--dim", "7", "--t", "2", "--fiducial", fiducial]):
+        calls.clear()
         code, stdout, err = run(capsys, argv)
         assert code == 0 and err == "" and stdout
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("d", [5, 12, 24])
@@ -392,6 +410,9 @@ def test_kt_checks_the_dimension_before_any_orbit_work(tmp_path, capsys):
     code, stdout, err = run(capsys, ["kt", "--dim", "3", "--t", "2", "--fiducial", str(path)])
     assert code == 2 and stdout == ""
     assert "fiducial has dim 200, expected 3" in err
+    # verify reads the same state from its overlap grid: an honest negative, no traceback
+    code, stdout, err = run(capsys, ["verify", "--fiducial", str(path)])
+    assert code == 1 and err == "" and "certified: false" in stdout
 
 
 @pytest.mark.parametrize("with_fiducial", [False, True])

@@ -36,3 +36,12 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"sic_forge.{module}")
     assert len(set(mod.__all__)) == len(mod.__all__), "duplicate __all__ entry"
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+
+def test_the_orbit_reports_are_sic_set_members():
+    # K_t, the frame potential and the quasi-ONB certificate read the set's stored overlap grid; no function
+    # beside them takes the fiducial again
+    for name in ("kt", "frame_potential", "quasi_onb"):
+        assert hasattr(sic_forge.SicSet, name)
+    for name in ("orbit_kt", "orbit_quasi_onb", "_frame_potential", "_pair_traces"):
+        assert not hasattr(sic_forge, name) and not hasattr(sic_forge.verify, name)

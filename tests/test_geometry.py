@@ -218,7 +218,7 @@ def test_structure_tensor_guard():
     d = 13
     fake = SicSet(
         fiducial=np.zeros(d),
-        vectors=np.zeros((d * d, d)),
+        overlap_grid=np.zeros(d * d),
         gram_residual=0.0,
         quartic_residual=0.0,
         tol=1e-10,

@@ -17,15 +17,13 @@ from sic_forge import (
     gram_residual,
     kt_measure,
     operator_set,
-    orbit_kt,
-    orbit_quasi_onb,
     phase_constants,
     quartic_defects,
     quartic_residual,
     quasi_onb_certify,
 )
-from sic_forge.verify import _frame_potential, _residual
-from sic_forge.wh import STATE_NORM_TOL
+from sic_forge.verify import _residual
+from sic_forge.wh import STATE_NORM_TOL, _displaced
 from conftest import bench_fiducial, brute_force_quartic_terms, oracle_displacement, quartic_rhs, random_state
 
 GOLDENS = Path(__file__).resolve().parents[1] / "goldens"
@@ -262,33 +260,41 @@ def test_residual_forms_bound_each_other_off_unit_norm(d, kind, seed, stretch):
 def test_projectors_are_built_from_the_vectors_when_read(fiducial_d3):
     sic = build_sic_set(fiducial_d3)
     assert [f.name for f in dataclasses.fields(sic)] == [
-        "fiducial", "vectors", "gram_residual", "quartic_residual", "tol", "certified"
+        "fiducial", "overlap_grid", "gram_residual", "quartic_residual", "tol", "certified"
     ]
+    assert sic.overlap_grid.shape == (9,) and not sic.overlap_grid.flags.writeable
+    assert "vectors" not in vars(sic) and "projectors" not in vars(sic)
+    vectors = sic.vectors
+    r1, r2 = np.divmod(np.arange(9), 3)
+    np.testing.assert_array_equal(vectors, _displaced(fiducial_d3, r1[:, None], r2[:, None]))  # the eager orbit
+    assert vectors.shape == (9, 3) and not vectors.flags.writeable
+    assert sic.vectors is vectors  # built once, on first read
     stack = sic.projectors
     assert stack.shape == (9, 3, 3) and not stack.flags.writeable
-    np.testing.assert_array_equal(stack, sic.vectors[:, :, None] * sic.vectors.conj()[:, None, :])
-    assert sic.projectors is stack  # built once, on first read
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        sic.projectors = stack
+    np.testing.assert_array_equal(stack, vectors[:, :, None] * vectors.conj()[:, None, :])
+    assert sic.projectors is stack
+    for name, value in (("vectors", vectors), ("projectors", stack), ("overlap_grid", sic.overlap_grid)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sic, name, value)
 
 
 DEVIATIONS = ("projector_deviation", "trace_deviation", "overlap_deviation", "completeness_deviation")
 
 
 def assert_orbit_forms_match_the_dense_oracle(psi: np.ndarray) -> None:
-    """The grid forms against operator_space on the projector stack: K_t, frame potential and quasi-ONB to 1e-10."""
+    """The SicSet members against operator_space on the projector stack: K_t, frame potential and quasi-ONB to 1e-10."""
     sic = build_sic_set(psi)
     opset = operator_set(sic.projectors)
     for t in (1.0, 2.0, 1.5, 2.75, 400.0):
-        dense, grid = kt_measure(opset, t), orbit_kt(psi, t)
+        dense, grid = kt_measure(opset, t), sic.kt(t)
         assert (grid.t, grid.lower_bound) == (dense.t, dense.lower_bound)
         assert abs(grid.value - dense.value) <= 1e-10 and abs(grid.gap - dense.gap) <= 1e-10
-    assert abs(_frame_potential(psi) - frame_potential(sic.vectors)) <= 1e-10
+    assert abs(sic.frame_potential - frame_potential(sic.vectors)) <= 1e-10
     # off unit norm, n = ||psi||^2 - 1 alone sets the projector, trace and completeness deviations; the dense
     # values carry a roundoff of about d^2 eps, so these three are also compared at the size of n itself
     n = abs(float(np.vdot(psi, psi).real) - 1.0)
     for tol in (1e-10, 1e-3):
-        dense, grid = quasi_onb_certify(opset, tol), orbit_quasi_onb(psi, tol)
+        dense, grid = quasi_onb_certify(opset, tol), build_sic_set(psi, tol).quasi_onb()
         assert (grid.d, grid.tol, grid.passed) == (dense.d, dense.tol, dense.passed)
         for field in DEVIATIONS:
             error = abs(getattr(grid, field) - getattr(dense, field))
@@ -311,12 +317,9 @@ def test_orbit_forms_match_the_dense_oracle_on_bench_fiducials(d):
 
 def test_orbit_forms_validate_their_input():
     e0 = np.eye(3)[0]
+    sic = build_sic_set(e0)
     for bad_t in (0.5, float("nan"), True, "2"):
         with pytest.raises(ValueError, match="t must be finite and >= 1"):
-            orbit_kt(e0, bad_t)
-    for bad_tol in (0.0, float("inf"), None):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            orbit_quasi_onb(e0, bad_tol)
-    for call in (lambda psi: orbit_kt(psi, 2.0), _frame_potential, lambda psi: orbit_quasi_onb(psi, 1e-10)):
-        with pytest.raises(ValueError, match="not unit-norm"):
-            call(2.0 * e0)
+            sic.kt(bad_t)
+    with pytest.raises(ValueError, match="not unit-norm"):
+        build_sic_set(2.0 * e0)

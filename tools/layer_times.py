@@ -4,8 +4,10 @@ Each SRC runs in its own interpreter, in rounds of alternating order: each time 
 and the key <name>.quartiles beside it holds the first and third quartiles of those round medians, its noise.
 operator_space, on the bench candidates d = 8..24: a line tracer (about 1 us per line) times operator_set's inline
 steps; operator_set untraced, K_t, frame potential and quasi-ONB run whole on the projector stack, and beside them,
-where the checkout has them, the same three from the overlap grid (grid_kt: verify.orbit_kt, grid_frame_potential:
-verify._frame_potential, grid_quasi_onb: verify.orbit_quasi_onb).
+where the checkout has them, the same three from the overlap grid (grid_kt, grid_frame_potential, grid_quasi_onb):
+the SicSet members kt, frame_potential and quasi_onb, which read a built set's stored grid, or in older checkouts
+verify.orbit_kt, verify._frame_potential and verify.orbit_quasi_onb, which take psi and run the kernel again;
+build_sic_set is timed whole.
 search, per bench search (d, restarts) at workload seed 1: wall and CPU us of search_detailed (CPU of the whole
 process, BLAS threads included), and one descent tick, _evaluate then _gradient on an (R, d) stack of start points,
 for R = 1 and R = 16 restarts.
@@ -52,8 +54,12 @@ def layer_seconds(sf, d: int) -> dict:
     sic = sf.build_sic_set(psi)
     opset = sf.operator_set(sic.projectors)
     calls = {"operator_set": (sf.operator_set, sic.projectors), "kt": (sf.kt_measure, opset, 2.0),
-             "frame_potential": (sf.frame_potential, sic.vectors), "quasi_onb": (sf.quasi_onb_certify, opset, 1e-10)}
-    if hasattr(sf, "orbit_kt"):  # the grid forms, in a checkout that has them
+             "frame_potential": (sf.frame_potential, sic.vectors), "quasi_onb": (sf.quasi_onb_certify, opset, 1e-10),
+             "build_sic_set": (sf.build_sic_set, psi)}
+    if hasattr(sf.SicSet, "kt"):  # the grid forms, as SicSet members
+        calls.update({"grid_kt": (sf.SicSet.kt, sic, 2.0), "grid_frame_potential": (lambda s: s.frame_potential, sic),
+                      "grid_quasi_onb": (sf.SicSet.quasi_onb, sic)})
+    elif hasattr(sf, "orbit_kt"):  # the grid forms as functions of psi, in a checkout that has them
         calls.update({"grid_kt": (sf.orbit_kt, psi, 2.0), "grid_frame_potential": (sf.verify._frame_potential, psi),
                       "grid_quasi_onb": (sf.orbit_quasi_onb, psi, 1e-10)})
     runs = [{**traced(sf.operator_set, sic.projectors),
