@@ -107,7 +107,7 @@ def sic_probabilities(rho, sic: SicSet) -> np.ndarray:
     return np.vecdot(v, v @ rho.T).real / sic.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructedDensity:
     """Operator rebuilt from probabilities; physicality is diagnosed, not enforced."""
 
@@ -146,7 +146,7 @@ def purity_quadratic_residual(p) -> float:
     return abs(float(np.sum(p * p)) - purity_quadratic_target(d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureTensor:
     """Triple-overlap coefficients c[i, j, k] = Re tr(Pi_i Pi_j Pi_k), with the SIC set's read-only vectors."""
 

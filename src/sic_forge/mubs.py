@@ -1,13 +1,12 @@
 """Complete mutually unbiased bases for prime dimensions, plus uncertainty profiles.
 
-In prime dimension d the standard basis together with the eigenbases of
-X Z^a, a = 0..d-1, forms d+1 pairwise unbiased orthonormal bases (Ivanovic
-1981; Wootters & Fields 1989).  The eigenbases have a closed form: row m of
-basis a+1 is omega**(-m*j + a*j*(j-1)/2) / sqrt(d) for odd d, and
-omega**(-m*j) * tau**(a*j*j) / sqrt(2) for d = 2.  A state's uncertainty
-profile collects, per basis, the sum of squared outcome probabilities; for
-every pure state those d+1 numbers add up to 2, so the evenest possible
-profile is the constant 2/(d+1), which defines minimum uncertainty here.
+In prime dimension d the standard basis together with the eigenbases of X Z^a, a = 0..d-1, forms
+d+1 pairwise unbiased orthonormal bases (Ivanovic 1981; Wootters & Fields 1989).  Row m of basis
+a+1 is omega**(-m*j) * chirp[a, j] / sqrt(d), with chirp omega**(a*j*(j-1)/2) for odd d and
+tau**(a*j*j) for d = 2, so a MubSet holds only table[a, j] = conj(chirp[a, j]) / sqrt(d).  A state's
+uncertainty profile collects, per basis, the sum of squared outcome probabilities; for every pure
+state those d+1 numbers add up to 2, so the evenest possible profile is the constant 2/(d+1), which
+defines minimum uncertainty here.
 """
 
 from __future__ import annotations
@@ -47,12 +46,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MubSet:
-    """d+1 orthonormal bases, pairwise unbiased; ``bases[b, k]`` is vector k of basis b."""
+    """d+1 unbiased bases as a read-only (d, d) table; vector m of basis a+1 is omega**(-m*j) * conj(table[a, j])."""
 
     d: int
-    bases: np.ndarray
+    table: np.ndarray
 
 
 def build_mubs(d: int) -> MubSet:
@@ -65,26 +64,23 @@ def build_mubs(d: int) -> MubSet:
     a = j[:, None]
     # chirp[a, j] = omega**(a*j*(j-1)/2), or tau**(a*j*j) when d = 2
     chirp = pc.tau ** (a * j * j) if d == 2 else pc.omega_powers[(a * (j * (j - 1) // 2)) % d]
-    bases = np.empty((d + 1, d, d), dtype=complex)
-    bases[0] = np.eye(d)
-    bases[1:] = pc.omega_powers[(-a * j) % d] * chirp[:, None, :] / np.sqrt(d)
-    bases.setflags(write=False)
-    return MubSet(d=d, bases=bases)
+    table = chirp.conj() / np.sqrt(d)
+    table.setflags(write=False)
+    return MubSet(d=d, table=table)
 
 
 def unbiasedness_residual(mubs: MubSet) -> float:
-    """Worst deviation of cross-basis |<e|f>|^2 from 1/d over all basis pairs."""
-    d = mubs.d
-    n_bases = mubs.bases.shape[0]
-    worst = 0.0
-    for b in range(n_bases):
-        for b2 in range(b + 1, n_bases):
-            overlaps = np.abs(mubs.bases[b].conj() @ mubs.bases[b2].T) ** 2
-            worst = max(worst, float(np.max(np.abs(overlaps - 1.0 / d))))
-    return worst
+    """Worst deviation of cross-basis |<e|f>|^2 from 1/d over all basis pairs: |table|^2 against the standard
+    basis, and for bases a+1, b+1 the circulant sum_j omega**((m-n)*j) * table[a, j] * conj(table[b, j]), an FFT."""
+    d, table = mubs.d, mubs.table
+    worst = np.max(np.abs(np.abs(table) ** 2 - 1.0 / d))
+    for a in range(d - 1):
+        overlaps = np.abs(np.fft.fft(table[a] * table[a + 1 :].conj(), axis=1)) ** 2
+        worst = max(worst, np.max(np.abs(overlaps - 1.0 / d)))
+    return float(worst)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UncertaintyProfile:
     """Per-basis outcome distributions and their squared-probability sums."""
 
@@ -93,13 +89,16 @@ class UncertaintyProfile:
 
 
 def uncertainty_profile(psi, mubs: MubSet) -> UncertaintyProfile:
-    """Measure psi in every basis; ``per_basis[b] = sum_k p(b, k)**2``."""
+    """Measure psi in every basis; ``per_basis[b] = sum_k p(b, k)**2``, from amplitudes psi and (table * psi) @ dft."""
     psi = as_state_vector(psi)
-    if psi.shape[0] != mubs.d:
-        raise ValueError(f"dimension mismatch: state has d={psi.shape[0]}, bases have d={mubs.d}")
-    amps = mubs.bases.conj() @ psi
-    probs = amps.real**2 + amps.imag**2
-    per_basis = np.sum(probs**2, axis=1)
+    d = mubs.d
+    if psi.shape[0] != d:
+        raise ValueError(f"dimension mismatch: state has d={psi.shape[0]}, bases have d={d}")
+    amps = np.empty((d + 1, d), dtype=complex)
+    amps[0] = psi
+    np.dot(mubs.table * psi, phase_constants(d).dft, out=amps[1:])
+    probs = np.abs(amps) ** 2
+    per_basis = (probs**2).sum(axis=1)
     probs.setflags(write=False)
     per_basis.setflags(write=False)
     return UncertaintyProfile(probabilities=probs, per_basis=per_basis)

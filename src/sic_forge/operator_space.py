@@ -35,7 +35,7 @@ def _pair_traces(ops: np.ndarray) -> np.ndarray:
     return x @ x.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSet:
     """A validated family of PSD operators with unit Hilbert-Schmidt norm.
 

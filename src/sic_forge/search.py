@@ -81,7 +81,7 @@ class SearchConfig:
     accept_tol: float = 1e-18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SicCandidate:
     """Best vector found by a search; residuals are recomputed from scratch."""
 

@@ -90,7 +90,7 @@ def quartic_residual(psi) -> float:
     return _quartic(_residual(as_state_vector(psi))[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SicSet:
     """A fiducial's displacement orbit, held as the fiducial and its overlap grid, with certification residuals.
 

@@ -96,7 +96,7 @@ def as_state_vector(psi) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseConstants:
     """Unit phases and Z_d index tables of one dimension, computed once and cached.
 

@@ -569,6 +569,36 @@ def test_loaders_refuse_nesting_too_deep(tmp_path, hesse_file, capsys, field, de
     assert not out.exists()
 
 
+FIDUCIAL_D5 = json.loads((BENCH_DATA / "fiducial_d5.json").read_text())
+VERIFY_PATH = ["verify", "--fiducial", "{path}"]
+BAD_DIM = "fiducial file: field 'dim' must be an integer >= 2"
+# per case: what is written to {path} (None: nothing), the command that reads it, the refusal's wording
+REFUSED_INPUTS = {
+    "mubs-state-of-another-dim": (None, ["mubs", "--dim", "7", "--state", "{fiducial}"],
+                                  "dimension mismatch: state has d=5, bases have d=7"),
+    "probs-of-another-dim": ({"format_version": 1, "dim": 3, "p": [1 / 9] * 9},
+                             ["convert", "--fiducial", "{fiducial}", "--probs", "{path}", "--out", "{out}"],
+                             "probability vector has length 9, expected d^2 = 25"),
+    "fiducial-file-holding-a-list": ([FIDUCIAL_D5], VERIFY_PATH, "top level must be a JSON object"),
+    "dim-as-text": ({**FIDUCIAL_D5, "dim": "5"}, VERIFY_PATH, BAD_DIM),
+    "dim-as-float": ({**FIDUCIAL_D5, "dim": 5.0}, VERIFY_PATH, BAD_DIM),
+    "dim-as-bool": ({**FIDUCIAL_D5, "dim": True}, VERIFY_PATH, BAD_DIM),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_INPUTS)
+def test_a_refused_input_exits_2_and_names_the_fault(tmp_path, capsys, case):
+    content, argv, message = REFUSED_INPUTS[case]
+    path, out = tmp_path / "input.json", tmp_path / "out"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    fiducial = BENCH_DATA / "fiducial_d5.json"
+    code, stdout, err = run(capsys, [a.format(path=path, fiducial=fiducial, out=out) for a in argv])
+    assert code == 2 and stdout == ""
+    assert message in err
+    assert not out.exists()
+
+
 def test_verify_rejects_boolean_components(tmp_path, capsys):
     # true/false used to load as 1.0/0.0, so this file was verified as the basis state e0 and exited 1
     path = tmp_path / "bools.json"

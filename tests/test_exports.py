@@ -1,13 +1,18 @@
-"""Export lists: the package namespace re-exports only public names, and every public name exists."""
+"""Export lists: the package namespace re-exports only public names, and every public name exists.
+
+Public records: those that hold arrays compare by identity, and every record is hashable.
+"""
 
 import ast
 import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sic_forge
+from conftest import bench_fiducial
 
 PACKAGE_DIR = Path(sic_forge.__file__).parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules([str(PACKAGE_DIR)]))
@@ -45,3 +50,42 @@ def test_the_orbit_reports_are_sic_set_members():
         assert hasattr(sic_forge.SicSet, name)
     for name in ("orbit_kt", "orbit_quasi_onb", "_frame_potential", "_pair_traces"):
         assert not hasattr(sic_forge, name) and not hasattr(sic_forge.verify, name)
+
+
+def _sic():
+    return sic_forge.build_sic_set(bench_fiducial(5))
+
+
+def _structure_tensor():
+    return sic_forge.structure_coefficients(sic_forge.build_sic_set(np.array([0, 1, -1]) / np.sqrt(2)))
+
+
+def _reconstructed():
+    psi, sic = bench_fiducial(5), _sic()
+    return sic_forge.reconstruct_density(sic_forge.sic_probabilities(np.outer(psi, psi.conj()), sic), sic)
+
+
+# name -> (an independent build of the record, whether two builds compare equal)
+RECORDS = {
+    "SicSet": (_sic, False),
+    "SicCandidate": (lambda: sic_forge.search(sic_forge.SearchConfig(dim=3, restarts=1, seed=0)), False),
+    "StructureTensor": (_structure_tensor, False),
+    "OperatorSet": (lambda: sic_forge.operator_set(_sic().projectors), False),
+    "MubSet": (lambda: sic_forge.build_mubs(5), False),
+    "UncertaintyProfile": (lambda: sic_forge.uncertainty_profile(bench_fiducial(5), sic_forge.build_mubs(5)), False),
+    "ReconstructedDensity": (_reconstructed, False),
+    "PhaseConstants": (lambda: sic_forge.wh.phase_constants.__wrapped__(5), False),  # past the cache
+    "KtReport": (lambda: _sic().kt(2), True),
+    "QuasiOnbReport": (lambda: _sic().quasi_onb(), True),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_compare_without_raising_and_hash(name):
+    # an array field's generated __eq__ would raise "truth value of an array is ambiguous"; records of arrays
+    # compare by identity instead, and records of floats keep value equality
+    build, value_equal = RECORDS[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name and a is not b
+    assert (a == b) is value_equal and (a == a) is True
+    assert isinstance(hash(a), int) and isinstance(hash(b), int)

@@ -24,6 +24,8 @@ from sic_forge import (
 )
 from conftest import bench_fiducial, oracle_clock, oracle_shift, random_state
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
 
 def schur_eigenbasis(u: np.ndarray) -> np.ndarray:
     """Rows: eigenvectors of a unitary with distinct eigenvalues, canonically fixed.
@@ -56,6 +58,33 @@ def schur_mubs(d: int) -> np.ndarray:
     return bases
 
 
+def dense_bases(m: MubSet) -> np.ndarray:
+    """Oracle: the (d+1, d, d) expansion of a table; vector m of basis a+1 is omega**(-m*j) * conj(table[a, j])."""
+    d = m.d
+    j = np.arange(d)
+    bases = np.empty((d + 1, d, d), dtype=complex)
+    bases[0] = np.eye(d)
+    bases[1:] = np.exp(-2j * np.pi * np.outer(j, j) / d) * m.table.conj()[:, None, :]
+    return bases
+
+
+def pairwise_residual(bases: np.ndarray) -> float:
+    """Oracle: worst |<e|f>|^2 - 1/d over every pair of dense bases, one d x d product per pair."""
+    d = bases.shape[1]
+    worst = 0.0
+    for b in range(len(bases)):
+        for b2 in range(b + 1, len(bases)):
+            overlaps = np.abs(bases[b].conj() @ bases[b2].T) ** 2
+            worst = max(worst, float(np.max(np.abs(overlaps - 1.0 / d))))
+    return worst
+
+
+def random_table(rng, d: int) -> np.ndarray:
+    """A table of unit-norm rows that are in general not unbiased, so residuals are of order 1."""
+    table = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return table / np.linalg.norm(table, axis=1, keepdims=True)
+
+
 def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(-3, 25):
@@ -77,10 +106,31 @@ def test_build_mubs_rejects_composite(d):
         build_mubs(d)
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+@pytest.mark.parametrize("d", PRIMES)
 def test_closed_form_matches_schur_oracle(d):
     # same vectors, phases and row order as the numerical eigenbases
-    assert np.abs(build_mubs(d).bases - schur_mubs(d)).max() <= 1e-13
+    m = build_mubs(d)
+    assert m.table.shape == (d, d) and not m.table.flags.writeable
+    assert np.abs(dense_bases(m) - schur_mubs(d)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d", PRIMES)
+def test_profile_matches_the_dense_profile_on_schur_bases(d):
+    rng = np.random.default_rng(2300 + d)
+    m, bases = build_mubs(d), schur_mubs(d)
+    for psi in [random_state(rng, d) for _ in range(5)] + [np.eye(d)[d // 2]]:
+        profile, probs = uncertainty_profile(psi, m), np.abs(bases.conj() @ psi) ** 2
+        assert np.abs(profile.probabilities - probs).max() <= 1e-13
+        assert np.abs(profile.per_basis - np.sum(probs**2, axis=1)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d", PRIMES)
+def test_unbiasedness_residual_matches_the_pairwise_oracle(d):
+    m = build_mubs(d)
+    assert abs(unbiasedness_residual(m) - pairwise_residual(dense_bases(m))) <= 1e-14
+    # off the MUB table the residual is of order 1, and the circulant FFT must still agree with every pair's product
+    off = MubSet(d=d, table=random_table(np.random.default_rng(2400 + d), d))
+    assert abs(unbiasedness_residual(off) - pairwise_residual(dense_bases(off))) <= 1e-14
 
 
 def test_import_does_not_load_scipy():
@@ -91,19 +141,18 @@ def test_import_does_not_load_scipy():
 
 
 def test_d2_bases_frozen_literals():
-    m = build_mubs(2)
+    bases = dense_bases(build_mubs(2))
     s = 1.0 / np.sqrt(2.0)
-    np.testing.assert_allclose(m.bases[0], np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(m.bases[1], [[s, s], [s, -s]], atol=1e-12)
-    np.testing.assert_allclose(m.bases[2], [[s, -1j * s], [s, 1j * s]], atol=1e-12)
+    np.testing.assert_allclose(bases[0], np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(bases[1], [[s, s], [s, -s]], atol=1e-12)
+    np.testing.assert_allclose(bases[2], [[s, -1j * s], [s, 1j * s]], atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
 def test_bases_orthonormal(d):
-    m = build_mubs(d)
-    assert m.bases.shape == (d + 1, d, d)
+    bases = dense_bases(build_mubs(d))
     for b in range(d + 1):
-        gram = m.bases[b].conj() @ m.bases[b].T
+        gram = bases[b].conj() @ bases[b].T
         assert np.abs(gram - np.eye(d)).max() <= 1e-12
 
 
@@ -113,9 +162,12 @@ def test_unbiasedness(d):
 
 
 def test_unbiasedness_residual_of_repeated_basis():
-    d = 3
-    bases = np.stack([np.eye(d, dtype=complex), np.eye(d, dtype=complex)])
-    assert unbiasedness_residual(MubSet(d=d, bases=bases)) == pytest.approx(1.0 - 1.0 / d, abs=1e-14)
+    # every row of the table equal: bases 1..d coincide, so a vector overlaps its own copy in 1
+    rng = np.random.default_rng(23)
+    for d in PRIMES:
+        row = np.exp(2j * np.pi * rng.random(d)) / np.sqrt(d)
+        repeated = MubSet(d=d, table=np.tile(row, (d, 1)))
+        assert unbiasedness_residual(repeated) == pytest.approx(1.0 - 1.0 / d, abs=1e-14)
 
 
 def test_bases_diagonalize_their_unitaries():
@@ -123,11 +175,11 @@ def test_bases_diagonalize_their_unitaries():
     from sic_forge import build_clock, build_shift
 
     for d in (2, 3, 5, 7, 11, 13):
-        m = build_mubs(d)
+        bases = dense_bases(build_mubs(d))
         x, z = build_shift(d), build_clock(d)
         for a in range(d):
             u = x @ np.linalg.matrix_power(z, a)
-            for vec in m.bases[a + 1]:
+            for vec in bases[a + 1]:
                 ratio = u @ vec
                 lam = np.vdot(vec, ratio)
                 assert np.abs(ratio - lam * vec).max() <= 1e-12

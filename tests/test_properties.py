@@ -1,4 +1,4 @@
-"""Property tests: validators name a non-finite entry; fiducial files round-trip exactly."""
+"""Property tests: validators name a non-finite entry and refuse a wrong shape; fiducial files round-trip exactly."""
 
 import numpy as np
 import pytest
@@ -85,6 +85,22 @@ def test_frame_potential_rejects_nan_unit_vector():
     # the unit-norm comparison is false for NaN, so this returned nan
     with pytest.raises(ValueError, match=r"vectors has a non-finite entry in row 0"):
         frame_potential(np.array([[np.nan, 0.0]]))
+
+
+WRONG_SHAPES = {  # validator, a wrongly shaped input, the refusal
+    "state of one component": (as_state_vector, [1.0], "state vector must have dimension >= 2"),
+    "operators as one matrix": (operator_set, np.eye(3), r"expected an array of square matrices, got shape \(3, 3\)"),
+    "vectors as a stack": (frame_potential, np.ones((2, 3, 3)), r"2-D array of row vectors, got shape \(2, 3, 3\)"),
+    "non-square density": (check_density_matrix, np.ones((2, 3)) / 2, r"must be square, got shape \(2, 3\)"),
+    "2-D probabilities": (check_probability_vector, np.ones((2, 2)) / 4, r"must be 1-D, got shape \(2, 2\)"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_SHAPES)
+def test_validators_refuse_a_wrong_shape(case):
+    validator, bad, message = WRONG_SHAPES[case]
+    with pytest.raises(ValueError, match=message):
+        validator(bad)
 
 
 @pytest.fixture(scope="module")

@@ -332,6 +332,14 @@ def test_spent_budget_is_reported():
         assert (o.iterations, o.refine_iterations, o.stop_reason) == (3, 0, "iteration_budget")
 
 
+def test_the_gauss_newton_tail_reports_its_spent_budget():
+    # the descent hands over after 40 of the 41 iterations, and the tail stops on the budget after one kept step
+    config = SearchConfig(dim=3, restarts=1, seed=0, max_iters=41)
+    [o] = search_detailed(config)[1]
+    assert (o.stop_reason, o.descent_iterations, o.refine_iterations, o.iterations) == ("iteration_budget", 40, 1, 41)
+    assert o.objective_value > config.accept_tol
+
+
 def test_search_validates_input_once(monkeypatch, fiducial_d3):
     # the inner loop reuses evaluated points and never calls the validating public functions
     module = importlib.import_module("sic_forge.search")

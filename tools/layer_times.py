@@ -5,9 +5,8 @@ and the key <name>.quartiles beside it holds the first and third quartiles of th
 operator_space, on the bench candidates d = 8..24: a line tracer (about 1 us per line) times operator_set's inline
 steps; operator_set untraced, K_t, frame potential and quasi-ONB run whole on the projector stack, and beside them,
 where the checkout has them, the same three from the overlap grid (grid_kt, grid_frame_potential, grid_quasi_onb):
-the SicSet members kt, frame_potential and quasi_onb, which read a built set's stored grid, or in older checkouts
-verify.orbit_kt, verify._frame_potential and verify.orbit_quasi_onb, which take psi and run the kernel again;
-build_sic_set is timed whole.
+the SicSet members kt, frame_potential and quasi_onb, which read a built set's stored grid; build_sic_set is timed
+whole.
 search, per bench search (d, restarts) at workload seed 1: wall and CPU us of search_detailed (CPU of the whole
 process, BLAS threads included), and one descent tick, _evaluate then _gradient on an (R, d) stack of start points,
 for R = 1 and R = 16 restarts.
@@ -17,7 +16,8 @@ descent (the RestartOutcome evaluations less those, start points included), the 
 (descent_iterations), so that descent_evals - restarts - descent_iters is its rejected trials, and as
 stop.<reason> the restarts that stopped for each of the checkout's STOP_REASONS.
 tomography, on the bench tomography candidates (d = 5, 7, 11): the geometry and mubs calls of one seeded pure state,
-and structure_coefficients, each repeated to about 10 ms per repeat and reported per call.
+structure_coefficients, build_mubs and unbiasedness_residual, and at d = 31 unbiasedness_residual alone, each
+repeated to about 10 ms per repeat and reported per call.
 cli, on the bench cli workload's arguments at workload seed 1 (bench/data/fiducial_d{5,7}.json): in-process cli.main
 per subcommand, with --json and in text mode (without it), stdout captured.
 """
@@ -59,9 +59,6 @@ def layer_seconds(sf, d: int) -> dict:
     if hasattr(sf.SicSet, "kt"):  # the grid forms, as SicSet members
         calls.update({"grid_kt": (sf.SicSet.kt, sic, 2.0), "grid_frame_potential": (lambda s: s.frame_potential, sic),
                       "grid_quasi_onb": (sf.SicSet.quasi_onb, sic)})
-    elif hasattr(sf, "orbit_kt"):  # the grid forms as functions of psi, in a checkout that has them
-        calls.update({"grid_kt": (sf.orbit_kt, psi, 2.0), "grid_frame_potential": (sf.verify._frame_potential, psi),
-                      "grid_quasi_onb": (sf.orbit_quasi_onb, psi, 1e-10)})
     runs = [{**traced(sf.operator_set, sic.projectors),
              **{k: timeit.timeit(lambda: c[0](*c[1:]), number=1) for k, c in calls.items()}} for _ in range(REPS)]
     return {k: statistics.median(r[k] for r in runs) for k in runs[0]}
@@ -116,7 +113,8 @@ def tomography_seconds(sf, psi) -> dict:
              "structure_coefficients": (sf.structure_coefficients, sic),
              "purity_quadratic_residual": (sf.purity_quadratic_residual, p),
              "purity_cubic_residual": (sf.purity_cubic_residual, p, tensor),
-             "uncertainty_profile": (sf.uncertainty_profile, z, mubset)}
+             "uncertainty_profile": (sf.uncertainty_profile, z, mubset),
+             "build_mubs": (sf.build_mubs, d), "unbiasedness_residual": (sf.unbiasedness_residual, mubset)}
     return {k: per_call(*c) for k, c in calls.items()}
 
 
@@ -145,7 +143,8 @@ def child(src: str) -> dict:
     from workloads import Search, Tomography, derived_seed, load_candidate  # the bench's dimensions, seeds, candidates
     return {"operator_space": {d: layer_seconds(sf, d) for d in DIMS},
             "search": {f"d={d} R={r}": search_seconds(sf, d, r, derived_seed(1, d)) for d, r in Search.dims},
-            "tomography": {d: tomography_seconds(sf, load_candidate(d, True)) for d, _ in Tomography.states_per_dim},
+            "tomography": {**{d: tomography_seconds(sf, load_candidate(d, True)) for d, _ in Tomography.states_per_dim},
+                           31: {"unbiasedness_residual": per_call(sf.unbiasedness_residual, sf.build_mubs(31))}},
             "cli": cli_seconds(src)}
 
 
