@@ -42,7 +42,6 @@ from .verify import (
 from .search import (
     RestartOutcome,
     SearchConfig,
-    SicCandidate,
     objective,
     objective_gradient,
     polish,

@@ -143,13 +143,13 @@ def cmd_search(args) -> tuple[dict, int]:
         accept_tol=accept_tol,
     )
     started = time.perf_counter()
-    candidate, outcomes = search_detailed(config)
+    sic, outcomes = search_detailed(config)
     wall_ms = int(round((time.perf_counter() - started) * 1000.0))
 
     residuals = {
-        "gram": candidate.gram_residual,
-        "quartic": candidate.quartic_residual,
-        "objective": candidate.objective_value,
+        "gram": sic.gram_residual,
+        "quartic": sic.quartic_residual,
+        "objective": sic.objective_value,
     }
     os.makedirs(args.out, exist_ok=True)
     fiducial_path = os.path.join(args.out, f"fiducial_d{args.dim}_s{args.seed}.json")
@@ -157,7 +157,7 @@ def cmd_search(args) -> tuple[dict, int]:
 
     files.write_json_atomic(
         fiducial_path,
-        files.fiducial_payload(candidate.fiducial, candidate.gram_residual, candidate.quartic_residual),
+        files.fiducial_payload(sic.fiducial, sic.gram_residual, sic.quartic_residual),
     )
     files.write_json_atomic(
         report_path,
@@ -168,7 +168,7 @@ def cmd_search(args) -> tuple[dict, int]:
             seed=args.seed,
             tol=args.tol,
             residuals=residuals,
-            certified=candidate.certified,
+            certified=sic.certified,
             artifact_paths=[fiducial_path],
             restarts=[
                 {"objective" if k == "objective_value" else k: v for k, v in dataclasses.asdict(o).items()}
@@ -183,9 +183,9 @@ def cmd_search(args) -> tuple[dict, int]:
         "wall_time_ms": wall_ms,
         "artifact_paths": [fiducial_path, report_path],
         "seed": args.seed,
-        "certified": candidate.certified,
+        "certified": sic.certified,
     }
-    return payload, EXIT_OK if candidate.certified else EXIT_NEGATIVE
+    return payload, EXIT_OK if sic.certified else EXIT_NEGATIVE
 
 
 def cmd_verify(args) -> tuple[dict, int]:

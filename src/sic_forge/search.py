@@ -36,13 +36,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .verify import _gram, _quartic, _residual
+from .verify import SicSet, _residual, build_sic_set
 from .wh import _check_integer, as_state_vector, check_dim, check_tolerance, phase_constants
 
 __all__ = [
     "RestartOutcome",
     "SearchConfig",
-    "SicCandidate",
     "objective",
     "objective_gradient",
     "polish",
@@ -68,8 +67,9 @@ _BATCH_ENTRIES = 2**16  # overlap entries (restarts x d^2) descending together: 
 class SearchConfig:
     """Knobs of one search run.
 
-    ``accept_tol`` is an objective value: a candidate counts as certified when
-    its recomputed quartic residual is within sqrt(accept_tol).  Each restart
+    ``accept_tol`` is an objective value: the run returns the winner's
+    ``build_sic_set`` at tol = sqrt(accept_tol), certified when its recomputed
+    gram and quartic residuals are both within that tol.  Each restart
     draws its start from a counter-based stream keyed by (seed, restart), so
     a restart's start point does not depend on the restart count.
     """
@@ -79,19 +79,6 @@ class SearchConfig:
     seed: int = 0
     max_iters: int = 4000
     accept_tol: float = 1e-18
-
-
-@dataclass(frozen=True, eq=False)
-class SicCandidate:
-    """Best vector found by a search; residuals are recomputed from scratch."""
-
-    fiducial: np.ndarray
-    objective_value: float
-    gram_residual: float
-    quartic_residual: float
-    restarts_used: int
-    iterations: int
-    certified: bool
 
 
 @dataclass(frozen=True)
@@ -370,31 +357,16 @@ def _random_start(d: int, seed: int, restart: int) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def _candidate(psi: np.ndarray, restarts_used: int, iterations: int, residual_tol: float) -> SicCandidate:
-    # Residuals come from the certification module, never from optimizer state.
-    psi = psi.copy()
-    psi.setflags(write=False)
-    point = _evaluate(psi)
-    quartic = _quartic(point.rho)
-    return SicCandidate(
-        fiducial=psi,
-        objective_value=float(point.f),
-        gram_residual=_gram(point.rho),
-        quartic_residual=quartic,
-        restarts_used=restarts_used,
-        iterations=iterations,
-        certified=bool(quartic <= residual_tol),
-    )
-
-
-def search_detailed(config: SearchConfig) -> tuple[SicCandidate, tuple[RestartOutcome, ...]]:
-    """Run all restarts and return the best candidate plus per-restart outcomes.
+def search_detailed(config: SearchConfig) -> tuple[SicSet, tuple[RestartOutcome, ...]]:
+    """Run all restarts; return the winner's SIC set plus the per-restart outcomes.
 
     Restarts descend together, in lockstep batches of at most 2**16 overlap
     entries (restarts x d^2); each restart's outcome equals that of the restart
     run alone, so it depends neither on the batch size nor on the restart count.
     Every restart is explored regardless of earlier successes and the winner is
-    the lowest objective value, ties broken by lowest restart index.
+    the lowest objective value, ties broken by lowest restart index.  The
+    winner is certified by ``build_sic_set`` at tol = sqrt(accept_tol), from
+    residuals recomputed off its vector, never from optimizer state.
     """
     d = check_dim(config.dim)
     restarts = _check_integer(config.restarts, "restarts", 1)
@@ -411,34 +383,28 @@ def search_detailed(config: SearchConfig) -> tuple[SicCandidate, tuple[RestartOu
             outcomes.append(outcome)
             if best is None or outcome.objective_value < best[1].objective_value:
                 best = point, outcome
-    candidate = _candidate(
-        best[0].psi,
-        restarts_used=restarts,
-        iterations=best[1].iterations,
-        residual_tol=math.sqrt(config.accept_tol),
-    )
-    return candidate, tuple(outcomes)
+    return build_sic_set(best[0].psi, tol=math.sqrt(config.accept_tol)), tuple(outcomes)
 
 
-def search(config: SearchConfig) -> SicCandidate:
-    """Run seeded random-restart descents and return the best candidate found.
+def search(config: SearchConfig) -> SicSet:
+    """Run seeded random-restart descents and return the SIC set of the best vector found.
 
     Failure is reported, not raised: an unconverged run comes back with its
-    honest objective value and ``certified=False``.
+    honest residuals and objective value and ``certified=False``.
     """
     return search_detailed(config)[0]
 
 
-def polish(psi) -> SicCandidate:
-    """Refine a near-minimum candidate with the same descent and a tighter floor.
+def polish(psi) -> SicSet:
+    """Refine a near-minimum candidate with the same descent and a tighter floor; return its SIC set.
 
     The run spends at most 4000 iterations, with the search's step tolerance
-    and Gauss-Newton tail, and the result is certified when its quartic
-    residual is within 1e-9.  Inputs already at a minimum are
-    returned unchanged (the objective floor is hit immediately);
-    far-from-minimum inputs still come back with the best point found and
-    honest residuals.  The descent's plateau exit can stop only a run whose
-    objective is above 1e-4.
+    and Gauss-Newton tail, and the result is ``build_sic_set`` at tol = 1e-9:
+    certified when its gram and quartic residuals are both within 1e-9.
+    Inputs already at a minimum are returned unchanged (the objective floor is
+    hit immediately); far-from-minimum inputs still come back with the best
+    point found and honest residuals.  The descent's plateau exit can stop
+    only a run whose objective is above 1e-4.
     """
-    [(refined, outcome)] = _descend(as_state_vector(psi)[None], 4000, 1e-28)
-    return _candidate(refined.psi, restarts_used=0, iterations=outcome.iterations, residual_tol=1e-9)
+    [(refined, _)] = _descend(as_state_vector(psi)[None], 4000, 1e-28)
+    return build_sic_set(refined.psi, tol=1e-9)

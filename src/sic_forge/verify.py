@@ -98,13 +98,15 @@ class SicSet:
     Every pair trace tr(Pi_i Pi_j) of the orbit is the entry at the displacement from i to j, so ``kt``,
     ``frame_potential`` and ``quasi_onb`` read it and no orbit vector.  Vector i is D_r psi at the displacement
     index ``r = (i // d, i % d)``.  ``certified`` is True when both residuals are within ``tol``; an uncertified
-    set is still returned with honest residuals.
+    set is still returned with honest residuals.  ``objective_value`` is the search objective sum rho_r^2 / d, the
+    excess (frame_potential / d^2 - 2d/(d+1)) / d of the orbit's frame potential over its SIC minimum.
     """
 
     fiducial: np.ndarray
     overlap_grid: np.ndarray
     gram_residual: float
     quartic_residual: float
+    objective_value: float
     tol: float
     certified: bool
 
@@ -168,7 +170,10 @@ class SicSet:
 
 
 def build_sic_set(psi, tol: float = 1e-10) -> SicSet:
-    """Certify a candidate's orbit from one run of the overlap kernel; the orbit vectors are built only when read."""
+    """Certify a candidate's orbit from one run of the overlap kernel; the orbit vectors are built only when read.
+
+    This is the one place a fiducial is certified: ``search``, ``search_detailed`` and ``polish`` return its set.
+    """
     psi = as_state_vector(psi)
     tol = check_tolerance(tol, "tol")
     rho, b = _residual(psi)
@@ -181,6 +186,7 @@ def build_sic_set(psi, tol: float = 1e-10) -> SicSet:
         overlap_grid=grid,
         gram_residual=g,
         quartic_residual=q,
+        objective_value=float(np.vecdot(rho, rho) / psi.shape[0]),
         tol=tol,
         certified=bool(g <= tol and q <= tol),
     )

@@ -155,10 +155,9 @@ def serial_restart(config: SearchConfig, restart: int, gated: bool = True, plate
 
 
 def fingerprint(result):
-    """Everything search_detailed returns, the fiducial as bytes."""
+    """Everything search_detailed returns, the fiducial and the overlap grid as bytes."""
     candidate, outcomes = result
-    fields = dataclasses.asdict(candidate)
-    fields["fiducial"] = candidate.fiducial.tobytes()
+    fields = {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in dataclasses.asdict(candidate).items()}
     return fields, outcomes
 
 

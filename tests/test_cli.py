@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,23 @@ def test_search_runs_are_byte_identical(tmp_path, capsys):
     assert run(capsys, argv)[0] == 0
     assert fid_path.read_bytes() == first_fid
     assert rep_path.read_bytes() == first_rep
+
+
+def test_search_and_verify_give_one_verdict(tmp_path, capsys):
+    # the only restart ends with quartic 9.3e-6 within --tol but gram 2.6e-5 outside it: search and verify on the
+    # file it wrote both say not certified, exit 1
+    out = str(tmp_path / "short")
+    argv = ["search", "--dim", "4", "--restarts", "1", "--seed", "0", "--max-iters", "8", "--tol", "1e-5"]
+    code, stdout, _ = run(capsys, argv + ["--out", out, "--json"])
+    searched = json.loads(stdout)
+    assert (code, searched["certified"]) == (1, False)
+    assert searched["residuals"]["quartic"] <= 1e-5 < searched["residuals"]["gram"]
+    fiducial = os.path.join(out, "fiducial_d4_s0.json")
+    assert files.load_json(os.path.join(out, "report_d4_s0.json"))["certified"] is False
+    code, stdout, _ = run(capsys, ["verify", "--fiducial", fiducial, "--tol", "1e-5", "--json"])
+    verified = json.loads(stdout)
+    assert (code, verified["certified"]) == (1, False)
+    assert verified["residuals"] == {k: searched["residuals"][k] for k in ("gram", "quartic")}
 
 
 def flatten(payload: dict, prefix: str = "") -> list:
@@ -337,6 +355,21 @@ def test_mubs_profiles_the_state_once(capsys, monkeypatch, tol):
     monkeypatch.setattr(mubs, "uncertainty_profile", profile)
     verdict = mubs.is_minimum_uncertainty(files.load_state_vector(path), mubs.build_mubs(7), float(tol))
     assert json.loads(stdout)["minimum_uncertainty"] is verdict is (tol == "1e-8")
+
+
+@pytest.mark.parametrize(
+    "dim, message",
+    [
+        ("1000000000000000003", "error: Unable to allocate"),  # prime: refused when its tables do not fit in memory
+        ("1000000016000000063", "error: prime dimension required"),  # 1000000007 * 1000000009
+    ],
+)
+def test_mubs_decides_a_huge_dimension_at_once(capsys, dim, message):
+    # trial division took minutes on these; the primality test is exact and takes microseconds
+    started = time.perf_counter()
+    code, stdout, err = run(capsys, ["mubs", "--dim", dim])
+    assert time.perf_counter() - started < 1.0
+    assert (code, stdout) == (2, "") and err.startswith(message) and "Traceback" not in err
 
 
 def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):

@@ -68,7 +68,6 @@ def _reconstructed():
 # name -> (an independent build of the record, whether two builds compare equal)
 RECORDS = {
     "SicSet": (_sic, False),
-    "SicCandidate": (lambda: sic_forge.search(sic_forge.SearchConfig(dim=3, restarts=1, seed=0)), False),
     "StructureTensor": (_structure_tensor, False),
     "OperatorSet": (lambda: sic_forge.operator_set(_sic().projectors), False),
     "MubSet": (lambda: sic_forge.build_mubs(5), False),

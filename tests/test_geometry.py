@@ -221,6 +221,7 @@ def test_structure_tensor_guard():
         overlap_grid=np.zeros(d * d),
         gram_residual=0.0,
         quartic_residual=0.0,
+        objective_value=0.0,
         tol=1e-10,
         certified=True,
     )

@@ -25,6 +25,7 @@ from sic_forge import (
 from conftest import bench_fiducial, oracle_clock, oracle_shift, random_state
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+PROFILE_PRIMES = PRIMES + (37, 41, 43, 47)  # every prime d <= 47
 
 
 def schur_eigenbasis(u: np.ndarray) -> np.ndarray:
@@ -92,6 +93,27 @@ def test_is_prime_small_values():
     assert is_prime(np.int64(7)) and not is_prime(np.uint8(9))
 
 
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (1000000000000000003, True),
+        (1000000016000000063, False),  # 1000000007 * 1000000009
+        (3825123056546413051, False),  # 149491 * 747451 * 34233211, a strong pseudoprime to every base 2..23
+        (318665857834031151167461, False),  # 399165290221 * 798330580441, a strong pseudoprime to every base 2..37
+        (3317044064679887385961979, False),  # the bound less 2, a multiple of 17
+        (2**61 - 1, True),
+    ],
+)
+def test_is_prime_is_exact_on_large_values(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_is_prime_refuses_past_its_proven_bound():
+    bound = 3317044064679887385961981
+    with pytest.raises(ValueError, match=f"below {bound}"):
+        is_prime(bound)
+
+
 @pytest.mark.parametrize("bad", [7.9, 7.0, np.float64(5.0), True, "7", None])
 def test_is_prime_rejects_non_integers(bad):
     # int() used to truncate, so is_prime(7.9) was True
@@ -114,7 +136,7 @@ def test_closed_form_matches_schur_oracle(d):
     assert np.abs(dense_bases(m) - schur_mubs(d)).max() <= 1e-13
 
 
-@pytest.mark.parametrize("d", PRIMES)
+@pytest.mark.parametrize("d", PROFILE_PRIMES)
 def test_profile_matches_the_dense_profile_on_schur_bases(d):
     rng = np.random.default_rng(2300 + d)
     m, bases = build_mubs(d), schur_mubs(d)
@@ -124,7 +146,7 @@ def test_profile_matches_the_dense_profile_on_schur_bases(d):
         assert np.abs(profile.per_basis - np.sum(probs**2, axis=1)).max() <= 1e-13
 
 
-@pytest.mark.parametrize("d", PRIMES)
+@pytest.mark.parametrize("d", PRIMES + (37, 47, 101))
 def test_unbiasedness_residual_matches_the_pairwise_oracle(d):
     m = build_mubs(d)
     assert abs(unbiasedness_residual(m) - pairwise_residual(dense_bases(m))) <= 1e-14

@@ -260,7 +260,7 @@ def test_residual_forms_bound_each_other_off_unit_norm(d, kind, seed, stretch):
 def test_projectors_are_built_from_the_vectors_when_read(fiducial_d3):
     sic = build_sic_set(fiducial_d3)
     assert [f.name for f in dataclasses.fields(sic)] == [
-        "fiducial", "overlap_grid", "gram_residual", "quartic_residual", "tol", "certified"
+        "fiducial", "overlap_grid", "gram_residual", "quartic_residual", "objective_value", "tol", "certified"
     ]
     assert sic.overlap_grid.shape == (9,) and not sic.overlap_grid.flags.writeable
     assert "vectors" not in vars(sic) and "projectors" not in vars(sic)

@@ -11,10 +11,11 @@ search, per bench search (d, restarts) at workload seed 1: wall and CPU us of se
 process, BLAS threads included), and one descent tick, _evaluate then _gradient on an (R, d) stack of start points,
 for R = 1 and R = 16 restarts.
 Deterministic counts per row, reported as they are: the restarts certified (RestartOutcome objective within
-accept_tol), the overlap evaluations of the Gauss-Newton tail (summed from _least_squares_refine) and of the
-descent (the RestartOutcome evaluations less those, start points included), the descent's accepted steps
-(descent_iterations), so that descent_evals - restarts - descent_iters is its rejected trials, and as
-stop.<reason> the restarts that stopped for each of the checkout's STOP_REASONS.
+accept_tol), and beside it certified_record, 1 if the record search_detailed returns is certified, else 0; the
+overlap evaluations of the Gauss-Newton tail (summed from _least_squares_refine) and of the descent (the
+RestartOutcome evaluations less those, start points included), the descent's accepted steps (descent_iterations),
+so that descent_evals - restarts - descent_iters is its rejected trials, and as stop.<reason> the restarts that
+stopped for each of the checkout's STOP_REASONS.
 tomography, on the bench tomography candidates (d = 5, 7, 11): the geometry and mubs calls of one seeded pure state,
 structure_coefficients, build_mubs and unbiasedness_residual, and at d = 31 unbiasedness_residual alone, each
 repeated to about 10 ms per repeat and reported per call.
@@ -79,10 +80,11 @@ def search_seconds(sf, d: int, restarts: int, seed: int) -> dict:
         return result
     search._least_squares_refine = counting
     try:
-        _, outcomes = sf.search_detailed(config)
+        record, outcomes = sf.search_detailed(config)
     finally:
         search._least_squares_refine = refine
     row["certified"] = sum(o.objective_value <= config.accept_tol for o in outcomes)
+    row["certified_record"] = int(record.certified)
     row["refine_evals"] = sum(refine_evals)
     row["descent_evals"] = sum(o.evaluations for o in outcomes) - row["refine_evals"]
     row["descent_iters"] = sum(o.descent_iterations for o in outcomes)
