@@ -74,8 +74,8 @@ class MubSet:
 
 
 def build_mubs(d: int) -> MubSet:
-    """Standard basis plus the eigenbases of X Z^a for a = 0..d-1 (prime d only)."""
-    d = check_dim(d)
+    """Standard basis plus the eigenbases of X Z^a for a = 0..d-1 (prime d only, below is_prime's exact bound)."""
+    d = _check_integer(check_dim(d), "dimension", 2, _WITNESS_BOUND)
     if not is_prime(d):
         raise ValueError(f"prime dimension required, got {d}")
     pc = phase_constants(d)

@@ -22,16 +22,20 @@ if its lowest objective so far is above 1e-4 and fell by no more than a
 fraction 1e-6 since the last such checkpoint.  Certified restarts fall far
 faster while that high, so the exit cuts only the descent of restarts sitting
 on a local minimum.
-The Gauss-Newton tail then runs restart by restart, on the restarts whose
-descent reached the refinement switch: near an exact zero of the residual it
-converges fast, and at a local minimum with nonzero residual its step vanishes
-with the gradient.  Input is validated at the public entry points only.
+The Gauss-Newton tail then runs on the restarts whose descent reached the
+refinement switch, again in lockstep: W is built for the whole stack and one
+kernel run evaluates every trial, while each restart solves its own
+least-squares step and keeps its own exits.  Near an exact zero of the
+residual it converges fast, and at a local minimum with nonzero residual its
+step vanishes with the gradient.  Input is validated at the public entry
+points only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -122,18 +126,19 @@ STOP_REASONS = (
 
 
 def _residual_derivative(psi: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W[r, m] = d rho_r / d conj(psi_m), rows r = r1*d + r2.
+    """W[..., r, m] = d rho_r / d conj(psi_m) of each row psi[..., d] with overlaps b[..., d^2], rows r = r1*d + r2.
 
     W = conj(B_r) omega**((m-r1)*r2) psi_{m-r1} + B_r omega**(-m*r2) psi_{m+r1};
     the tau phase of the overlaps cancels in |B|^2, so even d needs no sign care.
+    A stack of rows gives W[..., d^2, d], each row equal bit for bit to the row's own call.
     """
-    d = psi.shape[0]
+    *rows, d = psi.shape
     pc = phase_constants(d)
     dft = pc.dft
-    b = b.reshape(d, d)
-    lead = (b.conj() * dft.conj())[:, :, None] * dft[None, :, :] * psi[pc.sub][:, None, :]
-    trail = b[:, :, None] * dft.conj()[None, :, :] * psi[pc.add][:, None, :]
-    return (lead + trail).reshape(d * d, d)
+    b = b.reshape(*rows, d, d)
+    lead = (b.conj() * dft.conj())[..., None] * dft * psi.take(pc.sub, axis=-1)[..., None, :]
+    trail = b[..., None] * dft.conj() * psi.take(pc.add, axis=-1)[..., None, :]
+    return (lead + trail).reshape(*rows, d * d, d)
 
 
 class _Point(NamedTuple):
@@ -159,6 +164,14 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
+@lru_cache(maxsize=None)
+def _lead_index(d: int) -> np.ndarray:
+    """Read-only flat gather table r1*d + (m - r1) % d of the gradient's conj(F[r1, m-r1]) psi_{m-r1}."""
+    index = np.arange(d)[:, None] * d + phase_constants(d).sub
+    index.setflags(write=False)
+    return index
+
+
 def _gradient(point: _Point) -> np.ndarray:
     """Riemannian gradient at an evaluated point (see ``objective_gradient``).
 
@@ -169,10 +182,9 @@ def _gradient(point: _Point) -> np.ndarray:
     """
     psi = point.psi
     *rows, d = psi.shape
-    pc = phase_constants(d)
     f = np.fft.fft((point.rho * point.b).reshape(*rows, d, d), axis=-1)
-    lead = (f.conj() * psi[..., None, :])[..., np.arange(d)[:, None], pc.sub]  # conj(F[r1, m-r1]) psi_{m-r1}
-    g = (4.0 / d) * (lead + f * psi[..., pc.add]).sum(axis=-2)
+    lead = (f.conj() * psi[..., None, :]).reshape(*rows, d * d).take(_lead_index(d), axis=-1)
+    g = (4.0 / d) * (lead + f * psi.take(phase_constants(d).add, axis=-1)).sum(axis=-2)
     return g - np.vecdot(psi, g)[..., None] * psi
 
 
@@ -222,12 +234,14 @@ def _gradient_descent(
     rows = np.arange(len(point.f))  # the original index of each working row
     g = _gradient(point)
     gnorm_sq = np.vecdot(g, g).real
-    scale = np.clip(1.0 / np.maximum(1.0, _norms(g)), _MIN_STEP, _MAX_STEP)
+    scale = np.minimum(np.maximum(1.0 / np.maximum(1.0, _norms(g)), _MIN_STEP), _MAX_STEP)
     iters, ticks = np.zeros(len(rows), dtype=int), 0  # every working row evaluates one trial per tick
     recent = np.repeat(point.f[:, None], _ARMIJO_MEMORY, axis=1)  # per row: its accepted objectives, a ring on iters
+    ring = rows * _ARMIJO_MEMORY  # the flat offset in recent of working row i's ring: i * _ARMIJO_MEMORY
     low = mark = point.f  # per row: its lowest objective, and that at its last plateau checkpoint
     go = (max_iters > 0) & (point.f > objective_floor) & (gnorm_sq > 0.0)
-    # the last tick's accepted rows, steps longer than _STEP_TOL and plateau checkpoints
+    # the last tick's accepted rows, steps longer than _STEP_TOL and plateau checkpoints; after a retirement the
+    # last two are read only through rows whose tick was rejected, so a scalar stands in for them
     ok = long_step = flat = np.zeros(len(rows), dtype=bool)
     while True:
         if np.count_nonzero(go) < len(go):  # retire the finished rows with their last accepted points
@@ -237,15 +251,16 @@ def _gradient_descent(
             for out, a in zip((*final, iterations, short, plateau), (*point, iters, ok & ~long_step, ok & flat)):
                 out[gone] = a[done]
             point = _Point(*(a[go] for a in point))
-            rows, g, gnorm_sq, scale, iters, recent, low, mark, long_step, flat = (
-                a[go] for a in (rows, g, gnorm_sq, scale, iters, recent, low, mark, long_step, flat)
+            rows, g, gnorm_sq, scale, iters, recent, low, mark = (
+                a[go] for a in (rows, g, gnorm_sq, scale, iters, recent, low, mark)
             )
             if not len(rows):
                 exits = (final.f <= objective_floor, iterations >= max_iters, short, plateau)
                 reasons = ("objective_floor", "iteration_budget", "step_below_tolerance", "objective_plateau")
                 stops = np.select(exits, reasons, "line_search_stalled")
                 return final, iterations, evaluations, stops
-        cand = point.psi + scale[:, None] * -g
+            ring, long_step, flat = ring[: len(rows)], np.False_, np.False_
+        cand = point.psi - scale[:, None] * g
         trial = _evaluate(cand / _norms(cand)[:, None])
         ticks += 1
         ok = trial.f <= recent.max(axis=1) - _ARMIJO * scale * gnorm_sq
@@ -256,62 +271,87 @@ def _gradient_descent(
         g_new = _gradient(trial)  # at every trial of the tick; a failed row keeps its gradient below
         s, y = trial.psi - point.psi, g_new - g
         sy, ss = np.vecdot(s, y).real, np.vecdot(s, s).real
-        step = np.clip(np.where(sy > 1e-300, ss / np.maximum(sy, 1e-300), scale * 2.0), _MIN_STEP, _MAX_STEP)
+        step = np.where(sy > 1e-300, ss / np.maximum(sy, 1e-300), scale * 2.0)
+        step = np.minimum(np.maximum(step, _MIN_STEP), _MAX_STEP)
         gn = np.vecdot(g_new, g_new).real
-        if accepted < len(ok):  # a row whose trial failed keeps its point and halves its step
-            c = ok[:, None]
-            trial = _Point(*(np.where(c if a.ndim > 1 else ok, t, a) for t, a in zip(trial, point)))
-            g_new, gn, step = np.where(c, g_new, g), np.where(ok, gn, gnorm_sq), np.where(ok, step, halved)
+        if accepted < len(ok):  # a row whose trial failed keeps its point and gradient and halves its step
+            failed = ~ok
+            failed_rows = failed[:, None]
+            for new, old in zip((*trial, g_new, gn, step), (*point, g, gnorm_sq, halved)):
+                np.copyto(new, old, where=failed_rows if new.ndim > 1 else failed)
         point, g, gnorm_sq, scale = trial, g_new, gn, step
         iters += ok
-        recent[ok, iters[ok] % _ARMIJO_MEMORY] = point.f[ok]
+        recent.put(ring + iters % _ARMIJO_MEMORY, point.f)  # a failed row rewrites its last accepted objective
         low = np.minimum(low, point.f)
         long_step = np.sqrt(ss) > _STEP_TOL
+        going = long_step & (iters < max_iters) & (point.f > objective_floor) & (gnorm_sq > 0.0)
         check = ok & (iters % _PLATEAU_ITERS == 0)
-        flat = check & (low > _PLATEAU_LEVEL) & (low > (1.0 - _PLATEAU_DROP) * mark)
-        mark = np.where(check, low, mark)
-        going = long_step & ~flat & (iters < max_iters) & (point.f > objective_floor) & (gnorm_sq > 0.0)
+        if np.count_nonzero(check):  # some row is at a plateau checkpoint
+            flat = check & (low > _PLATEAU_LEVEL) & (low > (1.0 - _PLATEAU_DROP) * mark)
+            mark = np.where(check, low, mark)
+            going &= ~flat
+        else:
+            flat = check
         go = np.where(ok, going, scale >= _MIN_STEP)
 
 
-def _least_squares_refine(
-    point: _Point, objective_floor: float, max_iters: int
-) -> tuple[_Point, int, int, str]:
-    """Gauss-Newton refinement of the overlap residual system; returns
-    (point, iterations, evaluations, stop reason).
+def _gauss_newton_tail(
+    point: _Point, objective_floor: float, budgets: np.ndarray
+) -> tuple[_Point, np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Newton refinement of the overlap residual system of the rows
+    psi[R, d], each with its own iteration budget; returns (points, iterations,
+    evaluations, stop reasons), all per row.
 
-    Solves the linearized residual in the least-squares sense (the minimal-norm
-    solution ignores the flat directions along fiducial orbits), takes the full
-    step psi + delta, retracts onto the sphere, and keeps the step only if the
-    objective decreases; otherwise it stops there, one evaluation later, with
-    line_search_stalled.  Near an exact zero of the redundant SIC system the
-    undamped step converges on its own (Dedieu and Shub 2000): quadratic tail
-    convergence where the plain descent turns algebraic, e.g. on the continuous
-    fiducial family at d=3.  A step fails only at the objective's roundoff
-    floor, near 1e-32, which a floor set below it reaches (accept_tol 1e-40).
+    Each step solves the linearized residual in the least-squares sense (the
+    minimal-norm solution ignores the flat directions along fiducial orbits),
+    takes the full step psi + delta, retracts onto the sphere, and keeps the
+    step only if the objective decreases; otherwise the row stops there, one
+    evaluation later, with line_search_stalled.  Near an exact zero of the
+    redundant SIC system the undamped step converges on its own (Dedieu and
+    Shub 2000): quadratic tail convergence where the plain descent turns
+    algebraic, e.g. on the continuous fiducial family at d=3.  A step fails
+    only at the objective's roundoff floor, near 1e-32, which a floor set below
+    it reaches (accept_tol 1e-40).
 
     The real Jacobian of rho in (Re psi, Im psi) is 2 [Re W | Im W].  The
     quartic defects are a row-wise DFT of rho, an isometry up to 1/sqrt(d), so
     this step is the least-squares step of the quartic system with half the rows.
+    The rows advance in lockstep, one trial per working row per tick: W and the
+    trials are computed for the whole stack, lstsq on each row's own
+    [Re W | Im W], so every row steps as it does alone.  A working row has kept
+    every step, so its step count is the tick count.
     """
-    d = point.psi.shape[0]
-    iterations = evaluations = 0
-    stop = "objective_floor"
-    while point.f > objective_floor:
-        if iterations >= max_iters:
-            stop = "iteration_budget"
-            break
+    d = point.psi.shape[-1]
+    final = _Point(*(np.empty_like(a) for a in point))
+    evaluations = np.zeros(len(point.f), dtype=int)
+    stalled = np.zeros(len(point.f), dtype=bool)
+    rows, ticks = np.arange(len(point.f)), 0  # the original index of each working row
+
+    def leave(done: np.ndarray, last: _Point) -> None:  # retire the rows done, ending at their points in last
+        nonlocal point, rows
+        gone = rows[done]
+        evaluations[gone] = ticks
+        for out, a in zip(final, last):
+            out[gone] = a[done]
+        point, rows = _Point(*(a[~done] for a in point)), rows[~done]
+
+    while True:
+        done = (point.f <= objective_floor) | (ticks >= budgets[rows])
+        if np.count_nonzero(done):
+            leave(done, point)
+        if not len(rows):
+            exits, reasons = (final.f <= objective_floor, stalled), ("objective_floor", "line_search_stalled")
+            return final, evaluations - stalled, evaluations, np.select(exits, reasons, "iteration_budget")
         w = _residual_derivative(point.psi, point.b)
-        delta, *_ = np.linalg.lstsq(np.hstack([w.real, w.imag]), -0.5 * point.rho, rcond=None)
-        cand = point.psi + (delta[:d] + 1j * delta[d:])
-        trial = _evaluate(cand / np.linalg.norm(cand))
-        evaluations += 1
-        if not trial.f < point.f:
-            stop = "line_search_stalled"
-            break
-        point = trial
-        iterations += 1
-    return point, iterations, evaluations, stop
+        jacobians, rhs = np.concatenate((w.real, w.imag), axis=-1), -0.5 * point.rho
+        delta = np.array([np.linalg.lstsq(a, r, rcond=None)[0] for a, r in zip(jacobians, rhs)])
+        cand = point.psi + (delta[:, :d] + 1j * delta[:, d:])
+        last, point = point, _evaluate(cand / _norms(cand)[:, None])
+        ticks += 1
+        kept = point.f < last.f
+        if np.count_nonzero(kept) < len(kept):
+            stalled[rows[~kept]] = True
+            leave(~kept, last)
 
 
 def _descend(
@@ -319,8 +359,9 @@ def _descend(
 ) -> list[tuple[_Point, RestartOutcome]]:
     """Two-phase minimization of the rows of psi[R, d], restarts first, first + 1, ...,
     sharing the max_iters budget across both phases: global descent of all rows
-    in lockstep first, then least-squares refinement of the tail of each row the
-    descent brought down to the refinement switch, from its last descent point.
+    in lockstep first, then least-squares refinement, again in lockstep, of the
+    tails of the rows the descent brought down to the refinement switch, each
+    from its last descent point.
 
     The Gauss-Newton step -J^+ rho converges fast only near an exact zero of the
     residual: at a local minimum with nonzero residual, J^T rho is the vanishing
@@ -329,32 +370,49 @@ def _descend(
     stop reason is the refinement's.
     """
     switch = max(objective_floor, _REFINE_SWITCH)
-    ends, descent_iters, descent_evals, stops = _gradient_descent(_evaluate(psi), max_iters, switch)
+    ends, descent, evaluations, stops = _gradient_descent(_evaluate(psi), max_iters, switch)
+    refine = np.zeros_like(descent)
+    tail = stops == "objective_floor"  # the descent reached the switch
+    if np.count_nonzero(tail):
+        budgets = np.minimum(_REFINE_MAX_ITERS, max_iters - descent[tail])
+        refined, refine[tail], refine_evals, stops[tail] = _gauss_newton_tail(
+            _Point(*(a[tail] for a in ends)), objective_floor, budgets
+        )
+        for out, a in zip(ends, refined):
+            out[tail] = a
+        evaluations[tail] += refine_evals
     results = []
-    for row, (descent, evals, stop) in enumerate(zip(descent_iters.tolist(), descent_evals.tolist(), stops.tolist())):
-        point = _Point(*(a[row] for a in ends))
-        refine = refine_evals = 0
-        if stop == "objective_floor":  # the descent reached the switch
-            budget = min(_REFINE_MAX_ITERS, max_iters - descent)
-            point, refine, refine_evals, stop = _least_squares_refine(point, objective_floor, budget)
+    for row, (descent_iters, refine_iters, evals, stop) in enumerate(
+        zip(descent.tolist(), refine.tolist(), evaluations.tolist(), stops.tolist())
+    ):
         outcome = RestartOutcome(
             restart=first + row,
-            objective_value=float(point.f),
-            iterations=descent + refine,
-            descent_iterations=descent,
-            refine_iterations=refine,
-            evaluations=1 + evals + refine_evals,
+            objective_value=float(ends.f[row]),
+            iterations=descent_iters + refine_iters,
+            descent_iterations=descent_iters,
+            refine_iterations=refine_iters,
+            evaluations=1 + evals,
             stop_reason=stop,
         )
-        results.append((point, outcome))
+        results.append((_Point(*(a[row] for a in ends)), outcome))
     return results
 
 
-def _random_start(d: int, seed: int, restart: int) -> np.ndarray:
-    """Uniform point on the unit sphere from the (seed, restart) Philox stream."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, restart], dtype=np.uint64)))
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return z / np.linalg.norm(z)
+def _random_starts(d: int, seed: int, restarts: range) -> np.ndarray:
+    """Uniform points on the unit sphere, one per restart, each from the (seed, restart) Philox stream.
+
+    One generator is re-keyed per restart: its state is set to the fresh state of the restart's key, and the
+    restart's 2d normal draws give the real then the imaginary parts.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    state = rng.bit_generator.state  # counter 0 and an empty buffer: a fresh stream, whatever its key
+    key, draws = state["state"]["key"], np.empty((len(restarts), 2 * d))
+    for row, restart in enumerate(restarts):
+        key[1] = restart
+        rng.bit_generator.state = state
+        rng.standard_normal(out=draws[row])
+    z = draws[:, :d] + 1j * draws[:, d:]
+    return z / _norms(z)[:, None]
 
 
 def search_detailed(config: SearchConfig) -> tuple[SicSet, tuple[RestartOutcome, ...]]:
@@ -378,7 +436,7 @@ def search_detailed(config: SearchConfig) -> tuple[SicSet, tuple[RestartOutcome,
     batch = max(1, _BATCH_ENTRIES // (d * d))
     outcomes, best = [], None
     for first in range(0, restarts, batch):
-        starts = np.array([_random_start(d, seed, r) for r in range(first, min(first + batch, restarts))])
+        starts = _random_starts(d, seed, range(first, min(first + batch, restarts)))
         for point, outcome in _descend(starts, max_iters, floor, first):
             outcomes.append(outcome)
             if best is None or outcome.objective_value < best[1].objective_value:

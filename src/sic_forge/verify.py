@@ -49,7 +49,7 @@ def _residual(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rho[..., d^2] and B[..., d^2], each row equal bit for bit to the row's own call.
     """
     d = psi.shape[-1]
-    b = d * np.fft.ifft(psi.conj()[..., phase_constants(d).add] * psi[..., None, :], axis=-1)
+    b = d * np.fft.ifft(psi.conj().take(phase_constants(d).add, axis=-1) * psi[..., None, :], axis=-1)
     b = b.reshape(*psi.shape[:-1], d * d)
     rho = b.real**2 + b.imag**2 - 1.0 / (d + 1)
     rho[..., 0] -= d / (d + 1)  # t = 1 at the origin

@@ -4,8 +4,8 @@ The serial descent below is the one-restart-at-a-time loop the search ran
 before restarts were batched, its nonmonotone Armijo test and halving ladder
 written separately on a deque of accepted objectives.  It is kept here as the
 oracle of the batched descent, and the serial Gauss-Newton tail beside it,
-written separately too, as the oracle of the search's tail: outcomes and
-final points must agree bit for bit.  The ungated
+written separately too, as the oracle of the search's lockstep tail: outcomes
+and final points must agree bit for bit.  The ungated
 pipeline, which refines every restart's tail wherever its descent ended, is
 kept as the oracle of the refinement gate: the gate may drop only refinements
 that certify nothing.  The descent without its plateau exit is the oracle of
@@ -35,10 +35,12 @@ from sic_forge.search import (
     _REFINE_SWITCH,
     _SHRINK,
     _STEP_TOL,
+    _Point,
     _evaluate,
+    _gauss_newton_tail,
     _gradient,
     _norms,
-    _random_start,
+    _random_starts,
     _residual_derivative,
 )
 from conftest import random_state
@@ -136,6 +138,13 @@ def serial_refine(point, objective_floor: float, max_iters: int):
     return point, iterations, evaluations, "objective_floor"
 
 
+def fresh_start(d: int, seed: int, restart: int) -> np.ndarray:
+    """The start point of one restart drawn alone: a fresh Philox stream keyed by (seed, restart), normalised."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, restart], dtype=np.uint64)))
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return z / np.linalg.norm(z)
+
+
 def serial_restart(config: SearchConfig, restart: int, gated: bool = True, plateau: bool = True):
     """One restart of search_detailed run alone: (final psi, outcome fields as a tuple).
 
@@ -145,7 +154,7 @@ def serial_restart(config: SearchConfig, restart: int, gated: bool = True, plate
     """
     floor = config.accept_tol * 1e-4
     switch = max(floor, _REFINE_SWITCH)
-    start = _evaluate(_random_start(config.dim, config.seed, restart))
+    start = _evaluate(fresh_start(config.dim, config.seed, restart))
     point, descent, evals, stop = serial_descent(start, config.max_iters, switch, plateau)
     if gated and point.f > switch:
         return point.psi, (restart, float(point.f), descent, descent, 0, 1 + evals, stop)
@@ -228,7 +237,7 @@ PLATEAU = (SearchConfig(dim=8, restarts=1, seed=5), 0, "objective_plateau")
 )
 def test_a_restart_left_above_the_switch_keeps_its_last_descent_point(config, restart, stop):
     outcome = search_detailed(config)[1][restart]
-    start = _evaluate(_random_start(config.dim, config.seed, restart))
+    start = _evaluate(fresh_start(config.dim, config.seed, restart))
     point, descent, evals, serial_stop = serial_descent(start, config.max_iters, _REFINE_SWITCH)
     assert point.f > _REFINE_SWITCH
     assert outcome.objective_value == float(point.f)
@@ -242,7 +251,7 @@ def test_the_stop_reason_names_the_exit_the_descent_took(config, restart, stop):
     # than _STEP_TOL
     assert search_detailed(config)[1][restart].stop_reason == stop
     ladders = []
-    start = _evaluate(_random_start(config.dim, config.seed, restart))
+    start = _evaluate(fresh_start(config.dim, config.seed, restart))
     assert serial_descent(start, config.max_iters, _REFINE_SWITCH, ladders=ladders)[3] == stop
     if stop == "step_below_tolerance":
         assert None not in ladders and ladders[-1] <= _STEP_TOL < min(ladders[:-1])
@@ -262,19 +271,27 @@ def test_a_descent_from_a_zero_gradient_stalls_at_once(d):
 
 
 def traced_tails(monkeypatch, config):
-    """search_detailed(config)'s outcomes, and per Gauss-Newton tail it ran: (f at the tail's start, f at each
-    point the tail evaluated, its iterations, evaluations and stop reason)."""
-    tails, refine, evaluate = [], search_module._least_squares_refine, search_module._evaluate
+    """search_detailed(config)'s outcomes, and per restart its Gauss-Newton tail refined: (f at the tail's start, f
+    at each point the tail evaluated for it, its iterations, evaluations and stop reason).
+
+    The tail runs a batch's restarts in lockstep, each working row evaluating one trial per tick, and a row leaves
+    the stack for good: a row that made k evaluations is in the first k ticks' stacks, at its rank among the rows
+    still working, which the trace checks by the stack sizes."""
+    tails, tail, evaluate = [], search_module._gauss_newton_tail, search_module._evaluate
 
     def recording(point, *args):
-        trials = []
-        monkeypatch.setattr(search_module, "_evaluate", lambda psi: trials.append(evaluate(psi)) or trials[-1])
-        result = refine(point, *args)
+        ticks = []
+        monkeypatch.setattr(search_module, "_evaluate", lambda psi: ticks.append(evaluate(psi)) or ticks[-1])
+        result = tail(point, *args)
         monkeypatch.setattr(search_module, "_evaluate", evaluate)
-        tails.append((float(point.f), [float(t.f) for t in trials], *result[1:]))
+        _, iterations, evaluations, stops = result
+        assert [len(t.f) for t in ticks] == [np.count_nonzero(evaluations > k) for k in range(len(ticks))]
+        for row, (f, *counts) in enumerate(zip(point.f.tolist(), iterations.tolist(), evaluations.tolist(), stops)):
+            rank = [np.count_nonzero(evaluations[:row] > k) for k in range(counts[1])]
+            tails.append((f, [float(t.f[i]) for t, i in zip(ticks, rank)], *counts[:2], str(counts[2])))
         return result
 
-    monkeypatch.setattr(search_module, "_least_squares_refine", recording)
+    monkeypatch.setattr(search_module, "_gauss_newton_tail", recording)
     return search_detailed(config)[1], tails
 
 
@@ -300,6 +317,64 @@ def test_every_refined_restart_of_the_grid_reaches_the_floor_in_full_steps(monke
     outcomes, tails = traced_tails(monkeypatch, SearchConfig(dim=d, restarts=6, seed=seed))
     assert all(o.stop_reason == "objective_floor" for o in outcomes if o.refine_iterations > 0)
     assert all((evaluations, stop) == (iterations, "objective_floor") for *_, iterations, evaluations, stop in tails)
+
+
+def test_one_tail_batch_retires_its_rows_on_different_ticks_for_different_reasons():
+    # d=4 seed 11 at a floor of 1e-32, between the roundoff floors the rows stall at: restart 1 spends its budget of
+    # one step at tick 1, restarts 0, 3, 4 and 7 reach the floor at tick 2, and restarts 2 and 5, the last rows
+    # left, both stall at tick 3, which leaves the stack empty.  Every row equals its serial tail bit for bit
+    restarts, floor, budgets = (0, 1, 2, 3, 4, 5, 7), 1e-32, np.array([60, 1, 60, 60, 60, 60, 60])
+    ends = [serial_descent(_evaluate(fresh_start(4, 11, r)), 4000, _REFINE_SWITCH)[0] for r in restarts]
+    points, iterations, evaluations, stops = _gauss_newton_tail(_Point(*map(np.array, zip(*ends))), floor, budgets)
+    alone = [serial_refine(point, floor, budget) for point, budget in zip(ends, budgets.tolist())]
+    assert list(zip(iterations.tolist(), evaluations.tolist(), stops.tolist())) == [a[1:] for a in alone]
+    for row, (point, *_) in enumerate(alone):
+        assert all(a[row].tobytes() == np.asarray(b).tobytes() for a, b in zip(points, point))
+    assert list(zip(evaluations.tolist(), stops.tolist())) == [
+        (2, "objective_floor"),
+        (1, "iteration_budget"),
+        (3, "line_search_stalled"),
+        (2, "objective_floor"),
+        (2, "objective_floor"),
+        (3, "line_search_stalled"),
+        (2, "objective_floor"),
+    ]
+
+
+STALLS_AND_BUDGETS = {"line_search_stalled", "iteration_budget"}
+
+
+@pytest.mark.parametrize(
+    "config, stops",
+    [  # short budgets spend themselves in the tail beside tails that reach the floor, or that stall below 1e-32
+        (SearchConfig(dim=3, restarts=8, seed=11, max_iters=50), {"objective_floor", "iteration_budget"}),
+        (SearchConfig(dim=3, restarts=8, seed=11, max_iters=50, accept_tol=1e-40), STALLS_AND_BUDGETS),
+        (SearchConfig(dim=5, restarts=8, seed=11, max_iters=20, accept_tol=1e-40), STALLS_AND_BUDGETS),
+    ],
+)
+def test_tails_that_end_for_different_reasons_equal_the_serial_oracle(monkeypatch, config, stops):
+    outcomes, tails = traced_tails(monkeypatch, config)
+    assert {stop for *_, stop in tails} == stops and len({evaluations for *_, evaluations, _ in tails}) > 1
+    assert [dataclasses.astuple(o) for o in outcomes] == [serial_restart(config, r)[1] for r in range(8)]
+
+
+@pytest.mark.parametrize("start", ["random", "near_fiducial"])
+def test_polish_runs_the_tail_on_one_row_as_the_serial_oracle(monkeypatch, start):
+    psi = fresh_start(3, 5, 0)
+    if start == "near_fiducial":
+        psi = search_detailed(SearchConfig(dim=3, restarts=1, seed=5, accept_tol=1e-12))[0].fiducial
+    rows, tail = [], search_module._gauss_newton_tail
+
+    def recording(point, *args):
+        rows.append(len(point.f))
+        return tail(point, *args)
+
+    monkeypatch.setattr(search_module, "_gauss_newton_tail", recording)
+    polished = search_module.polish(psi)
+    point, descent, _, _ = serial_descent(_evaluate(psi), 4000, _REFINE_SWITCH)
+    point, refine, _, stop = serial_refine(point, 1e-28, min(_REFINE_MAX_ITERS, 4000 - descent))
+    assert rows == [1] and refine > 0 and stop == "objective_floor"
+    assert polished.fiducial.tobytes() == point.psi.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -343,6 +418,7 @@ def test_batched_kernels_equal_row_calls_bit_for_bit(d, rows, seed):
     batch = _evaluate(psi)
     gradients = _gradient(batch)
     norms = _norms(gradients)
+    derivatives = _residual_derivative(batch.psi, batch.b)
     for r in range(rows):
         alone = _evaluate(psi[r])
         assert batch.f[r].tobytes() == alone.f.tobytes()
@@ -350,3 +426,11 @@ def test_batched_kernels_equal_row_calls_bit_for_bit(d, rows, seed):
         assert batch.b[r].tobytes() == alone.b.tobytes()
         assert gradients[r].tobytes() == _gradient(alone).tobytes()
         assert norms[r] == np.linalg.norm(gradients[r])
+        assert derivatives[r].tobytes() == _residual_derivative(alone.psi, alone.b).tobytes()
+
+
+@pytest.mark.parametrize("d, seed", [(2, 0), (7, 2**64 - 1), (24, 97)])
+def test_one_rekeyed_stream_draws_the_start_of_each_restart_alone(d, seed):
+    starts = _random_starts(d, seed, range(50))
+    assert all(starts[r].tobytes() == fresh_start(d, seed, r).tobytes() for r in range(50))
+    assert _random_starts(d, seed, range(17, 20)).tobytes() == starts[17:20].tobytes()

@@ -372,6 +372,13 @@ def test_mubs_decides_a_huge_dimension_at_once(capsys, dim, message):
     assert (code, stdout) == (2, "") and err.startswith(message) and "Traceback" not in err
 
 
+def test_mubs_refuses_a_dimension_past_the_exact_primality_bound_by_name(capsys):
+    bound = mubs._WITNESS_BOUND
+    code, stdout, err = run(capsys, ["mubs", "--dim", str(bound)])
+    assert (code, stdout) == (2, "")
+    assert err == f"error: dimension must be an integer in [2, {bound}), got {bound}\n"
+
+
 def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):
     # exit 1 is the honest negative, so a run too large for memory is refused like an input error
     message = "Unable to allocate 15.3 GiB for an array with shape (1010, 1009, 1009) and data type complex128"

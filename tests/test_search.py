@@ -162,18 +162,19 @@ def test_gradient_tables_are_cached_read_only():
 
 
 def test_only_gauss_newton_builds_the_residual_derivative(monkeypatch):
-    # the d^3 derivative is built once per Gauss-Newton step attempt and never by the descent
+    # the d^3 derivative is built once per Gauss-Newton step attempt and never by the descent; the tail builds it
+    # for its working rows together, so each call counts its rows
     module = importlib.import_module("sic_forge.search")
     calls = []
     original = module._residual_derivative
 
     def counting(psi, b):
-        calls.append(1)
+        calls.append(math.prod(psi.shape[:-1]))
         return original(psi, b)
 
     monkeypatch.setattr(module, "_residual_derivative", counting)
     for d in (3, 8, 24):
-        module._gradient_descent(module._evaluate(module._random_start(d, 7, 0)[None]), 400, 1e-10)
+        module._gradient_descent(module._evaluate(module._random_starts(d, 7, range(1))), 400, 1e-10)
     assert calls == []
     _, outcomes = search_detailed(SearchConfig(dim=8, restarts=4, seed=5))
     # restarts 1 to 3 refine to the floor, one W per step; the stopped restart 0 never reaches the switch, builds none
@@ -183,7 +184,7 @@ def test_only_gauss_newton_builds_the_residual_derivative(monkeypatch):
         (1, "objective_floor"),
         (2, "objective_floor"),
     ]
-    assert len(calls) == 5
+    assert sum(calls) == 5
 
 
 def accepted_points(monkeypatch, d: int, seed: int, budget: int = 4000) -> list:
@@ -197,7 +198,7 @@ def accepted_points(monkeypatch, d: int, seed: int, budget: int = 4000) -> list:
         return g
 
     monkeypatch.setattr(module, "_gradient", recording)
-    start = module._evaluate(module._random_start(d, seed, 0)[None])
+    start = module._evaluate(module._random_starts(d, seed, range(1)))
     module._gradient_descent(start, budget, module._REFINE_SWITCH)
     monkeypatch.setattr(module, "_gradient", gradient)
     return points
@@ -225,10 +226,10 @@ def test_descent_meets_the_nonmonotone_armijo_rule(monkeypatch, d):
 def test_a_budget_of_b_steps_ends_at_the_bth_accepted_point(monkeypatch):
     # same start, growing budget: each run is a prefix of the longer ones, so the lowest objective reached, which
     # the plateau checkpoints read, never rises with the budget, though the last one may
-    from sic_forge.search import _evaluate, _gradient_descent, _random_start
+    from sic_forge.search import _evaluate, _gradient_descent, _random_starts
 
     f = [value for _, value, _ in accepted_points(monkeypatch, 4, 42, 12)]
-    psi0 = _random_start(4, 42, 0)[None]
+    psi0 = _random_starts(4, 42, range(1))
     ends = [_gradient_descent(_evaluate(psi0.copy()), b, 0.0)[0].f[0] for b in range(1, 12)]
     assert ends == f[1:12] and min(ends) < f[0]
     assert any(b > a for a, b in zip(ends, ends[1:]))  # the last objective rises once, from b = 5 to 6

@@ -12,10 +12,10 @@ process, BLAS threads included), and one descent tick, _evaluate then _gradient 
 for R = 1 and R = 16 restarts.
 Deterministic counts per row, reported as they are: the restarts certified (RestartOutcome objective within
 accept_tol), and beside it certified_record, 1 if the record search_detailed returns is certified, else 0; the
-overlap evaluations of the Gauss-Newton tail (summed from _least_squares_refine) and of the descent (the
-RestartOutcome evaluations less those, start points included), the descent's accepted steps (descent_iterations),
-so that descent_evals - restarts - descent_iters is its rejected trials, and as stop.<reason> the restarts that
-stopped for each of the checkout's STOP_REASONS.
+overlap evaluations of the Gauss-Newton tail (summed from _gauss_newton_tail, or from _least_squares_refine in older
+checkouts) and of the descent (the RestartOutcome evaluations less those, start points included), the descent's
+accepted steps (descent_iterations), so that descent_evals - restarts - descent_iters is its rejected trials, and as
+stop.<reason> the restarts that stopped for each of the checkout's STOP_REASONS.
 tomography, on the bench tomography candidates (d = 5, 7, 11): the geometry and mubs calls of one seeded pure state,
 structure_coefficients, build_mubs and unbiasedness_residual, and at d = 31 unbiasedness_residual alone, each
 repeated to about 10 ms per repeat and reported per call.
@@ -73,16 +73,19 @@ def search_seconds(sf, d: int, restarts: int, seed: int) -> dict:
         sf.search_detailed(config)
         runs.append({"search_wall": time.perf_counter() - wall, "search_cpu": time.process_time() - cpu})
     row = {k: statistics.median(r[k] for r in runs) for k in runs[0]}
-    refine, refine_evals = search._least_squares_refine, []
+    # the tail's evaluations: per row from the lockstep _gauss_newton_tail, or per restart from the serial
+    # _least_squares_refine of older checkouts
+    name = "_gauss_newton_tail" if hasattr(search, "_gauss_newton_tail") else "_least_squares_refine"
+    refine, refine_evals = getattr(search, name), []
     def counting(*args):
         result = refine(*args)
-        refine_evals.append(result[2])
+        refine_evals.append(int(np.sum(result[2])))
         return result
-    search._least_squares_refine = counting
+    setattr(search, name, counting)
     try:
         record, outcomes = sf.search_detailed(config)
     finally:
-        search._least_squares_refine = refine
+        setattr(search, name, refine)
     row["certified"] = sum(o.objective_value <= config.accept_tol for o in outcomes)
     row["certified_record"] = int(record.certified)
     row["refine_evals"] = sum(refine_evals)
@@ -91,7 +94,10 @@ def search_seconds(sf, d: int, restarts: int, seed: int) -> dict:
     stops = collections.Counter(o.stop_reason for o in outcomes)
     row.update({f"stop.{reason}": stops[reason] for reason in search.STOP_REASONS})
     for rows in (1, 16):
-        stack = np.array([search._random_start(d, seed, r) for r in range(rows)])
+        if hasattr(search, "_random_starts"):
+            stack = search._random_starts(d, seed, range(rows))
+        else:  # older checkouts draw one start per call
+            stack = np.array([search._random_start(d, seed, r) for r in range(rows)])
         tick = lambda: search._gradient(search._evaluate(stack))
         row[f"tick_r{rows}"] = statistics.median(timeit.repeat(tick, number=TICKS, repeat=REPS)) / TICKS
     return row
