@@ -113,7 +113,7 @@ def main(argv=None) -> int:
     try:
         payload, code = args.func(args)
         print(json.dumps(payload, indent=2, allow_nan=False) if args.json else "\n".join(_text_lines(payload)))
-    except (files.FileFormatError, OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     return code
@@ -129,10 +129,7 @@ def _text_lines(payload: dict, prefix: str = ""):
 
 
 def cmd_search(args) -> tuple[dict, int]:
-    try:
-        accept_tol = args.tol**2
-    except OverflowError:
-        accept_tol = math.inf
+    accept_tol = args.tol * args.tol
     if not 0.0 < accept_tol < math.inf:
         raise ValueError(f"--tol {args.tol:g}: its square, the objective tolerance, leaves the float range")
     config = SearchConfig(

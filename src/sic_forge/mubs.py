@@ -3,7 +3,8 @@
 In prime dimension d the standard basis together with the eigenbases of X Z^a, a = 0..d-1, forms
 d+1 pairwise unbiased orthonormal bases (Ivanovic 1981; Wootters & Fields 1989).  Row m of basis
 a+1 is omega**(-m*j) * chirp[a, j] / sqrt(d), with chirp omega**(a*j*(j-1)/2) for odd d and
-tau**(a*j*j) for d = 2, so a MubSet holds only table[a, j] = conj(chirp[a, j]) / sqrt(d).  A state's
+tau**(a*j*j) for d = 2, so a MubSet, made from d alone, holds only table[a, j] = conj(chirp[a, j]) / sqrt(d).
+Row a of chirp is row 1 to the power a, so the unbiasedness residual needs only d - 1 FFTs.  A state's
 uncertainty profile collects, per basis, the sum of squared outcome probabilities; for every pure
 state those d+1 numbers add up to 2, so the evenest possible profile is the constant 2/(d+1), which
 defines minimum uncertainty here.
@@ -11,7 +12,7 @@ defines minimum uncertainty here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,10 +68,23 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class MubSet:
-    """d+1 unbiased bases as a read-only (d, d) table; vector m of basis a+1 is omega**(-m*j) * conj(table[a, j])."""
+    """The chirp bases of dimension d, built from d alone, as a read-only (d, d) table: vector m of basis a+1 is
+    omega**(-m*j) * conj(table[a, j]).  They are d+1 mutually unbiased bases when d is prime (``build_mubs``)."""
 
     d: int
-    table: np.ndarray
+    table: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        d = check_dim(self.d)
+        pc = phase_constants(d)
+        j = np.arange(d)
+        a = j[:, None]
+        # chirp[a, j] = omega**(a*j*(j-1)/2), or tau**(a*j*j) when d = 2
+        chirp = pc.tau ** (a * j * j) if d == 2 else pc.omega_powers[(a * (j * (j - 1) // 2)) % d]
+        table = chirp.conj() / np.sqrt(d)
+        table.setflags(write=False)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "table", table)
 
 
 def build_mubs(d: int) -> MubSet:
@@ -78,25 +92,19 @@ def build_mubs(d: int) -> MubSet:
     d = _check_integer(check_dim(d), "dimension", 2, _WITNESS_BOUND)
     if not is_prime(d):
         raise ValueError(f"prime dimension required, got {d}")
-    pc = phase_constants(d)
-    j = np.arange(d)
-    a = j[:, None]
-    # chirp[a, j] = omega**(a*j*(j-1)/2), or tau**(a*j*j) when d = 2
-    chirp = pc.tau ** (a * j * j) if d == 2 else pc.omega_powers[(a * (j * (j - 1) // 2)) % d]
-    table = chirp.conj() / np.sqrt(d)
-    table.setflags(write=False)
-    return MubSet(d=d, table=table)
+    return MubSet(d=d)
 
 
 def unbiasedness_residual(mubs: MubSet) -> float:
-    """Worst deviation of cross-basis |<e|f>|^2 from 1/d over all basis pairs: |table|^2 against the standard
-    basis, and for bases a+1, b+1 the circulant sum_j omega**((m-n)*j) * table[a, j] * conj(table[b, j]), an FFT."""
+    """Worst deviation of cross-basis |<e|f>|^2 from 1/d over all basis pairs, from d - 1 FFTs in one batch.
+
+    Against the standard basis it is |table|^2.  Row a of the table is chirp_a = c**a elementwise, so
+    table[a] * conj(table[b]) = table[0] * conj(table[b-a]) and bases a+1, b+1 overlap as bases 1, b-a+1 do: the
+    circulant sums sum_j omega**((m-n)*j) * table[0, j] * conj(table[c, j]) for c = 1..d-1 cover every pair.
+    """
     d, table = mubs.d, mubs.table
-    worst = np.max(np.abs(np.abs(table) ** 2 - 1.0 / d))
-    for a in range(d - 1):
-        overlaps = np.abs(np.fft.fft(table[a] * table[a + 1 :].conj(), axis=1)) ** 2
-        worst = max(worst, np.max(np.abs(overlaps - 1.0 / d)))
-    return float(worst)
+    overlaps = np.abs(np.fft.fft(table[0] * table[1:].conj(), axis=1)) ** 2
+    return float(max(np.max(np.abs(np.abs(table) ** 2 - 1.0 / d)), np.max(np.abs(overlaps - 1.0 / d))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,8 +13,8 @@ kernel, a single FFT over the d cyclic products conj(psi_{j+r1}) psi_j: the gram
 residual, the quartic defects (a row-wise inverse DFT of rho, as that of t is the
 right-hand side above) and the search objective sum rho_r^2 / d.
 
-A SIC set is its fiducial and its d^2 overlaps: ``build_sic_set`` runs the kernel
-once and keeps the grid |B_r|^2.  The projectors Pi_i = |D_i psi><D_i psi| have
+A SIC set is its fiducial and its d^2 overlaps: a ``SicSet`` runs the kernel once
+when it is made and keeps the grid |B_r|^2.  The projectors Pi_i = |D_i psi><D_i psi| have
 pair traces tr(Pi_i Pi_j) = |B_{j-i}|^2, so the order-t defect, the frame
 potential and the quasi-ONB certificate are sums and maxima over that grid, and
 neither the d^3 orbit vectors nor the d^4 projector stack is built for them.
@@ -24,7 +24,7 @@ Dense-matrix evaluation is kept to the test-suite as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -92,23 +92,36 @@ def quartic_residual(psi) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SicSet:
-    """A fiducial's displacement orbit, held as the fiducial and its overlap grid, with certification residuals.
+    """A fiducial's displacement orbit, made from the fiducial and ``tol`` alone; one kernel run derives the rest.
 
     ``overlap_grid[r]`` is |B_r|^2 = tr(Pi_0 Pi_r), read-only and flat over r = r1*d + r2; entry 0 is ||psi||^4.
     Every pair trace tr(Pi_i Pi_j) of the orbit is the entry at the displacement from i to j, so ``kt``,
     ``frame_potential`` and ``quasi_onb`` read it and no orbit vector.  Vector i is D_r psi at the displacement
     index ``r = (i // d, i % d)``.  ``certified`` is True when both residuals are within ``tol``; an uncertified
-    set is still returned with honest residuals.  ``objective_value`` is the search objective sum rho_r^2 / d, the
+    set still carries honest residuals.  ``objective_value`` is the search objective sum rho_r^2 / d, the
     excess (frame_potential / d^2 - 2d/(d+1)) / d of the orbit's frame potential over its SIC minimum.
+    ``dataclasses.replace(sic, tol=t)`` recomputes the verdict; no residual or verdict can be passed or replaced.
     """
 
     fiducial: np.ndarray
-    overlap_grid: np.ndarray
-    gram_residual: float
-    quartic_residual: float
-    objective_value: float
+    overlap_grid: np.ndarray = field(init=False)
+    gram_residual: float = field(init=False)
+    quartic_residual: float = field(init=False)
+    objective_value: float = field(init=False)
     tol: float
-    certified: bool
+    certified: bool = field(init=False)
+
+    def __post_init__(self):
+        psi, tol = as_state_vector(self.fiducial).copy(), check_tolerance(self.tol, "tol")
+        rho, b = _residual(psi)
+        g, q, grid = _gram(rho), _quartic(rho), b.real**2 + b.imag**2
+        for arr in (psi, grid):
+            arr.setflags(write=False)
+        f = float(np.vecdot(rho, rho) / psi.shape[0])
+        derived = dict(fiducial=psi, overlap_grid=grid, gram_residual=g, quartic_residual=q, objective_value=f, tol=tol,
+                       certified=g <= tol and q <= tol)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:
@@ -170,23 +183,5 @@ class SicSet:
 
 
 def build_sic_set(psi, tol: float = 1e-10) -> SicSet:
-    """Certify a candidate's orbit from one run of the overlap kernel; the orbit vectors are built only when read.
-
-    This is the one place a fiducial is certified: ``search``, ``search_detailed`` and ``polish`` return its set.
-    """
-    psi = as_state_vector(psi)
-    tol = check_tolerance(tol, "tol")
-    rho, b = _residual(psi)
-    g, q = _gram(rho), _quartic(rho)
-    fiducial, grid = psi.copy(), b.real**2 + b.imag**2
-    for arr in (fiducial, grid):
-        arr.setflags(write=False)
-    return SicSet(
-        fiducial=fiducial,
-        overlap_grid=grid,
-        gram_residual=g,
-        quartic_residual=q,
-        objective_value=float(np.vecdot(rho, rho) / psi.shape[0]),
-        tol=tol,
-        certified=bool(g <= tol and q <= tol),
-    )
+    """``SicSet(psi, tol)``, at the verification tolerance 1e-10 by default; orbit vectors are built only when read."""
+    return SicSet(fiducial=psi, tol=tol)

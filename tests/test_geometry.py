@@ -211,22 +211,14 @@ def test_cubic_residual_equals_the_dense_contraction_on_bench_fiducials(d):
 
 
 def test_structure_tensor_guard():
-    from sic_forge import STRUCTURE_TENSOR_MAX_DIM, SicSet
+    from sic_forge import STRUCTURE_TENSOR_MAX_DIM
 
     assert STRUCTURE_TENSOR_MAX_DIM == 12
-    # fabricate a certified-looking set in a refused dimension (no heavy work done)
-    d = 13
-    fake = SicSet(
-        fiducial=np.zeros(d),
-        overlap_grid=np.zeros(d * d),
-        gram_residual=0.0,
-        quartic_residual=0.0,
-        objective_value=0.0,
-        tol=1e-10,
-        certified=True,
-    )
-    with pytest.raises(ValueError):
-        structure_coefficients(fake)
+    # a certified set in a refused dimension (no heavy work done)
+    sic = build_sic_set(bench_fiducial(16))
+    assert sic.certified and sic.d > STRUCTURE_TENSOR_MAX_DIM
+    with pytest.raises(ValueError, match="dimensions above 12 are refused"):
+        structure_coefficients(sic)
 
 
 def test_purity_cubic_frozen_values(sic_d2):

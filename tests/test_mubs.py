@@ -1,8 +1,10 @@
 """MUB construction, unbiasedness, and uncertainty profiles."""
 
+import dataclasses
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from sic_forge import (
     build_mubs,
     build_sic_set,
     displace_state,
+    files,
     gram_residual,
     is_minimum_uncertainty,
     is_prime,
@@ -80,10 +83,21 @@ def pairwise_residual(bases: np.ndarray) -> float:
     return worst
 
 
-def random_table(rng, d: int) -> np.ndarray:
-    """A table of unit-norm rows that are in general not unbiased, so residuals are of order 1."""
-    table = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return table / np.linalg.norm(table, axis=1, keepdims=True)
+def per_basis_residual(m: MubSet) -> float:
+    """Oracle: the residual from one FFT batch per basis, the circulant overlaps of basis a+1 with every later basis."""
+    d, table = m.d, m.table
+    worst = np.max(np.abs(np.abs(table) ** 2 - 1.0 / d))
+    for a in range(d - 1):
+        overlaps = np.abs(np.fft.fft(table[a] * table[a + 1 :].conj(), axis=1)) ** 2
+        worst = max(worst, np.max(np.abs(overlaps - 1.0 / d)))
+    return float(worst)
+
+
+def line_sums(grid: np.ndarray, d: int) -> np.ndarray:
+    """(1/d) times the sums of a flat d^2 overlap grid over the d+1 lines through the origin: r1 = 0, then r2 = a*r1."""
+    k = np.arange(d)
+    lines = [k] + [k * d + (a * k) % d for a in range(d)]
+    return np.array([grid[line].sum() for line in lines]) / d
 
 
 def test_is_prime_small_values():
@@ -150,9 +164,35 @@ def test_profile_matches_the_dense_profile_on_schur_bases(d):
 def test_unbiasedness_residual_matches_the_pairwise_oracle(d):
     m = build_mubs(d)
     assert abs(unbiasedness_residual(m) - pairwise_residual(dense_bases(m))) <= 1e-14
-    # off the MUB table the residual is of order 1, and the circulant FFT must still agree with every pair's product
-    off = MubSet(d=d, table=random_table(np.random.default_rng(2400 + d), d))
-    assert abs(unbiasedness_residual(off) - pairwise_residual(dense_bases(off))) <= 1e-14
+
+
+@pytest.mark.parametrize("d", PROFILE_PRIMES + (101, 307))
+def test_unbiasedness_residual_matches_the_per_basis_oracle(d):
+    m = build_mubs(d)
+    assert abs(unbiasedness_residual(m) - per_basis_residual(m)) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 9, 10, 12, 15, 21, 25])
+def test_unbiasedness_residual_at_composite_d_matches_the_pairwise_oracle(d):
+    # the chirp bases of a composite d are not unbiased: the residual is of order 1, and the d - 1 FFTs still cover
+    # every pair of bases
+    m = MubSet(d)
+    residual = unbiasedness_residual(m)
+    assert residual > 0.1
+    assert abs(residual - pairwise_residual(dense_bases(m))) <= 1e-14
+
+
+def test_mub_set_takes_only_d():
+    assert [f.name for f in dataclasses.fields(MubSet) if f.init] == ["d"]
+    with pytest.raises(TypeError, match="table"):
+        MubSet(d=5, table=np.eye(5))
+    with pytest.raises(ValueError, match="table"):
+        dataclasses.replace(build_mubs(5), table=np.eye(5))
+    m = MubSet(np.int64(7))
+    assert type(m.d) is int and not m.table.flags.writeable
+    assert m.table.tobytes() == build_mubs(7).table.tobytes()
+    with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        MubSet(1)
 
 
 def test_import_does_not_load_scipy():
@@ -181,15 +221,6 @@ def test_bases_orthonormal(d):
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
 def test_unbiasedness(d):
     assert unbiasedness_residual(build_mubs(d)) <= 1e-10
-
-
-def test_unbiasedness_residual_of_repeated_basis():
-    # every row of the table equal: bases 1..d coincide, so a vector overlaps its own copy in 1
-    rng = np.random.default_rng(23)
-    for d in PRIMES:
-        row = np.exp(2j * np.pi * rng.random(d)) / np.sqrt(d)
-        repeated = MubSet(d=d, table=np.tile(row, (d, 1)))
-        assert unbiasedness_residual(repeated) == pytest.approx(1.0 - 1.0 / d, abs=1e-14)
 
 
 def test_bases_diagonalize_their_unitaries():
@@ -313,3 +344,22 @@ def test_sic_orbit_minimum_uncertainty_on_stored_fiducials(d):
     for vec in sic.vectors:
         np.testing.assert_allclose(uncertainty_profile(vec, m).per_basis, 2.0 / (d + 1), rtol=0, atol=1e-12)
         assert is_minimum_uncertainty(vec, m, tol=1e-8)
+
+
+@pytest.mark.parametrize("d", PROFILE_PRIMES)
+def test_profile_is_the_line_sums_of_the_overlap_grid(d):
+    # per_basis[0] = (1/d) sum_r2 |B_(0, r2)|^2 and per_basis[a+1] = (1/d) sum_k |B_(k, a*k)|^2: the displacements
+    # on the line r2 = a*r1 are the powers of X Z^a up to phase, whose eigenbasis is basis a+1
+    rng = np.random.default_rng(2600 + d)
+    m = build_mubs(d)
+    for psi in [random_state(rng, d) for _ in range(3)]:
+        grid = build_sic_set(psi).overlap_grid
+        assert np.abs(line_sums(grid, d) - uncertainty_profile(psi, m).per_basis).max() <= 1e-14
+
+
+@pytest.mark.parametrize("path", ["goldens/fiducial_d3.json"] + [f"bench/data/fiducial_d{d}.json" for d in (5, 7, 11)])
+def test_fiducial_line_sums_are_the_minimum_uncertainty_target(path):
+    # the paper's second result on the grid: every line sum of a fiducial's overlaps is 2/(d+1)
+    sic = build_sic_set(files.load_fiducial(Path(__file__).resolve().parents[1] / path))
+    d = sic.d
+    assert np.abs(line_sums(sic.overlap_grid, d) - 2.0 / (d + 1)).max() <= 1e-12

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sic_forge import (
+    SicSet,
     build_sic_set,
     displace_state,
     files,
@@ -176,6 +177,43 @@ def test_build_sic_set_rejects_bad_tol(bad):
     # an infinite tolerance would certify any unit vector
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         build_sic_set(np.array([1.0, 0.0, 0.0]), tol=bad)
+
+
+def test_sic_set_takes_only_its_fiducial_and_tol():
+    names = ["fiducial", "overlap_grid", "gram_residual", "quartic_residual", "objective_value", "tol", "certified"]
+    assert [f.name for f in dataclasses.fields(SicSet)] == names
+    assert [f.name for f in dataclasses.fields(SicSet) if f.init] == ["fiducial", "tol"]
+    for derived in names[1:5] + ["certified"]:
+        with pytest.raises(TypeError, match=derived):
+            SicSet(fiducial=np.array([1.0, 0.0, 0.0]), tol=1e-10, **{derived: 0.0 if derived != "certified" else True})
+
+
+def test_sic_set_derives_honest_residuals_from_any_unit_state():
+    psi = random_state(np.random.default_rng(260), 7)
+    sic = SicSet(fiducial=psi, tol=1e-10)
+    assert sic.certified is False
+    assert sic.gram_residual == gram_residual(psi) and sic.quartic_residual == quartic_residual(psi)
+    assert sic.gram_residual > 1e-3
+    # the fiducial is a read-only complex copy: writing to the input afterwards changes nothing
+    real = np.array([1.0, 0.0, 0.0])
+    basis = SicSet(fiducial=real, tol=1e-10)
+    real[:] = [0.0, 1.0, 0.0]
+    assert basis.fiducial.dtype == complex and not basis.fiducial.flags.writeable and basis.fiducial[0] == 1.0
+    assert not basis.overlap_grid.flags.writeable
+
+
+def test_sic_set_verdict_is_recomputed_and_never_replaced(fiducial_d3):
+    psi = random_state(np.random.default_rng(261), 5)
+    sic = SicSet(fiducial=psi, tol=1e-10)
+    with pytest.raises(ValueError, match="certified"):
+        dataclasses.replace(sic, certified=True)
+    loose = dataclasses.replace(sic, tol=2.0)
+    assert loose.certified and loose.tol == 2.0
+    assert (loose.gram_residual, loose.quartic_residual) == (sic.gram_residual, sic.quartic_residual)
+    exact = SicSet(fiducial=fiducial_d3, tol=1e-10)
+    assert exact.certified and not dataclasses.replace(exact, tol=1e-20).certified
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        dataclasses.replace(exact, tol=float("inf"))
 
 
 def test_sic_set_orbit_matches_displacements(fiducial_d3):

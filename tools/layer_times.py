@@ -3,21 +3,20 @@
 Each SRC runs in its own interpreter, in rounds of alternating order: each time is the median of the round medians,
 and the key <name>.quartiles beside it holds the first and third quartiles of those round medians, its noise.
 operator_space, on the bench candidates d = 8..24: a line tracer (about 1 us per line) times operator_set's inline
-steps; operator_set untraced, K_t, frame potential and quasi-ONB run whole on the projector stack, and beside them,
-where the checkout has them, the same three from the overlap grid (grid_kt, grid_frame_potential, grid_quasi_onb):
-the SicSet members kt, frame_potential and quasi_onb, which read a built set's stored grid; build_sic_set is timed
-whole.
+steps; operator_set untraced, K_t, frame potential and quasi-ONB run whole on the projector stack, and beside them
+the same three from the overlap grid (grid_kt, grid_frame_potential, grid_quasi_onb): the SicSet members kt,
+frame_potential and quasi_onb, which read a built set's stored grid; build_sic_set is timed whole.
 search, per bench search (d, restarts) at workload seed 1: wall and CPU us of search_detailed (CPU of the whole
 process, BLAS threads included), and one descent tick, _evaluate then _gradient on an (R, d) stack of start points,
 for R = 1 and R = 16 restarts.
 Deterministic counts per row, reported as they are: the restarts certified (RestartOutcome objective within
 accept_tol), and beside it certified_record, 1 if the record search_detailed returns is certified, else 0; the
-overlap evaluations of the Gauss-Newton tail (summed from _gauss_newton_tail, or from _least_squares_refine in older
-checkouts) and of the descent (the RestartOutcome evaluations less those, start points included), the descent's
-accepted steps (descent_iterations), so that descent_evals - restarts - descent_iters is its rejected trials, and as
-stop.<reason> the restarts that stopped for each of the checkout's STOP_REASONS.
+overlap evaluations of the Gauss-Newton tail (summed from _gauss_newton_tail) and of the descent (the RestartOutcome
+evaluations less those, start points included), the descent's accepted steps (descent_iterations), so that
+descent_evals - restarts - descent_iters is its rejected trials, and as stop.<reason> the restarts that stopped for
+each of the checkout's STOP_REASONS.
 tomography, on the bench tomography candidates (d = 5, 7, 11): the geometry and mubs calls of one seeded pure state,
-structure_coefficients, build_mubs and unbiasedness_residual, and at d = 31 unbiasedness_residual alone, each
+structure_coefficients, build_mubs and unbiasedness_residual, and at d = 31 and 307 unbiasedness_residual alone, each
 repeated to about 10 ms per repeat and reported per call.
 cli, on the bench cli workload's arguments at workload seed 1 (bench/data/fiducial_d{5,7}.json): in-process cli.main
 per subcommand, with --json and in text mode (without it), stdout captured.
@@ -56,10 +55,8 @@ def layer_seconds(sf, d: int) -> dict:
     opset = sf.operator_set(sic.projectors)
     calls = {"operator_set": (sf.operator_set, sic.projectors), "kt": (sf.kt_measure, opset, 2.0),
              "frame_potential": (sf.frame_potential, sic.vectors), "quasi_onb": (sf.quasi_onb_certify, opset, 1e-10),
-             "build_sic_set": (sf.build_sic_set, psi)}
-    if hasattr(sf.SicSet, "kt"):  # the grid forms, as SicSet members
-        calls.update({"grid_kt": (sf.SicSet.kt, sic, 2.0), "grid_frame_potential": (lambda s: s.frame_potential, sic),
-                      "grid_quasi_onb": (sf.SicSet.quasi_onb, sic)})
+             "build_sic_set": (sf.build_sic_set, psi), "grid_kt": (sf.SicSet.kt, sic, 2.0),
+             "grid_frame_potential": (lambda s: s.frame_potential, sic), "grid_quasi_onb": (sf.SicSet.quasi_onb, sic)}
     runs = [{**traced(sf.operator_set, sic.projectors),
              **{k: timeit.timeit(lambda: c[0](*c[1:]), number=1) for k, c in calls.items()}} for _ in range(REPS)]
     return {k: statistics.median(r[k] for r in runs) for k in runs[0]}
@@ -73,19 +70,17 @@ def search_seconds(sf, d: int, restarts: int, seed: int) -> dict:
         sf.search_detailed(config)
         runs.append({"search_wall": time.perf_counter() - wall, "search_cpu": time.process_time() - cpu})
     row = {k: statistics.median(r[k] for r in runs) for k in runs[0]}
-    # the tail's evaluations: per row from the lockstep _gauss_newton_tail, or per restart from the serial
-    # _least_squares_refine of older checkouts
-    name = "_gauss_newton_tail" if hasattr(search, "_gauss_newton_tail") else "_least_squares_refine"
-    refine, refine_evals = getattr(search, name), []
+    # the tail's evaluations, per row of the lockstep _gauss_newton_tail
+    refine, refine_evals = search._gauss_newton_tail, []
     def counting(*args):
         result = refine(*args)
         refine_evals.append(int(np.sum(result[2])))
         return result
-    setattr(search, name, counting)
+    search._gauss_newton_tail = counting
     try:
         record, outcomes = sf.search_detailed(config)
     finally:
-        setattr(search, name, refine)
+        search._gauss_newton_tail = refine
     row["certified"] = sum(o.objective_value <= config.accept_tol for o in outcomes)
     row["certified_record"] = int(record.certified)
     row["refine_evals"] = sum(refine_evals)
@@ -94,10 +89,7 @@ def search_seconds(sf, d: int, restarts: int, seed: int) -> dict:
     stops = collections.Counter(o.stop_reason for o in outcomes)
     row.update({f"stop.{reason}": stops[reason] for reason in search.STOP_REASONS})
     for rows in (1, 16):
-        if hasattr(search, "_random_starts"):
-            stack = search._random_starts(d, seed, range(rows))
-        else:  # older checkouts draw one start per call
-            stack = np.array([search._random_start(d, seed, r) for r in range(rows)])
+        stack = search._random_starts(d, seed, range(rows))
         tick = lambda: search._gradient(search._evaluate(stack))
         row[f"tick_r{rows}"] = statistics.median(timeit.repeat(tick, number=TICKS, repeat=REPS)) / TICKS
     return row
@@ -152,7 +144,8 @@ def child(src: str) -> dict:
     return {"operator_space": {d: layer_seconds(sf, d) for d in DIMS},
             "search": {f"d={d} R={r}": search_seconds(sf, d, r, derived_seed(1, d)) for d, r in Search.dims},
             "tomography": {**{d: tomography_seconds(sf, load_candidate(d, True)) for d, _ in Tomography.states_per_dim},
-                           31: {"unbiasedness_residual": per_call(sf.unbiasedness_residual, sf.build_mubs(31))}},
+                           **{d: {"unbiasedness_residual": per_call(sf.unbiasedness_residual, sf.build_mubs(d))}
+                              for d in (31, 307)}},
             "cli": cli_seconds(src)}
 
 
