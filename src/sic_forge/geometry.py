@@ -14,13 +14,15 @@ c_ijk = Re tr(Pi_i Pi_j Pi_k).  States move through the d^2 SIC vectors only:
 with Pi_i = |v_i><v_i|, p(i) = <v_i|rho|v_i> / d, the inverse is V^T diag(w) conj(V)
 for w = (d+1) p - 1/d, and the cubic sum is tr(A^3) for A = V^T diag(p) conj(V),
 in O(d^4).  The d^6 tensor c is the paper's object and the tests' oracle; no
-runtime path builds it.
+runtime path builds it.  ``StructureTensor(sic)`` builds it from a certified SIC
+set only, so a tensor is certified by construction, and the cubic residual takes
+either; every function that takes a ``SicSet`` refuses an uncertified one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -109,11 +111,23 @@ def sic_probabilities(rho, sic: SicSet) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ReconstructedDensity:
-    """Operator rebuilt from probabilities; physicality is diagnosed, not enforced."""
+    """Operator rebuilt from probabilities; physicality is diagnosed, not enforced.
+
+    Made from a matrix M alone: ``matrix`` is the read-only (M + M^dagger) / 2, which scrubs roundoff asymmetry,
+    and ``physical`` is ``min_eigenvalue >= PSD_FLOOR``.
+    """
 
     matrix: np.ndarray
-    min_eigenvalue: float
-    physical: bool
+    min_eigenvalue: float = field(init=False)
+    physical: bool = field(init=False)
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        matrix = 0.5 * (m + m.conj().T)
+        matrix.setflags(write=False)
+        min_eig = float(np.linalg.eigvalsh(matrix)[0])
+        for name, value in dict(matrix=matrix, min_eigenvalue=min_eig, physical=bool(min_eig >= PSD_FLOOR)).items():
+            object.__setattr__(self, name, value)
 
 
 def reconstruct_density(p, sic: SicSet) -> ReconstructedDensity:
@@ -127,11 +141,7 @@ def reconstruct_density(p, sic: SicSet) -> ReconstructedDensity:
     p = check_probability_vector(p, d)
     coeff = (d + 1) * p - 1.0 / d
     v = sic.vectors
-    matrix = (v.T * coeff) @ v.conj()
-    matrix = 0.5 * (matrix + matrix.conj().T)  # scrub roundoff asymmetry
-    matrix.setflags(write=False)
-    min_eig = float(np.linalg.eigvalsh(matrix)[0])
-    return ReconstructedDensity(matrix=matrix, min_eigenvalue=min_eig, physical=bool(min_eig >= PSD_FLOOR))
+    return ReconstructedDensity(matrix=(v.T * coeff) @ v.conj())
 
 
 def purity_quadratic_target(d: int) -> float:
@@ -148,33 +158,39 @@ def purity_quadratic_residual(p) -> float:
 
 @dataclass(frozen=True, eq=False)
 class StructureTensor:
-    """Triple-overlap coefficients c[i, j, k] = Re tr(Pi_i Pi_j Pi_k), with the SIC set's read-only vectors."""
+    """Triple-overlap coefficients c[i, j, k] = Re tr(Pi_i Pi_j Pi_k), with the SIC set's read-only vectors.
 
-    d: int
-    c: np.ndarray
-    vectors: np.ndarray
+    ``StructureTensor(sic)`` takes a certified SIC set and keeps only its ``d``, its ``vectors`` and the dense
+    tensor, read-only and contiguous.  The tensor has d^6 entries, so dimensions above
+    ``STRUCTURE_TENSOR_MAX_DIM`` are refused.  Each entry reduces to a product of pairwise vector overlaps,
+    c_ijk = Re(<i|j><j|k><k|i>), which avoids d^6 explicit matrix products.
+    """
+
+    sic: InitVar[SicSet]
+    d: int = field(init=False)
+    c: np.ndarray = field(init=False)
+    vectors: np.ndarray = field(init=False)
+
+    def __post_init__(self, sic: SicSet):
+        _require_certified(sic)
+        d = sic.d
+        if d > STRUCTURE_TENSOR_MAX_DIM:
+            raise ValueError(
+                f"structure tensor has d^6 = {d**6} entries at d={d}; "
+                f"dimensions above {STRUCTURE_TENSOR_MAX_DIM} are refused"
+            )
+        s = sic.vectors.conj() @ sic.vectors.T
+        t = s[:, :, None] * s[None, :, :]
+        t *= s.T[:, None, :]  # s_ij s_jk s_ki
+        c = t.real.copy()  # contiguous, and the complex products are not kept alive
+        c.setflags(write=False)
+        for name, value in dict(d=d, c=c, vectors=sic.vectors).items():
+            object.__setattr__(self, name, value)
 
 
 def structure_coefficients(sic: SicSet) -> StructureTensor:
-    """Dense tensor of triple projector overlaps.
-
-    The tensor has d^6 entries, so dimensions above
-    ``STRUCTURE_TENSOR_MAX_DIM`` are refused.
-    Each entry reduces to a product of pairwise vector overlaps,
-    c_ijk = Re(<i|j><j|k><k|i>), which avoids d^6 explicit matrix products.
-    """
-    _require_certified(sic)
-    d = sic.d
-    if d > STRUCTURE_TENSOR_MAX_DIM:
-        raise ValueError(
-            f"structure tensor has d^6 = {d**6} entries at d={d}; dimensions above {STRUCTURE_TENSOR_MAX_DIM} are refused"
-        )
-    s = sic.vectors.conj() @ sic.vectors.T
-    t = s[:, :, None] * s[None, :, :]
-    t *= s.T[:, None, :]  # s_ij s_jk s_ki
-    c = t.real.copy()  # contiguous, and the complex products are not kept alive
-    c.setflags(write=False)
-    return StructureTensor(d=d, c=c, vectors=sic.vectors)
+    """``StructureTensor(sic)``: the dense tensor of triple projector overlaps of a certified SIC set."""
+    return StructureTensor(sic)
 
 
 def purity_cubic_target(d: int) -> float:
@@ -182,13 +198,15 @@ def purity_cubic_target(d: int) -> float:
     return (d + 7.0) / (d + 1.0) ** 3
 
 
-def purity_cubic_residual(p, sic: SicSet) -> float:
+def purity_cubic_residual(p, sic: SicSet | StructureTensor) -> float:
     """|sum_{ijk} c_ijk p(i) p(j) p(k) - (d+7)/(d+1)^3|, the sum taken as tr(A^3) with A = sum_i p(i) |v_i><v_i|.
 
-    ``sic`` is the SIC set; only its ``d`` and ``vectors`` are read, so a ``StructureTensor`` serves as well.
-    A is Hermitian for real p, and the imaginary parts of tr(Pi_i Pi_j Pi_k) cancel under j <-> k, so tr(A^3)
-    equals the d^6 contraction against c for any real p, state or not.
+    ``sic`` is a certified SIC set (an uncertified one is refused) or its ``StructureTensor``; only its ``d`` and
+    ``vectors`` are read.  A is Hermitian for real p, and the imaginary parts of tr(Pi_i Pi_j Pi_k) cancel under
+    j <-> k, so tr(A^3) equals the d^6 contraction against c for any real p, state or not.
     """
+    if isinstance(sic, SicSet):
+        _require_certified(sic)
     p = check_probability_vector(p, sic.d)
     v = sic.vectors
     a = (v.T * p) @ v.conj()
@@ -200,7 +218,6 @@ def _is_pure(quadratic_residual: float, cubic_residual: float) -> bool:
     return quadratic_residual <= PURITY_TOL and cubic_residual <= PURITY_TOL
 
 
-def is_pure_probability_vector(p, sic: SicSet) -> bool:
+def is_pure_probability_vector(p, sic: SicSet | StructureTensor) -> bool:
     """True when both purity residuals are within ``PURITY_TOL``; ``sic`` as in ``purity_cubic_residual``."""
-    p = check_probability_vector(p, sic.d)
     return _is_pure(purity_quadratic_residual(p), purity_cubic_residual(p, sic))

@@ -109,10 +109,21 @@ def unbiasedness_residual(mubs: MubSet) -> float:
 
 @dataclass(frozen=True, eq=False)
 class UncertaintyProfile:
-    """Per-basis outcome distributions and their squared-probability sums."""
+    """Per-basis outcome distributions and their squared-probability sums ``per_basis[b] = sum_k p(b, k)**2``.
+
+    Made from the (d+1, d) probabilities alone: both arrays are read-only, the first a copy of the input.
+    """
 
     probabilities: np.ndarray
-    per_basis: np.ndarray
+    per_basis: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        probs = np.array(self.probabilities, dtype=float)
+        per_basis = (probs**2).sum(axis=1)
+        for table in (probs, per_basis):
+            table.setflags(write=False)
+        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "per_basis", per_basis)
 
 
 def uncertainty_profile(psi, mubs: MubSet) -> UncertaintyProfile:
@@ -124,11 +135,7 @@ def uncertainty_profile(psi, mubs: MubSet) -> UncertaintyProfile:
     amps = np.empty((d + 1, d), dtype=complex)
     amps[0] = psi
     np.dot(mubs.table * psi, phase_constants(d).dft, out=amps[1:])
-    probs = np.abs(amps) ** 2
-    per_basis = (probs**2).sum(axis=1)
-    probs.setflags(write=False)
-    per_basis.setflags(write=False)
-    return UncertaintyProfile(probabilities=probs, per_basis=per_basis)
+    return UncertaintyProfile(probabilities=np.abs(amps) ** 2)
 
 
 def minimum_uncertainty_target(d: int) -> float:

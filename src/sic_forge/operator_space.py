@@ -5,12 +5,15 @@ positive semi-definite, unit-HS-norm operators: the sum of tr(A_i A_j)**t over
 ordered pairs i != j.  For families of exactly d^2 operators the defect is
 bounded below by d^2 (d-1) / (d+1)**(t-1), and the bound is attained exactly
 by SIC sets (rank-1 projectors with constant pairwise overlap 1/(d+1)).
+
+Validation lives in ``OperatorSet(ops)``, which takes only the operators, so
+``kt_measure`` and ``quasi_onb_certify`` read only validated pair traces.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -37,15 +40,56 @@ def _pair_traces(ops: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OperatorSet:
-    """A validated family of PSD operators with unit Hilbert-Schmidt norm.
+    """A validated family of PSD operators with unit Hilbert-Schmidt norm, made from the operators alone.
 
-    ``pair_traces[i, j]`` is Re<A_i, A_j> = tr(A_i A_j) within d * HERMITIAN_TOL,
-    computed once at validation; its diagonal holds the squared norms.
+    ``OperatorSet(ops)`` checks them Hermitian, PSD within a floor and tr(A^2) = 1, at the thresholds
+    ``HERMITIAN_TOL``, ``PSD_FLOOR`` and ``UNIT_NORM_TOL``; the eigenvalue floor accepts numerically rounded
+    projectors coming out of floating-point searches.  One batched Cholesky factorization clears them all; only
+    when it fails do eigenvalues decide and name the first operator below it.  ``ops`` is a read-only complex
+    copy of the input, and ``pair_traces[i, j]`` is Re<A_i, A_j> = tr(A_i A_j) within d * HERMITIAN_TOL, computed
+    once here; its diagonal holds the squared norms.  ``d`` and ``pair_traces`` can be neither passed nor replaced.
     """
 
-    d: int
+    d: int = field(init=False)
     ops: np.ndarray
-    pair_traces: np.ndarray
+    pair_traces: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        arr = np.array(self.ops, dtype=complex, order="C")
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+            raise ValueError(f"expected an array of square matrices, got shape {arr.shape}")
+        if arr.shape[0] == 0:
+            raise ValueError("operator set is empty")
+        d = check_dim(arr.shape[1])
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=(1, 2)))
+        if bad.size:
+            raise ValueError(f"operator {bad[0]} has a non-finite entry")
+
+        adj = np.conjugate(arr.transpose(0, 2, 1), order="C")
+        adj -= arr
+        herm_dev = float(np.max(np.abs(adj)))
+        if herm_dev > HERMITIAN_TOL:
+            raise ValueError(f"operator set is not Hermitian: max deviation {herm_dev:.3e}")
+        pair_traces = _pair_traces(arr)
+        # The margin, 2 d^2 eps times (largest norm + |floor|), covers the roundoff of Cholesky and eigvalsh,
+        # so a factorization that succeeds never accepts an operator that eigvalsh would put below the floor.
+        margin = 2 * d * d * np.finfo(float).eps * (math.sqrt(np.max(np.diagonal(pair_traces))) + abs(PSD_FLOOR))
+        try:
+            np.linalg.cholesky(np.subtract(arr, (PSD_FLOOR + margin) * np.eye(d), out=adj))
+        except np.linalg.LinAlgError:
+            lows = np.linalg.eigvalsh(arr)[:, 0]
+            bad = np.flatnonzero(lows < PSD_FLOOR)
+            if bad.size:
+                i = bad[0]
+                raise ValueError(f"operator {i} has eigenvalue {lows[i]:.3e} below the PSD floor {PSD_FLOOR:.1e}")
+        norm_dev = float(np.max(np.abs(np.diagonal(pair_traces) - 1.0)))
+        if norm_dev > UNIT_NORM_TOL:
+            raise ValueError(f"operators are not unit HS-norm: max |tr(A^2) - 1| = {norm_dev:.3e}")
+
+        for table in (arr, pair_traces):
+            table.setflags(write=False)
+        for name, value in dict(d=d, ops=arr, pair_traces=pair_traces).items():
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -53,47 +97,8 @@ class OperatorSet:
 
 
 def operator_set(ops) -> OperatorSet:
-    """Validate and package operators: Hermitian, PSD within a floor, tr(A^2) = 1.
-
-    The thresholds are ``HERMITIAN_TOL``, ``PSD_FLOOR`` and ``UNIT_NORM_TOL``; the
-    eigenvalue floor accepts numerically rounded projectors coming out of
-    floating-point searches.  One batched Cholesky factorization clears them all;
-    only when it fails do eigenvalues decide and name the first operator below it.
-    """
-    arr = np.array(ops, dtype=complex, order="C")
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValueError(f"expected an array of square matrices, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise ValueError("operator set is empty")
-    d = check_dim(arr.shape[1])
-    bad = np.flatnonzero(~np.isfinite(arr).all(axis=(1, 2)))
-    if bad.size:
-        raise ValueError(f"operator {bad[0]} has a non-finite entry")
-
-    adj = np.conjugate(arr.transpose(0, 2, 1), order="C")
-    adj -= arr
-    herm_dev = float(np.max(np.abs(adj)))
-    if herm_dev > HERMITIAN_TOL:
-        raise ValueError(f"operator set is not Hermitian: max deviation {herm_dev:.3e}")
-    pair_traces = _pair_traces(arr)
-    # The margin, 2 d^2 eps times (largest norm + |floor|), covers the roundoff of Cholesky and eigvalsh,
-    # so a factorization that succeeds never accepts an operator that eigvalsh would put below the floor.
-    margin = 2 * d * d * np.finfo(float).eps * (math.sqrt(np.max(np.diagonal(pair_traces))) + abs(PSD_FLOOR))
-    try:
-        np.linalg.cholesky(np.subtract(arr, (PSD_FLOOR + margin) * np.eye(d), out=adj))
-    except np.linalg.LinAlgError:
-        lows = np.linalg.eigvalsh(arr)[:, 0]
-        bad = np.flatnonzero(lows < PSD_FLOOR)
-        if bad.size:
-            i = bad[0]
-            raise ValueError(f"operator {i} has eigenvalue {lows[i]:.3e} below the PSD floor {PSD_FLOOR:.1e}")
-    norm_dev = float(np.max(np.abs(np.diagonal(pair_traces) - 1.0)))
-    if norm_dev > UNIT_NORM_TOL:
-        raise ValueError(f"operators are not unit HS-norm: max |tr(A^2) - 1| = {norm_dev:.3e}")
-
-    for table in (arr, pair_traces):
-        table.setflags(write=False)
-    return OperatorSet(d=d, ops=arr, pair_traces=pair_traces)
+    """``OperatorSet(ops)``: validate and package operators."""
+    return OperatorSet(ops=ops)
 
 
 @dataclass(frozen=True)
@@ -101,13 +106,17 @@ class KtReport:
     """Value of the order-t orthonormality defect next to its PSD lower bound.
 
     The bound applies only to families of exactly d^2 operators; for any other
-    size ``lower_bound`` and ``gap`` are None.
+    size ``lower_bound`` is None.  ``gap`` is ``value - lower_bound``, derived
+    here, and None exactly when the bound is.
     """
 
     t: float
     value: float
     lower_bound: Optional[float]
-    gap: Optional[float]
+    gap: Optional[float] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "gap", None if self.lower_bound is None else self.value - self.lower_bound)
 
 
 def _check_order(t) -> float:
@@ -140,11 +149,8 @@ def kt_measure(opset: OperatorSet, t: float) -> KtReport:
     t = _check_order(t)
     overlaps = np.clip(opset.pair_traces, 0.0, None)
     np.fill_diagonal(overlaps, 0.0)
-    value = float(np.sum(overlaps**t))
-    if opset.size == opset.d**2:
-        bound = kt_lower_bound(opset.d, t)
-        return KtReport(t=t, value=value, lower_bound=bound, gap=value - bound)
-    return KtReport(t=t, value=value, lower_bound=None, gap=None)
+    bound = kt_lower_bound(opset.d, t) if opset.size == opset.d**2 else None
+    return KtReport(t=t, value=float(np.sum(overlaps**t)), lower_bound=bound)
 
 
 def frame_potential(vectors) -> float:
@@ -165,7 +171,10 @@ def frame_potential(vectors) -> float:
 
 @dataclass(frozen=True)
 class QuasiOnbReport:
-    """Residuals of the rank-1, equal-overlap, and completeness conditions."""
+    """Residuals of the rank-1, equal-overlap, and completeness conditions.
+
+    ``passed``, derived here, is True when the worst of the four deviations is within ``tol``.
+    """
 
     d: int
     tol: float
@@ -173,7 +182,12 @@ class QuasiOnbReport:
     trace_deviation: float
     overlap_deviation: float
     completeness_deviation: float
-    passed: bool
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        deviations = (self.projector_deviation, self.trace_deviation, self.overlap_deviation,
+                      self.completeness_deviation)
+        object.__setattr__(self, "passed", max(deviations) <= self.tol)
 
 
 def quasi_onb_certify(opset: OperatorSet, tol: float) -> QuasiOnbReport:
@@ -200,7 +214,6 @@ def quasi_onb_certify(opset: OperatorSet, tol: float) -> QuasiOnbReport:
 
     completeness_dev = float(np.max(np.abs(ops.sum(axis=0) - d * np.eye(d))))
 
-    passed = max(projector_dev, trace_dev, overlap_dev, completeness_dev) <= tol
     return QuasiOnbReport(
         d=d,
         tol=tol,
@@ -208,5 +221,4 @@ def quasi_onb_certify(opset: OperatorSet, tol: float) -> QuasiOnbReport:
         trace_deviation=trace_dev,
         overlap_deviation=overlap_dev,
         completeness_deviation=completeness_dev,
-        passed=passed,
     )

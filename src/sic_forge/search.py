@@ -34,7 +34,7 @@ points only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -89,7 +89,7 @@ class SearchConfig:
 class RestartOutcome:
     """Final objective and trace of one restart.
 
-    ``iterations`` is ``descent_iterations + refine_iterations``;
+    ``iterations`` is ``descent_iterations + refine_iterations``, derived here;
     ``evaluations`` counts the points the overlap kernel evaluated for this
     restart, the start point included.  Restarts descend together in lockstep
     batches, and each restart's trajectory and counts equal those of the
@@ -109,11 +109,14 @@ class RestartOutcome:
 
     restart: int
     objective_value: float
-    iterations: int
+    iterations: int = field(init=False)
     descent_iterations: int
     refine_iterations: int
     evaluations: int
     stop_reason: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "iterations", self.descent_iterations + self.refine_iterations)
 
 
 STOP_REASONS = (
@@ -388,7 +391,6 @@ def _descend(
         outcome = RestartOutcome(
             restart=first + row,
             objective_value=float(ends.f[row]),
-            iterations=descent_iters + refine_iters,
             descent_iterations=descent_iters,
             refine_iterations=refine_iters,
             evaluations=1 + evals,

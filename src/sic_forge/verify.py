@@ -154,9 +154,7 @@ class SicSet:
         """
         t = _check_order(t)
         d = self.d
-        value = d * d * float(np.sum(self.overlap_grid[1:] ** t))
-        bound = kt_lower_bound(d, t)
-        return KtReport(t=t, value=value, lower_bound=bound, gap=value - bound)
+        return KtReport(t=t, value=d * d * float(np.sum(self.overlap_grid[1:] ** t)), lower_bound=kt_lower_bound(d, t))
 
     @property
     def frame_potential(self) -> float:
@@ -173,13 +171,14 @@ class SicSet:
         """
         psi = self.fiducial
         n = abs(float(np.vdot(psi, psi).real) - 1.0)
-        deviations = {
-            "projector_deviation": n * float(np.max(psi.real**2 + psi.imag**2)),
-            "trace_deviation": n,
-            "overlap_deviation": self.gram_residual,
-            "completeness_deviation": self.d * n,
-        }
-        return QuasiOnbReport(d=self.d, tol=self.tol, **deviations, passed=max(deviations.values()) <= self.tol)
+        return QuasiOnbReport(
+            d=self.d,
+            tol=self.tol,
+            projector_deviation=n * float(np.max(psi.real**2 + psi.imag**2)),
+            trace_deviation=n,
+            overlap_deviation=self.gram_residual,
+            completeness_deviation=self.d * n,
+        )
 
 
 def build_sic_set(psi, tol: float = 1e-10) -> SicSet:

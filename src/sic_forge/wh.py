@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -98,7 +98,7 @@ def as_state_vector(psi) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PhaseConstants:
-    """Unit phases and Z_d index tables of one dimension, computed once and cached.
+    """Unit phases and Z_d index tables of one dimension, made from d alone.
 
     ``omega = exp(2*pi*i/d)`` generates the clock spectrum and
     ``tau = -exp(i*pi/d)`` satisfies ``tau**2 == omega``.  tau has
@@ -106,15 +106,30 @@ class PhaseConstants:
     reduced mod d; :meth:`tau_power` takes the raw integer exponent.
     The read-only (d, d) gather tables are ``add[a, m] = (a + m) % d``,
     ``sub[a, m] = (m - a) % d`` and ``dft[a, m] = omega**(a*m)``.
+    ``phase_constants(d)`` returns the cached instance.
     """
 
     d: int
-    omega: complex
-    tau: complex
-    omega_powers: np.ndarray
-    add: np.ndarray
-    sub: np.ndarray
-    dft: np.ndarray
+    omega: complex = field(init=False)
+    tau: complex = field(init=False)
+    omega_powers: np.ndarray = field(init=False)
+    add: np.ndarray = field(init=False)
+    sub: np.ndarray = field(init=False)
+    dft: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        d = check_dim(self.d)
+        idx = np.arange(d)
+        powers = np.exp(2j * np.pi * idx / d)
+        add = (idx[:, None] + idx[None, :]) % d
+        sub = (idx[None, :] - idx[:, None]) % d
+        dft = powers[np.outer(idx, idx) % d]
+        for table in (powers, add, sub, dft):
+            table.setflags(write=False)
+        derived = dict(d=d, omega=complex(powers[1]), tau=-complex(np.exp(1j * np.pi / d)), omega_powers=powers,
+                       add=add, sub=sub, dft=dft)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def tau_power(self, n):
         """tau**n = exp(i*pi*(d+1)*n/d) from the plain integer (or integer array) n."""
@@ -123,24 +138,8 @@ class PhaseConstants:
 
 @lru_cache(maxsize=None)
 def phase_constants(d: int) -> PhaseConstants:
-    """Return the cached phase constants for dimension ``d``."""
-    d = check_dim(d)
-    idx = np.arange(d)
-    powers = np.exp(2j * np.pi * idx / d)
-    add = (idx[:, None] + idx[None, :]) % d
-    sub = (idx[None, :] - idx[:, None]) % d
-    dft = powers[np.outer(idx, idx) % d]
-    for table in (powers, add, sub, dft):
-        table.setflags(write=False)
-    return PhaseConstants(
-        d=d,
-        omega=complex(powers[1]),
-        tau=-complex(np.exp(1j * np.pi / d)),
-        omega_powers=powers,
-        add=add,
-        sub=sub,
-        dft=dft,
-    )
+    """Return the cached ``PhaseConstants(d)`` for dimension ``d``."""
+    return PhaseConstants(d)
 
 
 def build_clock(d: int) -> np.ndarray:

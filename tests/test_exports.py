@@ -1,10 +1,12 @@
 """Export lists: the package namespace re-exports only public names, and every public name exists.
 
-Public records: those that hold arrays compare by identity, and every record is hashable.
+Public records: those that hold arrays compare by identity, every record is hashable, and every record takes only
+its inputs.
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -88,3 +90,28 @@ def test_records_compare_without_raising_and_hash(name):
     assert type(a).__name__ == name and a is not b
     assert (a == b) is value_equal and (a == a) is True
     assert isinstance(hash(a), int) and isinstance(hash(b), int)
+
+
+# name -> the parameters its constructor takes; every other field is derived from them in __post_init__
+TAKES = {
+    "SicSet": ["fiducial", "tol"],
+    "StructureTensor": ["sic"],
+    "OperatorSet": ["ops"],
+    "MubSet": ["d"],
+    "UncertaintyProfile": ["probabilities"],
+    "ReconstructedDensity": ["matrix"],
+    "PhaseConstants": ["d"],
+    "KtReport": ["t", "value", "lower_bound"],
+    "QuasiOnbReport": [
+        "d", "tol", "projector_deviation", "trace_deviation", "overlap_deviation", "completeness_deviation"
+    ],
+    "RestartOutcome": [
+        "restart", "objective_value", "descent_iterations", "refine_iterations", "evaluations", "stop_reason"
+    ],
+}
+
+
+@pytest.mark.parametrize("name", [*RECORDS, "RestartOutcome"])
+def test_records_take_only_their_inputs(name):
+    # a derived field that a caller could pass is one a caller could forge: pair traces that put K_t below its bound
+    assert list(inspect.signature(getattr(sic_forge, name)).parameters) == TAKES[name]

@@ -1,5 +1,7 @@
 """SIC-probability coordinates: conversion, purity conditions, structure tensor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sic_forge import (
+    ReconstructedDensity,
     SearchConfig,
+    StructureTensor,
     build_sic_set,
     check_density_matrix,
     check_probability_vector,
@@ -91,9 +95,21 @@ def test_probabilities_normalize(sic_d2, sic_d3):
 
 
 def test_probabilities_reject_uncertified_set():
-    bad = build_sic_set(np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        sic_probabilities(np.eye(3) / 3.0, bad)
+    # every function that takes a SIC set refuses an uncertified one with the same message; a random state too,
+    # whose residuals are honest but far from a fiducial's
+    states = (np.array([1.0, 0.0, 0.0]), random_state(np.random.default_rng(2700), 3))
+    uniform = np.full(9, 1.0 / 9.0)
+    for bad in (build_sic_set(psi) for psi in states):
+        assert not bad.certified
+        for call in (
+            lambda: sic_probabilities(np.eye(3) / 3.0, bad),
+            lambda: reconstruct_density(uniform, bad),
+            lambda: structure_coefficients(bad),
+            lambda: purity_cubic_residual(uniform, bad),
+            lambda: is_pure_probability_vector(uniform, bad),
+        ):
+            with pytest.raises(ValueError, match="SIC set is not certified"):
+                call()
 
 
 def test_probabilities_reject_dimension_mismatch(sic_d3):
@@ -125,6 +141,19 @@ def test_round_trip_on_random_densities(d, fiducial_d2, fiducial_d3):
         assert abs(np.trace(rec.matrix) - 1.0) <= 1e-10
         round_trip = sic_probabilities(rec.matrix, sic)
         assert np.abs(round_trip - p).max() <= 1e-10
+
+
+def test_reconstructed_density_takes_only_its_matrix():
+    with pytest.raises(TypeError):
+        ReconstructedDensity(matrix=np.eye(2) / 2.0, min_eigenvalue=0.5, physical=True)
+    m = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)  # Hermitian part [[1, 1/2], [1/2, 0]]
+    rec = ReconstructedDensity(m)
+    assert m.flags.writeable and not rec.matrix.flags.writeable
+    np.testing.assert_array_equal(rec.matrix, [[1.0, 0.5], [0.5, 0.0]])
+    assert rec.min_eigenvalue == pytest.approx(0.5 - np.sqrt(0.5), abs=1e-15) and rec.physical is False
+    with pytest.raises(ValueError, match="physical"):
+        dataclasses.replace(rec, physical=True)
+    assert dataclasses.replace(rec, matrix=np.eye(2) / 2.0).physical is True
 
 
 def test_concentrated_probabilities_flagged_unphysical(sic_d2):
@@ -182,8 +211,8 @@ def test_structure_tensor_is_contiguous_and_owns_its_data(d, sics):
     assert tensor.vectors is sic.vectors and not tensor.vectors.flags.writeable
 
 
-# The cubic tests read only d and the SIC vectors, so each runs on the SicSet (as convert passes it) and on the
-# StructureTensor that carries both (as the bench passes it).
+# The cubic residual reads only d and the SIC vectors of a certified set, so each cubic test runs on the SicSet (as
+# convert passes it) and on the StructureTensor built from that set (as the bench passes it).
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.data(), st.integers(2, 7))
 def test_cubic_residual_equals_the_dense_contraction_on_the_simplex(sics, tensors, data, d):
@@ -208,6 +237,17 @@ def test_cubic_residual_equals_the_dense_contraction_on_bench_fiducials(d):
         dense = dense_cubic_residual(p, tensor)
         for operand in (sic, tensor):
             assert purity_cubic_residual(p, operand) == pytest.approx(dense, rel=0, abs=1e-12)
+
+
+def test_structure_tensor_takes_only_its_sic_set(sic_d3):
+    # zero vectors would read a cubic purity residual of 0.156 for any p
+    with pytest.raises(TypeError):
+        StructureTensor(d=3, c=np.zeros((9, 9, 9)), vectors=np.zeros((9, 3)))
+    tensor = StructureTensor(sic_d3)
+    assert tensor.d == 3 and tensor.vectors is sic_d3.vectors
+    assert tensor.c.tobytes() == structure_coefficients(sic_d3).c.tobytes()
+    with pytest.raises(ValueError, match="vectors"):
+        dataclasses.replace(tensor, sic=sic_d3, vectors=np.zeros((9, 3)))
 
 
 def test_structure_tensor_guard():

@@ -14,6 +14,7 @@ import scipy.optimize
 import sic_forge
 from sic_forge import (
     MubSet,
+    UncertaintyProfile,
     build_mubs,
     build_sic_set,
     displace_state,
@@ -243,6 +244,19 @@ def test_profile_of_basis_state():
     profile = uncertainty_profile(np.array([1.0, 0.0]), m)
     np.testing.assert_allclose(profile.per_basis, [1.0, 0.5, 0.5], atol=1e-12)
     np.testing.assert_allclose(profile.probabilities.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_uncertainty_profile_takes_only_its_probabilities():
+    with pytest.raises(TypeError):
+        UncertaintyProfile(probabilities=np.full((3, 2), 0.5), per_basis=np.full(3, 2.0 / 3.0))
+    probs = np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
+    profile = UncertaintyProfile(probs)
+    np.testing.assert_array_equal(profile.per_basis, [1.0, 0.5, 0.5])
+    assert probs.flags.writeable and not profile.probabilities.flags.writeable and not profile.per_basis.flags.writeable
+    probs[0] = 0.5  # the profile holds its own copy
+    assert profile.probabilities[0, 0] == 1.0
+    with pytest.raises(ValueError, match="per_basis"):
+        dataclasses.replace(profile, per_basis=np.zeros(3))
 
 
 def test_profile_rows_normalize_and_stay_in_range():

@@ -1,6 +1,8 @@
 """Orthonormality defect, its lower bound, frame potential, and certification."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sic_forge import (
+    KtReport,
+    OperatorSet,
+    QuasiOnbReport,
     SearchConfig,
     build_sic_set,
     frame_potential,
@@ -262,6 +267,43 @@ def test_operator_set_validation_rejections(fiducial_d2):
         ops[1, 0, 1] = bad
         with pytest.raises(ValueError, match=r"operator 1 has a non-finite entry"):
             operator_set(ops)
+
+
+def test_operator_set_takes_only_its_operators(fiducial_d3):
+    # zero operators with an identity Gram matrix would read K_2 = 0, below the bound 4.5 that no valid family reaches
+    zeros = np.zeros((9, 3, 3))
+    with pytest.raises(TypeError):
+        OperatorSet(d=3, ops=zeros, pair_traces=np.eye(9))
+    ops = np.array(build_sic_set(fiducial_d3).projectors)
+    opset = OperatorSet(ops)
+    assert ops.flags.writeable and not opset.ops.flags.writeable
+    ops[0] = 0.0  # the set holds its own copy
+    assert np.trace(opset.ops[0]).real == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="pair_traces"):
+        dataclasses.replace(opset, pair_traces=np.eye(9))
+    with pytest.raises(ValueError) as direct:
+        operator_set(zeros)
+    with pytest.raises(ValueError, match=re.escape(str(direct.value))):
+        dataclasses.replace(opset, ops=zeros)
+
+
+@pytest.mark.parametrize("bound, gap", [(None, None), (4.5, 1.5), (6.0, 0.0)])
+def test_kt_report_derives_its_gap(bound, gap):
+    report = KtReport(t=2.0, value=6.0, lower_bound=bound)
+    assert report.gap == gap and (report.gap is None) == (bound is None)
+    with pytest.raises(TypeError):
+        KtReport(t=2.0, value=6.0, lower_bound=bound, gap=0.0)
+
+
+@pytest.mark.parametrize("worst, passed", [(1e-10, True), (1.5e-10, False)])
+def test_quasi_onb_report_derives_its_verdict(worst, passed):
+    # the worst deviation, in each of the four places, decides; one equal to tol passes
+    for place in range(4):
+        deviations = [0.0] * 4
+        deviations[place] = worst
+        assert QuasiOnbReport(3, 1e-10, *deviations).passed is passed
+    with pytest.raises(TypeError):
+        QuasiOnbReport(3, 1e-10, worst, worst, worst, worst, passed=True)
 
 
 def test_pair_traces_are_stored_read_only(fiducial_d3):

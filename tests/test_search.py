@@ -13,6 +13,7 @@ import pytest
 
 import sic_forge
 from sic_forge import (
+    RestartOutcome,
     SearchConfig,
     SicSet,
     build_sic_set,
@@ -525,3 +526,15 @@ def test_polish_far_input_returns_best_found():
     cand = polish(e0)
     assert cand.objective_value <= objective(e0)
     assert cand.quartic_residual > 0.0 and not cand.certified
+
+
+def test_restart_outcome_derives_its_iterations():
+    counts = dict(restart=0, objective_value=0.5, descent_iterations=40, refine_iterations=1, evaluations=60)
+    outcome = RestartOutcome(**counts, stop_reason="iteration_budget")
+    assert outcome.iterations == 41
+    assert list(dataclasses.asdict(outcome)) == [
+        "restart", "objective_value", "iterations", "descent_iterations", "refine_iterations", "evaluations",
+        "stop_reason",
+    ]
+    with pytest.raises(TypeError):
+        RestartOutcome(**counts, iterations=41, stop_reason="iteration_budget")

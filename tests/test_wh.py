@@ -1,9 +1,12 @@
 """Clock/shift/displacement operators against dense matrix-power oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sic_forge import (
+    PhaseConstants,
     as_state_vector,
     build_clock,
     build_shift,
@@ -96,6 +99,17 @@ def test_phase_constants_invariants():
         a, m = np.divmod(np.arange(d * d), d)
         np.testing.assert_allclose(pc.dft.reshape(-1), np.exp(2j * np.pi * a * m / d), rtol=0.0, atol=1e-13)
         assert not any(t.flags.writeable for t in (pc.omega_powers, pc.add, pc.sub, pc.dft))
+
+
+def test_phase_constants_take_only_d():
+    with pytest.raises(TypeError):
+        PhaseConstants(d=3, omega=1.0)
+    pc = PhaseConstants(np.int64(5))
+    assert type(pc.d) is int and pc.dft.tobytes() == phase_constants(5).dft.tobytes()
+    with pytest.raises(ValueError, match="omega"):
+        dataclasses.replace(pc, omega=1.0)
+    with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        PhaseConstants(1)
 
 
 def test_displacement_identity_at_origin():

@@ -3,9 +3,10 @@
 Each SRC runs in its own interpreter, in rounds of alternating order: each time is the median of the round medians,
 and the key <name>.quartiles beside it holds the first and third quartiles of those round medians, its noise.
 operator_space, on the bench candidates d = 8..24: a line tracer (about 1 us per line) times operator_set's inline
-steps; operator_set untraced, K_t, frame potential and quasi-ONB run whole on the projector stack, and beside them
-the same three from the overlap grid (grid_kt, grid_frame_potential, grid_quasi_onb): the SicSet members kt,
-frame_potential and quasi_onb, which read a built set's stored grid; build_sic_set is timed whole.
+steps, which run in OperatorSet.__post_init__ (in operator_set's own body in checkouts without it); operator_set
+untraced, K_t, frame potential and quasi-ONB run whole on the projector stack, and beside them the same three from the
+overlap grid (grid_kt, grid_frame_potential, grid_quasi_onb): the SicSet members kt, frame_potential and quasi_onb,
+which read a built set's stored grid; build_sic_set is timed whole.
 search, per bench search (d, restarts) at workload seed 1: wall and CPU us of search_detailed (CPU of the whole
 process, BLAS threads included), and one descent tick, _evaluate then _gradient on an (R, d) stack of start points,
 for R = 1 and R = 16 restarts.
@@ -29,12 +30,13 @@ import numpy as np
 ROOT, DIMS, ROUNDS, REPS, SEARCH_REPS, TICKS = Path(__file__).resolve().parents[1], (8, 12, 16, 20, 24), 5, 15, 5, 50
 # prefixes of the search row counts, not seconds
 COUNTS = ("certified", "descent_evals", "descent_iters", "refine_evals", "stop.")
-INLINE = {"copy": ("np.array(ops",), "psd": ("eigvalsh", "cholesky", "lows", "margin"),  # first match wins
+INLINE = {"copy": ("np.array(",), "psd": ("eigvalsh", "cholesky", "lows", "margin"),  # first match wins
           "hermiticity": ("herm", "adj"), "pair_traces": ("_pair_traces",)}
 
 
-def traced(fn, *args) -> dict:
-    code, spent, state = fn.__code__, dict.fromkeys([*INLINE, "other"], 0.0), [None, 0.0]
+def traced(code, fn, *args) -> dict:
+    """Seconds per INLINE step of the lines of code, on one call fn(*args)."""
+    spent, state = dict.fromkeys([*INLINE, "other"], 0.0), [None, 0.0]
     def layer(line):
         text = linecache.getline(code.co_filename, line)
         return next((name for name, keys in INLINE.items() if any(k in text for k in keys)), "other")
@@ -57,7 +59,8 @@ def layer_seconds(sf, d: int) -> dict:
              "frame_potential": (sf.frame_potential, sic.vectors), "quasi_onb": (sf.quasi_onb_certify, opset, 1e-10),
              "build_sic_set": (sf.build_sic_set, psi), "grid_kt": (sf.SicSet.kt, sic, 2.0),
              "grid_frame_potential": (lambda s: s.frame_potential, sic), "grid_quasi_onb": (sf.SicSet.quasi_onb, sic)}
-    runs = [{**traced(sf.operator_set, sic.projectors),
+    steps = getattr(sf.OperatorSet, "__post_init__", sf.operator_set).__code__
+    runs = [{**traced(steps, sf.operator_set, sic.projectors),
              **{k: timeit.timeit(lambda: c[0](*c[1:]), number=1) for k, c in calls.items()}} for _ in range(REPS)]
     return {k: statistics.median(r[k] for r in runs) for k in runs[0]}
 
