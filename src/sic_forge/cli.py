@@ -232,34 +232,19 @@ def cmd_convert(args) -> tuple[dict, int]:
 
     if args.rho is not None:
         p = geometry.sic_probabilities(files.load_density(args.rho), sic)
-        purity = _purity_block(p, sic)
-        out_path = os.path.join(args.out, "probabilities.json")
-        artifact = files.probabilities_payload(p, sic.d, extra={"purity": purity})
-        payload = {"command": "convert", "dim": sic.d, "direction": "rho->p", "purity": purity, "artifact_paths": [out_path]}
+        name, direction, diagnostics = "probabilities.json", "rho->p", {}
     else:
         p = files.load_probabilities(args.probs)
         rec = geometry.reconstruct_density(p, sic)
-        purity = _purity_block(p, sic)
-        out_path = os.path.join(args.out, "density.json")
-        artifact = files.density_payload(
-            rec.matrix,
-            extra={
-                "reconstruction": {
-                    "min_eigenvalue": rec.min_eigenvalue,
-                    "physical": rec.physical,
-                    "purity": purity,
-                }
-            },
-        )
-        payload = {
-            "command": "convert",
-            "dim": sic.d,
-            "direction": "p->rho",
-            "min_eigenvalue": rec.min_eigenvalue,
-            "physical": rec.physical,
-            "purity": purity,
-            "artifact_paths": [out_path],
-        }
+        name, direction = "density.json", "p->rho"
+        diagnostics = {"min_eigenvalue": rec.min_eigenvalue, "physical": rec.physical}
+    report = {**diagnostics, "purity": _purity_block(p, sic)}  # the artifact's block, in the report as well
+    if args.rho is not None:
+        artifact = files.probabilities_payload(p, sic.d, extra=report)
+    else:
+        artifact = files.density_payload(rec.matrix, extra={"reconstruction": report})
+    out_path = os.path.join(args.out, name)
+    payload = {"command": "convert", "dim": sic.d, "direction": direction, **report, "artifact_paths": [out_path]}
     os.makedirs(args.out, exist_ok=True)
     files.write_json_atomic(out_path, artifact)
     return payload, EXIT_OK

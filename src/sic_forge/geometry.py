@@ -113,8 +113,8 @@ def sic_probabilities(rho, sic: SicSet) -> np.ndarray:
 class ReconstructedDensity:
     """Operator rebuilt from probabilities; physicality is diagnosed, not enforced.
 
-    Made from a matrix M alone: ``matrix`` is the read-only (M + M^dagger) / 2, which scrubs roundoff asymmetry,
-    and ``physical`` is ``min_eigenvalue >= PSD_FLOOR``.
+    Made from a finite square matrix M of side d >= 2 alone: ``matrix`` is the read-only (M + M^dagger) / 2, which
+    scrubs roundoff asymmetry, and ``physical`` is ``min_eigenvalue >= PSD_FLOOR``.
     """
 
     matrix: np.ndarray
@@ -123,6 +123,10 @@ class ReconstructedDensity:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
+            raise ValueError(f"matrix must be square with side d >= 2, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has a non-finite entry")
         matrix = 0.5 * (m + m.conj().T)
         matrix.setflags(write=False)
         min_eig = float(np.linalg.eigvalsh(matrix)[0])

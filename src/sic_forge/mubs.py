@@ -12,11 +12,12 @@ defines minimum uncertainty here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wh import _check_integer, as_state_vector, check_dim, check_tolerance, phase_constants
+from .wh import PROBABILITY_FLOOR, _check_integer, as_state_vector, check_dim, check_tolerance, phase_constants
 
 __all__ = [
     "MubSet",
@@ -111,7 +112,8 @@ def unbiasedness_residual(mubs: MubSet) -> float:
 class UncertaintyProfile:
     """Per-basis outcome distributions and their squared-probability sums ``per_basis[b] = sum_k p(b, k)**2``.
 
-    Made from the (d+1, d) probabilities alone: both arrays are read-only, the first a copy of the input.
+    Made from the (d+1, d) probabilities alone, d >= 2, each finite and at least ``PROBABILITY_FLOOR``: both arrays
+    are read-only, the first a copy of the input.
     """
 
     probabilities: np.ndarray
@@ -119,6 +121,13 @@ class UncertaintyProfile:
 
     def __post_init__(self):
         probs = np.array(self.probabilities, dtype=float)
+        if probs.ndim != 2 or probs.shape[0] != probs.shape[1] + 1 or probs.shape[1] < 2:
+            raise ValueError(f"probabilities must have shape (d+1, d) with d >= 2, got {probs.shape}")
+        low, high = float(probs.min()), float(probs.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise ValueError("probabilities has a non-finite entry")
+        if low < PROBABILITY_FLOOR:
+            raise ValueError(f"probabilities has entry {low:.3e} below the floor {PROBABILITY_FLOOR:.1e}")
         per_basis = (probs**2).sum(axis=1)
         for table in (probs, per_basis):
             table.setflags(write=False)

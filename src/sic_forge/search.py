@@ -16,16 +16,17 @@ largest of the restart's last 10 accepted objectives, so the objective may rise
 between accepted steps but never above the start's.
 The restarts of one run descend together in lockstep batches along a leading
 row axis, one trial point per restart per step of the batch; each restart keeps
-its own line search and exits, so its trajectory equals the restart run alone.
+its own line search and exits, so its trajectory equals the restart run alone,
+and leaves the batch at its exit with its stop reason picked then.
 A restart also leaves the descent on a plateau: at every 10th accepted step,
 if its lowest objective so far is above 1e-4 and fell by no more than a
 fraction 1e-6 since the last such checkpoint.  Certified restarts fall far
 faster while that high, so the exit cuts only the descent of restarts sitting
 on a local minimum.
 The Gauss-Newton tail then runs on the restarts whose descent reached the
-refinement switch, again in lockstep: W is built for the whole stack and one
-kernel run evaluates every trial, while each restart solves its own
-least-squares step and keeps its own exits.  Near an exact zero of the
+refinement switch, again in lockstep over an index set of working rows: W is
+built for those rows and one kernel run evaluates their trials, while each
+restart solves its own least-squares step and leaves the set at its own exit.  Near an exact zero of the
 residual it converges fast, and at a local minimum with nonzero residual its
 step vanishes with the gradient.  Input is validated at the public entry
 points only.
@@ -225,15 +226,14 @@ def _gradient_descent(
     end at their last accepted points.  Every _PLATEAU_ITERS-th accepted step of
     a row is a checkpoint: the row stops there if its lowest objective so far is
     above _PLATEAU_LEVEL and fell by no more than the fraction _PLATEAU_DROP
-    since its previous checkpoint (its start first).  A row's stop reason is the
-    first of its exits that holds when it leaves: the floor, the budget, an
-    accepted step no longer than _STEP_TOL, a plateau, else a stalled line search
-    or a zero gradient.
+    since its previous checkpoint (its start first).  A row's stop reason is
+    picked as it leaves, from its own flags: the first of the floor, the budget,
+    an accepted step no longer than _STEP_TOL and a plateau that holds, else a
+    stalled line search or a zero gradient.
     """
     final = _Point(*(np.empty_like(a) for a in point))
     iterations, evaluations = np.zeros((2, len(point.f)), dtype=int)
-    short = np.zeros(len(point.f), dtype=bool)  # per row: its last tick accepted a step no longer than _STEP_TOL
-    plateau = np.zeros(len(point.f), dtype=bool)  # per row: its last tick was a checkpoint on a plateau
+    stops = np.empty(len(point.f), dtype=np.array(STOP_REASONS).dtype)  # wide enough for every reason
     rows = np.arange(len(point.f))  # the original index of each working row
     g = _gradient(point)
     gnorm_sq = np.vecdot(g, g).real
@@ -243,26 +243,26 @@ def _gradient_descent(
     ring = rows * _ARMIJO_MEMORY  # the flat offset in recent of working row i's ring: i * _ARMIJO_MEMORY
     low = mark = point.f  # per row: its lowest objective, and that at its last plateau checkpoint
     go = (max_iters > 0) & (point.f > objective_floor) & (gnorm_sq > 0.0)
-    # the last tick's accepted rows, steps longer than _STEP_TOL and plateau checkpoints; after a retirement the
-    # last two are read only through rows whose tick was rejected, so a scalar stands in for them
-    ok = long_step = flat = np.zeros(len(rows), dtype=bool)
+    ok = long_step = flat = np.zeros(len(rows), dtype=bool)  # the last tick's accepted rows, long steps, plateaus
     while True:
-        if np.count_nonzero(go) < len(go):  # retire the finished rows with their last accepted points
+        if np.count_nonzero(go) < len(go):  # retire the finished rows with their last accepted points and reasons
             done = ~go
             gone = rows[done]
             evaluations[gone] = ticks
-            for out, a in zip((*final, iterations, short, plateau), (*point, iters, ok & ~long_step, ok & flat)):
+            stops[gone] = "line_search_stalled"
+            exits = {"objective_plateau": ok & flat, "step_below_tolerance": ok & ~long_step,
+                     "iteration_budget": iters >= max_iters, "objective_floor": point.f <= objective_floor}
+            for reason, flag in exits.items():  # in rising precedence: a later exit overwrites an earlier one
+                stops[gone[flag[done]]] = reason
+            for out, a in zip((*final, iterations), (*point, iters)):
                 out[gone] = a[done]
             point = _Point(*(a[go] for a in point))
-            rows, g, gnorm_sq, scale, iters, recent, low, mark = (
-                a[go] for a in (rows, g, gnorm_sq, scale, iters, recent, low, mark)
+            rows, g, gnorm_sq, scale, iters, recent, low, mark, long_step, flat = (
+                a[go] for a in (rows, g, gnorm_sq, scale, iters, recent, low, mark, long_step, flat)
             )
             if not len(rows):
-                exits = (final.f <= objective_floor, iterations >= max_iters, short, plateau)
-                reasons = ("objective_floor", "iteration_budget", "step_below_tolerance", "objective_plateau")
-                stops = np.select(exits, reasons, "line_search_stalled")
                 return final, iterations, evaluations, stops
-            ring, long_step, flat = ring[: len(rows)], np.False_, np.False_
+            ring = ring[: len(rows)]
         cand = point.psi - scale[:, None] * g
         trial = _evaluate(cand / _norms(cand)[:, None])
         ticks += 1
@@ -319,42 +319,32 @@ def _gauss_newton_tail(
     The real Jacobian of rho in (Re psi, Im psi) is 2 [Re W | Im W].  The
     quartic defects are a row-wise DFT of rho, an isometry up to 1/sqrt(d), so
     this step is the least-squares step of the quartic system with half the rows.
-    The rows advance in lockstep, one trial per working row per tick: W and the
-    trials are computed for the whole stack, lstsq on each row's own
-    [Re W | Im W], so every row steps as it does alone.  A working row has kept
-    every step, so its step count is the tick count.
+    The rows advance in lockstep over an index set of working rows, in row
+    order: the rows above the floor with budget left enter it, and each tick
+    builds W and evaluates one trial for the working rows only, runs lstsq on
+    each row's own [Re W | Im W], so every row steps as it does alone, and
+    writes the kept trials back into a copy of the input stack.  A row leaves
+    the set for good once it stalls, reaches the floor or spends its budget.
     """
     d = point.psi.shape[-1]
-    final = _Point(*(np.empty_like(a) for a in point))
-    evaluations = np.zeros(len(point.f), dtype=int)
+    point = _Point(*(a.copy() for a in point))
+    iterations = np.zeros(len(point.f), dtype=int)
     stalled = np.zeros(len(point.f), dtype=bool)
-    rows, ticks = np.arange(len(point.f)), 0  # the original index of each working row
-
-    def leave(done: np.ndarray, last: _Point) -> None:  # retire the rows done, ending at their points in last
-        nonlocal point, rows
-        gone = rows[done]
-        evaluations[gone] = ticks
-        for out, a in zip(final, last):
-            out[gone] = a[done]
-        point, rows = _Point(*(a[~done] for a in point)), rows[~done]
-
-    while True:
-        done = (point.f <= objective_floor) | (ticks >= budgets[rows])
-        if np.count_nonzero(done):
-            leave(done, point)
-        if not len(rows):
-            exits, reasons = (final.f <= objective_floor, stalled), ("objective_floor", "line_search_stalled")
-            return final, evaluations - stalled, evaluations, np.select(exits, reasons, "iteration_budget")
-        w = _residual_derivative(point.psi, point.b)
-        jacobians, rhs = np.concatenate((w.real, w.imag), axis=-1), -0.5 * point.rho
+    work = np.flatnonzero((point.f > objective_floor) & (budgets > 0))  # the working rows, ascending
+    while len(work):
+        w = _residual_derivative(point.psi[work], point.b[work])
+        jacobians, rhs = np.concatenate((w.real, w.imag), axis=-1), -0.5 * point.rho[work]
         delta = np.array([np.linalg.lstsq(a, r, rcond=None)[0] for a, r in zip(jacobians, rhs)])
-        cand = point.psi + (delta[:, :d] + 1j * delta[:, d:])
-        last, point = point, _evaluate(cand / _norms(cand)[:, None])
-        ticks += 1
-        kept = point.f < last.f
-        if np.count_nonzero(kept) < len(kept):
-            stalled[rows[~kept]] = True
-            leave(~kept, last)
+        cand = point.psi[work] + (delta[:, :d] + 1j * delta[:, d:])
+        trial = _evaluate(cand / _norms(cand)[:, None])
+        kept = trial.f < point.f[work]
+        for out, a in zip(point, trial):
+            out[work[kept]] = a[kept]
+        iterations[work] += kept
+        stalled[work] = ~kept
+        work = work[kept & (trial.f > objective_floor) & (iterations[work] < budgets[work])]
+    exits, reasons = (point.f <= objective_floor, stalled), ("objective_floor", "line_search_stalled")
+    return point, iterations, iterations + stalled, np.select(exits, reasons, "iteration_budget")
 
 
 def _descend(

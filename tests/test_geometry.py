@@ -156,6 +156,28 @@ def test_reconstructed_density_takes_only_its_matrix():
     assert dataclasses.replace(rec, matrix=np.eye(2) / 2.0).physical is True
 
 
+def _nan_at_origin(d):
+    m = np.eye(d, dtype=complex) / d
+    m[0, 0] = np.nan
+    return m
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        pytest.param(np.ones(3), "square", id="one_dimensional"),
+        pytest.param(np.ones((2, 3)), "square", id="not_square"),
+        pytest.param(np.ones((1, 1)), "d >= 2", id="one_by_one"),
+        pytest.param(_nan_at_origin(3), "non-finite", id="nan_on_the_diagonal"),
+        pytest.param(np.full((2, 2), np.inf), "non-finite", id="inf"),
+    ],
+)
+def test_reconstructed_density_refuses_malformed_matrix(matrix, message):
+    # unchecked, the NaN case reads min_eigenvalue 0.0 and physical (eigvalsh ignores a NaN at [0, 0]), and 1 x 1 physical
+    with pytest.raises(ValueError, match=f"matrix.*{message}"):
+        ReconstructedDensity(matrix)
+
+
 def test_concentrated_probabilities_flagged_unphysical(sic_d2):
     p = np.zeros(4)
     p[0] = 1.0

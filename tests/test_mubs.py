@@ -259,6 +259,33 @@ def test_uncertainty_profile_takes_only_its_probabilities():
         dataclasses.replace(profile, per_basis=np.zeros(3))
 
 
+def _with(entry, value):
+    probs = np.full((3, 2), 0.5)
+    probs[entry] = value
+    return probs
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        pytest.param(np.ones(3), "shape", id="one_dimensional"),
+        pytest.param(np.full((3, 3), 1.0 / 3.0), "shape", id="square"),
+        pytest.param(np.ones((2, 1)), "shape", id="d_below_2"),
+        pytest.param(_with((1, 0), np.nan), "non-finite", id="nan"),
+        pytest.param(_with((2, 1), np.inf), "non-finite", id="inf"),
+        pytest.param(_with((0, 0), -np.inf), "non-finite", id="minus_inf"),
+        pytest.param(-np.ones((3, 2)), "below the floor", id="negative"),
+    ],
+)
+def test_uncertainty_profile_refuses_malformed_probabilities(probs, message):
+    with pytest.raises(ValueError, match=f"probabilities.*{message}"):
+        UncertaintyProfile(probs)
+
+
+def test_uncertainty_profile_takes_probabilities_at_the_floor():
+    assert UncertaintyProfile(_with((0, 0), -1e-12)).per_basis[0] == pytest.approx(0.25)
+
+
 def test_profile_rows_normalize_and_stay_in_range():
     rng = np.random.default_rng(21)
     for d in (2, 3, 5, 7):

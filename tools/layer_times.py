@@ -3,10 +3,10 @@
 Each SRC runs in its own interpreter, in rounds of alternating order: each time is the median of the round medians,
 and the key <name>.quartiles beside it holds the first and third quartiles of those round medians, its noise.
 operator_space, on the bench candidates d = 8..24: a line tracer (about 1 us per line) times operator_set's inline
-steps, which run in OperatorSet.__post_init__ (in operator_set's own body in checkouts without it); operator_set
-untraced, K_t, frame potential and quasi-ONB run whole on the projector stack, and beside them the same three from the
-overlap grid (grid_kt, grid_frame_potential, grid_quasi_onb): the SicSet members kt, frame_potential and quasi_onb,
-which read a built set's stored grid; build_sic_set is timed whole.
+steps, which run in OperatorSet.__post_init__; operator_set untraced, K_t, frame potential and quasi-ONB run whole on
+the projector stack, and beside them the same three from the overlap grid (grid_kt, grid_frame_potential,
+grid_quasi_onb): the SicSet members kt, frame_potential and quasi_onb, which read a built set's stored grid;
+build_sic_set is timed whole.
 search, per bench search (d, restarts) at workload seed 1: wall and CPU us of search_detailed (CPU of the whole
 process, BLAS threads included), and one descent tick, _evaluate then _gradient on an (R, d) stack of start points,
 for R = 1 and R = 16 restarts.
@@ -59,8 +59,7 @@ def layer_seconds(sf, d: int) -> dict:
              "frame_potential": (sf.frame_potential, sic.vectors), "quasi_onb": (sf.quasi_onb_certify, opset, 1e-10),
              "build_sic_set": (sf.build_sic_set, psi), "grid_kt": (sf.SicSet.kt, sic, 2.0),
              "grid_frame_potential": (lambda s: s.frame_potential, sic), "grid_quasi_onb": (sf.SicSet.quasi_onb, sic)}
-    steps = getattr(sf.OperatorSet, "__post_init__", sf.operator_set).__code__
-    runs = [{**traced(steps, sf.operator_set, sic.projectors),
+    runs = [{**traced(sf.OperatorSet.__post_init__.__code__, sf.operator_set, sic.projectors),
              **{k: timeit.timeit(lambda: c[0](*c[1:]), number=1) for k, c in calls.items()}} for _ in range(REPS)]
     return {k: statistics.median(r[k] for r in runs) for k in runs[0]}
 
