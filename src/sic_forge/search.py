@@ -23,13 +23,15 @@ if its lowest objective so far is above 1e-4 and fell by no more than a
 fraction 1e-6 since the last such checkpoint.  Certified restarts fall far
 faster while that high, so the exit cuts only the descent of restarts sitting
 on a local minimum.
-The Gauss-Newton tail then runs on the restarts whose descent reached the
-refinement switch, again in lockstep over an index set of working rows: W is
-built for those rows and one kernel run evaluates their trials, while each
-restart solves its own least-squares step and leaves the set at its own exit.  Near an exact zero of the
-residual it converges fast, and at a local minimum with nonzero residual its
-step vanishes with the gradient.  Input is validated at the public entry
-points only.
+The Gauss-Newton tail then refines the descent's end stack in place, again in
+lockstep over an index set of working rows; a restart left above the
+refinement switch passes through with budget 0.  W is built for the working
+rows and one kernel run evaluates their trials, while each restart solves its
+own least-squares step and leaves the set at its own exit.  Near an exact zero
+of the residual it converges fast, and at a local minimum with nonzero
+residual its step vanishes with the gradient.  Each batch comes back as one
+stack with its per-row counts; the search builds its outcomes from them and
+picks the winner once.  Input is validated at the public entry points only.
 """
 
 from __future__ import annotations
@@ -300,9 +302,9 @@ def _gradient_descent(
 
 def _gauss_newton_tail(
     point: _Point, objective_floor: float, budgets: np.ndarray
-) -> tuple[_Point, np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Newton refinement of the overlap residual system of the rows
-    psi[R, d], each with its own iteration budget; returns (points, iterations,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Newton refinement, in place, of the overlap residual system of the
+    rows psi[R, d], each with its own iteration budget; returns (iterations,
     evaluations, stop reasons), all per row.
 
     Each step solves the linearized residual in the least-squares sense (the
@@ -323,11 +325,12 @@ def _gauss_newton_tail(
     order: the rows above the floor with budget left enter it, and each tick
     builds W and evaluates one trial for the working rows only, runs lstsq on
     each row's own [Re W | Im W], so every row steps as it does alone, and
-    writes the kept trials back into a copy of the input stack.  A row leaves
-    the set for good once it stalls, reaches the floor or spends its budget.
+    writes the kept trials into the stack.  A row leaves the set for good once
+    it stalls, reaches the floor or spends its budget; a row that never enters
+    it comes back untouched, with 0 steps, and reports the floor if it is at
+    the floor, else the budget.
     """
     d = point.psi.shape[-1]
-    point = _Point(*(a.copy() for a in point))
     iterations = np.zeros(len(point.f), dtype=int)
     stalled = np.zeros(len(point.f), dtype=bool)
     work = np.flatnonzero((point.f > objective_floor) & (budgets > 0))  # the working rows, ascending
@@ -343,51 +346,35 @@ def _gauss_newton_tail(
         iterations[work] += kept
         stalled[work] = ~kept
         work = work[kept & (trial.f > objective_floor) & (iterations[work] < budgets[work])]
-    exits, reasons = (point.f <= objective_floor, stalled), ("objective_floor", "line_search_stalled")
-    return point, iterations, iterations + stalled, np.select(exits, reasons, "iteration_budget")
+    stops = np.full(len(point.f), "iteration_budget", dtype=np.array(STOP_REASONS).dtype)
+    stops[stalled] = "line_search_stalled"
+    stops[point.f <= objective_floor] = "objective_floor"  # a stalled row is above the floor
+    return iterations, iterations + stalled, stops
 
 
 def _descend(
-    psi: np.ndarray, max_iters: int, objective_floor: float, first: int = 0
-) -> list[tuple[_Point, RestartOutcome]]:
-    """Two-phase minimization of the rows of psi[R, d], restarts first, first + 1, ...,
-    sharing the max_iters budget across both phases: global descent of all rows
-    in lockstep first, then least-squares refinement, again in lockstep, of the
-    tails of the rows the descent brought down to the refinement switch, each
-    from its last descent point.
+    psi: np.ndarray, max_iters: int, objective_floor: float
+) -> tuple[_Point, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Two-phase minimization of the rows of psi[R, d], sharing the max_iters
+    budget across both phases: global descent of all rows in lockstep first,
+    then least-squares refinement, again in lockstep, of the descent's end
+    stack, in place; returns (points, descent iterations, refine iterations,
+    evaluations with the start point's, stop reasons), all per row.
 
     The Gauss-Newton step -J^+ rho converges fast only near an exact zero of the
     residual: at a local minimum with nonzero residual, J^T rho is the vanishing
-    gradient, so the step vanishes too.  A row the descent left above the switch
-    keeps its last descent point and the descent's stop reason.  A refined row's
-    stop reason is the refinement's.
+    gradient, so the step vanishes too.  So only a row the descent brought down
+    to the refinement switch gets a refinement budget, what is left of max_iters
+    up to _REFINE_MAX_ITERS, and reports the refinement's stop reason.  A row
+    the descent left above the switch passes through with budget 0: it keeps
+    its last descent point and the descent's stop reason.
     """
     switch = max(objective_floor, _REFINE_SWITCH)
     ends, descent, evaluations, stops = _gradient_descent(_evaluate(psi), max_iters, switch)
-    refine = np.zeros_like(descent)
     tail = stops == "objective_floor"  # the descent reached the switch
-    if np.count_nonzero(tail):
-        budgets = np.minimum(_REFINE_MAX_ITERS, max_iters - descent[tail])
-        refined, refine[tail], refine_evals, stops[tail] = _gauss_newton_tail(
-            _Point(*(a[tail] for a in ends)), objective_floor, budgets
-        )
-        for out, a in zip(ends, refined):
-            out[tail] = a
-        evaluations[tail] += refine_evals
-    results = []
-    for row, (descent_iters, refine_iters, evals, stop) in enumerate(
-        zip(descent.tolist(), refine.tolist(), evaluations.tolist(), stops.tolist())
-    ):
-        outcome = RestartOutcome(
-            restart=first + row,
-            objective_value=float(ends.f[row]),
-            descent_iterations=descent_iters,
-            refine_iterations=refine_iters,
-            evaluations=1 + evals,
-            stop_reason=stop,
-        )
-        results.append((_Point(*(a[row] for a in ends)), outcome))
-    return results
+    budgets = np.where(tail, np.minimum(_REFINE_MAX_ITERS, max_iters - descent), 0)
+    refine, refine_evals, refine_stops = _gauss_newton_tail(ends, objective_floor, budgets)
+    return ends, descent, refine, 1 + evaluations + refine_evals, np.where(tail, refine_stops, stops)
 
 
 def _random_starts(d: int, seed: int, restarts: range) -> np.ndarray:
@@ -426,14 +413,13 @@ def search_detailed(config: SearchConfig) -> tuple[SicSet, tuple[RestartOutcome,
 
     floor = config.accept_tol * 1e-4  # converge comfortably past acceptance
     batch = max(1, _BATCH_ENTRIES // (d * d))
-    outcomes, best = [], None
+    outcomes, fiducials = [], []
     for first in range(0, restarts, batch):
-        starts = _random_starts(d, seed, range(first, min(first + batch, restarts)))
-        for point, outcome in _descend(starts, max_iters, floor, first):
-            outcomes.append(outcome)
-            if best is None or outcome.objective_value < best[1].objective_value:
-                best = point, outcome
-    return build_sic_set(best[0].psi, tol=math.sqrt(config.accept_tol)), tuple(outcomes)
+        ends, *counts = _descend(_random_starts(d, seed, range(first, min(first + batch, restarts))), max_iters, floor)
+        outcomes += map(RestartOutcome, range(first, restarts), ends.f.tolist(), *(a.tolist() for a in counts))
+        fiducials.append(ends.psi)
+    best = min(outcomes, key=lambda outcome: outcome.objective_value)  # the first minimum: the lowest restart
+    return build_sic_set(np.concatenate(fiducials)[best.restart], tol=math.sqrt(config.accept_tol)), tuple(outcomes)
 
 
 def search(config: SearchConfig) -> SicSet:
@@ -456,5 +442,4 @@ def polish(psi) -> SicSet:
     point found and honest residuals.  The descent's plateau exit can stop
     only a run whose objective is above 1e-4.
     """
-    [(refined, _)] = _descend(as_state_vector(psi)[None], 4000, 1e-28)
-    return build_sic_set(refined.psi, tol=1e-9)
+    return build_sic_set(_descend(as_state_vector(psi)[None], 4000, 1e-28)[0].psi[0], tol=1e-9)

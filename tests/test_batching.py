@@ -245,6 +245,15 @@ def test_a_restart_left_above_the_switch_keeps_its_last_descent_point(config, re
     assert (outcome.evaluations, outcome.stop_reason, serial_stop) == (1 + evals, stop, stop)
 
 
+def test_a_descent_that_reaches_the_switch_on_its_last_iteration_spends_the_budget():
+    # the descent hands over after all 40 of its iterations: the tail has a budget of 0 and reports it
+    config = SearchConfig(dim=3, restarts=1, seed=0, max_iters=40)
+    [outcome] = search_detailed(config)[1]
+    assert outcome.objective_value <= _REFINE_SWITCH and outcome.descent_iterations == 40
+    assert (outcome.refine_iterations, outcome.stop_reason) == (0, "iteration_budget")
+    assert dataclasses.astuple(outcome) == serial_restart(config, 0)[1]
+
+
 @pytest.mark.parametrize("config, restart, stop", [SHORT_STEP_D7, SHORT_STEP, PLATEAU])
 def test_the_stop_reason_names_the_exit_the_descent_took(config, restart, stop):
     # a short step's and a plateau's last ladder succeeded, a plateau's at a checkpoint and with a step longer
@@ -264,31 +273,34 @@ def test_a_descent_from_a_zero_gradient_stalls_at_once(d):
     # a basis state is a critical point of the objective: the descent evaluates its start only and stops
     start = np.zeros(d, dtype=complex)
     start[0] = 1.0
-    [(point, outcome)] = search_module._descend(start[None], 4000, 1e-22)
-    assert np.array_equal(point.psi, start) and outcome.objective_value > _REFINE_SWITCH
-    assert (outcome.iterations, outcome.evaluations, outcome.stop_reason) == (0, 1, "line_search_stalled")
+    ends, descent, refine, evaluations, stops = search_module._descend(start[None], 4000, 1e-22)
+    assert np.array_equal(ends.psi[0], start) and ends.f[0] > _REFINE_SWITCH
+    assert (descent[0] + refine[0], evaluations[0], stops[0]) == (0, 1, "line_search_stalled")
     assert serial_descent(_evaluate(start), 4000, _REFINE_SWITCH)[1:] == (0, 0, "line_search_stalled")
 
 
 def traced_tails(monkeypatch, config):
-    """search_detailed(config)'s outcomes, and per restart its Gauss-Newton tail refined: (f at the tail's start, f
-    at each point the tail evaluated for it, its iterations, evaluations and stop reason).
+    """search_detailed(config)'s outcomes, and per restart the Gauss-Newton tail gave a budget: (f at the tail's
+    start, f at each point the tail evaluated for it, its iterations, evaluations and stop reason).
 
-    The tail runs a batch's restarts in lockstep, each working row evaluating one trial per tick, and a row leaves
-    the stack for good: a row that made k evaluations is in the first k ticks' stacks, at its rank among the rows
-    still working, which the trace checks by the stack sizes."""
+    The tail refines a batch's end stack in place, so each row's start f is read before the call.  It runs the rows
+    in lockstep, each working row evaluating one trial per tick, and a row leaves the working set for good: a row
+    that made k evaluations is in the first k ticks' stacks, at its rank among the rows still working, which the
+    trace checks by the stack sizes."""
     tails, tail, evaluate = [], search_module._gauss_newton_tail, search_module._evaluate
 
-    def recording(point, *args):
-        ticks = []
+    def recording(point, objective_floor, budgets):
+        ticks, start = [], point.f.tolist()
         monkeypatch.setattr(search_module, "_evaluate", lambda psi: ticks.append(evaluate(psi)) or ticks[-1])
-        result = tail(point, *args)
+        result = tail(point, objective_floor, budgets)
         monkeypatch.setattr(search_module, "_evaluate", evaluate)
-        _, iterations, evaluations, stops = result
+        iterations, evaluations, stops = result
         assert [len(t.f) for t in ticks] == [np.count_nonzero(evaluations > k) for k in range(len(ticks))]
-        for row, (f, *counts) in enumerate(zip(point.f.tolist(), iterations.tolist(), evaluations.tolist(), stops)):
-            rank = [np.count_nonzero(evaluations[:row] > k) for k in range(counts[1])]
-            tails.append((f, [float(t.f[i]) for t, i in zip(ticks, rank)], *counts[:2], str(counts[2])))
+        rows = zip(start, budgets.tolist(), iterations.tolist(), evaluations.tolist(), stops)
+        for row, (f, budget, *counts) in enumerate(rows):
+            if budget:
+                rank = [np.count_nonzero(evaluations[:row] > k) for k in range(counts[1])]
+                tails.append((f, [float(t.f[i]) for t, i in zip(ticks, rank)], *counts[:2], str(counts[2])))
         return result
 
     monkeypatch.setattr(search_module, "_gauss_newton_tail", recording)
@@ -324,14 +336,15 @@ def test_one_tail_batch_retires_its_rows_on_different_ticks_for_different_reason
     # one step at tick 1, restarts 0, 3, 4 and 7 reach the floor at tick 2, and restarts 2 and 5, the last rows
     # left, both stall at tick 3, which leaves the stack empty.  Two rows never work: restart 3's descent end with a
     # budget of 0 (row 1) and restart 0's tail end, already at the floor (row 4).  Every row equals its serial tail
-    # bit for bit, and those two come back as they went in
+    # bit for bit, and those two come back as they went in.  The tail refines the stack it is given in place
     restarts, floor = (0, 1, 2, 3, 4, 5, 7), 1e-32
     ends = [serial_descent(_evaluate(fresh_start(4, 11, r)), 4000, _REFINE_SWITCH)[0] for r in restarts]
     at_floor = serial_refine(ends[0], floor, 60)[0]
     assert at_floor.f <= floor
     ends[1:1], ends[4:4] = [ends[3]], [at_floor]
     budgets = np.array([60, 0, 1, 60, 60, 60, 60, 60, 60])
-    points, iterations, evaluations, stops = _gauss_newton_tail(_Point(*map(np.array, zip(*ends))), floor, budgets)
+    points = _Point(*map(np.array, zip(*ends)))
+    iterations, evaluations, stops = _gauss_newton_tail(points, floor, budgets)
     alone = [serial_refine(point, floor, budget) for point, budget in zip(ends, budgets.tolist())]
     assert list(zip(iterations.tolist(), evaluations.tolist(), stops.tolist())) == [a[1:] for a in alone]
     for row, (point, *_) in enumerate(alone):
@@ -411,6 +424,47 @@ def test_outcomes_do_not_depend_on_the_batch_size(monkeypatch, config):
         batches.clear()
         assert fingerprint(search_detailed(config)) == default
         assert batches == rows
+
+
+@pytest.mark.parametrize("entries, batches", [(None, [7]), (3 * 9, [3, 3, 1]), (9, [1] * 7)])
+@pytest.mark.parametrize(
+    "objectives, winner",
+    [((2, 1, 1, 0.5, 0.5, 3, 0.5), 3), ((1, 2, 1, 2, 1, 2, 1), 0), ((2, 2, 2, 2, 2, 1, 1), 5), ((4,) * 7, 0)],
+)
+def test_the_lowest_restart_wins_a_tie(monkeypatch, entries, batches, objectives, winner):
+    # no search reaches an exact tie, so each batch's end objectives are overwritten: the winner is the first
+    # restart at the lowest objective, whether the tied restarts share a batch or not
+    ends, sizes, descend = [], [], search_module._descend
+
+    def tied(psi, *args):
+        sizes.append(len(psi))
+        result = descend(psi, *args)
+        result[0].f[:] = objectives[len(ends) : len(ends) + len(psi)]
+        ends.extend(result[0].psi.copy())
+        return result
+
+    monkeypatch.setattr(search_module, "_descend", tied)
+    if entries is not None:
+        monkeypatch.setattr(search_module, "_BATCH_ENTRIES", entries)
+    candidate, outcomes = search_detailed(SearchConfig(dim=3, restarts=7, seed=5))
+    assert [o.objective_value for o in outcomes] == list(objectives) and len({e.tobytes() for e in ends}) == 7
+    assert candidate.fiducial.tobytes() == ends[winner].tobytes()
+    assert sizes == batches
+
+
+@pytest.mark.parametrize("start", ["random", "near_fiducial"])
+def test_polish_and_descend_leave_the_callers_array_unchanged(start):
+    # the tail refines the descent's end stack in place, never the caller's start
+    psi = fresh_start(3, 5, 0)
+    if start == "near_fiducial":
+        psi = search_detailed(SearchConfig(dim=3, restarts=1, seed=5, accept_tol=1e-12))[0].fiducial.copy()
+    before = psi.tobytes()
+    search_module.polish(psi)
+    assert psi.tobytes() == before
+    stack = np.concatenate((psi[None], _random_starts(3, 5, range(1, 4))))
+    before = stack.tobytes()
+    refine = search_module._descend(stack, 4000, 1e-28)[2]
+    assert stack.tobytes() == before and np.count_nonzero(refine) == 4
 
 
 @pytest.mark.parametrize("k", [1, 5, 11])

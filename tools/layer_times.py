@@ -12,10 +12,11 @@ process, BLAS threads included), and one descent tick, _evaluate then _gradient 
 for R = 1 and R = 16 restarts.
 Deterministic counts per row, reported as they are: the restarts certified (RestartOutcome objective within
 accept_tol), and beside it certified_record, 1 if the record search_detailed returns is certified, else 0; the
-overlap evaluations of the Gauss-Newton tail (summed from _gauss_newton_tail) and of the descent (the RestartOutcome
-evaluations less those, start points included), the descent's accepted steps (descent_iterations), so that
-descent_evals - restarts - descent_iters is its rejected trials, and as stop.<reason> the restarts that stopped for
-each of the checkout's STOP_REASONS.
+overlap evaluations of the Gauss-Newton tail (summed from the per-row evaluations _gauss_newton_tail returns second
+from last: it returns (iterations, evaluations, stop reasons), and in older checkouts (points, iterations,
+evaluations, stop reasons)) and of the descent (the RestartOutcome evaluations less those, start points included),
+the descent's accepted steps (descent_iterations), so that descent_evals - restarts - descent_iters is its rejected
+trials, and as stop.<reason> the restarts that stopped for each of the checkout's STOP_REASONS.
 tomography, on the bench tomography candidates (d = 5, 7, 11): the geometry and mubs calls of one seeded pure state,
 structure_coefficients, build_mubs and unbiasedness_residual, and at d = 31 and 307 unbiasedness_residual alone, each
 repeated to about 10 ms per repeat and reported per call.
@@ -76,7 +77,7 @@ def search_seconds(sf, d: int, restarts: int, seed: int) -> dict:
     refine, refine_evals = search._gauss_newton_tail, []
     def counting(*args):
         result = refine(*args)
-        refine_evals.append(int(np.sum(result[2])))
+        refine_evals.append(int(np.sum(result[-2])))
         return result
     search._gauss_newton_tail = counting
     try:
