@@ -7,7 +7,8 @@ bounded below by d^2 (d-1) / (d+1)**(t-1), and the bound is attained exactly
 by SIC sets (rank-1 projectors with constant pairwise overlap 1/(d+1)).
 
 Validation lives in ``OperatorSet(ops)``, which takes only the operators, so
-``kt_measure`` and ``quasi_onb_certify`` read only validated pair traces.
+``kt_measure`` and ``quasi_onb_certify`` read only validated pair traces: from one
+vector per operator for rank-one families (SIC sets, MUB bases), in O(n^2 d).
 """
 
 from __future__ import annotations
@@ -32,6 +33,31 @@ __all__ = [
 ]
 
 
+def _squared_moduli(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of a complex array whose last axis is contiguous, as a new real array; squares z in place."""
+    x = z.view(float)
+    np.square(x, out=x)
+    return x[..., ::2] + x[..., 1::2]
+
+
+def _rank_one_pair_traces(arr: np.ndarray) -> Optional[np.ndarray]:
+    """|<v_i, v_j>|^2 if every A_i = v_i v_i^dagger + E_i with ||E_i||_F <= HERMITIAN_TOL / 2, else None.
+
+    v_i is A_i's column k at its largest diagonal entry over sqrt(A_i[k, k]).  A zero, negative or non-finite pivot,
+    or any entry that is not finite, makes a residual norm NaN or too large.
+    """
+    rows = np.arange(arr.shape[0])
+    pivots = np.diagonal(arr, axis1=1, axis2=2).real
+    k = np.argmax(pivots, axis=1)
+    with np.errstate(all="ignore"):
+        v = arr[rows, :, k] / np.sqrt(pivots[rows, k])[:, None]
+        residual = v[:, :, None] * v.conj()[:, None, :]
+        residual -= arr
+        x = residual.reshape(len(v), -1).view(float)
+        sq_norms = np.einsum("ij,ij->i", x, x)
+    return _squared_moduli(v.conj() @ v.T) if np.all(sq_norms <= (HERMITIAN_TOL / 2) ** 2) else None
+
+
 def _pair_traces(ops: np.ndarray) -> np.ndarray:
     """tr(A_i A_j) = Re<A_i, A_j> of Hermitian operators: one real Gram matrix (a syrk) of their float views."""
     x = ops.reshape(ops.shape[0], -1).view(float)
@@ -44,10 +70,14 @@ class OperatorSet:
 
     ``OperatorSet(ops)`` checks them Hermitian, PSD within a floor and tr(A^2) = 1, at the thresholds
     ``HERMITIAN_TOL``, ``PSD_FLOOR`` and ``UNIT_NORM_TOL``; the eigenvalue floor accepts numerically rounded
-    projectors coming out of floating-point searches.  One batched Cholesky factorization clears them all; only
-    when it fails do eigenvalues decide and name the first operator below it.  ``ops`` is a read-only complex
-    copy of the input, and ``pair_traces[i, j]`` is Re<A_i, A_j> = tr(A_i A_j) within d * HERMITIAN_TOL, computed
-    once here; its diagonal holds the squared norms.  ``d`` and ``pair_traces`` can be neither passed nor replaced.
+    projectors coming out of floating-point searches.  Rank one (O(n^2 d)): if every A_i = v_i v_i^dagger + E_i with
+    ||E_i||_F <= HERMITIAN_TOL / 2, that bound makes A_i finite, Hermitian (max |A_i - A_i^dagger| <= 2 ||E_i||_F) and
+    PSD (least eigenvalue >= -2 ||E_i||_F), and pair_traces[i, j] = |<v_i, v_j>|^2.  Otherwise (O(n^2 d^2)) the
+    finite and Hermitian checks run, pair_traces is the real Gram matrix Re<A_i, A_j>, and one batched Cholesky
+    factorization clears PSD; only when it fails do eigenvalues decide and name the first operator below the floor.
+    Verdicts and messages are the same on both routes, save that rank one reads tr(A_i^2) as ||v_i||^4 (within
+    2 ||E_i||_F).  ``ops`` is a read-only complex copy of the input; ``pair_traces[i, j]``, tr(A_i A_j) within
+    d * HERMITIAN_TOL, is computed once here.  ``d`` and ``pair_traces`` can be neither passed nor replaced.
     """
 
     d: int = field(init=False)
@@ -61,27 +91,29 @@ class OperatorSet:
         if arr.shape[0] == 0:
             raise ValueError("operator set is empty")
         d = check_dim(arr.shape[1])
-        bad = np.flatnonzero(~np.isfinite(arr).all(axis=(1, 2)))
-        if bad.size:
-            raise ValueError(f"operator {bad[0]} has a non-finite entry")
-
-        adj = np.conjugate(arr.transpose(0, 2, 1), order="C")
-        adj -= arr
-        herm_dev = float(np.max(np.abs(adj)))
-        if herm_dev > HERMITIAN_TOL:
-            raise ValueError(f"operator set is not Hermitian: max deviation {herm_dev:.3e}")
-        pair_traces = _pair_traces(arr)
-        # The margin, 2 d^2 eps times (largest norm + |floor|), covers the roundoff of Cholesky and eigvalsh,
-        # so a factorization that succeeds never accepts an operator that eigvalsh would put below the floor.
-        margin = 2 * d * d * np.finfo(float).eps * (math.sqrt(np.max(np.diagonal(pair_traces))) + abs(PSD_FLOOR))
-        try:
-            np.linalg.cholesky(np.subtract(arr, (PSD_FLOOR + margin) * np.eye(d), out=adj))
-        except np.linalg.LinAlgError:
-            lows = np.linalg.eigvalsh(arr)[:, 0]
-            bad = np.flatnonzero(lows < PSD_FLOOR)
+        pair_traces = _rank_one_pair_traces(arr)
+        if pair_traces is None:  # the general path
+            bad = np.flatnonzero(~np.isfinite(arr).all(axis=(1, 2)))
             if bad.size:
-                i = bad[0]
-                raise ValueError(f"operator {i} has eigenvalue {lows[i]:.3e} below the PSD floor {PSD_FLOOR:.1e}")
+                raise ValueError(f"operator {bad[0]} has a non-finite entry")
+
+            adj = np.conjugate(arr.transpose(0, 2, 1), order="C")
+            adj -= arr
+            herm_dev = float(np.max(np.abs(adj)))
+            if herm_dev > HERMITIAN_TOL:
+                raise ValueError(f"operator set is not Hermitian: max deviation {herm_dev:.3e}")
+            pair_traces = _pair_traces(arr)
+            # The margin, 2 d^2 eps times (largest norm + |floor|), covers the roundoff of Cholesky and eigvalsh,
+            # so a factorization that succeeds never accepts an operator that eigvalsh would put below the floor.
+            margin = 2 * d * d * np.finfo(float).eps * (math.sqrt(np.max(np.diagonal(pair_traces))) + abs(PSD_FLOOR))
+            try:
+                np.linalg.cholesky(np.subtract(arr, (PSD_FLOOR + margin) * np.eye(d), out=adj))
+            except np.linalg.LinAlgError:
+                lows = np.linalg.eigvalsh(arr)[:, 0]
+                bad = np.flatnonzero(lows < PSD_FLOOR)
+                if bad.size:
+                    i = bad[0]
+                    raise ValueError(f"operator {i} has eigenvalue {lows[i]:.3e} below the PSD floor {PSD_FLOOR:.1e}")
         norm_dev = float(np.max(np.abs(np.diagonal(pair_traces) - 1.0)))
         if norm_dev > UNIT_NORM_TOL:
             raise ValueError(f"operators are not unit HS-norm: max |tr(A^2) - 1| = {norm_dev:.3e}")
@@ -147,10 +179,12 @@ def kt_measure(opset: OperatorSet, t: float) -> KtReport:
     nonnegative).
     """
     t = _check_order(t)
-    overlaps = np.clip(opset.pair_traces, 0.0, None)
+    overlaps = np.maximum(opset.pair_traces, 0.0)
     np.fill_diagonal(overlaps, 0.0)
+    if t != 1.0:
+        np.power(overlaps, t, out=overlaps)
     bound = kt_lower_bound(opset.d, t) if opset.size == opset.d**2 else None
-    return KtReport(t=t, value=float(np.sum(overlaps**t)), lower_bound=bound)
+    return KtReport(t=t, value=float(np.sum(overlaps)), lower_bound=bound)
 
 
 def frame_potential(vectors) -> float:
@@ -161,12 +195,13 @@ def frame_potential(vectors) -> float:
     bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
     if bad.size:
         raise ValueError(f"vectors has a non-finite entry in row {bad[0]}")
+    check_dim(v.shape[1])
     norms = np.sum(np.abs(v) ** 2, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
     if worst > UNIT_NORM_TOL:
         raise ValueError(f"vectors are not unit-norm: max |norm^2 - 1| = {worst:.3e}")
-    gram = v @ v.conj().T
-    return float(np.sum((gram.real**2 + gram.imag**2) ** 2))
+    moduli = _squared_moduli(v @ v.conj().T).ravel()
+    return float(moduli @ moduli)
 
 
 @dataclass(frozen=True)
@@ -204,13 +239,13 @@ def quasi_onb_certify(opset: OperatorSet, tol: float) -> QuasiOnbReport:
     ops = opset.ops
 
     squares = ops @ ops
-    projector_dev = float(np.max(np.abs(np.subtract(squares, ops, out=squares))))
+    projector_dev = math.sqrt(np.max(_squared_moduli(np.subtract(squares, ops, out=squares))))
     traces = np.trace(ops, axis1=1, axis2=2)
     trace_dev = float(np.max(np.abs(traces - 1.0)))
 
     off = opset.pair_traces - 1.0 / (d + 1)
     np.fill_diagonal(off, 0.0)
-    overlap_dev = float(np.max(np.abs(off)))
+    overlap_dev = float(np.max(np.abs(off, out=off)))
 
     completeness_dev = float(np.max(np.abs(ops.sum(axis=0) - d * np.eye(d))))
 

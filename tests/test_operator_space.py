@@ -1,8 +1,10 @@
 """Orthonormality defect, its lower bound, frame potential, and certification."""
 
+import collections
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from sic_forge import (
     quasi_onb_certify,
     search,
 )
+from sic_forge import operator_space
 from sic_forge.operator_space import _pair_traces
 from sic_forge.wh import HERMITIAN_TOL, PSD_FLOOR
 from conftest import bench_fiducial, projector_set, random_state
@@ -383,3 +386,91 @@ def test_operator_set_accepts_operator_axis_innermost(fiducial_d3):
     ops = build_sic_set(fiducial_d3).projectors
     transposed = np.moveaxis(np.ascontiguousarray(np.moveaxis(ops, 0, -1)), -1, 0)
     np.testing.assert_array_equal(operator_set(transposed).pair_traces, operator_set(ops).pair_traces)
+
+
+def outcome(ops):
+    """The pair traces of ``OperatorSet(ops)``, or the text of its refusal."""
+    try:
+        return operator_set(ops).pair_traces
+    except ValueError as err:
+        return str(err)
+
+
+def general_path(ops):
+    """``outcome(ops)`` with the rank-one route switched off."""
+    with mock.patch.object(operator_space, "_rank_one_pair_traces", return_value=None):
+        return outcome(ops)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.integers(2, 8),
+    st.lists(st.tuples(st.sampled_from([0.0, 0.5, 0.9, 1.1, 2.0, 4.0]), st.booleans()), min_size=1, max_size=6),
+    st.sampled_from([1.0, 2.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_rank_one_route_matches_the_general_path(d, members, last_norm, seed):
+    # A_i = u_i u_i^dagger + G_i, u_i random unit vectors (the last of squared norm last_norm), G_i random, Hermitian
+    # or not, of Frobenius norm scale * HERMITIAN_TOL / 2: both sides of the rank-one route's threshold
+    rng = np.random.default_rng(seed)
+    u = np.stack([random_state(rng, d) for _ in members])
+    u[-1] *= math.sqrt(last_norm)
+    ops = u[:, :, None] * u.conj()[:, None, :]
+    for a, (scale, hermitian) in zip(ops, members):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        g = (g + g.conj().T) if hermitian else g
+        a += scale * HERMITIAN_TOL / 2 * g / np.linalg.norm(g)
+    route = operator_space._rank_one_pair_traces(ops.copy())
+    general, direct = general_path(ops), outcome(ops)
+    if isinstance(general, str) or isinstance(direct, str):
+        assert direct == general
+    else:
+        np.testing.assert_array_equal(direct, general if route is None else route)
+    if route is not None:
+        # exact rank-one members read within 1e-13 of the dense oracles; a residual E_i = A_i - v_i v_i^dagger moves
+        # a pair trace by at most ||E_i||_F ||v_j||^2 + ||E_j||_F ||v_i||^2 <= last_norm * HERMITIAN_TOL
+        atol = 1e-13 + (last_norm * HERMITIAN_TOL if any(scale for scale, _ in members) else 0.0)
+        for oracle in (complex_pair_traces(ops), _pair_traces(ops)):
+            np.testing.assert_allclose(route, oracle, rtol=0, atol=atol)
+
+
+def test_rank_one_route_skips_the_general_checks(monkeypatch, fiducial_d3, fiducial_d8):
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(operator_space, "_pair_traces", counting("_pair_traces", _pair_traces))
+    for psi in (fiducial_d3, fiducial_d8):
+        operator_set(build_sic_set(psi).projectors)
+    assert calls == {}
+    rank_two = np.array(build_sic_set(fiducial_d3).projectors)
+    rank_two[4] = np.diag([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    operator_set(rank_two)
+    assert calls == {"cholesky": 1, "_pair_traces": 1}
+
+
+@pytest.mark.parametrize(
+    "member, message",
+    [
+        ("nan pivot", r"operator 2 has a non-finite entry"),
+        ("inf off diagonal", r"operator 2 has a non-finite entry"),
+        ("zero", r"operators are not unit HS-norm: max \|tr\(A\^2\) - 1\| = 1\.000e\+00"),
+        ("negative", r"operator 2 has eigenvalue -1\.000e\+00 below the PSD floor -1\.0e-10"),
+        ("u w^dagger", r"operator set is not Hermitian: max deviation"),
+    ],
+)
+def test_rank_one_misfits_raise_the_general_messages(fiducial_d3, member, message):
+    ops = np.array(build_sic_set(fiducial_d3).projectors)
+    u, w = np.eye(3)[0], np.array([0.6, 0.8j, 0.0])
+    ops[2] = {"nan pivot": np.where(np.eye(3), np.nan, ops[2]), "inf off diagonal": np.where(np.eye(3), ops[2], np.inf),
+              "zero": 0.0, "negative": -np.outer(u, u), "u w^dagger": np.outer(u, w.conj())}[member]
+    with pytest.raises(ValueError, match=message) as err:
+        operator_set(ops)
+    assert operator_space._rank_one_pair_traces(ops) is None
+    assert str(err.value) == general_path(ops)

@@ -91,6 +91,7 @@ WRONG_SHAPES = {  # validator, a wrongly shaped input, the refusal
     "state of one component": (as_state_vector, [1.0], "state vector must have dimension >= 2"),
     "operators as one matrix": (operator_set, np.eye(3), r"expected an array of square matrices, got shape \(3, 3\)"),
     "vectors as a stack": (frame_potential, np.ones((2, 3, 3)), r"2-D array of row vectors, got shape \(2, 3, 3\)"),
+    "vectors of one component": (frame_potential, np.ones((3, 1)), "dimension must be an integer >= 2, got 1"),
     "non-square density": (check_density_matrix, np.ones((2, 3)) / 2, r"must be square, got shape \(2, 3\)"),
     "2-D probabilities": (check_probability_vector, np.ones((2, 2)) / 4, r"must be 1-D, got shape \(2, 2\)"),
 }

@@ -3,7 +3,9 @@
 Each SRC runs in its own interpreter, in rounds of alternating order: each time is the median of the round medians,
 and the key <name>.quartiles beside it holds the first and third quartiles of those round medians, its noise.
 operator_space, on the bench candidates d = 8..24: a line tracer (about 1 us per line) times operator_set's inline
-steps, which run in OperatorSet.__post_init__; operator_set untraced, K_t, frame potential and quasi-ONB run whole on
+steps, which run in OperatorSet.__post_init__: copy, rank_one (the rank-one route: vectors, residual norms and pair
+traces; 0 in checkouts without it), then on the general path hermiticity, psd and pair_traces (0 when the rank-one
+route accepted the set); operator_set untraced, K_t, frame potential and quasi-ONB run whole on
 the projector stack, and beside them the same three from the overlap grid (grid_kt, grid_frame_potential,
 grid_quasi_onb): the SicSet members kt, frame_potential and quasi_onb, which read a built set's stored grid;
 build_sic_set is timed whole.
@@ -31,8 +33,9 @@ import numpy as np
 ROOT, DIMS, ROUNDS, REPS, SEARCH_REPS, TICKS = Path(__file__).resolve().parents[1], (8, 12, 16, 20, 24), 5, 15, 5, 50
 # prefixes of the search row counts, not seconds
 COUNTS = ("certified", "descent_evals", "descent_iters", "refine_evals", "stop.")
-INLINE = {"copy": ("np.array(",), "psd": ("eigvalsh", "cholesky", "lows", "margin"),  # first match wins
-          "hermiticity": ("herm", "adj"), "pair_traces": ("_pair_traces",)}
+INLINE = {"copy": ("np.array(",), "rank_one": ("_rank_one",),  # first match wins
+          "psd": ("eigvalsh", "cholesky", "lows", "margin"), "hermiticity": ("herm", "adj"),
+          "pair_traces": ("_pair_traces",)}
 
 
 def traced(code, fn, *args) -> dict:
