@@ -21,6 +21,7 @@ __all__ = [
     "density_payload",
     "fiducial_payload",
     "load_density",
+    "load_fiducial",
     "load_json",
     "load_probabilities",
     "load_state_vector",

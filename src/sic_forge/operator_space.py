@@ -72,9 +72,9 @@ class OperatorSet:
     ``HERMITIAN_TOL``, ``PSD_FLOOR`` and ``UNIT_NORM_TOL``; the eigenvalue floor accepts numerically rounded
     projectors coming out of floating-point searches.  Rank one (O(n^2 d)): if every A_i = v_i v_i^dagger + E_i with
     ||E_i||_F <= HERMITIAN_TOL / 2, that bound makes A_i finite, Hermitian (max |A_i - A_i^dagger| <= 2 ||E_i||_F) and
-    PSD (least eigenvalue >= -2 ||E_i||_F), and pair_traces[i, j] = |<v_i, v_j>|^2.  Otherwise (O(n^2 d^2)) the
-    finite and Hermitian checks run, pair_traces is the real Gram matrix Re<A_i, A_j>, and one batched Cholesky
-    factorization clears PSD; only when it fails do eigenvalues decide and name the first operator below the floor.
+    PSD (least eigenvalue >= -2 ||E_i||_F), and pair_traces[i, j] = |<v_i, v_j>|^2.  Otherwise (O(n^2 d^2 + n d^3)),
+    on a route that no workload or CLI command reaches, the finite and Hermitian checks run, pair_traces is the real
+    Gram matrix Re<A_i, A_j>, and one batched eigvalsh decides PSD and names the first operator below the floor.
     Verdicts and messages are the same on both routes, save that rank one reads tr(A_i^2) as ||v_i||^4 (within
     2 ||E_i||_F).  ``ops`` is a read-only complex copy of the input; ``pair_traces[i, j]``, tr(A_i A_j) within
     d * HERMITIAN_TOL, is computed once here.  ``d`` and ``pair_traces`` can be neither passed nor replaced.
@@ -97,23 +97,15 @@ class OperatorSet:
             if bad.size:
                 raise ValueError(f"operator {bad[0]} has a non-finite entry")
 
-            adj = np.conjugate(arr.transpose(0, 2, 1), order="C")
-            adj -= arr
-            herm_dev = float(np.max(np.abs(adj)))
+            herm_dev = float(np.max(np.abs(arr - arr.conj().transpose(0, 2, 1))))
             if herm_dev > HERMITIAN_TOL:
                 raise ValueError(f"operator set is not Hermitian: max deviation {herm_dev:.3e}")
             pair_traces = _pair_traces(arr)
-            # The margin, 2 d^2 eps times (largest norm + |floor|), covers the roundoff of Cholesky and eigvalsh,
-            # so a factorization that succeeds never accepts an operator that eigvalsh would put below the floor.
-            margin = 2 * d * d * np.finfo(float).eps * (math.sqrt(np.max(np.diagonal(pair_traces))) + abs(PSD_FLOOR))
-            try:
-                np.linalg.cholesky(np.subtract(arr, (PSD_FLOOR + margin) * np.eye(d), out=adj))
-            except np.linalg.LinAlgError:
-                lows = np.linalg.eigvalsh(arr)[:, 0]
-                bad = np.flatnonzero(lows < PSD_FLOOR)
-                if bad.size:
-                    i = bad[0]
-                    raise ValueError(f"operator {i} has eigenvalue {lows[i]:.3e} below the PSD floor {PSD_FLOOR:.1e}")
+            lows = np.linalg.eigvalsh(arr)[:, 0]
+            bad = np.flatnonzero(lows < PSD_FLOOR)
+            if bad.size:
+                i = bad[0]
+                raise ValueError(f"operator {i} has eigenvalue {lows[i]:.3e} below the PSD floor {PSD_FLOOR:.1e}")
         norm_dev = float(np.max(np.abs(np.diagonal(pair_traces) - 1.0)))
         if norm_dev > UNIT_NORM_TOL:
             raise ValueError(f"operators are not unit HS-norm: max |tr(A^2) - 1| = {norm_dev:.3e}")

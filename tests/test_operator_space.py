@@ -327,8 +327,8 @@ def test_pair_traces_are_stored_read_only(fiducial_d3):
     st.integers(0, 2**32 - 1),
 )
 def test_psd_check_and_pair_traces_match_oracles(d, lows, seed):
-    # lambda_min planted on, just inside and just outside the floor, where Cholesky alone would
-    # accept operators that the eigenvalue rule rejects
+    # lambda_min planted on, just inside and just outside the floor, where a verdict off by roundoff
+    # would show against the per-operator eigenvalue rule
     rng = np.random.default_rng(seed)
     ops = np.stack([planted_hermitian(rng, d, low) for low in lows])
     np.testing.assert_allclose(_pair_traces(ops), complex_pair_traces(ops), rtol=0, atol=1e-13)
@@ -361,8 +361,11 @@ def fiducial_d8():
     return cand.fiducial
 
 
-def test_psd_check_runs_eigvalsh_only_on_failure(monkeypatch, fiducial_d3, fiducial_d8):
+def test_psd_check_runs_one_batched_eigvalsh_on_the_general_route(monkeypatch, fiducial_d3, fiducial_d8):
+    # rank-one stacks never reach the general route; any other family, valid or not, makes one batched call
     valid = [build_sic_set(psi).projectors for psi in (fiducial_d3, fiducial_d8)]
+    rng = np.random.default_rng(4)
+    full_rank = np.stack([random_psd_unit_norm(rng, 4) for _ in range(16)])
     invalid = np.array(valid[1])
     invalid[5] = np.diag([1.0, -1.0, 0, 0, 0, 0, 0, 0]) / np.sqrt(2.0)
     calls = []
@@ -376,6 +379,9 @@ def test_psd_check_runs_eigvalsh_only_on_failure(monkeypatch, fiducial_d3, fiduc
     for ops in valid:
         operator_set(ops)
     assert calls == []
+    operator_set(full_rank)
+    assert calls == [(16, 4, 4)]
+    calls.clear()
     with pytest.raises(ValueError, match=r"operator 5 has eigenvalue -7.071e-01 below the PSD floor"):
         operator_set(invalid)
     assert calls == [(64, 8, 8)]
@@ -452,7 +458,7 @@ def test_rank_one_route_skips_the_general_checks(monkeypatch, fiducial_d3, fiduc
     rank_two = np.array(build_sic_set(fiducial_d3).projectors)
     rank_two[4] = np.diag([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     operator_set(rank_two)
-    assert calls == {"cholesky": 1, "_pair_traces": 1}
+    assert calls == {"eigvalsh": 1, "_pair_traces": 1}
 
 
 @pytest.mark.parametrize(

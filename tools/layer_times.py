@@ -5,10 +5,10 @@ and the key <name>.quartiles beside it holds the first and third quartiles of th
 operator_space, on the bench candidates d = 8..24: a line tracer (about 1 us per line) times operator_set's inline
 steps, which run in OperatorSet.__post_init__: copy, rank_one (the rank-one route: vectors, residual norms and pair
 traces; 0 in checkouts without it), then on the general path hermiticity, psd and pair_traces (0 when the rank-one
-route accepted the set); operator_set untraced, K_t, frame potential and quasi-ONB run whole on
-the projector stack, and beside them the same three from the overlap grid (grid_kt, grid_frame_potential,
-grid_quasi_onb): the SicSet members kt, frame_potential and quasi_onb, which read a built set's stored grid;
-build_sic_set is timed whole.
+route accepted the set, so 0 on every bench candidate: all five are rank-one); operator_set untraced, K_t, frame
+potential and quasi-ONB run whole on the projector stack, and beside them the same three from the overlap grid
+(grid_kt, grid_frame_potential, grid_quasi_onb): the SicSet members kt, frame_potential and quasi_onb, which read a
+built set's stored grid; build_sic_set is timed whole.
 search, per bench search (d, restarts) at workload seed 1: wall and CPU us of search_detailed (CPU of the whole
 process, BLAS threads included), and one descent tick, _evaluate then _gradient on an (R, d) stack of start points,
 for R = 1 and R = 16 restarts.
@@ -34,7 +34,7 @@ ROOT, DIMS, ROUNDS, REPS, SEARCH_REPS, TICKS = Path(__file__).resolve().parents[
 # prefixes of the search row counts, not seconds
 COUNTS = ("certified", "descent_evals", "descent_iters", "refine_evals", "stop.")
 INLINE = {"copy": ("np.array(",), "rank_one": ("_rank_one",),  # first match wins
-          "psd": ("eigvalsh", "cholesky", "lows", "margin"), "hermiticity": ("herm", "adj"),
+          "psd": ("eigvalsh", "lows"), "hermiticity": ("herm", "adj"),
           "pair_traces": ("_pair_traces",)}
 
 
