@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--restarts", type=_validated(int, _check_integer, "restarts", 1), required=True)
     p_search.add_argument("--seed", type=_validated(int, _check_integer, "seed", 0, 2**64), required=True)
     p_search.add_argument("--tol", type=_tol_type, default=1e-9, help="residual certification tolerance")
-    p_search.add_argument("--max-iters", type=_validated(int, _check_integer, "max_iters", 1), default=4000)
+    p_search.add_argument("--max-iters", type=_validated(int, _check_integer, "max_iters", 1, 2**63), default=4000)
     p_search.add_argument("--out", default=".", help="output directory for fiducial and report files")
     p_search.add_argument("--json", action="store_true", help="print the run report as JSON")
     p_search.set_defaults(func=cmd_search)

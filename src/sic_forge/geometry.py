@@ -28,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .verify import SicSet
-from .wh import HERMITIAN_TOL, PROBABILITY_FLOOR, PROBABILITY_SUM_TOL, PSD_FLOOR, PURITY_TOL, TRACE_TOL, check_dim
+from .wh import (HERMITIAN_TOL, PROBABILITY_FLOOR, PROBABILITY_SUM_TOL, PSD_FLOOR, PURITY_TOL, TRACE_TOL, _settle,
+                 check_dim)
 
 __all__ = [
     "STRUCTURE_TENSOR_MAX_DIM",
@@ -128,10 +129,8 @@ class ReconstructedDensity:
         if not np.isfinite(m).all():
             raise ValueError("matrix has a non-finite entry")
         matrix = 0.5 * (m + m.conj().T)
-        matrix.setflags(write=False)
         min_eig = float(np.linalg.eigvalsh(matrix)[0])
-        for name, value in dict(matrix=matrix, min_eigenvalue=min_eig, physical=bool(min_eig >= PSD_FLOOR)).items():
-            object.__setattr__(self, name, value)
+        _settle(self, matrix=matrix, min_eigenvalue=min_eig, physical=bool(min_eig >= PSD_FLOOR))
 
 
 def reconstruct_density(p, sic: SicSet) -> ReconstructedDensity:
@@ -187,9 +186,7 @@ class StructureTensor:
         t = s[:, :, None] * s[None, :, :]
         t *= s.T[:, None, :]  # s_ij s_jk s_ki
         c = t.real.copy()  # contiguous, and the complex products are not kept alive
-        c.setflags(write=False)
-        for name, value in dict(d=d, c=c, vectors=sic.vectors).items():
-            object.__setattr__(self, name, value)
+        _settle(self, d=d, c=c, vectors=sic.vectors)
 
 
 def structure_coefficients(sic: SicSet) -> StructureTensor:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wh import PROBABILITY_FLOOR, _check_integer, as_state_vector, check_dim, check_tolerance, phase_constants
+from .wh import PROBABILITY_FLOOR, _check_integer, _settle, as_state_vector, check_dim, check_tolerance, phase_constants
 
 __all__ = [
     "MubSet",
@@ -82,10 +82,7 @@ class MubSet:
         a = j[:, None]
         # chirp[a, j] = omega**(a*j*(j-1)/2), or tau**(a*j*j) when d = 2
         chirp = pc.tau ** (a * j * j) if d == 2 else pc.omega_powers[(a * (j * (j - 1) // 2)) % d]
-        table = chirp.conj() / np.sqrt(d)
-        table.setflags(write=False)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "table", table)
+        _settle(self, d=d, table=chirp.conj() / np.sqrt(d))
 
 
 def build_mubs(d: int) -> MubSet:
@@ -128,11 +125,7 @@ class UncertaintyProfile:
             raise ValueError("probabilities has a non-finite entry")
         if low < PROBABILITY_FLOOR:
             raise ValueError(f"probabilities has entry {low:.3e} below the floor {PROBABILITY_FLOOR:.1e}")
-        per_basis = (probs**2).sum(axis=1)
-        for table in (probs, per_basis):
-            table.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "per_basis", per_basis)
+        _settle(self, probabilities=probs, per_basis=(probs**2).sum(axis=1))
 
 
 def uncertainty_profile(psi, mubs: MubSet) -> UncertaintyProfile:

@@ -13,13 +13,14 @@ vector per operator for rank-one families (SIC sets, MUB bases), in O(n^2 d).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .wh import HERMITIAN_TOL, PSD_FLOOR, UNIT_NORM_TOL, _real, check_dim, check_tolerance
+from .wh import HERMITIAN_TOL, PSD_FLOOR, UNIT_NORM_TOL, _real, _settle, check_dim, check_tolerance
 
 __all__ = [
     "KtReport",
@@ -110,10 +111,7 @@ class OperatorSet:
         if norm_dev > UNIT_NORM_TOL:
             raise ValueError(f"operators are not unit HS-norm: max |tr(A^2) - 1| = {norm_dev:.3e}")
 
-        for table in (arr, pair_traces):
-            table.setflags(write=False)
-        for name, value in dict(d=d, ops=arr, pair_traces=pair_traces).items():
-            object.__setattr__(self, name, value)
+        _settle(self, d=d, ops=arr, pair_traces=pair_traces)
 
     @property
     def size(self) -> int:
@@ -140,7 +138,7 @@ class KtReport:
     gap: Optional[float] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gap", None if self.lower_bound is None else self.value - self.lower_bound)
+        _settle(self, gap=None if self.lower_bound is None else self.value - self.lower_bound)
 
 
 def _check_order(t) -> float:
@@ -154,13 +152,16 @@ def kt_lower_bound(d: int, t: float) -> float:
     """Least possible order-t defect of d^2 PSD unit-norm operators: d^2(d-1)/(d+1)^(t-1).
 
     Where (d+1)^(t-1) overflows a float, the bound is taken through logs, and underflows to 0.0 at the largest t.
+    A bound past the float range is refused.
     """
     d = check_dim(d)
     t = _check_order(t)
     try:
         return d * d * (d - 1) / (d + 1) ** (t - 1)
     except OverflowError:
-        return math.exp(math.log(d * d * (d - 1)) - (t - 1) * math.log(d + 1))
+        with contextlib.suppress(OverflowError):
+            return math.exp(math.log(d * d * (d - 1)) - (t - 1) * math.log(d + 1))
+    raise ValueError(f"the K_t lower bound at dimension {d} and t = {t!r} is past the float range")
 
 
 def kt_measure(opset: OperatorSet, t: float) -> KtReport:
@@ -214,7 +215,7 @@ class QuasiOnbReport:
     def __post_init__(self):
         deviations = (self.projector_deviation, self.trace_deviation, self.overlap_deviation,
                       self.completeness_deviation)
-        object.__setattr__(self, "passed", max(deviations) <= self.tol)
+        _settle(self, passed=max(deviations) <= self.tol)
 
 
 def quasi_onb_certify(opset: OperatorSet, tol: float) -> QuasiOnbReport:

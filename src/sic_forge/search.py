@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .verify import SicSet, _residual, build_sic_set
-from .wh import _check_integer, as_state_vector, check_dim, check_tolerance, phase_constants
+from .wh import _check_integer, _settle, as_state_vector, check_dim, check_tolerance, phase_constants
 
 __all__ = [
     "RestartOutcome",
@@ -119,7 +119,7 @@ class RestartOutcome:
     stop_reason: str
 
     def __post_init__(self):
-        object.__setattr__(self, "iterations", self.descent_iterations + self.refine_iterations)
+        _settle(self, iterations=self.descent_iterations + self.refine_iterations)
 
 
 STOP_REASONS = (
@@ -407,7 +407,7 @@ def search_detailed(config: SearchConfig) -> tuple[SicSet, tuple[RestartOutcome,
     """
     d = check_dim(config.dim)
     restarts = _check_integer(config.restarts, "restarts", 1)
-    max_iters = _check_integer(config.max_iters, "max_iters", 1)
+    max_iters = _check_integer(config.max_iters, "max_iters", 1, 2**63)  # the budgets max_iters - descent are int64
     check_tolerance(config.accept_tol, "accept_tol")
     seed = _check_integer(config.seed, "seed", 0, 2**64)
 

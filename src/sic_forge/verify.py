@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .operator_space import KtReport, QuasiOnbReport, _check_order, kt_lower_bound
-from .wh import _displaced, as_state_vector, check_tolerance, phase_constants
+from .wh import _displaced, _settle, as_state_vector, check_tolerance, phase_constants
 
 __all__ = [
     "SicSet",
@@ -115,13 +115,9 @@ class SicSet:
         psi, tol = as_state_vector(self.fiducial).copy(), check_tolerance(self.tol, "tol")
         rho, b = _residual(psi)
         g, q, grid = _gram(rho), _quartic(rho), b.real**2 + b.imag**2
-        for arr in (psi, grid):
-            arr.setflags(write=False)
         f = float(np.vecdot(rho, rho) / psi.shape[0])
-        derived = dict(fiducial=psi, overlap_grid=grid, gram_residual=g, quartic_residual=q, objective_value=f, tol=tol,
-                       certified=g <= tol and q <= tol)
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        _settle(self, fiducial=psi, overlap_grid=grid, gram_residual=g, quartic_residual=q, objective_value=f, tol=tol,
+                certified=g <= tol and q <= tol)
 
     @property
     def d(self) -> int:

@@ -70,9 +70,24 @@ def check_tolerance(tol: float, name: str) -> float:
     raise ValueError(f"{name} must be positive and finite (a real number), got {tol!r}")
 
 
+def _settle(record, **fields) -> None:
+    """Set a frozen record's fields from its __post_init__, making every array among them read-only.
+
+    Pass only arrays the record owns (copies, or arrays it built) or another record's read-only arrays: a caller's
+    writable array would be frozen too.
+    """
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(record, name, value)
+
+
 def canonical_index(d: int, r) -> tuple[int, int]:
     """Reduce an index pair of integers (negative ones too) to its canonical representative in [0, d) x [0, d)."""
-    r1, r2 = r
+    try:
+        r1, r2 = r
+    except (TypeError, ValueError):
+        raise ValueError(f"index r must be a pair of integers, got {r!r}") from None
     return _check_integer(r1, "index r1") % d, _check_integer(r2, "index r2") % d
 
 
@@ -124,12 +139,8 @@ class PhaseConstants:
         add = (idx[:, None] + idx[None, :]) % d
         sub = (idx[None, :] - idx[:, None]) % d
         dft = powers[np.outer(idx, idx) % d]
-        for table in (powers, add, sub, dft):
-            table.setflags(write=False)
-        derived = dict(d=d, omega=complex(powers[1]), tau=-complex(np.exp(1j * np.pi / d)), omega_powers=powers,
-                       add=add, sub=sub, dft=dft)
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        _settle(self, d=d, omega=complex(powers[1]), tau=-complex(np.exp(1j * np.pi / d)), omega_powers=powers,
+                add=add, sub=sub, dft=dft)
 
     def tau_power(self, n):
         """tau**n = exp(i*pi*(d+1)*n/d) from the plain integer (or integer array) n."""

@@ -480,17 +480,21 @@ BAD_FLAGS = {
     ("search", "--dim"): ["0", "-1", "1", "2.5", "nan", "inf", "abc"],
     ("search", "--restarts"): ["0", "-1", "1.5", "nan", "abc"],
     ("search", "--seed"): ["-1", "18446744073709551616", "1.5", "nan", "abc"],
-    ("search", "--max-iters"): ["0", "-1", "2.5", "nan", "abc"],
+    ("search", "--max-iters"): ["0", "-1", "2.5", "nan", "abc", "9223372036854775808"],
     ("search", "--tol"): ["0", "-1", "nan", "inf", "abc", "1e200", "1e-200"],
     ("verify", "--tol"): ["0", "-1", "nan", "inf", "abc"],
     ("mubs", "--dim"): ["6", "0", "1", "nan", "abc"],
     ("mubs", "--tol"): ["0", "-1", "nan", "inf", "abc"],
-    ("kt", "--dim"): ["0", "-1", "2.5", "inf", "abc"],
+    ("kt", "--dim"): ["0", "-1", "2.5", "inf", "abc",
+                      "1000000000000000000000000000000000000000000000000000000000000000000"
+                      "0000000000000000000000000000000000000000000000000000000000000000000"
+                      "0000000000000000000000000000000000000000000000000000000000000000000"],
     ("kt", "--t"): ["0", "0.5", "-1", "nan", "inf", "abc"],
 }
-# the values refused after parsing: a composite dimension, and a finite --tol whose square, the objective tolerance,
-# overflows or underflows
-REFUSED_AFTER_PARSING = {"6": "prime dimension required, got 6", "1e200": "--tol 1e+200", "1e-200": "--tol 1e-200"}
+# the values refused after parsing: a composite dimension, a finite --tol whose square, the objective tolerance,
+# overflows or underflows, and a dimension whose K_t bound at t = 2 is past the float range
+REFUSED_AFTER_PARSING = {"6": "prime dimension required, got 6", "1e200": "--tol 1e+200", "1e-200": "--tol 1e-200",
+                         str(10**200): f"bound at dimension {10**200} and t = 2.0 is past the float range"}
 
 
 def bad_flag_argv(command: str, flag: str, value: str) -> list:

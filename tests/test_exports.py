@@ -5,6 +5,7 @@ its inputs.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -90,6 +91,9 @@ def test_records_compare_without_raising_and_hash(name):
     assert type(a).__name__ == name and a is not b
     assert (a == b) is value_equal and (a == a) is True
     assert isinstance(hash(a), int) and isinstance(hash(b), int)
+    # every array field is read-only
+    arrays = {f.name: getattr(a, f.name) for f in dataclasses.fields(a) if isinstance(getattr(a, f.name), np.ndarray)}
+    assert [n for n, v in arrays.items() if v.flags.writeable] == [] and (arrays or value_equal)
 
 
 # name -> the parameters its constructor takes; every other field is derived from them in __post_init__

@@ -100,6 +100,14 @@ def test_kt_lower_bound_past_the_float_range_of_its_power():
         assert math.isfinite(bound) and bound >= 0.0
 
 
+@pytest.mark.parametrize("t", [1.0, 2.0])
+def test_kt_lower_bound_past_the_float_range_is_refused(t):
+    # d^2 (d-1) / (d+1)^(t-1) is about 1e600 / 1e200^(t-1): past the float range at t = 1 and 2, about 1e200 at t = 3
+    with pytest.raises(ValueError, match=rf"^the K_t lower bound at dimension {10**200} and t = {t!r} is past the"):
+        kt_lower_bound(10**200, t)
+    assert kt_lower_bound(10**200, 3.0) == pytest.approx(1e200, rel=1e-12)
+
+
 def test_kt_measure_at_large_t():
     opset = operator_set(build_sic_set(bench_fiducial(7)).projectors)
     report = kt_measure(opset, 400.0)

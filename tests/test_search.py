@@ -417,6 +417,7 @@ def test_search_rejects_bad_config():
         ("max_iters", 2.5),
         ("max_iters", float("inf")),
         ("max_iters", 0),
+        ("max_iters", 2**63),  # the refinement budgets are int64
         ("seed", 1.5),
         ("seed", float("nan")),
         ("seed", -1),

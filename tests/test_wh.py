@@ -182,6 +182,7 @@ def test_canonical_index_reduces_mod_d():
     assert canonical_index(5, (0, 5)) == (0, 0)
     assert canonical_index(5, (np.int64(-7), np.uint8(9))) == (3, 4)
     assert all(type(i) is int for i in canonical_index(5, (np.int64(-7), np.uint8(9))))
+    assert canonical_index(3, [4, -1]) == canonical_index(3, np.array([4, -1])) == (1, 2)  # any pair
 
 
 @pytest.mark.parametrize("r, name", [((1.5, 2), "r1"), ((0, 2.9), "r2"), ((True, 2), "r1"), ((1, "2"), "r2"),
@@ -193,6 +194,15 @@ def test_index_helpers_reject_non_integers(r, name):
         with pytest.raises(ValueError, match=f"index {name} must be an integer") as info:
             call()
         assert repr(r[0] if name == "r1" else r[1]) in str(info.value)
+
+
+@pytest.mark.parametrize("r", [(1, 2, 3), (1,), (), 5, None, np.array([1, 2, 3])])
+def test_index_helpers_reject_what_is_not_a_pair(r):
+    psi = np.array([1.0, 0.0, 0.0])
+    for call in (lambda: canonical_index(3, r), lambda: displacement(3, r), lambda: displace_state(psi, r)):
+        with pytest.raises(ValueError, match="index r must be a pair of integers") as info:
+            call()
+        assert repr(r) in str(info.value)
 
 
 def test_as_state_vector_validation():

@@ -8,14 +8,17 @@ fresh temporary directory:
   working directory.
 Exit codes, stdout and the bytes of every file left in the directory, set-up inputs included, must equal the
 reference's, with wall_time_ms and the temporary directory's path masked: any difference is printed and the script
-exits 1.  stderr differences are printed but do not fail the run.  This script imports only the standard library;
-the set-up runs in a child process with SRC and bench/ on its path.
+exits 1.  stderr differences are printed but do not fail the run.  The CLI's contract for a bad input is one
+`error: ...` line on stderr and exit code 2, so a call that prints a Python traceback on stderr in any checkout is
+printed and fails the run too, even where every checkout crashes alike.  This script imports only the standard
+library; the set-up runs in a child process with SRC and bench/ on its path.
 """
 import ast, difflib, json, os, re, subprocess, sys, tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WALL = re.compile(r'(wall_time_ms"?: )\d+')
+TRACEBACK = "Traceback (most recent call last)"
 
 
 def setup(src: str, work: str) -> list:
@@ -83,10 +86,14 @@ def main(checkouts: list) -> int:
             if ref["files"].get(name) != result["files"].get(name):
                 failures += 1
                 print(f"DIFF file {name}: differs or is missing in {label}")
+    crashes = [(label, argv) for label, result in results for argv, (_, _, stderr) in result["calls"].items()
+               if TRACEBACK in stderr]
+    for label, argv in crashes:
+        print(f"TRACEBACK {argv} in {label}")
     calls, files = len(ref["calls"]), len(ref["files"])
     print(f"{calls} calls and {files} files per checkout: {failures} differences in exit code, stdout or files; "
-          f"{stderr_changes} in stderr")
-    return 1 if failures else 0
+          f"{stderr_changes} in stderr; {len(crashes)} tracebacks")
+    return 1 if failures or crashes else 0
 
 
 if __name__ == "__main__":
