@@ -23,28 +23,26 @@ if its lowest objective so far is above 1e-4 and fell by no more than a
 fraction 1e-6 since the last such checkpoint.  Certified restarts fall far
 faster while that high, so the exit cuts only the descent of restarts sitting
 on a local minimum.
-The Gauss-Newton tail then refines the descent's end stack in place, again in
-lockstep over an index set of working rows; a restart left above the
-refinement switch passes through with budget 0.  W is built for the working
-rows and one kernel run evaluates their trials, while each restart solves its
-own least-squares step and leaves the set at its own exit.  Near an exact zero
-of the residual it converges fast, and at a local minimum with nonzero
-residual its step vanishes with the gradient.  Each batch comes back as one
-stack with its per-row counts; the search builds its outcomes from them and
-picks the winner once.  Input is validated at the public entry points only.
+The Gauss-Newton tail then refines the descent's end stack in place, again in lockstep over an index set of
+working rows; a restart left above the refinement switch passes through with budget 0.  W is built for the working
+rows and one kernel run evaluates their trials, while each restart solves its own least-squares step and leaves the
+set at its own exit.  Near an exact zero of the residual it converges fast, and at a local minimum with nonzero
+residual its step vanishes with the gradient.  Each batch comes back as one stack with its per-row counts; the
+search builds its outcomes from them and picks the winner once.  Input is validated at the public entry points
+only, and each looks up the group's ``wh.PhaseConstants`` record once: every function below takes it as its first
+argument and reads the group's tables and transforms from it alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .verify import SicSet, _residual, build_sic_set
-from .wh import _check_integer, _settle, as_state_vector, check_dim, check_tolerance, phase_constants
+from .wh import PhaseConstants, _check_integer, _settle, as_state_vector, check_dim, check_tolerance, phase_constants
 
 __all__ = [
     "RestartOutcome",
@@ -131,7 +129,7 @@ STOP_REASONS = (
 )
 
 
-def _residual_derivative(psi: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _residual_derivative(pc: PhaseConstants, psi: np.ndarray, b: np.ndarray) -> np.ndarray:
     """W[..., r, m] = d rho_r / d conj(psi_m) of each row psi[..., d] with overlaps b[..., d^2], rows r = r1*d + r2.
 
     W = conj(B_r) omega**((m-r1)*r2) psi_{m-r1} + B_r omega**(-m*r2) psi_{m+r1};
@@ -139,11 +137,9 @@ def _residual_derivative(psi: np.ndarray, b: np.ndarray) -> np.ndarray:
     A stack of rows gives W[..., d^2, d], each row equal bit for bit to the row's own call.
     """
     *rows, d = psi.shape
-    pc = phase_constants(d)
-    dft = pc.dft
     b = b.reshape(*rows, d, d)
-    lead = (b.conj() * dft.conj())[..., None] * dft * psi.take(pc.sub, axis=-1)[..., None, :]
-    trail = b[..., None] * dft.conj() * psi.take(pc.add, axis=-1)[..., None, :]
+    lead = (b.conj() * pc.dft.conj())[..., None] * pc.dft * psi.take(pc.sub, axis=-1)[..., None, :]
+    trail = b[..., None] * pc.dft.conj() * psi.take(pc.add, axis=-1)[..., None, :]
     return (lead + trail).reshape(*rows, d * d, d)
 
 
@@ -159,9 +155,9 @@ class _Point(NamedTuple):
     b: np.ndarray
 
 
-def _evaluate(psi: np.ndarray) -> _Point:
+def _evaluate(pc: PhaseConstants, psi: np.ndarray) -> _Point:
     """Run the overlap kernel once at psi[..., d]: the residual rho and overlaps B, and f = sum rho^2 / d, per row."""
-    rho, b = _residual(psi)
+    rho, b = _residual(pc, psi)
     return _Point(psi, np.vecdot(rho, rho) / psi.shape[-1], rho, b)
 
 
@@ -170,33 +166,26 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-@lru_cache(maxsize=None)
-def _lead_index(d: int) -> np.ndarray:
-    """Read-only flat gather table r1*d + (m - r1) % d of the gradient's conj(F[r1, m-r1]) psi_{m-r1}."""
-    index = np.arange(d)[:, None] * d + phase_constants(d).sub
-    index.setflags(write=False)
-    return index
-
-
-def _gradient(point: _Point) -> np.ndarray:
+def _gradient(pc: PhaseConstants, point: _Point) -> np.ndarray:
     """Riemannian gradient at an evaluated point (see ``objective_gradient``).
 
     The ambient part (4/d) rho W is summed in closed form: with
     F[r1, n] = sum_r2 rho_r B_r omega**(-n*r2), one FFT over r2,
     (rho W)[m] = sum_r1 conj(F[r1, m-r1]) psi_{m-r1} + F[r1, m] psi_{m+r1};
-    rho is real, so the conj(B) half of W needs only the conjugate of F.
+    rho is real, so the conj(B) half of W needs only the conjugate of F, gathered flat through ``pc.lead``.
     """
     psi = point.psi
     *rows, d = psi.shape
-    f = np.fft.fft((point.rho * point.b).reshape(*rows, d, d), axis=-1)
-    lead = (f.conj() * psi[..., None, :]).reshape(*rows, d * d).take(_lead_index(d), axis=-1)
-    g = (4.0 / d) * (lead + f * psi.take(phase_constants(d).add, axis=-1)).sum(axis=-2)
+    f = pc.forward((point.rho * point.b).reshape(*rows, d, d))
+    lead = (f.conj() * psi[..., None, :]).reshape(*rows, d * d).take(pc.lead, axis=-1)
+    g = (4.0 / d) * (lead + f * psi.take(pc.add, axis=-1)).sum(axis=-2)
     return g - np.vecdot(psi, g)[..., None] * psi
 
 
 def objective(psi) -> float:
     """Sum of squared overlap residuals over d; equals the summed squared quartic defects."""
-    return float(_evaluate(as_state_vector(psi)).f)
+    psi = as_state_vector(psi)
+    return float(_evaluate(phase_constants(psi.shape[0]), psi).f)
 
 
 def objective_gradient(psi) -> np.ndarray:
@@ -207,11 +196,13 @@ def objective_gradient(psi) -> np.ndarray:
     coefficient real, so the result is orthogonal to psi in the full complex
     inner product.
     """
-    return _gradient(_evaluate(as_state_vector(psi)))
+    psi = as_state_vector(psi)
+    pc = phase_constants(psi.shape[0])
+    return _gradient(pc, _evaluate(pc, psi))
 
 
 def _gradient_descent(
-    point: _Point, max_iters: int, objective_floor: float
+    pc: PhaseConstants, point: _Point, max_iters: int, objective_floor: float
 ) -> tuple[_Point, np.ndarray, np.ndarray, np.ndarray]:
     """Nonmonotone backtracking descent with Barzilai-Borwein step seeding of the
     rows psi[R, d]; returns (points, iterations, evaluations, stop reasons), all
@@ -237,7 +228,7 @@ def _gradient_descent(
     iterations, evaluations = np.zeros((2, len(point.f)), dtype=int)
     stops = np.empty(len(point.f), dtype=np.array(STOP_REASONS).dtype)  # wide enough for every reason
     rows = np.arange(len(point.f))  # the original index of each working row
-    g = _gradient(point)
+    g = _gradient(pc, point)
     gnorm_sq = np.vecdot(g, g).real
     scale = np.minimum(np.maximum(1.0 / np.maximum(1.0, _norms(g)), _MIN_STEP), _MAX_STEP)
     iters, ticks = np.zeros(len(rows), dtype=int), 0  # every working row evaluates one trial per tick
@@ -266,14 +257,14 @@ def _gradient_descent(
                 return final, iterations, evaluations, stops
             ring = ring[: len(rows)]
         cand = point.psi - scale[:, None] * g
-        trial = _evaluate(cand / _norms(cand)[:, None])
+        trial = _evaluate(pc, cand / _norms(cand)[:, None])
         ticks += 1
         ok = trial.f <= recent.max(axis=1) - _ARMIJO * scale * gnorm_sq
         accepted, halved = np.count_nonzero(ok), scale * _SHRINK
         if not accepted:  # every row halves its step; a row whose halving runs out stalled
             scale, go = halved, halved >= _MIN_STEP
             continue
-        g_new = _gradient(trial)  # at every trial of the tick; a failed row keeps its gradient below
+        g_new = _gradient(pc, trial)  # at every trial of the tick; a failed row keeps its gradient below
         s, y = trial.psi - point.psi, g_new - g
         sy, ss = np.vecdot(s, y).real, np.vecdot(s, s).real
         step = np.where(sy > 1e-300, ss / np.maximum(sy, 1e-300), scale * 2.0)
@@ -301,7 +292,7 @@ def _gradient_descent(
 
 
 def _gauss_newton_tail(
-    point: _Point, objective_floor: float, budgets: np.ndarray
+    pc: PhaseConstants, point: _Point, objective_floor: float, budgets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gauss-Newton refinement, in place, of the overlap residual system of the
     rows psi[R, d], each with its own iteration budget; returns (iterations,
@@ -335,11 +326,11 @@ def _gauss_newton_tail(
     stalled = np.zeros(len(point.f), dtype=bool)
     work = np.flatnonzero((point.f > objective_floor) & (budgets > 0))  # the working rows, ascending
     while len(work):
-        w = _residual_derivative(point.psi[work], point.b[work])
+        w = _residual_derivative(pc, point.psi[work], point.b[work])
         jacobians, rhs = np.concatenate((w.real, w.imag), axis=-1), -0.5 * point.rho[work]
         delta = np.array([np.linalg.lstsq(a, r, rcond=None)[0] for a, r in zip(jacobians, rhs)])
         cand = point.psi[work] + (delta[:, :d] + 1j * delta[:, d:])
-        trial = _evaluate(cand / _norms(cand)[:, None])
+        trial = _evaluate(pc, cand / _norms(cand)[:, None])
         kept = trial.f < point.f[work]
         for out, a in zip(point, trial):
             out[work[kept]] = a[kept]
@@ -353,7 +344,7 @@ def _gauss_newton_tail(
 
 
 def _descend(
-    psi: np.ndarray, max_iters: int, objective_floor: float
+    pc: PhaseConstants, psi: np.ndarray, max_iters: int, objective_floor: float
 ) -> tuple[_Point, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Two-phase minimization of the rows of psi[R, d], sharing the max_iters
     budget across both phases: global descent of all rows in lockstep first,
@@ -370,10 +361,10 @@ def _descend(
     its last descent point and the descent's stop reason.
     """
     switch = max(objective_floor, _REFINE_SWITCH)
-    ends, descent, evaluations, stops = _gradient_descent(_evaluate(psi), max_iters, switch)
+    ends, descent, evaluations, stops = _gradient_descent(pc, _evaluate(pc, psi), max_iters, switch)
     tail = stops == "objective_floor"  # the descent reached the switch
     budgets = np.where(tail, np.minimum(_REFINE_MAX_ITERS, max_iters - descent), 0)
-    refine, refine_evals, refine_stops = _gauss_newton_tail(ends, objective_floor, budgets)
+    refine, refine_evals, refine_stops = _gauss_newton_tail(pc, ends, objective_floor, budgets)
     return ends, descent, refine, 1 + evaluations + refine_evals, np.where(tail, refine_stops, stops)
 
 
@@ -410,12 +401,13 @@ def search_detailed(config: SearchConfig) -> tuple[SicSet, tuple[RestartOutcome,
     max_iters = _check_integer(config.max_iters, "max_iters", 1, 2**63)  # the budgets max_iters - descent are int64
     check_tolerance(config.accept_tol, "accept_tol")
     seed = _check_integer(config.seed, "seed", 0, 2**64)
+    pc = phase_constants(d)
 
     floor = config.accept_tol * 1e-4  # converge comfortably past acceptance
     batch = max(1, _BATCH_ENTRIES // (d * d))
     outcomes, fiducials = [], []
     for first in range(0, restarts, batch):
-        ends, *counts = _descend(_random_starts(d, seed, range(first, min(first + batch, restarts))), max_iters, floor)
+        ends, *counts = _descend(pc, _random_starts(d, seed, range(restarts)[first : first + batch]), max_iters, floor)
         outcomes += map(RestartOutcome, range(first, restarts), ends.f.tolist(), *(a.tolist() for a in counts))
         fiducials.append(ends.psi)
     best = min(outcomes, key=lambda outcome: outcome.objective_value)  # the first minimum: the lowest restart
@@ -442,4 +434,5 @@ def polish(psi) -> SicSet:
     point found and honest residuals.  The descent's plateau exit can stop
     only a run whose objective is above 1e-4.
     """
-    return build_sic_set(_descend(as_state_vector(psi)[None], 4000, 1e-28)[0].psi[0], tol=1e-9)
+    psi = as_state_vector(psi)
+    return build_sic_set(_descend(phase_constants(psi.shape[0]), psi[None], 4000, 1e-28)[0].psi[0], tol=1e-9)

@@ -8,10 +8,10 @@ equations with no phase factors left in them:
     sum_j psi_j conj(psi_{j+k}) conj(psi_{j+l}) psi_{j+k+l}
         = (delta_{k0} + delta_{l0}) / (d+1)      for all k, l in Z_d.
 
-Every check reads one residual rho_r = |<psi|D_r|psi>|^2 - t_r from one overlap
-kernel, a single FFT over the d cyclic products conj(psi_{j+r1}) psi_j: the gram
-residual, the quartic defects (a row-wise inverse DFT of rho, as that of t is the
-right-hand side above) and the search objective sum rho_r^2 / d.
+Every check reads one residual rho_r = |<psi|D_r|psi>|^2 - t_r from one overlap kernel, a single FFT over the d
+cyclic products conj(psi_{j+r1}) psi_j: the gram residual, the quartic defects (a row-wise inverse DFT of rho, as
+that of t is the right-hand side above) and the search objective sum rho_r^2 / d.  The kernel knows the group only
+as the ``wh.PhaseConstants`` record it is passed (tables and transforms), which each public entry point looks up.
 
 A SIC set is its fiducial and its d^2 overlaps: a ``SicSet`` runs the kernel once
 when it is made and keeps the grid |B_r|^2.  The projectors Pi_i = |D_i psi><D_i psi| have
@@ -23,14 +23,13 @@ Dense-matrix evaluation is kept to the test-suite as an independent oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .operator_space import KtReport, QuasiOnbReport, _check_order, kt_lower_bound
-from .wh import _displaced, _settle, as_state_vector, check_tolerance, phase_constants
+from .wh import PhaseConstants, _displaced, _settle, as_state_vector, check_tolerance, phase_constants
 
 __all__ = [
     "SicSet",
@@ -41,7 +40,7 @@ __all__ = [
 ]
 
 
-def _residual(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _residual(pc: PhaseConstants, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho_r = |<psi|D_r|psi>|^2 - t_r (t = 1 at r = 0, else 1/(d+1)) and the overlaps B_r, flat over r1*d + r2.
 
     B[r1, r2] = sum_j omega**(j*r2) conj(psi_{j+r1}) psi_j is <psi|D_r|psi> without its tau**(r1*r2) phase, which
@@ -49,7 +48,7 @@ def _residual(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rho[..., d^2] and B[..., d^2], each row equal bit for bit to the row's own call.
     """
     d = psi.shape[-1]
-    b = d * np.fft.ifft(psi.conj().take(phase_constants(d).add, axis=-1) * psi[..., None, :], axis=-1)
+    b = d * pc.inverse(psi.conj().take(pc.add, axis=-1) * psi[..., None, :])
     b = b.reshape(*psi.shape[:-1], d * d)
     rho = b.real**2 + b.imag**2 - 1.0 / (d + 1)
     rho[..., 0] -= d / (d + 1)  # t = 1 at the origin
@@ -61,19 +60,20 @@ def _gram(rho: np.ndarray) -> float:
     return float(np.abs(rho[1:]).max())
 
 
-def _defects(rho: np.ndarray) -> np.ndarray:
+def _defects(pc: PhaseConstants, rho: np.ndarray) -> np.ndarray:
     """Quartic defects of one rho[d^2]: the inverse DFT over r2 of rho[l, r2] at k, as a (k, l) matrix."""
-    return np.fft.ifft(rho.reshape(math.isqrt(rho.shape[0]), -1), axis=1).T
+    return pc.inverse(rho.reshape(pc.d, pc.d)).T
 
 
-def _quartic(rho: np.ndarray) -> float:
+def _quartic(pc: PhaseConstants, rho: np.ndarray) -> float:
     """Largest modulus among the quartic defects of one rho[d^2]."""
-    return float(np.abs(_defects(rho)).max())
+    return float(np.abs(_defects(pc, rho)).max())
 
 
 def gram_residual(psi) -> float:
     """Largest deviation of |<psi|D_r|psi>|^2 from 1/(d+1) over r != 0."""
-    return _gram(_residual(as_state_vector(psi))[0])
+    psi = as_state_vector(psi)
+    return _gram(_residual(phase_constants(psi.shape[0]), psi)[0])
 
 
 def quartic_defects(psi) -> np.ndarray:
@@ -82,12 +82,16 @@ def quartic_defects(psi) -> np.ndarray:
     The component sum sum_j psi_j conj(psi_{j+k}) conj(psi_{j+l}) psi_{j+k+l}
     is, by the Fourier identity, the inverse DFT over r2 of |B[l, r2]|^2 taken at k.
     """
-    return _defects(_residual(as_state_vector(psi))[0])
+    psi = as_state_vector(psi)
+    pc = phase_constants(psi.shape[0])
+    return _defects(pc, _residual(pc, psi)[0])
 
 
 def quartic_residual(psi) -> float:
     """Largest modulus among the quartic equation defects."""
-    return _quartic(_residual(as_state_vector(psi))[0])
+    psi = as_state_vector(psi)
+    pc = phase_constants(psi.shape[0])
+    return _quartic(pc, _residual(pc, psi)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +117,9 @@ class SicSet:
 
     def __post_init__(self):
         psi, tol = as_state_vector(self.fiducial).copy(), check_tolerance(self.tol, "tol")
-        rho, b = _residual(psi)
-        g, q, grid = _gram(rho), _quartic(rho), b.real**2 + b.imag**2
+        pc = phase_constants(psi.shape[0])
+        rho, b = _residual(pc, psi)
+        g, q, grid = _gram(rho), _quartic(pc, rho), b.real**2 + b.imag**2
         f = float(np.vecdot(rho, rho) / psi.shape[0])
         _settle(self, fiducial=psi, overlap_grid=grid, gram_residual=g, quartic_residual=q, objective_value=f, tol=tol,
                 certified=g <= tol and q <= tol)

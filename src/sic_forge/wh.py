@@ -39,6 +39,7 @@ TRACE_TOL = 1e-12  # |tr(rho) - 1| of a density matrix
 PROBABILITY_FLOOR = -1e-12  # least entry of a probability vector
 PROBABILITY_SUM_TOL = 1e-10  # |sum_i p(i) - 1| of a probability vector
 PURITY_TOL = 1e-9  # both purity residuals of a pure probability vector
+_TABLE_DIM_BOUND = 3037000500  # the least d with d*d >= 2**63: below it, a flat index r1*d + r2 fits in int64
 
 
 def _check_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
@@ -113,15 +114,14 @@ def as_state_vector(psi) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PhaseConstants:
-    """Unit phases and Z_d index tables of one dimension, made from d alone.
+    """The group Z_d of one dimension as one record, made from d alone: its unit phases, tables and transforms.
 
-    ``omega = exp(2*pi*i/d)`` generates the clock spectrum and
-    ``tau = -exp(i*pi/d)`` satisfies ``tau**2 == omega``.  tau has
-    multiplicative order 2d when d is even, so tau exponents must never be
-    reduced mod d; :meth:`tau_power` takes the raw integer exponent.
-    The read-only (d, d) gather tables are ``add[a, m] = (a + m) % d``,
-    ``sub[a, m] = (m - a) % d`` and ``dft[a, m] = omega**(a*m)``.
-    ``phase_constants(d)`` returns the cached instance.
+    ``omega = exp(2*pi*i/d)`` generates the clock spectrum and ``tau = -exp(i*pi/d)`` satisfies ``tau**2 == omega``.
+    tau has multiplicative order 2d when d is even, so tau exponents must never be reduced mod d; :meth:`tau_power`
+    takes the raw integer exponent.  The read-only (d, d) tables are ``add[a, m] = (a + m) % d``, ``sub[a, m] =
+    (m - a) % d``, the flat gather index ``lead[a, m] = a*d + sub[a, m]`` and ``dft[a, m] = omega**(a*m)``.
+    ``forward(x)`` (``np.fft.fft``) sums x[..., n] conj(dft[n, m]) over x's last axis, and ``inverse(x)``
+    (``np.fft.ifft``) undoes it.  ``phase_constants(d)`` returns the cached instance; d is below 3037000500.
     """
 
     d: int
@@ -130,17 +130,24 @@ class PhaseConstants:
     omega_powers: np.ndarray = field(init=False)
     add: np.ndarray = field(init=False)
     sub: np.ndarray = field(init=False)
+    lead: np.ndarray = field(init=False)
     dft: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        d = check_dim(self.d)
+        d = _check_integer(check_dim(self.d), "dimension", 2, _TABLE_DIM_BOUND)
         idx = np.arange(d)
         powers = np.exp(2j * np.pi * idx / d)
         add = (idx[:, None] + idx[None, :]) % d
         sub = (idx[None, :] - idx[:, None]) % d
         dft = powers[np.outer(idx, idx) % d]
         _settle(self, d=d, omega=complex(powers[1]), tau=-complex(np.exp(1j * np.pi / d)), omega_powers=powers,
-                add=add, sub=sub, dft=dft)
+                add=add, sub=sub, lead=idx[:, None] * d + sub, dft=dft)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.fft(x, axis=-1)
+
+    def inverse(self, x: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(x, axis=-1)
 
     def tau_power(self, n):
         """tau**n = exp(i*pi*(d+1)*n/d) from the plain integer (or integer array) n."""
@@ -155,8 +162,7 @@ def phase_constants(d: int) -> PhaseConstants:
 
 def build_clock(d: int) -> np.ndarray:
     """Diagonal clock operator: entry (j, j) equals omega**j."""
-    d = check_dim(d)
-    return np.diag(phase_constants(d).omega_powers)
+    return np.diag(phase_constants(check_dim(d)).omega_powers)
 
 
 def build_shift(d: int) -> np.ndarray:

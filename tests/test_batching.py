@@ -43,6 +43,7 @@ from sic_forge.search import (
     _random_starts,
     _residual_derivative,
 )
+from sic_forge.wh import phase_constants
 from conftest import random_state
 
 search_module = importlib.import_module("sic_forge.search")
@@ -63,7 +64,8 @@ def serial_descent(point, max_iters: int, objective_floor: float, plateau: bool 
     several reports the first of them.  Into ladders, if given, each line search
     appends its accepted step's length |psi_new - psi|, or None if it found none.
     """
-    g = _gradient(point)
+    pc = phase_constants(point.psi.shape[-1])
+    g = _gradient(pc, point)
     step = 1.0 / max(1.0, float(np.linalg.norm(g)))
     iterations = evaluations = 0
     recent = collections.deque([float(point.f)], maxlen=_ARMIJO_MEMORY)  # the last accepted objectives
@@ -78,7 +80,7 @@ def serial_descent(point, max_iters: int, objective_floor: float, plateau: bool 
         while alpha >= _MIN_STEP:
             evaluations += 1
             cand = point.psi + alpha * -g
-            trial = _evaluate(cand / np.linalg.norm(cand))
+            trial = _evaluate(pc, cand / np.linalg.norm(cand))
             if trial.f <= reference - _ARMIJO * alpha * gnorm_sq:
                 break
             alpha *= _SHRINK
@@ -89,7 +91,7 @@ def serial_descent(point, max_iters: int, objective_floor: float, plateau: bool 
         if trial is None:
             break  # line search stalled: at the numerical floor of the basin
         iterations += 1
-        g_new = _gradient(trial)
+        g_new = _gradient(pc, trial)
         s = trial.psi - point.psi
         y = g_new - g
         sy = float(np.vdot(s, y).real)
@@ -122,14 +124,15 @@ def serial_refine(point, objective_floor: float, max_iters: int):
     iteration_budget once max_iters steps are kept, and with objective_floor once f is at or below the floor.
     """
     d = point.psi.shape[0]
+    pc = phase_constants(d)
     iterations = evaluations = 0
     while point.f > objective_floor:
         if iterations >= max_iters:
             return point, iterations, evaluations, "iteration_budget"
-        w = _residual_derivative(point.psi, point.b)
+        w = _residual_derivative(pc, point.psi, point.b)
         delta = np.linalg.lstsq(np.concatenate([w.real, w.imag], axis=1), -point.rho / 2, rcond=None)[0]
         moved = point.psi + (delta[:d] + 1j * delta[d:])
-        trial = _evaluate(moved / np.linalg.norm(moved))
+        trial = _evaluate(pc, moved / np.linalg.norm(moved))
         evaluations += 1
         if trial.f >= point.f:
             return point, iterations, evaluations, "line_search_stalled"
@@ -154,7 +157,7 @@ def serial_restart(config: SearchConfig, restart: int, gated: bool = True, plate
     """
     floor = config.accept_tol * 1e-4
     switch = max(floor, _REFINE_SWITCH)
-    start = _evaluate(fresh_start(config.dim, config.seed, restart))
+    start = _evaluate(phase_constants(config.dim), fresh_start(config.dim, config.seed, restart))
     point, descent, evals, stop = serial_descent(start, config.max_iters, switch, plateau)
     if gated and point.f > switch:
         return point.psi, (restart, float(point.f), descent, descent, 0, 1 + evals, stop)
@@ -237,7 +240,7 @@ PLATEAU = (SearchConfig(dim=8, restarts=1, seed=5), 0, "objective_plateau")
 )
 def test_a_restart_left_above_the_switch_keeps_its_last_descent_point(config, restart, stop):
     outcome = search_detailed(config)[1][restart]
-    start = _evaluate(fresh_start(config.dim, config.seed, restart))
+    start = _evaluate(phase_constants(config.dim), fresh_start(config.dim, config.seed, restart))
     point, descent, evals, serial_stop = serial_descent(start, config.max_iters, _REFINE_SWITCH)
     assert point.f > _REFINE_SWITCH
     assert outcome.objective_value == float(point.f)
@@ -260,7 +263,7 @@ def test_the_stop_reason_names_the_exit_the_descent_took(config, restart, stop):
     # than _STEP_TOL
     assert search_detailed(config)[1][restart].stop_reason == stop
     ladders = []
-    start = _evaluate(fresh_start(config.dim, config.seed, restart))
+    start = _evaluate(phase_constants(config.dim), fresh_start(config.dim, config.seed, restart))
     assert serial_descent(start, config.max_iters, _REFINE_SWITCH, ladders=ladders)[3] == stop
     if stop == "step_below_tolerance":
         assert None not in ladders and ladders[-1] <= _STEP_TOL < min(ladders[:-1])
@@ -273,10 +276,11 @@ def test_a_descent_from_a_zero_gradient_stalls_at_once(d):
     # a basis state is a critical point of the objective: the descent evaluates its start only and stops
     start = np.zeros(d, dtype=complex)
     start[0] = 1.0
-    ends, descent, refine, evaluations, stops = search_module._descend(start[None], 4000, 1e-22)
+    pc = phase_constants(d)
+    ends, descent, refine, evaluations, stops = search_module._descend(pc, start[None], 4000, 1e-22)
     assert np.array_equal(ends.psi[0], start) and ends.f[0] > _REFINE_SWITCH
     assert (descent[0] + refine[0], evaluations[0], stops[0]) == (0, 1, "line_search_stalled")
-    assert serial_descent(_evaluate(start), 4000, _REFINE_SWITCH)[1:] == (0, 0, "line_search_stalled")
+    assert serial_descent(_evaluate(pc, start), 4000, _REFINE_SWITCH)[1:] == (0, 0, "line_search_stalled")
 
 
 def traced_tails(monkeypatch, config):
@@ -289,10 +293,10 @@ def traced_tails(monkeypatch, config):
     trace checks by the stack sizes."""
     tails, tail, evaluate = [], search_module._gauss_newton_tail, search_module._evaluate
 
-    def recording(point, objective_floor, budgets):
+    def recording(pc, point, objective_floor, budgets):
         ticks, start = [], point.f.tolist()
-        monkeypatch.setattr(search_module, "_evaluate", lambda psi: ticks.append(evaluate(psi)) or ticks[-1])
-        result = tail(point, objective_floor, budgets)
+        monkeypatch.setattr(search_module, "_evaluate", lambda *args: ticks.append(evaluate(*args)) or ticks[-1])
+        result = tail(pc, point, objective_floor, budgets)
         monkeypatch.setattr(search_module, "_evaluate", evaluate)
         iterations, evaluations, stops = result
         assert [len(t.f) for t in ticks] == [np.count_nonzero(evaluations > k) for k in range(len(ticks))]
@@ -338,13 +342,14 @@ def test_one_tail_batch_retires_its_rows_on_different_ticks_for_different_reason
     # budget of 0 (row 1) and restart 0's tail end, already at the floor (row 4).  Every row equals its serial tail
     # bit for bit, and those two come back as they went in.  The tail refines the stack it is given in place
     restarts, floor = (0, 1, 2, 3, 4, 5, 7), 1e-32
-    ends = [serial_descent(_evaluate(fresh_start(4, 11, r)), 4000, _REFINE_SWITCH)[0] for r in restarts]
+    pc = phase_constants(4)
+    ends = [serial_descent(_evaluate(pc, fresh_start(4, 11, r)), 4000, _REFINE_SWITCH)[0] for r in restarts]
     at_floor = serial_refine(ends[0], floor, 60)[0]
     assert at_floor.f <= floor
     ends[1:1], ends[4:4] = [ends[3]], [at_floor]
     budgets = np.array([60, 0, 1, 60, 60, 60, 60, 60, 60])
     points = _Point(*map(np.array, zip(*ends)))
-    iterations, evaluations, stops = _gauss_newton_tail(points, floor, budgets)
+    iterations, evaluations, stops = _gauss_newton_tail(pc, points, floor, budgets)
     alone = [serial_refine(point, floor, budget) for point, budget in zip(ends, budgets.tolist())]
     assert list(zip(iterations.tolist(), evaluations.tolist(), stops.tolist())) == [a[1:] for a in alone]
     for row, (point, *_) in enumerate(alone):
@@ -388,13 +393,13 @@ def test_polish_runs_the_tail_on_one_row_as_the_serial_oracle(monkeypatch, start
         psi = search_detailed(SearchConfig(dim=3, restarts=1, seed=5, accept_tol=1e-12))[0].fiducial
     rows, tail = [], search_module._gauss_newton_tail
 
-    def recording(point, *args):
+    def recording(pc, point, *args):
         rows.append(len(point.f))
-        return tail(point, *args)
+        return tail(pc, point, *args)
 
     monkeypatch.setattr(search_module, "_gauss_newton_tail", recording)
     polished = search_module.polish(psi)
-    point, descent, _, _ = serial_descent(_evaluate(psi), 4000, _REFINE_SWITCH)
+    point, descent, _, _ = serial_descent(_evaluate(phase_constants(3), psi), 4000, _REFINE_SWITCH)
     point, refine, _, stop = serial_refine(point, 1e-28, min(_REFINE_MAX_ITERS, 4000 - descent))
     assert rows == [1] and refine > 0 and stop == "objective_floor"
     assert polished.fiducial.tobytes() == point.psi.tobytes()
@@ -412,9 +417,9 @@ def test_outcomes_do_not_depend_on_the_batch_size(monkeypatch, config):
     batches = []
     descend = search_module._descend
 
-    def recording(psi, *args):
+    def recording(pc, psi, *args):
         batches.append(psi.shape[0])
-        return descend(psi, *args)
+        return descend(pc, psi, *args)
 
     monkeypatch.setattr(search_module, "_descend", recording)
     default = fingerprint(search_detailed(config))
@@ -436,9 +441,9 @@ def test_the_lowest_restart_wins_a_tie(monkeypatch, entries, batches, objectives
     # restart at the lowest objective, whether the tied restarts share a batch or not
     ends, sizes, descend = [], [], search_module._descend
 
-    def tied(psi, *args):
+    def tied(pc, psi, *args):
         sizes.append(len(psi))
-        result = descend(psi, *args)
+        result = descend(pc, psi, *args)
         result[0].f[:] = objectives[len(ends) : len(ends) + len(psi)]
         ends.extend(result[0].psi.copy())
         return result
@@ -463,7 +468,7 @@ def test_polish_and_descend_leave_the_callers_array_unchanged(start):
     assert psi.tobytes() == before
     stack = np.concatenate((psi[None], _random_starts(3, 5, range(1, 4))))
     before = stack.tobytes()
-    refine = search_module._descend(stack, 4000, 1e-28)[2]
+    refine = search_module._descend(phase_constants(3), stack, 4000, 1e-28)[2]
     assert stack.tobytes() == before and np.count_nonzero(refine) == 4
 
 
@@ -479,18 +484,19 @@ def test_restart_outcomes_do_not_depend_on_the_restart_count(k):
 def test_batched_kernels_equal_row_calls_bit_for_bit(d, rows, seed):
     rng = np.random.default_rng(seed)
     psi = np.array([random_state(rng, d) for _ in range(rows)])
-    batch = _evaluate(psi)
-    gradients = _gradient(batch)
+    pc = phase_constants(d)
+    batch = _evaluate(pc, psi)
+    gradients = _gradient(pc, batch)
     norms = _norms(gradients)
-    derivatives = _residual_derivative(batch.psi, batch.b)
+    derivatives = _residual_derivative(pc, batch.psi, batch.b)
     for r in range(rows):
-        alone = _evaluate(psi[r])
+        alone = _evaluate(pc, psi[r])
         assert batch.f[r].tobytes() == alone.f.tobytes()
         assert batch.rho[r].tobytes() == alone.rho.tobytes()
         assert batch.b[r].tobytes() == alone.b.tobytes()
-        assert gradients[r].tobytes() == _gradient(alone).tobytes()
+        assert gradients[r].tobytes() == _gradient(pc, alone).tobytes()
         assert norms[r] == np.linalg.norm(gradients[r])
-        assert derivatives[r].tobytes() == _residual_derivative(alone.psi, alone.b).tobytes()
+        assert derivatives[r].tobytes() == _residual_derivative(pc, alone.psi, alone.b).tobytes()
 
 
 @pytest.mark.parametrize("d, seed", [(2, 0), (7, 2**64 - 1), (24, 97)])

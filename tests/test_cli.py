@@ -360,7 +360,8 @@ def test_mubs_profiles_the_state_once(capsys, monkeypatch, tol):
 @pytest.mark.parametrize(
     "dim, message",
     [
-        ("1000000000000000003", "error: Unable to allocate"),  # prime: refused when its tables do not fit in memory
+        # prime: refused by name, as its (d, d) tables could not be indexed in int64
+        ("1000000000000000003", "error: dimension must be an integer in [2, 3037000500)"),
         ("1000000016000000063", "error: prime dimension required"),  # 1000000007 * 1000000009
     ],
 )
@@ -412,7 +413,7 @@ def test_verify_and_kt_build_no_projector_stack(capsys, monkeypatch):
     for name in ("vectors", "projectors"):
         monkeypatch.setattr(verify.SicSet, name, property(refuse))
     calls, kernel = [], verify._residual
-    monkeypatch.setattr(verify, "_residual", lambda psi: calls.append(1) or kernel(psi))
+    monkeypatch.setattr(verify, "_residual", lambda pc, psi: calls.append(1) or kernel(pc, psi))
     fiducial = str(BENCH_DATA / "fiducial_d7.json")
     for argv in (["verify", "--fiducial", fiducial], ["kt", "--dim", "7", "--t", "2", "--fiducial", fiducial]):
         calls.clear()
@@ -477,13 +478,13 @@ VALID_FLAGS = {
     "kt": {"--dim": "3", "--t": "2"},
 }
 BAD_FLAGS = {
-    ("search", "--dim"): ["0", "-1", "1", "2.5", "nan", "inf", "abc"],
+    ("search", "--dim"): ["0", "-1", "1", "2.5", "nan", "inf", "abc", "4611686018427387904"],
     ("search", "--restarts"): ["0", "-1", "1.5", "nan", "abc"],
     ("search", "--seed"): ["-1", "18446744073709551616", "1.5", "nan", "abc"],
     ("search", "--max-iters"): ["0", "-1", "2.5", "nan", "abc", "9223372036854775808"],
     ("search", "--tol"): ["0", "-1", "nan", "inf", "abc", "1e200", "1e-200"],
     ("verify", "--tol"): ["0", "-1", "nan", "inf", "abc"],
-    ("mubs", "--dim"): ["6", "0", "1", "nan", "abc"],
+    ("mubs", "--dim"): ["6", "0", "1", "nan", "abc", "9223372036854775837"],
     ("mubs", "--tol"): ["0", "-1", "nan", "inf", "abc"],
     ("kt", "--dim"): ["0", "-1", "2.5", "inf", "abc",
                       "1000000000000000000000000000000000000000000000000000000000000000000"
@@ -492,9 +493,12 @@ BAD_FLAGS = {
     ("kt", "--t"): ["0", "0.5", "-1", "nan", "inf", "abc"],
 }
 # the values refused after parsing: a composite dimension, a finite --tol whose square, the objective tolerance,
-# overflows or underflows, and a dimension whose K_t bound at t = 2 is past the float range
+# overflows or underflows, a dimension whose K_t bound at t = 2 is past the float range, and dimensions (2**62, and
+# a prime below the exact primality bound) whose (d, d) tables could not be indexed in int64
 REFUSED_AFTER_PARSING = {"6": "prime dimension required, got 6", "1e200": "--tol 1e+200", "1e-200": "--tol 1e-200",
-                         str(10**200): f"bound at dimension {10**200} and t = 2.0 is past the float range"}
+                         str(10**200): f"bound at dimension {10**200} and t = 2.0 is past the float range",
+                         **{d: f"dimension must be an integer in [2, 3037000500), got {d}"
+                            for d in ("4611686018427387904", "9223372036854775837")}}
 
 
 def bad_flag_argv(command: str, flag: str, value: str) -> list:

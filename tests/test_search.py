@@ -126,14 +126,15 @@ def test_residual_derivative_matches_finite_differences(d):
 
     rng = np.random.default_rng(900 + d)
     h = 1e-6
+    pc = phase_constants(d)
     for _ in range(5):
         psi = random_state(rng, d)
-        w = _residual_derivative(psi, _evaluate(psi).b)
+        w = _residual_derivative(pc, psi, _evaluate(pc, psi).b)
         jac = 2.0 * np.hstack([w.real, w.imag])
         for _ in range(3):
             x = rng.standard_normal(2 * d)
             eta = x[:d] + 1j * x[d:]
-            fd = (_evaluate(psi + h * eta).rho - _evaluate(psi - h * eta).rho) / (2.0 * h)
+            fd = (_evaluate(pc, psi + h * eta).rho - _evaluate(pc, psi - h * eta).rho) / (2.0 * h)
             np.testing.assert_allclose(jac @ x, fd, atol=1e-7)
 
 
@@ -143,23 +144,25 @@ def test_gradient_is_adjoint_of_residual_derivative(d):
     from sic_forge.search import _evaluate, _gradient, _residual_derivative
 
     rng = np.random.default_rng(1000 + d)
+    pc = phase_constants(d)
     for _ in range(3):
-        point = _evaluate(random_state(rng, d))
+        point = _evaluate(pc, random_state(rng, d))
         psi = point.psi
-        ambient = (4.0 / d) * (point.rho @ _residual_derivative(psi, point.b))
+        ambient = (4.0 / d) * (point.rho @ _residual_derivative(pc, psi, point.b))
         expected = ambient - np.vdot(psi, ambient) * psi
-        np.testing.assert_allclose(_gradient(point), expected, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(_gradient(pc, point), expected, rtol=0.0, atol=1e-13)
 
 
 def test_gradient_tables_are_cached_read_only():
-    # the gradient gathers through the phase constants' sub and add
+    # the gradient gathers through the phase constants' sub, add and flat lead index
     for d in (3, 8):
         pc = phase_constants(d)
         assert phase_constants(d) is pc
         r1, m = np.divmod(np.arange(d * d), d)
         assert np.array_equal(pc.sub.reshape(-1), (m - r1) % d)
         assert np.array_equal(pc.add.reshape(-1), (m + r1) % d)
-        assert not any(t.flags.writeable for t in (pc.sub, pc.add))
+        assert np.array_equal(pc.lead.reshape(-1), r1 * d + (m - r1) % d)
+        assert not any(t.flags.writeable for t in (pc.sub, pc.add, pc.lead))
 
 
 def test_only_gauss_newton_builds_the_residual_derivative(monkeypatch):
@@ -169,13 +172,14 @@ def test_only_gauss_newton_builds_the_residual_derivative(monkeypatch):
     calls = []
     original = module._residual_derivative
 
-    def counting(psi, b):
+    def counting(pc, psi, b):
         calls.append(math.prod(psi.shape[:-1]))
-        return original(psi, b)
+        return original(pc, psi, b)
 
     monkeypatch.setattr(module, "_residual_derivative", counting)
     for d in (3, 8, 24):
-        module._gradient_descent(module._evaluate(module._random_starts(d, 7, range(1))), 400, 1e-10)
+        pc = phase_constants(d)
+        module._gradient_descent(pc, module._evaluate(pc, module._random_starts(d, 7, range(1))), 400, 1e-10)
     assert calls == []
     _, outcomes = search_detailed(SearchConfig(dim=8, restarts=4, seed=5))
     # restarts 1 to 3 refine to the floor, one W per step; the stopped restart 0 never reaches the switch, builds none
@@ -193,14 +197,15 @@ def accepted_points(monkeypatch, d: int, seed: int, budget: int = 4000) -> list:
     module = importlib.import_module("sic_forge.search")
     points, gradient = [], module._gradient
 
-    def recording(point):  # one row: the descent takes a gradient at its start and at each accepted trial only
-        g = gradient(point)
+    def recording(pc, point):  # one row: the descent takes a gradient at its start and at each accepted trial only
+        g = gradient(pc, point)
         points.append((point.psi[0], float(point.f[0]), g[0]))
         return g
 
     monkeypatch.setattr(module, "_gradient", recording)
-    start = module._evaluate(module._random_starts(d, seed, range(1)))
-    module._gradient_descent(start, budget, module._REFINE_SWITCH)
+    pc = phase_constants(d)
+    start = module._evaluate(pc, module._random_starts(d, seed, range(1)))
+    module._gradient_descent(pc, start, budget, module._REFINE_SWITCH)
     monkeypatch.setattr(module, "_gradient", gradient)
     return points
 
@@ -231,7 +236,8 @@ def test_a_budget_of_b_steps_ends_at_the_bth_accepted_point(monkeypatch):
 
     f = [value for _, value, _ in accepted_points(monkeypatch, 4, 42, 12)]
     psi0 = _random_starts(4, 42, range(1))
-    ends = [_gradient_descent(_evaluate(psi0.copy()), b, 0.0)[0].f[0] for b in range(1, 12)]
+    pc = phase_constants(4)
+    ends = [_gradient_descent(pc, _evaluate(pc, psi0.copy()), b, 0.0)[0].f[0] for b in range(1, 12)]
     assert ends == f[1:12] and min(ends) < f[0]
     assert any(b > a for a, b in zip(ends, ends[1:]))  # the last objective rises once, from b = 5 to 6
 
@@ -297,9 +303,9 @@ def test_restart_trace_is_deterministic_and_consistent(monkeypatch):
     kernel_runs = []
     original = importlib.import_module("sic_forge.verify")._residual
 
-    def counting(psi):
+    def counting(pc, psi):
         kernel_runs.append(math.prod(psi.shape[:-1]))  # the points in one call: its leading-axis size
-        return original(psi)
+        return original(pc, psi)
 
     for name in ("sic_forge.verify", "sic_forge.search"):  # every binding of the kernel
         monkeypatch.setattr(importlib.import_module(name), "_residual", counting)
@@ -539,3 +545,50 @@ def test_restart_outcome_derives_its_iterations():
     ]
     with pytest.raises(TypeError):
         RestartOutcome(**counts, iterations=41, stop_reason="iteration_budget")
+
+
+class ThreeQubitGroup:
+    """The group Z_2^3 of order 8 in the shape of a PhaseConstants record: a and m are 3-bit words, a + m is a XOR m,
+    and the character table dft[a, m] = (-1)**popcount(a & m) is real and its own inverse up to 1/8."""
+
+    d = 8
+    a, m = np.divmod(np.arange(64), 8)
+    add = sub = (a ^ m).reshape(8, 8)
+    lead = a.reshape(8, 8) * 8 + sub
+    dft = (-1.0) ** np.bitwise_count(a & m).reshape(8, 8)
+
+    def forward(self, x):
+        return x @ self.dft.conj()
+
+    def inverse(self, x):
+        return x @ self.dft / 8
+
+
+def three_qubit_paulis() -> np.ndarray:
+    """The 64 dense matrices X^a Z^m, r = a*8 + m: Kronecker products of one-qubit powers, most significant bit first,
+    so X^a |j> = |j XOR a> and Z^m |j> = (-1)**popcount(j & m) |j>."""
+    x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    bits = lambda n: [(n >> k) & 1 for k in (2, 1, 0)]
+    paulis = []
+    for a, m in np.ndindex(8, 8):
+        factors = [np.linalg.matrix_power(x, i) @ np.linalg.matrix_power(z, j) for i, j in zip(bits(a), bits(m))]
+        paulis.append(np.kron(np.kron(factors[0], factors[1]), factors[2]))
+    return np.array(paulis)
+
+
+def test_the_kernel_reads_another_group_from_its_record_alone():
+    # the overlap kernel's residual for Z_2^3 equals the dense |<psi|X^a Z^m|psi>|^2 - t_r
+    search_module = importlib.import_module("sic_forge.search")
+    from sic_forge.verify import _residual
+
+    group, paulis = ThreeQubitGroup(), three_qubit_paulis()
+    psi = random_state(np.random.default_rng(8), 8)
+    dense = np.abs(np.einsum("j,rjk,k->r", psi.conj(), paulis, psi)) ** 2 - np.where(np.arange(64) == 0, 1.0, 1 / 9)
+    np.testing.assert_allclose(_residual(group, psi)[0], dense, rtol=0.0, atol=1e-14)
+    # the search's descent and tail, given only this record, find Z_2^3-covariant SICs in C^8: 64 vectors
+    # X^a Z^m psi with pairwise |<.,.>|^2 = 1/9 (whether these are Hoggar's lines is not checked here)
+    ends, *_, stops = search_module._descend(group, search_module._random_starts(8, 1, range(32)), 4000, 1e-22)
+    assert np.count_nonzero(stops == "objective_floor") >= 30
+    vectors = paulis @ ends.psi[np.argmin(ends.f)]
+    overlaps = np.abs(vectors.conj() @ vectors.T) ** 2
+    assert np.abs(overlaps - np.where(np.eye(64, dtype=bool), 1.0, 1 / 9)).max() <= 1e-12

@@ -33,7 +33,7 @@ GOLDENS = Path(__file__).resolve().parents[1] / "goldens"
 def kernel_overlaps(psi: np.ndarray) -> np.ndarray:
     """The overlap kernel's B as [r1, r2]."""
     d = psi.shape[0]
-    return _residual(psi)[1].reshape(d, d)
+    return _residual(phase_constants(d), psi)[1].reshape(d, d)
 
 
 def displacement_overlaps(psi: np.ndarray) -> np.ndarray:
@@ -57,7 +57,7 @@ def test_overlaps_match_dense_oracle(d):
     for _ in range(10):
         psi = random_state(rng, d)
         values = displacement_overlaps(psi)
-        rho = _residual(psi)[0].reshape(d, d)
+        rho = _residual(phase_constants(d), psi)[0].reshape(d, d)
         assert abs(values[0, 0] - 1.0) <= 1e-12
         for r1 in range(d):
             for r2 in range(d):
@@ -159,7 +159,7 @@ def test_build_sic_set_validates_once_and_runs_the_kernel_once(monkeypatch, fidu
     calls = []
     for name in ("as_state_vector", "_residual"):
         original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda psi, _f=original, _n=name: calls.append(_n) or _f(psi))
+        monkeypatch.setattr(module, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
     assert build_sic_set(fiducial_d3).certified
     assert calls == ["as_state_vector", "_residual"]
 
@@ -289,7 +289,7 @@ def test_residual_forms_bound_each_other_off_unit_norm(d, kind, seed, stretch):
     if kind == "stored" and d in STORED:
         psi = STORED[d]
     psi = psi * np.sqrt(1.0 + 0.99 * STATE_NORM_TOL * stretch)
-    g, q, origin = gram_residual(psi), quartic_residual(psi), abs(_residual(psi)[0][0])
+    g, q, origin = gram_residual(psi), quartic_residual(psi), abs(_residual(phase_constants(d), psi)[0][0])
     ulps = 1.0 + 4.0 * np.finfo(float).eps  # the basis state at d = 2 meets g = 2q exactly
     assert q <= (g + origin / d) * ulps
     assert g <= d * q * ulps

@@ -16,6 +16,7 @@ from sic_forge import (
     displacement,
     phase_constants,
 )
+from sic_forge.mubs import MubSet
 from sic_forge.wh import check_tolerance
 from conftest import displacement_table, oracle_displacement, random_state
 
@@ -98,7 +99,11 @@ def test_phase_constants_invariants():
         assert abs(abs(pc.tau) - 1.0) <= 1e-14
         a, m = np.divmod(np.arange(d * d), d)
         np.testing.assert_allclose(pc.dft.reshape(-1), np.exp(2j * np.pi * a * m / d), rtol=0.0, atol=1e-13)
-        assert not any(t.flags.writeable for t in (pc.omega_powers, pc.add, pc.sub, pc.dft))
+        assert not any(t.flags.writeable for t in (pc.omega_powers, pc.add, pc.sub, pc.lead, pc.dft))
+        rng = np.random.default_rng(d)
+        stack = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        assert pc.forward(stack).tobytes() == np.fft.fft(stack).tobytes()
+        assert pc.inverse(stack).tobytes() == np.fft.ifft(stack).tobytes()
 
 
 def test_phase_constants_take_only_d():
@@ -110,6 +115,18 @@ def test_phase_constants_take_only_d():
         dataclasses.replace(pc, omega=1.0)
     with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
         PhaseConstants(1)
+
+
+@pytest.mark.parametrize("d", [3037000500, 2**63])
+@pytest.mark.parametrize(
+    "build",
+    [phase_constants, lambda d: displacement(d, (0, 0)), build_clock, MubSet],
+    ids=["phase_constants", "displacement", "build_clock", "MubSet"],
+)
+def test_a_dimension_whose_tables_cannot_be_indexed_is_refused_by_name(build, d):
+    # 3037000500 is the least d with d*d >= 2**63: a flat index r1*d + r2 of its (d, d) tables overflows int64
+    with pytest.raises(ValueError, match=rf"dimension must be an integer in \[2, 3037000500\), got {d}"):
+        build(d)
 
 
 def test_displacement_identity_at_origin():

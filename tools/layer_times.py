@@ -11,7 +11,7 @@ potential and quasi-ONB run whole on the projector stack, and beside them the sa
 built set's stored grid; build_sic_set is timed whole.
 search, per bench search (d, restarts) at workload seed 1: wall and CPU us of search_detailed (CPU of the whole
 process, BLAS threads included), and one descent tick, _evaluate then _gradient on an (R, d) stack of start points,
-for R = 1 and R = 16 restarts.
+for R = 1 and R = 16 restarts (with the phase_constants(d) record first in checkouts whose kernel takes it).
 Deterministic counts per row, reported as they are: the restarts certified (RestartOutcome objective within
 accept_tol), and beside it certified_record, 1 if the record search_detailed returns is certified, else 0; the
 overlap evaluations of the Gauss-Newton tail (summed from the per-row evaluations _gauss_newton_tail returns second
@@ -94,9 +94,10 @@ def search_seconds(sf, d: int, restarts: int, seed: int) -> dict:
     row["descent_iters"] = sum(o.descent_iterations for o in outcomes)
     stops = collections.Counter(o.stop_reason for o in outcomes)
     row.update({f"stop.{reason}": stops[reason] for reason in search.STOP_REASONS})
+    group = (sf.phase_constants(d),) if search._evaluate.__code__.co_argcount == 2 else ()  # older kernels take none
     for rows in (1, 16):
         stack = search._random_starts(d, seed, range(rows))
-        tick = lambda: search._gradient(search._evaluate(stack))
+        tick = lambda: search._gradient(*group, search._evaluate(*group, stack))
         row[f"tick_r{rows}"] = statistics.median(timeit.repeat(tick, number=TICKS, repeat=REPS)) / TICKS
     return row
 
