@@ -72,6 +72,8 @@ def check_density_matrix(rho) -> np.ndarray:
 
 def check_probability_vector(p, d: Optional[int] = None) -> np.ndarray:
     """Validate SIC-outcome probabilities: length d^2, entries >= ``PROBABILITY_FLOOR``, summing to 1."""
+    if d is not None:
+        d = check_dim(d)
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"probability vector must be 1-D, got shape {arr.shape}")
@@ -149,6 +151,7 @@ def reconstruct_density(p, sic: SicSet) -> ReconstructedDensity:
 
 def purity_quadratic_target(d: int) -> float:
     """2/(d(d+1)): the squared-probability sum attained exactly by pure states."""
+    d = check_dim(d)
     return 2.0 / (d * (d + 1))
 
 
@@ -196,6 +199,7 @@ def structure_coefficients(sic: SicSet) -> StructureTensor:
 
 def purity_cubic_target(d: int) -> float:
     """(d+7)/(d+1)^3: the triple-overlap contraction attained by pure states."""
+    d = check_dim(d)
     return (d + 7.0) / (d + 1.0) ** 3
 
 

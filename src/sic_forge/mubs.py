@@ -101,7 +101,7 @@ def unbiasedness_residual(mubs: MubSet) -> float:
     circulant sums sum_j omega**((m-n)*j) * table[0, j] * conj(table[c, j]) for c = 1..d-1 cover every pair.
     """
     d, table = mubs.d, mubs.table
-    overlaps = np.abs(np.fft.fft(table[0] * table[1:].conj(), axis=1)) ** 2
+    overlaps = np.abs(phase_constants(d).forward(table[0] * table[1:].conj())) ** 2
     return float(max(np.max(np.abs(np.abs(table) ** 2 - 1.0 / d)), np.max(np.abs(overlaps - 1.0 / d))))
 
 
@@ -142,6 +142,7 @@ def uncertainty_profile(psi, mubs: MubSet) -> UncertaintyProfile:
 
 def minimum_uncertainty_target(d: int) -> float:
     """2/(d+1): the even split of the pure-state purity budget across d+1 bases."""
+    d = check_dim(d)
     return 2.0 / (d + 1)
 
 

@@ -183,9 +183,8 @@ def _gradient(pc: PhaseConstants, point: _Point) -> np.ndarray:
 
 
 def objective(psi) -> float:
-    """Sum of squared overlap residuals over d; equals the summed squared quartic defects."""
-    psi = as_state_vector(psi)
-    return float(_evaluate(phase_constants(psi.shape[0]), psi).f)
+    """Sum of squared overlap residuals over d (the summed squared quartic defects), read from its ``SicSet``."""
+    return build_sic_set(psi).objective_value
 
 
 def objective_gradient(psi) -> np.ndarray:

@@ -13,11 +13,11 @@ cyclic products conj(psi_{j+r1}) psi_j: the gram residual, the quartic defects (
 that of t is the right-hand side above) and the search objective sum rho_r^2 / d.  The kernel knows the group only
 as the ``wh.PhaseConstants`` record it is passed (tables and transforms), which each public entry point looks up.
 
-A SIC set is its fiducial and its d^2 overlaps: a ``SicSet`` runs the kernel once
-when it is made and keeps the grid |B_r|^2.  The projectors Pi_i = |D_i psi><D_i psi| have
-pair traces tr(Pi_i Pi_j) = |B_{j-i}|^2, so the order-t defect, the frame
-potential and the quasi-ONB certificate are sums and maxima over that grid, and
-neither the d^3 orbit vectors nor the d^4 projector stack is built for them.
+A SIC set is its fiducial and its d^2 overlaps: a ``SicSet`` runs the kernel once when it is made and keeps the
+grid |B_r|^2, the gram and quartic residuals and the objective, and ``gram_residual``, ``quartic_residual`` and
+``search.objective`` read theirs from it.  The projectors Pi_i = |D_i psi><D_i psi| have pair traces
+tr(Pi_i Pi_j) = |B_{j-i}|^2, so the order-t defect, the frame potential and the quasi-ONB certificate are sums and
+maxima over that grid, and neither the d^3 orbit vectors nor the d^4 projector stack is built for them.
 Dense-matrix evaluation is kept to the test-suite as an independent oracle.
 """
 
@@ -55,25 +55,14 @@ def _residual(pc: PhaseConstants, psi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return rho, b
 
 
-def _gram(rho: np.ndarray) -> float:
-    """Largest |rho_r| over r != 0 of one rho[d^2]."""
-    return float(np.abs(rho[1:]).max())
-
-
 def _defects(pc: PhaseConstants, rho: np.ndarray) -> np.ndarray:
     """Quartic defects of one rho[d^2]: the inverse DFT over r2 of rho[l, r2] at k, as a (k, l) matrix."""
     return pc.inverse(rho.reshape(pc.d, pc.d)).T
 
 
-def _quartic(pc: PhaseConstants, rho: np.ndarray) -> float:
-    """Largest modulus among the quartic defects of one rho[d^2]."""
-    return float(np.abs(_defects(pc, rho)).max())
-
-
 def gram_residual(psi) -> float:
-    """Largest deviation of |<psi|D_r|psi>|^2 from 1/(d+1) over r != 0."""
-    psi = as_state_vector(psi)
-    return _gram(_residual(phase_constants(psi.shape[0]), psi)[0])
+    """Largest deviation of |<psi|D_r|psi>|^2 from 1/(d+1) over r != 0: ``build_sic_set(psi).gram_residual``."""
+    return build_sic_set(psi).gram_residual
 
 
 def quartic_defects(psi) -> np.ndarray:
@@ -88,10 +77,8 @@ def quartic_defects(psi) -> np.ndarray:
 
 
 def quartic_residual(psi) -> float:
-    """Largest modulus among the quartic equation defects."""
-    psi = as_state_vector(psi)
-    pc = phase_constants(psi.shape[0])
-    return _quartic(pc, _residual(pc, psi)[0])
+    """Largest modulus among the quartic equation defects: ``build_sic_set(psi).quartic_residual``."""
+    return build_sic_set(psi).quartic_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +106,8 @@ class SicSet:
         psi, tol = as_state_vector(self.fiducial).copy(), check_tolerance(self.tol, "tol")
         pc = phase_constants(psi.shape[0])
         rho, b = _residual(pc, psi)
-        g, q, grid = _gram(rho), _quartic(pc, rho), b.real**2 + b.imag**2
-        f = float(np.vecdot(rho, rho) / psi.shape[0])
+        g, q = float(np.abs(rho[1:]).max()), float(np.abs(_defects(pc, rho)).max())  # the gram residual skips r = 0
+        grid, f = b.real**2 + b.imag**2, float(np.vecdot(rho, rho) / psi.shape[0])
         _settle(self, fiducial=psi, overlap_grid=grid, gram_residual=g, quartic_residual=q, objective_value=f, tol=tol,
                 certified=g <= tol and q <= tol)
 

@@ -161,44 +161,37 @@ def phase_constants(d: int) -> PhaseConstants:
 
 
 def build_clock(d: int) -> np.ndarray:
-    """Diagonal clock operator: entry (j, j) equals omega**j."""
-    return np.diag(phase_constants(check_dim(d)).omega_powers)
+    """Diagonal clock operator Z: entry (j, j) equals omega**j."""
+    return displacement(d, (0, 1))
 
 
 def build_shift(d: int) -> np.ndarray:
-    """Cyclic shift operator: column j has a single 1 in row (j + 1) mod d."""
-    d = check_dim(d)
-    out = np.zeros((d, d), dtype=complex)
-    j = np.arange(d)
-    out[(j + 1) % d, j] = 1.0
-    return out
+    """Cyclic shift operator X: column j has a single 1 in row (j + 1) mod d."""
+    return displacement(d, (1, 0))
 
 
 def displacement(d: int, r) -> np.ndarray:
-    """Displacement operator tau**(r1*r2) X**r1 Z**r2.
+    """Displacement operator tau**(r1*r2) X**r1 Z**r2 as a (d, d) matrix.
 
-    Assembled entrywise: column j carries tau**(r1*r2) * omega**(j*r2) in row
-    (j + r1) mod d, which equals the product of operator powers without the
-    repeated matrix multiplications.
+    ``_displaced`` maps row k of the identity, e_k, to D_r e_k, column k of D_r, so the matrix is that stack
+    transposed and one phase rule serves operators and states: column j carries tau**(r1*r2) * omega**(j*r2) in row
+    (j + r1) mod d.
     """
-    d = check_dim(d)
-    pc = phase_constants(d)
+    d = phase_constants(check_dim(d)).d  # refuses an untable d before r is read or anything is allocated
     r1, r2 = canonical_index(d, r)
-    j = np.arange(d)
-    out = np.zeros((d, d), dtype=complex)
-    out[(j + r1) % d, j] = pc.tau_power(r1 * r2) * pc.omega_powers[(j * r2) % d]
-    return out
+    return _displaced(np.eye(d, dtype=complex), r1, r2).T
 
 
 def _displaced(psi: np.ndarray, r1, r2) -> np.ndarray:
-    """Components tau**(r1*r2) * omega**((j - r1)*r2) * psi[(j - r1) % d].
+    """D_r on the last axis of psi[..., d]: components tau**(r1*r2) * omega**((j - r1)*r2) * psi[..., (j - r1) % d].
 
-    Canonical indices r1, r2 may be integer arrays that broadcast against j.
+    Canonical indices r1, r2 may be integer arrays that broadcast against j.  This is the one formula for D_r: the
+    clock, the shift, ``displacement``, ``displace_state`` and the orbit vectors of a ``SicSet`` all come from it.
     """
-    d = psi.shape[0]
+    d = psi.shape[-1]
     pc = phase_constants(d)
     src = (np.arange(d) - r1) % d
-    return pc.tau_power(r1 * r2) * pc.omega_powers[(src * r2) % d] * psi[src]
+    return pc.tau_power(r1 * r2) * pc.omega_powers[(src * r2) % d] * psi[..., src]
 
 
 def displace_state(psi, r) -> np.ndarray:

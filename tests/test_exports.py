@@ -39,6 +39,19 @@ def test_package_imports_only_exported_names():
         assert [n for n in names if n not in exported] == [], f"sic_forge.{module}"
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE_DIR.glob("*.py") if p.name != "wh.py"))
+def test_only_wh_calls_numpy_fft(name):
+    # the Z_d transform is wh.PhaseConstants.forward/inverse; a module calling np.fft itself fixes the group to Z_d
+    tree = ast.parse((PACKAGE_DIR / name).read_text(encoding="utf-8"))
+    chains = [
+        f"{node.lineno}: {node.value.id}.fft"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "fft"
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+    assert chains == []
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"sic_forge.{module}")

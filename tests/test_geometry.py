@@ -16,6 +16,7 @@ from sic_forge import (
     check_density_matrix,
     check_probability_vector,
     is_pure_probability_vector,
+    minimum_uncertainty_target,
     purity_cubic_residual,
     purity_cubic_target,
     purity_quadratic_residual,
@@ -350,6 +351,19 @@ def test_probability_vector_validation():
         check_probability_vector(np.array([0.7, 0.5, -0.1, -0.1]))  # negative entry
     with pytest.raises(ValueError):
         check_probability_vector(np.full(4, 0.3))  # sums to 1.2
+
+
+@pytest.mark.parametrize("d", [0, 1, -1, 1.5, True, "3", np.nan])
+@pytest.mark.parametrize(
+    "takes_d",
+    [purity_quadratic_target, purity_cubic_target, minimum_uncertainty_target,
+     lambda d: check_probability_vector([1.0], d)],
+    ids=["purity_quadratic_target", "purity_cubic_target", "minimum_uncertainty_target", "check_probability_vector"],
+)
+def test_a_function_of_the_dimension_refuses_a_bad_one_by_name(takes_d, d):
+    # [1.0] is a valid probability vector of length d^2 for d = 1, so only the dimension check refuses it
+    with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        takes_d(d)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

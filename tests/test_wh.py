@@ -120,8 +120,8 @@ def test_phase_constants_take_only_d():
 @pytest.mark.parametrize("d", [3037000500, 2**63])
 @pytest.mark.parametrize(
     "build",
-    [phase_constants, lambda d: displacement(d, (0, 0)), build_clock, MubSet],
-    ids=["phase_constants", "displacement", "build_clock", "MubSet"],
+    [phase_constants, lambda d: displacement(d, (0, 0)), build_clock, build_shift, MubSet],
+    ids=["phase_constants", "displacement", "build_clock", "build_shift", "MubSet"],
 )
 def test_a_dimension_whose_tables_cannot_be_indexed_is_refused_by_name(build, d):
     # 3037000500 is the least d with d*d >= 2**63: a flat index r1*d + r2 of its (d, d) tables overflows int64
