@@ -109,7 +109,7 @@ def unbiasedness_residual(mubs: MubSet) -> float:
 class UncertaintyProfile:
     """Per-basis outcome distributions and their squared-probability sums ``per_basis[b] = sum_k p(b, k)**2``.
 
-    Made from the (d+1, d) probabilities alone, d >= 2, each finite and at least ``PROBABILITY_FLOOR``: both arrays
+    Made from the (d+1, d) real probabilities alone, d >= 2, each finite and at least ``PROBABILITY_FLOOR``: both arrays
     are read-only, the first a copy of the input.
     """
 
@@ -117,6 +117,8 @@ class UncertaintyProfile:
     per_basis: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if np.iscomplexobj(self.probabilities):  # the float conversion would drop the imaginary parts
+            raise ValueError(f"probabilities must be real, got {np.asarray(self.probabilities).dtype}")
         probs = np.array(self.probabilities, dtype=float)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1] + 1 or probs.shape[1] < 2:
             raise ValueError(f"probabilities must have shape (d+1, d) with d >= 2, got {probs.shape}")

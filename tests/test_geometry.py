@@ -26,6 +26,7 @@ from sic_forge import (
     sic_probabilities,
     structure_coefficients,
 )
+from sic_forge.mubs import UncertaintyProfile
 from conftest import bench_fiducial, random_density, random_state
 
 
@@ -116,6 +117,23 @@ def test_probabilities_reject_uncertified_set():
 def test_probabilities_reject_dimension_mismatch(sic_d3):
     with pytest.raises(ValueError):
         sic_probabilities(np.eye(2) / 2.0, sic_d3)
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda sic: check_probability_vector(np.full(4, 0.25) + 3j),
+        lambda sic: check_probability_vector(np.full(9, 1.0 / 9.0) + 1j, 3),
+        lambda sic: purity_quadratic_residual(np.full(9, 1.0 / 9.0) + 2j),
+        lambda sic: reconstruct_density(np.full(9, 1.0 / 9.0) + 1j, sic),
+        lambda sic: UncertaintyProfile(np.full((4, 3), 1.0 / 3.0) + 1j),
+    ],
+    ids=["check_probability_vector", "check_probability_vector_d", "purity_quadratic_residual",
+         "reconstruct_density", "UncertaintyProfile"],
+)
+def test_complex_probabilities_are_refused(refuse, sic_d3):
+    with pytest.raises(ValueError, match="must be real"):
+        refuse(sic_d3)
 
 
 def test_reconstruct_uniform_gives_maximally_mixed(sic_d3):
