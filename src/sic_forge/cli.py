@@ -27,7 +27,7 @@ import numpy as np
 
 from . import files, geometry, mubs, operator_space, verify
 from .search import SearchConfig, search_detailed
-from .wh import _check_integer, check_dim, check_tolerance
+from .wh import _check_integer, check_dim, check_tolerance, phase_constants
 
 __all__ = ["main"]
 
@@ -132,6 +132,11 @@ def cmd_search(args) -> tuple[dict, int]:
     accept_tol = args.tol * args.tol
     if not 0.0 < accept_tol < math.inf:
         raise ValueError(f"--tol {args.tol:g}: its square, the objective tolerance, leaves the float range")
+    phase_constants(args.dim)  # refuses an untable dimension, as the search would, before --out is created
+    try:  # before the search, so an unusable --out costs no search
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"--out: {exc}") from None
     config = SearchConfig(
         dim=args.dim,
         restarts=args.restarts,
@@ -148,7 +153,6 @@ def cmd_search(args) -> tuple[dict, int]:
         "quartic": sic.quartic_residual,
         "objective": sic.objective_value,
     }
-    os.makedirs(args.out, exist_ok=True)
     fiducial_path = os.path.join(args.out, f"fiducial_d{args.dim}_s{args.seed}.json")
     report_path = os.path.join(args.out, f"report_d{args.dim}_s{args.seed}.json")
 

@@ -19,10 +19,12 @@ row axis, one trial point per restart per step of the batch; each restart keeps
 its own line search and exits, so its trajectory equals the restart run alone,
 and leaves the batch at its exit with its stop reason picked then.
 A restart also leaves the descent on a plateau: at every 10th accepted step,
-if its lowest objective so far is above 1e-4 and fell by no more than a
-fraction 1e-6 since the last such checkpoint.  Certified restarts fall far
-faster while that high, so the exit cuts only the descent of restarts sitting
-on a local minimum.
+if the 10 objectives it accepted since the last such checkpoint, the ones its
+Armijo test reads, are all above 1e-4 and within a fraction 1e-6 of each
+other.  Every accepted step passes against the largest of them, so a
+nonmonotone rise widens that window and cannot fake a plateau.  Certified
+restarts fall far faster while that high, so the exit cuts only the descent of
+restarts sitting on a local minimum.
 The Gauss-Newton tail then refines the descent's end stack in place, again in lockstep over an index set of
 working rows; a restart left above the refinement switch passes through with budget 0.  W is built for the working
 rows and one kernel run evaluates their trials, while each restart solves its own least-squares step and leaves the
@@ -55,16 +57,15 @@ __all__ = [
 ]
 
 _ARMIJO = 1e-4
-_ARMIJO_MEMORY = 10  # a trial is tested against the largest of its row's last 10 accepted objectives
+_ARMIJO_MEMORY = 10  # a trial is tested against the largest of its row's last 10 accepted objectives; every 10th
+_PLATEAU_LEVEL = 1e-4  # accepted step is also a plateau checkpoint, where the row stops if those 10 are all above
+_PLATEAU_DROP = 1e-6  # this level, far above the refinement switch, and lie within this fraction of each other
 _SHRINK = 0.5
 _MIN_STEP = 1e-14
 _MAX_STEP = 1e6
 _REFINE_SWITCH = 1e-10  # objective level where the least-squares refinement takes over
 _REFINE_MAX_ITERS = 60
 _STEP_TOL = 1e-13  # a restart stops once its accepted step is shorter than this
-_PLATEAU_ITERS = 10  # every 10th accepted descent step is a plateau checkpoint, where a restart stops if
-_PLATEAU_LEVEL = 1e-4  # its lowest objective is above this level, far above the refinement switch,
-_PLATEAU_DROP = 1e-6  # and fell by no more than this fraction since its previous checkpoint
 _BATCH_ENTRIES = 2**16  # overlap entries (restarts x d^2) descending together: bounds a batch's memory
 
 
@@ -100,11 +101,10 @@ class RestartOutcome:
     descent gradient, or one full Gauss-Newton step at the roundoff floor),
     it spent its iteration budget, its last accepted descent step was shorter
     than the step tolerance, or its descent stopped at a plateau checkpoint
-    (lowest objective so far above 1e-4, and fallen by no more than a
-    fraction 1e-6 over its last 10 accepted steps).  A restart whose descent
-    ended above the refinement switch is not refined (``refine_iterations``
-    is 0) and reports the descent's exit; a refined restart reports the
-    refinement's.
+    (its last 10 accepted objectives all above 1e-4 and within a fraction 1e-6
+    of each other).  A restart whose descent ended above the refinement switch
+    is not refined (``refine_iterations`` is 0) and reports the descent's
+    exit; a refined restart reports the refinement's.
     Every field is deterministic for a given config.
     """
 
@@ -215,10 +215,12 @@ def _gradient_descent(
     1986): a BB step may raise the objective, never above that largest one, so
     never above the start's.  With a memory of 1 this is the monotone test.
     Finished rows leave the working arrays, which hold the active rows only and
-    end at their last accepted points.  Every _PLATEAU_ITERS-th accepted step of
-    a row is a checkpoint: the row stops there if its lowest objective so far is
-    above _PLATEAU_LEVEL and fell by no more than the fraction _PLATEAU_DROP
-    since its previous checkpoint (its start first).  A row's stop reason is
+    end at their last accepted points.  Every _ARMIJO_MEMORY-th accepted step of
+    a row is a checkpoint, where the row's ring holds exactly the objectives it
+    accepted since its previous checkpoint: the row stops there if all of them
+    are above _PLATEAU_LEVEL and lie within the fraction _PLATEAU_DROP of each
+    other.  With a memory of 1 the window is one objective, and every accepted
+    step above _PLATEAU_LEVEL ends the descent.  A row's stop reason is
     picked as it leaves, from its own flags: the first of the floor, the budget,
     an accepted step no longer than _STEP_TOL and a plateau that holds, else a
     stalled line search or a zero gradient.
@@ -233,7 +235,6 @@ def _gradient_descent(
     iters, ticks = np.zeros(len(rows), dtype=int), 0  # every working row evaluates one trial per tick
     recent = np.repeat(point.f[:, None], _ARMIJO_MEMORY, axis=1)  # per row: its accepted objectives, a ring on iters
     ring = rows * _ARMIJO_MEMORY  # the flat offset in recent of working row i's ring: i * _ARMIJO_MEMORY
-    low = mark = point.f  # per row: its lowest objective, and that at its last plateau checkpoint
     go = (max_iters > 0) & (point.f > objective_floor) & (gnorm_sq > 0.0)
     ok = long_step = flat = np.zeros(len(rows), dtype=bool)  # the last tick's accepted rows, long steps, plateaus
     while True:
@@ -249,8 +250,8 @@ def _gradient_descent(
             for out, a in zip((*final, iterations), (*point, iters)):
                 out[gone] = a[done]
             point = _Point(*(a[go] for a in point))
-            rows, g, gnorm_sq, scale, iters, recent, low, mark, long_step, flat = (
-                a[go] for a in (rows, g, gnorm_sq, scale, iters, recent, low, mark, long_step, flat)
+            rows, g, gnorm_sq, scale, iters, recent, long_step, flat = (
+                a[go] for a in (rows, g, gnorm_sq, scale, iters, recent, long_step, flat)
             )
             if not len(rows):
                 return final, iterations, evaluations, stops
@@ -277,13 +278,12 @@ def _gradient_descent(
         point, g, gnorm_sq, scale = trial, g_new, gn, step
         iters += ok
         recent.put(ring + iters % _ARMIJO_MEMORY, point.f)  # a failed row rewrites its last accepted objective
-        low = np.minimum(low, point.f)
         long_step = np.sqrt(ss) > _STEP_TOL
         going = long_step & (iters < max_iters) & (point.f > objective_floor) & (gnorm_sq > 0.0)
-        check = ok & (iters % _PLATEAU_ITERS == 0)
-        if np.count_nonzero(check):  # some row is at a plateau checkpoint
-            flat = check & (low > _PLATEAU_LEVEL) & (low > (1.0 - _PLATEAU_DROP) * mark)
-            mark = np.where(check, low, mark)
+        check = ok & (iters % _ARMIJO_MEMORY == 0)
+        if np.count_nonzero(check):  # some row is at a checkpoint: its ring holds what it accepted since the last
+            low = recent.min(axis=1)
+            flat = check & (low > _PLATEAU_LEVEL) & (low > (1.0 - _PLATEAU_DROP) * recent.max(axis=1))
             going &= ~flat
         else:
             flat = check

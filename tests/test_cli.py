@@ -469,10 +469,11 @@ def test_kt_at_large_t_prints_strict_json(with_fiducial, capsys):
     assert ("value" in payload) == with_fiducial
 
 
-# Every numeric flag at its boundaries.  VALID_FLAGS completes each call ({fiducial} is a stored fiducial), and
-# BAD_FLAGS lists the values each flag refuses; both are literals, which tools/cli_diff.py reads.
+# Every numeric flag at its boundaries, and an --out that is a file.  VALID_FLAGS completes each call ({fiducial} is
+# a stored fiducial), and BAD_FLAGS lists the values each flag refuses; both are literals, which tools/cli_diff.py
+# reads.
 VALID_FLAGS = {
-    "search": {"--dim": "2", "--restarts": "1", "--seed": "1"},
+    "search": {"--dim": "2", "--restarts": "1", "--seed": "1", "--out": "out"},
     "verify": {"--fiducial": "{fiducial}"},
     "mubs": {"--dim": "3"},
     "kt": {"--dim": "3", "--t": "2"},
@@ -483,6 +484,7 @@ BAD_FLAGS = {
     ("search", "--seed"): ["-1", "18446744073709551616", "1.5", "nan", "abc"],
     ("search", "--max-iters"): ["0", "-1", "2.5", "nan", "abc", "9223372036854775808"],
     ("search", "--tol"): ["0", "-1", "nan", "inf", "abc", "1e200", "1e-200"],
+    ("search", "--out"): ["{fiducial}"],
     ("verify", "--tol"): ["0", "-1", "nan", "inf", "abc"],
     ("mubs", "--dim"): ["6", "0", "1", "nan", "abc", "9223372036854775837"],
     ("mubs", "--tol"): ["0", "-1", "nan", "inf", "abc"],
@@ -493,9 +495,11 @@ BAD_FLAGS = {
     ("kt", "--t"): ["0", "0.5", "-1", "nan", "inf", "abc"],
 }
 # the values refused after parsing: a composite dimension, a finite --tol whose square, the objective tolerance,
-# overflows or underflows, a dimension whose K_t bound at t = 2 is past the float range, and dimensions (2**62, and
-# a prime below the exact primality bound) whose (d, d) tables could not be indexed in int64
+# overflows or underflows, a dimension whose K_t bound at t = 2 is past the float range, dimensions (2**62, and
+# a prime below the exact primality bound) whose (d, d) tables could not be indexed in int64, and an --out that is
+# a file
 REFUSED_AFTER_PARSING = {"6": "prime dimension required, got 6", "1e200": "--tol 1e+200", "1e-200": "--tol 1e-200",
+                         "{fiducial}": "--out: [Errno 17] File exists",
                          str(10**200): f"bound at dimension {10**200} and t = 2.0 is past the float range",
                          **{d: f"dimension must be an integer in [2, 3037000500), got {d}"
                             for d in ("4611686018427387904", "9223372036854775837")}}
@@ -509,7 +513,12 @@ def bad_flag_argv(command: str, flag: str, value: str) -> list:
 
 @pytest.mark.parametrize("command, flag, value", [(*key, v) for key, values in BAD_FLAGS.items() for v in values])
 def test_a_bad_numeric_flag_exits_2_and_names_the_flag(tmp_path, monkeypatch, capsys, command, flag, value):
-    monkeypatch.chdir(tmp_path)  # search writes to the working directory by default
+    monkeypatch.chdir(tmp_path)  # where search would create its --out directory
+
+    def searching(config):  # every bad flag, --out included, is refused before the search runs
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("sic_forge.cli.search_detailed", searching)
     code, stdout, err = run(capsys, bad_flag_argv(command, flag, value))
     assert code == 2 and stdout == ""
     assert REFUSED_AFTER_PARSING.get(value, f"argument {flag}: ") in err

@@ -230,8 +230,8 @@ def test_descent_meets_the_nonmonotone_armijo_rule(monkeypatch, d):
 
 
 def test_a_budget_of_b_steps_ends_at_the_bth_accepted_point(monkeypatch):
-    # same start, growing budget: each run is a prefix of the longer ones, so the lowest objective reached, which
-    # the plateau checkpoints read, never rises with the budget, though the last one may
+    # same start, growing budget: each run is a prefix of the longer ones, so the lowest objective reached never
+    # rises with the budget, though the last one may
     from sic_forge.search import _evaluate, _gradient_descent, _random_starts
 
     f = [value for _, value, _ in accepted_points(monkeypatch, 4, 42, 12)]
@@ -247,6 +247,23 @@ def test_the_plateau_exit_reads_the_running_minimum():
     # still high, and a checkpoint that read its current objective would stop it at f = 4.1e-4
     _, outcomes = search_detailed(SearchConfig(dim=3, restarts=16, seed=9967195434050003237))
     assert outcomes[7].objective_value <= 1e-18 and outcomes[7].stop_reason == "objective_floor"
+
+
+@pytest.mark.parametrize(
+    "config, restart",
+    [
+        (SearchConfig(dim=6, restarts=12, seed=11892228436184865017), 11),
+        (SearchConfig(dim=8, restarts=10, seed=5656544618678593650), 9),
+    ],
+)
+def test_a_nonmonotone_rise_does_not_fake_a_plateau(config, restart):
+    # the bench searches at d=6, workload seed 97, and at d=8, seed 3: each restart rises over a whole checkpoint
+    # interval while still high.  A checkpoint that compared the lowest objective so far with its value at the
+    # previous checkpoint stopped both after 20 steps, at f = 0.01339 and 0.00699; the window of the last 10
+    # accepted objectives spans the rise, and both certify
+    outcome = search_detailed(config)[1][restart]
+    assert outcome.objective_value <= config.accept_tol and outcome.stop_reason == "objective_floor"
+    assert (outcome.descent_iterations, outcome.refine_iterations) == (32, 2)
 
 
 PINNED = [
@@ -284,15 +301,18 @@ def test_search_trajectory_is_pinned(config, iterations, objectives):
         ),
         (
             SearchConfig(dim=8, restarts=4, seed=5),
-            (50, 21, 60, 48),
-            (0.007023414309721586, 9.051870738620009e-32, 0.007023414309721504, 1.659429388332652e-31),
+            (56, 21, 71, 48),
+            (0.007023414309721495, 9.051870738620009e-32, 0.007023414309721497, 1.659429388332652e-31),
         ),
     ],
 )
 def test_a_memory_of_one_is_the_monotone_descent(monkeypatch, config, iterations, objectives):
-    # with one remembered objective the test is the monotone Armijo test: the pinned trajectories of the
-    # monotone descent come back bit for bit
-    monkeypatch.setattr(importlib.import_module("sic_forge.search"), "_ARMIJO_MEMORY", 1)
+    # with one remembered objective the test is the monotone Armijo test.  The plateau window is then one objective
+    # too, which would stop every restart above _PLATEAU_LEVEL at its first checkpoint, so the exit is off: the
+    # pinned trajectories of the monotone descent without it come back bit for bit
+    module = importlib.import_module("sic_forge.search")
+    monkeypatch.setattr(module, "_ARMIJO_MEMORY", 1)
+    monkeypatch.setattr(module, "_PLATEAU_LEVEL", math.inf)
     _, outcomes = search_detailed(config)
     assert [(o.restart, o.iterations, o.objective_value) for o in outcomes] == list(
         zip(range(config.restarts), iterations, objectives)

@@ -1,31 +1,40 @@
-"""Digests of every bench search's outcomes and fiducial: search_digest.py SRC
+"""Digests and counts of every bench search's outcomes and fiducial: search_digest.py SRC
 
 For each workload seed 1, 97, 2 and 3, runs search_detailed from SRC on each bench search (d, restarts) of
 bench/workloads.py Search.dims, in order, at seed derived_seed(seed, d), feeds repr(outcomes) and then the
 winner's fiducial.tobytes() of each into one sha256, and prints the seed and the first 16 hex digits of the digest.
-Two checkouts search bit for bit alike exactly when they print the same lines.
+Two checkouts search bit for bit alike exactly when they print the same digests.  Each line goes on with that
+seed's counts, summed over its searches: certified=<n> restarts (objective within the config's accept_tol),
+evaluations=<n> and <reason>=<n> per entry of STOP_REASONS.
 """
 import hashlib, sys
+from collections import Counter
 from pathlib import Path
 
 SEEDS = (1, 97, 2, 3)
 
 
 def digests(src: str) -> dict:
+    """{seed: (digest, counts)}, counts a Counter of certified, evaluations and every stop reason."""
     sys.path[:0] = [src, str(Path(__file__).resolve().parents[1] / "bench")]
     import sic_forge as sf
+    from sic_forge.search import STOP_REASONS
     from workloads import Search, derived_seed  # the bench's searches and seeds
     table = {}
     for seed in SEEDS:
-        digest = hashlib.sha256()
+        digest, counts = hashlib.sha256(), Counter(dict.fromkeys(("certified", "evaluations", *STOP_REASONS), 0))
         for d, restarts in Search.dims:
-            sic, outcomes = sf.search_detailed(sf.SearchConfig(dim=d, restarts=restarts, seed=derived_seed(seed, d)))
+            config = sf.SearchConfig(dim=d, restarts=restarts, seed=derived_seed(seed, d))
+            sic, outcomes = sf.search_detailed(config)
             digest.update(repr(outcomes).encode())
             digest.update(sic.fiducial.tobytes())
-        table[seed] = digest.hexdigest()[:16]
+            for o in outcomes:
+                counts.update({"certified": o.objective_value <= config.accept_tol, "evaluations": o.evaluations,
+                               o.stop_reason: 1})
+        table[seed] = digest.hexdigest()[:16], counts
     return table
 
 
 if __name__ == "__main__":
-    for seed, digest in digests(sys.argv[1]).items():
-        print(seed, digest)
+    for seed, (digest, counts) in digests(sys.argv[1]).items():
+        print(seed, digest, *(f"{key}={n}" for key, n in counts.items()))
