@@ -74,9 +74,10 @@ def check_probability_vector(p, d: Optional[int] = None) -> np.ndarray:
     """Validate real SIC-outcome probabilities: length d^2, entries >= ``PROBABILITY_FLOOR``, summing to 1."""
     if d is not None:
         d = check_dim(d)
-    if np.iscomplexobj(p):  # the float conversion would drop the imaginary parts with only a warning
-        raise ValueError(f"probability vector p must be real, got {np.asarray(p).dtype}")
-    arr = np.asarray(p, dtype=float)
+    arr = np.asarray(p)
+    if arr.dtype.kind not in "iuf":  # float conversion reads "0.25" and True as numbers, drops imaginary parts
+        raise ValueError(f"probability vector p must be real (integer or float), got {arr.dtype}")
+    arr = np.asarray(arr, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"probability vector must be 1-D, got shape {arr.shape}")
     if d is None:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .wh import PROBABILITY_FLOOR, _check_integer, _settle, as_state_vector, check_dim, check_tolerance, phase_constants
+from .wh import (_TABLE_DIM_BOUND, PROBABILITY_FLOOR, _check_integer, _settle, as_state_vector, check_dim,
+                 check_tolerance, phase_constants)
 
 __all__ = [
     "MubSet",
@@ -86,8 +87,12 @@ class MubSet:
 
 
 def build_mubs(d: int) -> MubSet:
-    """Standard basis plus the eigenbases of X Z^a for a = 0..d-1 (prime d only, below is_prime's exact bound)."""
-    d = _check_integer(check_dim(d), "dimension", 2, _WITNESS_BOUND)
+    """Standard basis plus the eigenbases of X Z^a for a = 0..d-1 (prime d only, below the group tables' bound).
+
+    The bound is the one ``PhaseConstants`` checks, far below is_prime's exact bound, and is checked before the
+    primality test, so a dimension past it is refused with one range however large.
+    """
+    d = _check_integer(check_dim(d), "dimension", 2, _TABLE_DIM_BOUND)
     if not is_prime(d):
         raise ValueError(f"prime dimension required, got {d}")
     return MubSet(d=d)
@@ -117,9 +122,10 @@ class UncertaintyProfile:
     per_basis: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if np.iscomplexobj(self.probabilities):  # the float conversion would drop the imaginary parts
-            raise ValueError(f"probabilities must be real, got {np.asarray(self.probabilities).dtype}")
-        probs = np.array(self.probabilities, dtype=float)
+        probs = np.asarray(self.probabilities)
+        if probs.dtype.kind not in "iuf":  # float conversion reads "0.25" and True as numbers, drops imaginary parts
+            raise ValueError(f"probabilities must be real (integer or float), got {probs.dtype}")
+        probs = np.array(probs, dtype=float)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1] + 1 or probs.shape[1] < 2:
             raise ValueError(f"probabilities must have shape (d+1, d) with d >= 2, got {probs.shape}")
         low, high = float(probs.min()), float(probs.max())

@@ -18,13 +18,12 @@ The restarts of one run descend together in lockstep batches along a leading
 row axis, one trial point per restart per step of the batch; each restart keeps
 its own line search and exits, so its trajectory equals the restart run alone,
 and leaves the batch at its exit with its stop reason picked then.
-A restart also leaves the descent on a plateau: at every 10th accepted step,
-if the 10 objectives it accepted since the last such checkpoint, the ones its
-Armijo test reads, are all above 1e-4 and within a fraction 1e-6 of each
-other.  Every accepted step passes against the largest of them, so a
-nonmonotone rise widens that window and cannot fake a plateau.  Certified
-restarts fall far faster while that high, so the exit cuts only the descent of
-restarts sitting on a local minimum.
+A restart also leaves the descent on a plateau: after any accepted step, if
+its last 10 accepted objectives, the ones its Armijo test reads, are all above
+1e-4 and within a fraction 1e-6 of each other.  Every accepted step passes
+against the largest of them, so a nonmonotone rise widens that window and
+cannot fake a plateau.  Certified restarts fall far faster while that high, so
+the exit cuts only the descent of restarts sitting on a local minimum.
 The Gauss-Newton tail then refines the descent's end stack in place, again in lockstep over an index set of
 working rows; a restart left above the refinement switch passes through with budget 0.  W is built for the working
 rows and one kernel run evaluates their trials, while each restart solves its own least-squares step and leaves the
@@ -57,9 +56,9 @@ __all__ = [
 ]
 
 _ARMIJO = 1e-4
-_ARMIJO_MEMORY = 10  # a trial is tested against the largest of its row's last 10 accepted objectives; every 10th
-_PLATEAU_LEVEL = 1e-4  # accepted step is also a plateau checkpoint, where the row stops if those 10 are all above
-_PLATEAU_DROP = 1e-6  # this level, far above the refinement switch, and lie within this fraction of each other
+_ARMIJO_MEMORY = 10  # a trial is tested against the largest of its row's last 10 accepted objectives, and after
+_PLATEAU_LEVEL = 1e-4  # each accepted step the row stops on a plateau if those 10 are all above this level, far
+_PLATEAU_DROP = 1e-6  # above the refinement switch, and lie within this fraction of each other
 _SHRINK = 0.5
 _MIN_STEP = 1e-14
 _MAX_STEP = 1e6
@@ -100,11 +99,11 @@ class RestartOutcome:
     objective floor, it found no step that lowers the objective (a zero
     descent gradient, or one full Gauss-Newton step at the roundoff floor),
     it spent its iteration budget, its last accepted descent step was shorter
-    than the step tolerance, or its descent stopped at a plateau checkpoint
-    (its last 10 accepted objectives all above 1e-4 and within a fraction 1e-6
-    of each other).  A restart whose descent ended above the refinement switch
-    is not refined (``refine_iterations`` is 0) and reports the descent's
-    exit; a refined restart reports the refinement's.
+    than the step tolerance, or its descent stopped on a plateau (after an
+    accepted step, its last 10 accepted objectives all above 1e-4 and within a
+    fraction 1e-6 of each other).  A restart whose descent ended above the
+    refinement switch is not refined (``refine_iterations`` is 0) and reports
+    the descent's exit; a refined restart reports the refinement's.
     Every field is deterministic for a given config.
     """
 
@@ -215,15 +214,15 @@ def _gradient_descent(
     1986): a BB step may raise the objective, never above that largest one, so
     never above the start's.  With a memory of 1 this is the monotone test.
     Finished rows leave the working arrays, which hold the active rows only and
-    end at their last accepted points.  Every _ARMIJO_MEMORY-th accepted step of
-    a row is a checkpoint, where the row's ring holds exactly the objectives it
-    accepted since its previous checkpoint: the row stops there if all of them
-    are above _PLATEAU_LEVEL and lie within the fraction _PLATEAU_DROP of each
-    other.  With a memory of 1 the window is one objective, and every accepted
-    step above _PLATEAU_LEVEL ends the descent.  A row's stop reason is
-    picked as it leaves, from its own flags: the first of the floor, the budget,
-    an accepted step no longer than _STEP_TOL and a plateau that holds, else a
-    stalled line search or a zero gradient.
+    end at their last accepted points.  After each of its accepted steps a row
+    reads the same ring, its last _ARMIJO_MEMORY accepted objectives, as a
+    plateau window: it stops if all of them are above _PLATEAU_LEVEL and lie
+    within the fraction _PLATEAU_DROP of each other.  With a memory of 1 the
+    window is one objective, and every accepted step above _PLATEAU_LEVEL ends
+    the descent.  A row's stop reason is picked as it leaves, from its own
+    flags: the first of the floor, the budget, an accepted step no longer than
+    _STEP_TOL and a plateau that holds, else a stalled line search or a zero
+    gradient.
     """
     final = _Point(*(np.empty_like(a) for a in point))
     iterations, evaluations = np.zeros((2, len(point.f)), dtype=int)
@@ -243,7 +242,7 @@ def _gradient_descent(
             gone = rows[done]
             evaluations[gone] = ticks
             stops[gone] = "line_search_stalled"
-            exits = {"objective_plateau": ok & flat, "step_below_tolerance": ok & ~long_step,
+            exits = {"objective_plateau": flat, "step_below_tolerance": ok & ~long_step,
                      "iteration_budget": iters >= max_iters, "objective_floor": point.f <= objective_floor}
             for reason, flag in exits.items():  # in rising precedence: a later exit overwrites an earlier one
                 stops[gone[flag[done]]] = reason
@@ -279,14 +278,9 @@ def _gradient_descent(
         iters += ok
         recent.put(ring + iters % _ARMIJO_MEMORY, point.f)  # a failed row rewrites its last accepted objective
         long_step = np.sqrt(ss) > _STEP_TOL
-        going = long_step & (iters < max_iters) & (point.f > objective_floor) & (gnorm_sq > 0.0)
-        check = ok & (iters % _ARMIJO_MEMORY == 0)
-        if np.count_nonzero(check):  # some row is at a checkpoint: its ring holds what it accepted since the last
-            low = recent.min(axis=1)
-            flat = check & (low > _PLATEAU_LEVEL) & (low > (1.0 - _PLATEAU_DROP) * recent.max(axis=1))
-            going &= ~flat
-        else:
-            flat = check
+        low = recent.min(axis=1)
+        flat = ok & (low > _PLATEAU_LEVEL) & (low > (1.0 - _PLATEAU_DROP) * recent.max(axis=1))
+        going = long_step & ~flat & (iters < max_iters) & (point.f > objective_floor) & (gnorm_sq > 0.0)
         go = np.where(ok, going, scale >= _MIN_STEP)
 
 

@@ -55,10 +55,10 @@ def serial_descent(point, max_iters: int, objective_floor: float, plateau: bool 
     A trial passes the Armijo test against the largest of the last
     _ARMIJO_MEMORY accepted objectives, the start included (Grippo, Lampariello
     and Lucidi 1986; Raydan 1997); the step halves until one does, or until it
-    falls below _MIN_STEP.  With plateau, every _ARMIJO_MEMORY-th accepted step
-    is a checkpoint, where the deque holds the f accepted since the last one:
-    the descent stops there if all of them are above _PLATEAU_LEVEL and lie
-    within the fraction _PLATEAU_DROP of each other.  The floor and the budget
+    falls below _MIN_STEP.  With plateau, after every accepted step the deque of
+    the last _ARMIJO_MEMORY accepted f is also a plateau window: the descent
+    stops if all of them are above _PLATEAU_LEVEL and lie within the fraction
+    _PLATEAU_DROP of each other.  The floor and the budget
     outrank a short last step, and a short last step outranks a plateau: a step
     that ends several reports the first of them.  Into ladders, if given, each
     line search appends its accepted step's length |psi_new - psi|, or None if
@@ -101,7 +101,7 @@ def serial_descent(point, max_iters: int, objective_floor: float, plateau: bool 
         if math.sqrt(ss) <= _STEP_TOL:
             stop = "step_below_tolerance"
             break
-        if plateau and iterations % _ARMIJO_MEMORY == 0:
+        if plateau:
             low = min(recent)
             if low > _PLATEAU_LEVEL and low > (1.0 - _PLATEAU_DROP) * max(recent):
                 stop = "objective_plateau"
@@ -151,7 +151,7 @@ def serial_restart(config: SearchConfig, restart: int, gated: bool = True, plate
 
     Gated, as the search runs, only a descent that reached the refinement switch
     is refined; ungated, every descent is.  Without plateau, the descent runs
-    on past every plateau checkpoint.
+    on past every plateau.
     """
     floor = config.accept_tol * 1e-4
     switch = max(floor, _REFINE_SWITCH)
@@ -199,7 +199,7 @@ def assert_keeps_every_certified_restart(config, reference):
 @pytest.mark.parametrize("seed", [0, 5, 2024])
 def test_the_refinement_gate_keeps_every_certified_restart(d, seed):
     # refining a restart whose descent ran to its end above the switch never certifies it: the ungated tail is the
-    # oracle.  Its descent runs past the plateau checkpoints: refined from a plateau, d=4 seed 2024 restart 3 certifies.
+    # oracle.  Its descent runs past every plateau: refined from a plateau, d=4 seed 2024 restart 3 certifies.
     config = SearchConfig(dim=d, restarts=6, seed=seed)
     assert_keeps_every_certified_restart(
         config, [serial_restart(config, r, gated=False, plateau=False) for r in range(config.restarts)]
@@ -210,7 +210,7 @@ def test_the_refinement_gate_keeps_every_certified_restart(d, seed):
 @pytest.mark.parametrize("seed", [0, 5, 2024])
 def test_the_plateau_exit_keeps_every_certified_restart(d, seed):
     # on this grid no restart the exit stops would certify if its descent ran on: the descent without the exit is
-    # the oracle.  Nor at the bench searches' seeds 1, 97, 2 and 3, whose 396 plateau stops were checked the same
+    # the oracle.  Nor at the bench searches' seeds 1, 97, 2 and 3, whose 403 plateau stops were checked the same
     # way: a nonmonotone rise widens the window the exit reads (see test_a_nonmonotone_rise_does_not_fake_a_plateau)
     config = SearchConfig(dim=d, restarts=6, seed=seed)
     outcomes = assert_keeps_every_certified_restart(
@@ -219,11 +219,13 @@ def test_the_plateau_exit_keeps_every_certified_restart(d, seed):
     assert all(o.objective_value > _PLATEAU_LEVEL for o in outcomes if o.stop_reason == "objective_plateau")
 
 
-# restarts the descent leaves above the switch: a last step below _STEP_TOL, at d=7 on a local minimum at 0.0153
-# and at d=4 on one at 1/135, and a plateau checkpoint.  No search restart's descent stalls: the nonmonotone test
-# accepts the roundoff-level trials that used to fail its last halving ladder (see the zero-gradient test below)
-SHORT_STEP_D7 = (SearchConfig(dim=7, restarts=1, seed=21), 0, "step_below_tolerance")
-SHORT_STEP = (SearchConfig(dim=4, restarts=1, seed=10), 0, "step_below_tolerance")
+# restarts the descent leaves above the switch: a last step below _STEP_TOL, at d=7 on a local minimum at 0.0153,
+# and two plateaus, at d=4 on a local minimum at 1/135 and at d=8.  Both plateau stops fall between multiples of
+# _ARMIJO_MEMORY, which a plateau test made only at every _ARMIJO_MEMORY-th accepted step would miss.  No search
+# restart's descent stalls: the nonmonotone test accepts the roundoff-level trials that used to fail its last halving
+# ladder (see the zero-gradient test below)
+SHORT_STEP = (SearchConfig(dim=7, restarts=1, seed=21), 0, "step_below_tolerance")
+PLATEAU_D4 = (SearchConfig(dim=4, restarts=1, seed=10), 0, "objective_plateau")
 PLATEAU = (SearchConfig(dim=8, restarts=1, seed=5), 0, "objective_plateau")
 
 
@@ -231,8 +233,8 @@ PLATEAU = (SearchConfig(dim=8, restarts=1, seed=5), 0, "objective_plateau")
     "config, restart, stop",
     [
         (SearchConfig(dim=5, restarts=2, seed=999, max_iters=3), 0, "iteration_budget"),
-        SHORT_STEP_D7,
         SHORT_STEP,
+        PLATEAU_D4,
         PLATEAU,
     ],
 )
@@ -255,10 +257,9 @@ def test_a_descent_that_reaches_the_switch_on_its_last_iteration_spends_the_budg
     assert dataclasses.astuple(outcome) == serial_restart(config, 0)[1]
 
 
-@pytest.mark.parametrize("config, restart, stop", [SHORT_STEP_D7, SHORT_STEP, PLATEAU])
+@pytest.mark.parametrize("config, restart, stop", [SHORT_STEP, PLATEAU_D4, PLATEAU])
 def test_the_stop_reason_names_the_exit_the_descent_took(config, restart, stop):
-    # a short step's and a plateau's last ladder succeeded, a plateau's at a checkpoint and with a step longer
-    # than _STEP_TOL
+    # a short step's and a plateau's last ladder succeeded, a plateau's with a step longer than _STEP_TOL
     assert search_detailed(config)[1][restart].stop_reason == stop
     ladders = []
     start = _evaluate(phase_constants(config.dim), fresh_start(config.dim, config.seed, restart))
@@ -266,7 +267,16 @@ def test_the_stop_reason_names_the_exit_the_descent_took(config, restart, stop):
     if stop == "step_below_tolerance":
         assert None not in ladders and ladders[-1] <= _STEP_TOL < min(ladders[:-1])
     else:
-        assert None not in ladders and len(ladders) % _ARMIJO_MEMORY == 0 and _STEP_TOL < min(ladders)
+        assert None not in ladders and _STEP_TOL < min(ladders)
+
+
+@pytest.mark.parametrize("config, restart, steps", [(PLATEAU_D4[0], 0, 23), (PLATEAU[0], 0, 38)])
+def test_a_plateau_stops_the_descent_after_any_accepted_step(config, restart, steps):
+    # the plateau window is read after every accepted step, not only at multiples of _ARMIJO_MEMORY
+    outcome = search_detailed(config)[1][restart]
+    assert (outcome.descent_iterations, outcome.refine_iterations, outcome.stop_reason) == (
+        steps, 0, "objective_plateau")
+    assert steps % _ARMIJO_MEMORY
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])

@@ -360,9 +360,10 @@ def test_mubs_profiles_the_state_once(capsys, monkeypatch, tol):
 @pytest.mark.parametrize(
     "dim, message",
     [
-        # prime: refused by name, as its (d, d) tables could not be indexed in int64
+        # past the bound of the (d, d) tables, which could not be indexed in int64: refused by name, prime or not
         ("1000000000000000003", "error: dimension must be an integer in [2, 3037000500)"),
-        ("1000000016000000063", "error: prime dimension required"),  # 1000000007 * 1000000009
+        ("1000000016000000063", "error: dimension must be an integer in [2, 3037000500)"),  # 1000000007 * 1000000009
+        ("3036990217", "error: prime dimension required"),  # 55001 * 55217, just below the bound
     ],
 )
 def test_mubs_decides_a_huge_dimension_at_once(capsys, dim, message):
@@ -374,10 +375,11 @@ def test_mubs_decides_a_huge_dimension_at_once(capsys, dim, message):
 
 
 def test_mubs_refuses_a_dimension_past_the_exact_primality_bound_by_name(capsys):
+    # with the range of the group tables, the one bound mubs checks, far below the primality test's
     bound = mubs._WITNESS_BOUND
     code, stdout, err = run(capsys, ["mubs", "--dim", str(bound)])
     assert (code, stdout) == (2, "")
-    assert err == f"error: dimension must be an integer in [2, {bound}), got {bound}\n"
+    assert err == f"error: dimension must be an integer in [2, 3037000500), got {bound}\n"
 
 
 def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch):
@@ -486,7 +488,8 @@ BAD_FLAGS = {
     ("search", "--tol"): ["0", "-1", "nan", "inf", "abc", "1e200", "1e-200"],
     ("search", "--out"): ["{fiducial}"],
     ("verify", "--tol"): ["0", "-1", "nan", "inf", "abc"],
-    ("mubs", "--dim"): ["6", "0", "1", "nan", "abc", "9223372036854775837"],
+    ("mubs", "--dim"): ["6", "0", "1", "nan", "abc", "9223372036854775837", "4000000007",
+                        "1000000000000000000000000000000"],
     ("mubs", "--tol"): ["0", "-1", "nan", "inf", "abc"],
     ("kt", "--dim"): ["0", "-1", "2.5", "inf", "abc",
                       "1000000000000000000000000000000000000000000000000000000000000000000"
@@ -495,14 +498,15 @@ BAD_FLAGS = {
     ("kt", "--t"): ["0", "0.5", "-1", "nan", "inf", "abc"],
 }
 # the values refused after parsing: a composite dimension, a finite --tol whose square, the objective tolerance,
-# overflows or underflows, a dimension whose K_t bound at t = 2 is past the float range, dimensions (2**62, and
-# a prime below the exact primality bound) whose (d, d) tables could not be indexed in int64, and an --out that is
-# a file
+# overflows or underflows, a dimension whose K_t bound at t = 2 is past the float range, dimensions (2**62, primes
+# below the exact primality bound, and 10**30 past it) whose (d, d) tables could not be indexed in int64, all refused
+# with one range, and an --out that is a file
 REFUSED_AFTER_PARSING = {"6": "prime dimension required, got 6", "1e200": "--tol 1e+200", "1e-200": "--tol 1e-200",
                          "{fiducial}": "--out: [Errno 17] File exists",
                          str(10**200): f"bound at dimension {10**200} and t = 2.0 is past the float range",
                          **{d: f"dimension must be an integer in [2, 3037000500), got {d}"
-                            for d in ("4611686018427387904", "9223372036854775837")}}
+                            for d in ("4611686018427387904", "9223372036854775837", "4000000007",
+                                      "1000000000000000000000000000000")}}
 
 
 def bad_flag_argv(command: str, flag: str, value: str) -> list:

@@ -127,9 +127,20 @@ def test_probabilities_reject_dimension_mismatch(sic_d3):
         lambda sic: purity_quadratic_residual(np.full(9, 1.0 / 9.0) + 2j),
         lambda sic: reconstruct_density(np.full(9, 1.0 / 9.0) + 1j, sic),
         lambda sic: UncertaintyProfile(np.full((4, 3), 1.0 / 3.0) + 1j),
+        lambda sic: check_probability_vector(["0.25"] * 4),
+        lambda sic: check_probability_vector(np.array([True, False, False, False])),
+        lambda sic: check_probability_vector(np.full(4, 0.25, dtype=object)),
+        lambda sic: purity_quadratic_residual(["0.25"] * 4),
+        lambda sic: reconstruct_density(np.eye(1, 9, dtype=bool)[0], sic),
+        lambda sic: purity_cubic_residual(np.full(9, 1.0 / 9.0).astype(str), sic),
+        lambda sic: UncertaintyProfile(np.ones((3, 2), dtype=bool)),
+        lambda sic: UncertaintyProfile([[0.5, 0.5], [0.5, "x"], [1, 0]]),
+        lambda sic: UncertaintyProfile(np.full((3, 2), 0.5, dtype=object)),
     ],
     ids=["check_probability_vector", "check_probability_vector_d", "purity_quadratic_residual",
-         "reconstruct_density", "UncertaintyProfile"],
+         "reconstruct_density", "UncertaintyProfile", "text", "bool", "object", "purity_quadratic_residual_text",
+         "reconstruct_density_bool", "purity_cubic_residual_text", "UncertaintyProfile_bool",
+         "UncertaintyProfile_text", "UncertaintyProfile_object"],
 )
 def test_complex_probabilities_are_refused(refuse, sic_d3):
     with pytest.raises(ValueError, match="must be real"):

@@ -5,7 +5,7 @@ bench/workloads.py Search.dims, in order, at seed derived_seed(seed, d), feeds r
 winner's fiducial.tobytes() of each into one sha256, and prints the seed and the first 16 hex digits of the digest.
 Two checkouts search bit for bit alike exactly when they print the same digests.  Each line goes on with that
 seed's counts, summed over its searches: certified=<n> restarts (objective within the config's accept_tol),
-evaluations=<n> and <reason>=<n> per entry of STOP_REASONS.
+evaluations=<n> and <reason>=<n> per entry of STOP_REASONS.  A last line, total, sums those counts over the seeds.
 """
 import hashlib, sys
 from collections import Counter
@@ -16,10 +16,14 @@ SEEDS = (1, 97, 2, 3)
 
 def digests(src: str) -> dict:
     """{seed: (digest, counts)}, counts a Counter of certified, evaluations and every stop reason."""
+    saved = sys.path[:]
     sys.path[:0] = [src, str(Path(__file__).resolve().parents[1] / "bench")]
-    import sic_forge as sf
-    from sic_forge.search import STOP_REASONS
-    from workloads import Search, derived_seed  # the bench's searches and seeds
+    try:
+        import sic_forge as sf
+        from sic_forge.search import STOP_REASONS
+        from workloads import Search, derived_seed  # the bench's searches and seeds
+    finally:
+        sys.path[:] = saved
     table = {}
     for seed in SEEDS:
         digest, counts = hashlib.sha256(), Counter(dict.fromkeys(("certified", "evaluations", *STOP_REASONS), 0))
@@ -35,6 +39,15 @@ def digests(src: str) -> dict:
     return table
 
 
+def report(table: dict) -> list:
+    """The printed lines: one per seed of digests(src), then the total line."""
+    fields = lambda counts: " ".join(f"{key}={n}" for key, n in counts.items())
+    lines, total = [], Counter()
+    for seed, (digest, counts) in table.items():
+        lines.append(f"{seed} {digest} {fields(counts)}")
+        total.update(counts)  # update, unlike +, keeps the reasons no restart took
+    return lines + [f"total {fields(total)}"]
+
+
 if __name__ == "__main__":
-    for seed, (digest, counts) in digests(sys.argv[1]).items():
-        print(seed, digest, *(f"{key}={n}" for key, n in counts.items()))
+    print(*report(digests(sys.argv[1])), sep="\n")
