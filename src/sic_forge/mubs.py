@@ -78,11 +78,11 @@ class MubSet:
 
     def __post_init__(self):
         d = check_dim(self.d)
-        pc = phase_constants(d)
+        pc = phase_constants(d)  # refuses an untable d before anything is allocated
         j = np.arange(d)
         a = j[:, None]
-        # chirp[a, j] = omega**(a*j*(j-1)/2), or tau**(a*j*j) when d = 2
-        chirp = pc.tau ** (a * j * j) if d == 2 else pc.omega_powers[(a * (j * (j - 1) // 2)) % d]
+        # chirp[a, j] = tau**(a*j*(j-1)) = omega**(a*j*(j-1)/2), or tau**(a*j*j) when d = 2
+        chirp = pc.tau_power(a * j * (j if d == 2 else j - 1))
         _settle(self, d=d, table=chirp.conj() / np.sqrt(d))
 
 

@@ -116,18 +116,18 @@ def as_state_vector(psi) -> np.ndarray:
 class PhaseConstants:
     """The group Z_d of one dimension as one record, made from d alone: its unit phases, tables and transforms.
 
-    ``omega = exp(2*pi*i/d)`` generates the clock spectrum and ``tau = -exp(i*pi/d)`` satisfies ``tau**2 == omega``.
-    tau has multiplicative order 2d when d is even, so tau exponents must never be reduced mod d; :meth:`tau_power`
-    takes the raw integer exponent.  The read-only (d, d) tables are ``add[a, m] = (a + m) % d``, ``sub[a, m] =
-    (m - a) % d``, the flat gather index ``lead[a, m] = a*d + sub[a, m]`` and ``dft[a, m] = omega**(a*m)``.
-    ``forward(x)`` (``np.fft.fft``) sums x[..., n] conj(dft[n, m]) over x's last axis, and ``inverse(x)``
-    (``np.fft.ifft``) undoes it.  ``phase_constants(d)`` returns the cached instance; d is below 3037000500.
+    ``tau = -exp(i*pi/d)`` satisfies ``tau**(2*d) == 1`` and ``tau**2 == omega = exp(2*pi*i/d)``, so every power of
+    tau is one entry of the read-only table ``tau_powers[k] = tau**k``, k in [0, 2d), each computed from its exactly
+    reduced exponent ``(d+1)*k mod 2d``.  An integer exponent n indexes the table mod 2d, never mod d (tau has order
+    2d when d is even): :meth:`tau_power` takes any integer (or integer array) n.  The read-only (d, d) tables are
+    ``add[a, m] = (a + m) % d``, ``sub[a, m] = (m - a) % d``, the flat gather index ``lead[a, m] = a*d + sub[a, m]``
+    and ``dft[a, m] = tau**(2*a*m) = omega**(a*m)``.  ``forward(x)`` (``np.fft.fft``) sums x[..., n] conj(dft[n, m])
+    over x's last axis, and ``inverse(x)`` (``np.fft.ifft``) undoes it.  ``phase_constants(d)`` returns the cached
+    instance; d is below 3037000500.
     """
 
     d: int
-    omega: complex = field(init=False)
-    tau: complex = field(init=False)
-    omega_powers: np.ndarray = field(init=False)
+    tau_powers: np.ndarray = field(init=False)
     add: np.ndarray = field(init=False)
     sub: np.ndarray = field(init=False)
     lead: np.ndarray = field(init=False)
@@ -135,13 +135,12 @@ class PhaseConstants:
 
     def __post_init__(self):
         d = _check_integer(check_dim(self.d), "dimension", 2, _TABLE_DIM_BOUND)
-        idx = np.arange(d)
-        powers = np.exp(2j * np.pi * idx / d)
+        idx, k = np.arange(d), np.arange(2 * d)
+        tau_powers = np.exp(1j * np.pi * ((k % 2 * d + k) % (2 * d)) / d)  # (d+1)*k = (k % 2)*d + k mod 2d
         add = (idx[:, None] + idx[None, :]) % d
         sub = (idx[None, :] - idx[:, None]) % d
-        dft = powers[np.outer(idx, idx) % d]
-        _settle(self, d=d, omega=complex(powers[1]), tau=-complex(np.exp(1j * np.pi / d)), omega_powers=powers,
-                add=add, sub=sub, lead=idx[:, None] * d + sub, dft=dft)
+        _settle(self, d=d, tau_powers=tau_powers, add=add, sub=sub, lead=idx[:, None] * d + sub,
+                dft=tau_powers[2 * (np.outer(idx, idx) % d)])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.fft.fft(x, axis=-1)
@@ -150,8 +149,8 @@ class PhaseConstants:
         return np.fft.ifft(x, axis=-1)
 
     def tau_power(self, n):
-        """tau**n = exp(i*pi*(d+1)*n/d) from the plain integer (or integer array) n."""
-        return np.exp(1j * (np.pi * ((self.d + 1) * n) / self.d))
+        """tau**n for the integer (or integer array) n, read from ``tau_powers`` at n mod 2d."""
+        return self.tau_powers[n % (2 * self.d)]
 
 
 @lru_cache(maxsize=None)
@@ -183,15 +182,15 @@ def displacement(d: int, r) -> np.ndarray:
 
 
 def _displaced(psi: np.ndarray, r1, r2) -> np.ndarray:
-    """D_r on the last axis of psi[..., d]: components tau**(r1*r2) * omega**((j - r1)*r2) * psi[..., (j - r1) % d].
+    """D_r on the last axis of psi[..., d]: components tau**(r1*r2 + 2*((j - r1)*r2 mod d)) * psi[..., (j - r1) % d].
 
-    Canonical indices r1, r2 may be integer arrays that broadcast against j.  This is the one formula for D_r: the
-    clock, the shift, ``displacement``, ``displace_state`` and the orbit vectors of a ``SicSet`` all come from it.
+    Canonical indices r1, r2 may be integer arrays that broadcast against j; no exponent exceeds d*d - 1.  This is the
+    one formula for D_r: the clock, the shift, ``displacement``, ``displace_state`` and the orbit vectors of a
+    ``SicSet`` all come from it.
     """
     d = psi.shape[-1]
-    pc = phase_constants(d)
     src = (np.arange(d) - r1) % d
-    return pc.tau_power(r1 * r2) * pc.omega_powers[(src * r2) % d] * psi[..., src]
+    return phase_constants(d).tau_power(r1 * r2 + 2 * (src * r2 % d)) * psi[..., src]
 
 
 def displace_state(psi, r) -> np.ndarray:

@@ -211,6 +211,21 @@ def test_d2_bases_frozen_literals():
     np.testing.assert_allclose(bases[2], [[s, -1j * s], [s, 1j * s]], atol=1e-12)
 
 
+@pytest.mark.parametrize("d", range(2, 60))
+def test_dft_and_odd_tables_equal_the_omega_powers_bit_for_bit(d):
+    # the tau table's even entries are omega**m = exp(2*pi*i*m/d) exactly as computed from m
+    j = np.arange(d)
+    omega = lambda m: np.exp(2j * np.pi * (m % d) / d)
+    np.testing.assert_array_equal(sic_forge.phase_constants(d).dft, omega(np.outer(j, j)))
+    if d % 2:
+        np.testing.assert_array_equal(MubSet(d).table, omega(j[:, None] * (j * (j - 1) // 2)).conj() / np.sqrt(d))
+
+
+def test_d2_bases_stay_unbiased():
+    bases = dense_bases(build_mubs(2))
+    assert unbiasedness_residual(build_mubs(2)) <= 1e-15 and pairwise_residual(bases) <= 1e-15
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
 def test_bases_orthonormal(d):
     bases = dense_bases(build_mubs(d))

@@ -1,7 +1,8 @@
-"""tools/search_digest.py: its per-seed line, its total line, and the sys.path it leaves."""
+"""tools/search_digest.py: its per-seed line, its total line, the sys.path it leaves, and the checkout it reads."""
 
 import importlib.util
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -35,3 +36,17 @@ def test_one_seed_prints_its_digest_and_counts_then_the_total(tool, monkeypatch)
     assert restarts == 248 and sum(counts[reason] for reason in STOP_REASONS) == restarts
     assert 0 < counts["certified"] <= restarts < counts["evaluations"]
     assert tool.digests(str(ROOT / "src"))[1][0] == digest
+
+
+def test_each_call_digests_its_own_checkout(tool, monkeypatch, tmp_path):
+    # sic_forge is already imported from src here; a copy that searches differently must still digest as itself
+    monkeypatch.setattr(tool, "SEEDS", (1,))
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    search = copy / "sic_forge" / "search.py"
+    text = search.read_text(encoding="utf-8")
+    assert text.count("\n_ARMIJO_MEMORY = 10 ") == 1
+    search.write_text(text.replace("\n_ARMIJO_MEMORY = 10 ", "\n_ARMIJO_MEMORY = 9 "), encoding="utf-8")
+    before = tool.digests(str(ROOT / "src"))[1][0]
+    assert tool.digests(str(copy))[1][0] != before
+    assert tool.digests(str(ROOT / "src"))[1][0] == before

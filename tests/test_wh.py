@@ -86,20 +86,21 @@ def test_check_tolerance_rejects_what_is_not_a_real_number(bad):
 def test_clock_shift_commutation():
     for d in range(2, 10):
         z, x = build_clock(d), build_shift(d)
-        omega = phase_constants(d).omega
+        omega = phase_constants(d).tau_power(2)
         assert np.abs(z @ x - omega * x @ z).max() <= 1e-14
 
 
 def test_phase_constants_invariants():
     for d in range(2, 13):
         pc = phase_constants(d)
-        assert abs(pc.omega**d - 1.0) <= 1e-13
-        assert abs(pc.tau**2 - pc.omega) <= 1e-14
-        assert abs(abs(pc.omega) - 1.0) <= 1e-14
-        assert abs(abs(pc.tau) - 1.0) <= 1e-14
+        assert pc.tau_powers.shape == (2 * d,) and pc.tau_power(2 * d) == pc.tau_power(0) == 1.0
+        assert abs(pc.tau_power(2 * d - 1) * pc.tau_power(1) - 1.0) <= 1e-15
+        assert abs(pc.tau_power(1) + np.exp(1j * np.pi / d)) <= 1e-15
+        assert pc.tau_power(2) == pc.dft[1, 1]
+        assert np.abs(np.abs(pc.tau_powers) - 1.0).max() <= 1e-15
         a, m = np.divmod(np.arange(d * d), d)
         np.testing.assert_allclose(pc.dft.reshape(-1), np.exp(2j * np.pi * a * m / d), rtol=0.0, atol=1e-13)
-        assert not any(t.flags.writeable for t in (pc.omega_powers, pc.add, pc.sub, pc.lead, pc.dft))
+        assert not any(t.flags.writeable for t in (pc.tau_powers, pc.add, pc.sub, pc.lead, pc.dft))
         rng = np.random.default_rng(d)
         stack = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
         assert pc.forward(stack).tobytes() == np.fft.fft(stack).tobytes()
@@ -107,14 +108,44 @@ def test_phase_constants_invariants():
 
 
 def test_phase_constants_take_only_d():
+    assert [f.name for f in dataclasses.fields(PhaseConstants)] == ["d", "tau_powers", "add", "sub", "lead", "dft"]
     with pytest.raises(TypeError):
-        PhaseConstants(d=3, omega=1.0)
+        PhaseConstants(d=3, tau_powers=np.ones(6))
     pc = PhaseConstants(np.int64(5))
     assert type(pc.d) is int and pc.dft.tobytes() == phase_constants(5).dft.tobytes()
-    with pytest.raises(ValueError, match="omega"):
-        dataclasses.replace(pc, omega=1.0)
+    with pytest.raises(ValueError, match="tau_powers"):
+        dataclasses.replace(pc, tau_powers=np.ones(10))
     with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
         PhaseConstants(1)
+
+
+def exact_tau_phase(d: int, n) -> np.ndarray:
+    """Oracle: tau**n = exp(i*pi*m/d) from the exponent m = (d+1)*n reduced mod 2d in Python integers.
+
+    The phase is evaluated as ``PhaseConstants`` evaluates ``dft``, so the comparison isolates the exponent's reduction.
+    """
+    m = np.array([(d + 1) * int(k) % (2 * d) for k in np.ravel(n)]).reshape(np.shape(n))
+    return np.exp(1j * np.pi * m / d)
+
+
+@pytest.mark.parametrize("d", [*range(2, 41), 101])
+def test_tau_power_is_the_exactly_reduced_phase(d):
+    # an exp of the raw exponent loses accuracy as the exponent grows: 5e-12 at d = 101 over these n
+    n = np.arange(d * d)
+    assert np.abs(phase_constants(d).tau_power(n) - exact_tau_phase(d, n)).max() <= 4.5e-16
+    pc = phase_constants(d)
+    for k in (-1, -2 * d - 3, 10**30, np.int64(d * d - 1)):  # any integer exponent, reduced mod 2d
+        assert pc.tau_power(k) == pc.tau_powers[int(k) % (2 * d)]
+
+
+@pytest.mark.parametrize("d", [24, 101, 1009])
+def test_displace_state_carries_the_exactly_reduced_phase(d):
+    # component j of D_r psi is tau**(r1*r2) * omega**((j - r1)*r2) * psi[j - r1], at the largest exponents
+    psi = random_state(np.random.default_rng(d), d)
+    r1, r2 = d - 1, d - 2
+    j = np.arange(d)
+    expected = exact_tau_phase(d, r1 * r2 + 2 * (j - r1) * r2) * psi[(j - r1) % d]
+    assert np.abs(displace_state(psi, (r1, r2)) - expected).max() <= 1e-15
 
 
 @pytest.mark.parametrize("d", [3037000500, 2**63])

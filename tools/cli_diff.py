@@ -4,6 +4,8 @@ The first checkout is the reference.  For each SRC, `python -m sic_forge.cli` (S
 fresh temporary directory:
 - every command of the bench cli workload (bench/workloads.py Cli.commands() at workload seed 1, on the input files
   its set-up writes there, as tools/layer_times.py uses them), with --json and in text mode;
+- `mubs --dim 2` and `mubs --dim 3`, with --json and in text mode: the two chirp formulas (tau**(a*j*j) at d = 2,
+  tau**(a*j*(j-1)) at odd d), of which the bench runs only d = 7;
 - every refused value of tests/test_cli.py's BAD_FLAGS, completed by its VALID_FLAGS, with that directory as the
   working directory.
 Exit codes, stdout and the bytes of every file left in the directory, set-up inputs included, must equal the
@@ -19,6 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WALL = re.compile(r'(wall_time_ms"?: )\d+')
 TRACEBACK = "Traceback (most recent call last)"
+CHIRPS = [["mubs", "--dim", "2", "--json"], ["mubs", "--dim", "3", "--json"]]
 
 
 def setup(src: str, work: str) -> list:
@@ -52,7 +55,8 @@ def run_checkout(src: str) -> dict:
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     with tempfile.TemporaryDirectory() as work:
         commands = json.loads(subprocess.check_output([sys.executable, __file__, "--setup", src, work], text=True))
-        argvs = [mode for argv in commands for mode in (argv, [a for a in argv if a != "--json"])] + bad_flags()
+        argvs = [mode for argv in commands + CHIRPS for mode in (argv, [a for a in argv if a != "--json"])]
+        argvs += bad_flags()
         mask = lambda text: WALL.sub(r"\1<ms>", text.replace(work, "<work>"))
         calls = {}
         for argv in argvs:

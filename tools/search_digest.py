@@ -7,23 +7,29 @@ Two checkouts search bit for bit alike exactly when they print the same digests.
 seed's counts, summed over its searches: certified=<n> restarts (objective within the config's accept_tol),
 evaluations=<n> and <reason>=<n> per entry of STOP_REASONS.  A last line, total, sums those counts over the seeds.
 """
-import hashlib, sys
+import hashlib, itertools, sys
 from collections import Counter
 from pathlib import Path
 
 SEEDS = (1, 97, 2, 3)
+ROOT = Path(__file__).resolve().parents[1]
+_FRESH = itertools.count()  # one new package name per digests call
 
 
 def digests(src: str) -> dict:
-    """{seed: (digest, counts)}, counts a Counter of certified, evaluations and every stop reason."""
+    """{seed: (digest, counts)}, counts a Counter of certified, evaluations and every stop reason.
+
+    SRC's sic_forge is imported under a package name of its own (tools/layer_times.py's load), so a process that has
+    already imported sic_forge from another checkout still digests SRC."""
     saved = sys.path[:]
-    sys.path[:0] = [src, str(Path(__file__).resolve().parents[1] / "bench")]
+    sys.path[:0] = [src, str(ROOT / "bench"), str(ROOT / "tools")]
     try:
-        import sic_forge as sf
-        from sic_forge.search import STOP_REASONS
+        from layer_times import load, module
         from workloads import Search, derived_seed  # the bench's searches and seeds
     finally:
         sys.path[:] = saved
+    sf = load(src, f"sic_forge_digest_{next(_FRESH)}")
+    STOP_REASONS = module(sf, "search").STOP_REASONS
     table = {}
     for seed in SEEDS:
         digest, counts = hashlib.sha256(), Counter(dict.fromkeys(("certified", "evaluations", *STOP_REASONS), 0))
